@@ -474,7 +474,7 @@ func BenchmarkGateStriped(b *testing.B) {
 }
 
 func BenchmarkGateSerialized(b *testing.B) {
-	benchGate(b, txnruntime.Config{SerializedGate: true})
+	benchGate(b, txnruntime.Config{GateStripes: 1})
 }
 
 func BenchmarkE15GateScaling(b *testing.B) {

@@ -112,6 +112,9 @@ func main() {
 		}
 	}
 
+	if *serialized {
+		*stripes = 1
+	}
 	cfg := runtime.Config{
 		Policy:          pol,
 		Shards:          *shards,
@@ -122,7 +125,6 @@ func main() {
 		BackoffJitter:   *backoffJitter,
 		CheckpointEvery: *ckpt,
 		GateStripes:     *stripes,
-		SerializedGate:  *serialized,
 		Lease:           *lease,
 		Partitions:      *partitions,
 		TruncateLog:     *truncate,

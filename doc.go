@@ -61,9 +61,9 @@
 //
 // Service — the runtime exposed as a long-lived network lock service:
 //
-//	internal/wire        — lockd protocol: length-prefixed JSON frames,
+//	internal/wire        — lockd protocol: length-prefixed frames,
 //	                       versioned hello, session ops, diagnostics
-//	                       (spec: docs/PROTOCOL.md)
+//	                       (codecs and versions: docs/PROTOCOL.md)
 //	internal/server      — lockd server: one reader per connection, one
 //	                       on-demand worker per session, pipelined
 //	                       requests, lease reaping, graceful drain
@@ -75,7 +75,8 @@
 //	internal/workload    — generators (uniform or Zipf hot-key skewed),
 //	                       per-client network-mode bodies, and the
 //	                       paper's worked examples (Figures 1–5)
-//	internal/experiments — the E1–E16 evaluation suite
+//	internal/experiments — the evaluation suite (index: DESIGN.md,
+//	                       recorded results: EXPERIMENTS.md)
 //
 // Executables: cmd/locksafe (safety decider), cmd/figures (figure
 // walkthroughs), cmd/lockbench (quantitative tables; -net drives a

@@ -60,7 +60,7 @@ func E15GateScaling(seed int64, stripeCounts, gorCounts []int) ([]E15Row, Report
 		"workload", "gate", "goroutines", "commits/s", "commits", "aborts")
 	for _, wl := range []string{"disjoint", "zipf"} {
 		for _, g := range gorCounts {
-			gates := []gateCfg{{name: "serialized", serialized: true}}
+			gates := []gateCfg{{name: "serialized", stripes: 1}}
 			for _, s := range stripeCounts {
 				gates = append(gates, gateCfg{name: fmt.Sprintf("striped:%d", s), stripes: s})
 			}
@@ -83,9 +83,8 @@ func E15GateScaling(seed int64, stripeCounts, gorCounts []int) ([]E15Row, Report
 }
 
 type gateCfg struct {
-	name       string
-	serialized bool
-	stripes    int
+	name    string
+	stripes int
 }
 
 // e15Workload builds the transaction system for one (workload, G) cell.
@@ -122,12 +121,11 @@ func e15Row(seed int64, wl string, g int, gc gateCfg) (E15Row, string) {
 	row := E15Row{Workload: wl, Gate: gc.name, Goroutines: g}
 	for rep := 0; rep < reps; rep++ {
 		res, err := txnruntime.Run(sys, txnruntime.Config{
-			Policy:         policy.TwoPhase{},
-			Shards:         16,
-			GateStripes:    gc.stripes,
-			SerializedGate: gc.serialized,
-			Backoff:        50 * time.Microsecond,
-			MaxRetries:     500,
+			Policy:      policy.TwoPhase{},
+			Shards:      16,
+			GateStripes: gc.stripes,
+			Backoff:     50 * time.Microsecond,
+			MaxRetries:  500,
 		})
 		if err != nil {
 			return row, fmt.Sprintf("e15 %s %s g=%d: %v", wl, gc.name, g, err)

@@ -127,7 +127,7 @@ func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes, codec
 			if addr != "" {
 				gates = []gateCfg{{name: "server"}}
 			} else {
-				gates = []gateCfg{{name: "serialized", serialized: true}}
+				gates = []gateCfg{{name: "serialized", stripes: 1}}
 				for _, s := range stripeCounts {
 					gates = append(gates, gateCfg{name: fmt.Sprintf("striped:%d", s), stripes: s})
 				}
@@ -210,12 +210,11 @@ func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode stri
 	target := addr
 	if addr == "" {
 		srv = server.New(model.NewState(universe...), txnruntime.Config{
-			Policy:         policy.TwoPhase{},
-			Shards:         16,
-			GateStripes:    gc.stripes,
-			SerializedGate: gc.serialized,
-			Backoff:        50 * time.Microsecond,
-			MaxRetries:     500,
+			Policy:      policy.TwoPhase{},
+			Shards:      16,
+			GateStripes: gc.stripes,
+			Backoff:     50 * time.Microsecond,
+			MaxRetries:  500,
 		})
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {

@@ -245,10 +245,7 @@ func (e *Engine) settleRestoredDrained(opens []recovery.OpenRec, info *RestoreIn
 		st := &sessState{token: o.Token}
 		st.deadline.Store(o.Deadline)
 		st.parked.Store(true)
-		s := &Session{e: e, t: t, sid: o.G, tx: r.sys.Txns[t], st: st, gen: r.gen[t]}
-		e.mu.Lock()
-		e.sessions[t] = s
-		e.mu.Unlock()
+		e.adopt(t, o.G, r.sys.Txns[t], st, r.gen[t], false)
 		info.Sessions++
 	}
 	if r.fatal != nil {

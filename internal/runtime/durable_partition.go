@@ -266,7 +266,7 @@ func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered, inf
 
 	// Settle cross-partition transactions recovered active: their
 	// session died with the process and globals are not restored parked
-	// (see resumeGlobal), so erase their events engine-wide — cascades
+	// (see PartitionedEngine.Resume), so erase their events engine-wide — cascades
 	// and all — and abandon them. The original set is snapshotted apart
 	// from the (growable) victims map: an un-committed cascade victim is
 	// re-spawned engine-driven and must not be abandoned here.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"locksafe/internal/model"
@@ -162,24 +163,15 @@ func TestDurableRestartResume(t *testing.T) {
 
 // TestInterruptResume is the in-process half of the resumption
 // contract: Interrupt parks a session (freeing its MPL slot), the stale
-// owner object is fenced, and the single winning Resume gets a fresh
-// session that drives the declared body to commit. Runs against both
-// the plain and the partitioned engine, the latter with a
-// cross-partition session.
+// owner object is fenced, a wrong token is refused, the single winning
+// Resume gets a fresh session that drives the declared body to commit,
+// and a resume after that commit is told the transaction committed.
 func TestInterruptResume(t *testing.T) {
-	e0, e1 := partitionedEntities(t)
-	for _, parts := range []int{1, 2} {
-		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
-			init := model.NewState(e0, e1)
-			eng := NewSessionEngine(init, Config{Policy: policy.TwoPhase{}, Partitions: parts, MPL: 1})
-			body := rwTxn("A", e0)
-			if parts > 1 {
-				body = spanTxn("A", e0, e1) // cross-partition: exercises the gsession park path
-			}
-			s, err := eng.OpenSession(body)
-			if err != nil {
-				t.Fatal(err)
-			}
+	_, e1 := partitionedEntities(t)
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			eng, body := k.start(t, Config{MPL: 1})
+			s := k.open(t, eng, body)
 			if err := s.Step(body.Steps[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +202,8 @@ func TestInterruptResume(t *testing.T) {
 			if err := rs.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Resume(rs.SID(), rs.Token()); !errors.Is(err, ErrSessionDone) {
-				t.Fatalf("resume after commit = %v, want ErrSessionDone", err)
+			if _, err := eng.Resume(rs.SID(), rs.Token()); !errors.Is(err, ErrSessionDone) || !strings.Contains(err.Error(), "committed") {
+				t.Fatalf("resume after commit = %v, want ErrSessionDone naming the commit", err)
 			}
 			res, err := eng.Close()
 			if err != nil {

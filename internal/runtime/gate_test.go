@@ -32,13 +32,10 @@ func TestConfigSentinels(t *testing.T) {
 	if c.Backoff != 0 {
 		t.Fatalf("Backoff=-1 resolved to %v, want 0", c.Backoff)
 	}
-	// Positive values pass through; SerializedGate forces one stripe.
-	c = Config{MaxRetries: 7, Backoff: time.Millisecond, GateStripes: 16, SerializedGate: true}.withDefaults()
-	if c.MaxRetries != 7 || c.Backoff != time.Millisecond {
-		t.Fatalf("explicit values mangled: %d, %v", c.MaxRetries, c.Backoff)
-	}
-	if c.GateStripes != 1 {
-		t.Fatalf("SerializedGate must force GateStripes=1, got %d", c.GateStripes)
+	// Positive values pass through.
+	c = Config{MaxRetries: 7, Backoff: time.Millisecond, GateStripes: 1}.withDefaults()
+	if c.MaxRetries != 7 || c.Backoff != time.Millisecond || c.GateStripes != 1 {
+		t.Fatalf("explicit values mangled: %d, %v, %d stripes", c.MaxRetries, c.Backoff, c.GateStripes)
 	}
 }
 
@@ -177,13 +174,12 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 // TestGateEquivalenceRandomTraces is the pinning property test for the
 // striped-gate refactor: on randomized traces — with policy vetoes,
 // injected aborts and (in the altruistic arm) erase-time cascades — the
-// serialized gate, a striped gate with one stripe and a striped gate
-// with many stripes must be observably identical: same surviving logs,
+// serialized gate (one stripe) and a striped gate with many stripes
+// must be observably identical: same surviving logs,
 // structural states, monitor keys, serializability verdicts, abort
 // accounting and per-transaction generations.
 func TestGateEquivalenceRandomTraces(t *testing.T) {
 	cfgs := []Config{
-		{SerializedGate: true},
 		{GateStripes: 1},
 		{GateStripes: 8},
 	}
@@ -356,7 +352,6 @@ func TestGateConfigsAgreeEndToEnd(t *testing.T) {
 	}
 	sys := model.NewSystem(model.NewState(all...), ts...)
 	for _, cfg := range []Config{
-		{SerializedGate: true},
 		{GateStripes: 1},
 		{GateStripes: 8},
 	} {

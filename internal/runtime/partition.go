@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,36 +53,9 @@ import (
 // structural events and no donations), which the runner enforces as an
 // invariant.
 
-// Sess is a client-paced session of a SessionEngine — either a plain
-// *Session of a single Engine or a cross-partition session of a
-// PartitionedEngine. The method contract (pacing, sentinel errors,
-// retry semantics) is Session's.
-type Sess interface {
-	// TID returns the engine-wide transaction id of the session.
-	TID() int
-	// SID returns the engine-wide session id a client quotes to Resume.
-	SID() int
-	// Token returns the server-issued resume credential.
-	Token() uint64
-	// Declared returns the session's declared transaction body.
-	Declared() model.Txn
-	// Step executes the next declared step (see Session.Step).
-	Step(model.Step) error
-	// Commit finalizes the session (see Session.Commit).
-	Commit() error
-	// Abort closes the session at the client's request (see
-	// Session.Abort).
-	Abort() error
-	// Run drives the declared body to commit engine-side (see
-	// Session.Run).
-	Run() error
-	// Cancel terminates the session engine-side; safe concurrently
-	// with an in-flight call (see Session.Cancel).
-	Cancel()
-	// Interrupt parks the session engine-side for a later Resume; safe
-	// concurrently with an in-flight call (see Session.Interrupt).
-	Interrupt()
-}
+// Sess is a client-paced session of a SessionEngine. There is one
+// implementation, whichever engine opened it and wherever it runs.
+type Sess = *Session
 
 // SessionEngine is the session-serving surface shared by Engine and
 // PartitionedEngine; the network server (internal/server) is written
@@ -91,7 +65,7 @@ type SessionEngine interface {
 	// OpenSession opens a declared transaction and returns its session.
 	OpenSession(tx model.Txn) (Sess, error)
 	// Resume reattaches a parked session by id and token (see
-	// Engine.Resume).
+	// sessHost.resume).
 	Resume(sid int, token uint64) (Sess, error)
 	// Stats returns a consistent metrics snapshot.
 	Stats() Metrics
@@ -99,6 +73,9 @@ type SessionEngine interface {
 	Inspect() Inspection
 	// OpenSessions returns the number of currently open sessions.
 	OpenSessions() int
+	// AwaitDetached blocks until every open session has finished or is
+	// parked, or ctx ends (see sessHost.AwaitDetached).
+	AwaitDetached(ctx context.Context)
 	// Reap aborts lease-expired sessions and reports how many.
 	Reap() int
 	// Close shuts the engine down and verifies the committed schedule.
@@ -106,13 +83,7 @@ type SessionEngine interface {
 }
 
 // OpenSession adapts Open to the SessionEngine interface.
-func (e *Engine) OpenSession(tx model.Txn) (Sess, error) {
-	s, err := e.Open(tx)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func (e *Engine) OpenSession(tx model.Txn) (Sess, error) { return e.Open(tx) }
 
 // NewSessionEngine returns the session engine selected by
 // cfg.Partitions: the plain single Engine for 0 or 1 (byte-identical to
@@ -130,8 +101,11 @@ func NewSessionEngine(init model.State, cfg Config) SessionEngine {
 // manager (cross-partition deadlock cycles need a single detector), one
 // MPL semaphore and one event-tag source; everything else — gate,
 // sequencer, recovery core, checkpoints, lease reaper for local
-// sessions — is per-partition.
+// sessions — is per-partition. Its embedded session host serves the
+// cross-partition sessions, with the engine itself as their backend;
+// partition-local sessions are served by their home partition's host.
 type PartitionedEngine struct {
+	sessHost
 	parts []*Engine
 	n     int
 	cfg   Config
@@ -144,19 +118,7 @@ type PartitionedEngine struct {
 	init  model.State
 
 	start time.Time
-	now   func() time.Time
-	lease time.Duration
-
-	sem chan struct{} // engine-wide MPL, shared with the partitions
-	wg  sync.WaitGroup
-
-	// wallClock reports that no Clock was injected, so startReaper may
-	// start the background lease reapers.
-	wallClock bool
-
-	lifecycle sync.RWMutex
-	closed    atomic.Bool
-	closedCh  chan struct{}
+	wg    sync.WaitGroup
 
 	// waitNs accumulates lock-wait time of cross-partition steps.
 	waitNs atomic.Int64
@@ -187,12 +149,6 @@ type PartitionedEngine struct {
 	gcause    []error
 	gmet      Metrics // metrics attributed to global transactions
 	fatal     error
-
-	mu       sync.Mutex
-	sessions map[int]*gsession
-
-	reapStop chan struct{}
-	reapDone chan struct{}
 }
 
 // NewPartitionedEngine returns a running partitioned engine with
@@ -213,32 +169,24 @@ func NewPartitionedEngine(init model.State, cfg Config) *PartitionedEngine {
 func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
 	cfg = cfg.withDefaults()
 	pe := &PartitionedEngine{
-		n:        cfg.Partitions,
-		cfg:      cfg,
-		mgr:      lockmgr.NewSharded(cfg.Shards),
-		init:     init.Clone(),
-		start:    time.Now(),
-		now:      cfg.Clock,
-		lease:    cfg.Lease,
-		closedCh: make(chan struct{}),
-		fullSys:  model.NewSystem(init.Clone()),
-		sessions: make(map[int]*gsession),
+		n:       cfg.Partitions,
+		cfg:     cfg,
+		mgr:     lockmgr.NewSharded(cfg.Shards),
+		init:    init.Clone(),
+		start:   time.Now(),
+		fullSys: model.NewSystem(init.Clone()),
 	}
 	pe.fpMon = cfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
 	sh := &sharedParts{mgr: pe.mgr, tags: &pe.tags}
 	if cfg.MPL > 0 {
-		pe.sem = make(chan struct{}, cfg.MPL)
-		sh.sem = pe.sem
+		sh.sem = make(chan struct{}, cfg.MPL)
 	}
+	pe.sessHost.init(pe, cfg, sh.sem)
 	pcfg := cfg
 	pcfg.MPL = 0 // the shared semaphore is injected, not re-created
 	pe.parts = make([]*Engine, pe.n)
 	for p := range pe.parts {
 		pe.parts[p] = newEngineCore(init, pcfg, sh)
-	}
-	if pe.now == nil {
-		pe.now = time.Now
-		pe.wallClock = true
 	}
 	return pe
 }
@@ -249,11 +197,7 @@ func (pe *PartitionedEngine) startReaper() {
 	for _, part := range pe.parts {
 		part.startReaper()
 	}
-	if pe.wallClock && pe.lease > 0 && pe.reapStop == nil {
-		pe.reapStop = make(chan struct{})
-		pe.reapDone = make(chan struct{})
-		go pe.reapLoop()
-	}
+	pe.sessHost.startReaper()
 }
 
 // classify decides where a declared body runs: its home partition if
@@ -296,11 +240,11 @@ func (pe *PartitionedEngine) classify(tx model.Txn) (homeP int, global bool) {
 	return seen, false
 }
 
-// Open opens a session for the declared transaction: local bodies are
-// routed to their home partition (and the returned Sess is that
-// partition's plain *Session — the fast path adds one hash per declared
-// entity and nothing else), cross-partition bodies get a gsession
-// driven through the cross-partition drain.
+// OpenSession opens a session for the declared transaction: local
+// bodies are routed to their home partition (the fast path adds one hash
+// per declared entity and nothing else), cross-partition bodies are
+// registered in every partition and run on this engine's own host,
+// through the cross-partition drain.
 func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 	if err := checkDeclared(tx); err != nil {
 		return nil, err
@@ -334,19 +278,13 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 	// Global: one MPL slot engine-wide, then register a mirror row in
 	// every partition under the cross-partition drain, so a concurrent
 	// global event sees the new transaction in all replicas or none.
-	if pe.sem != nil {
-		select {
-		case pe.sem <- struct{}{}:
-		case <-pe.closedCh:
-			return nil, ErrClosed
-		}
+	if err := pe.acquireSlot(); err != nil {
+		return nil, err
 	}
 	pe.lifecycle.RLock()
 	defer pe.lifecycle.RUnlock()
 	if pe.closed.Load() {
-		if pe.sem != nil {
-			<-pe.sem
-		}
+		pe.freeSlot()
 		return nil, ErrClosed
 	}
 	pe.gmu.Lock()
@@ -354,49 +292,86 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 	pe.addRowLocked(-1)
 	pe.gmu.Unlock()
 
+	st := pe.newSessState()
 	pe.drainAll()
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		if pe.sem != nil {
-			<-pe.sem
+	if pe.anyFatalDrained() == nil {
+		locs := make([]int, pe.n)
+		for p, part := range pe.parts {
+			locs[p] = part.r.addTxnDrained(tx, g, true)
+			// Every partition records the mirror registration — same global
+			// id, same token — so a restore rebuilds the replica set (or
+			// detects a crash mid-loop by the partial mirror).
+			part.r.persistOpenDrained(recovery.OpenRec{G: g, Mirror: true, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
 		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", f)
+		pe.gmu.Lock()
+		pe.locs[g] = locs
+		pe.gmu.Unlock()
 	}
-	st := &sessState{token: newToken()}
-	var deadline int64
-	if pe.lease > 0 {
-		deadline = pe.now().Add(pe.lease).UnixNano()
+	fatal := pe.anyFatalDrained()
+	pe.undrainAll()
+	if fatal != nil {
+		pe.freeSlot()
+		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
 	}
-	st.deadline.Store(deadline)
-	locs := make([]int, pe.n)
-	for p, part := range pe.parts {
-		locs[p] = part.r.addTxnDrained(tx, g, true)
-		// Every partition records the mirror registration — same global
-		// id, same token — so a restore rebuilds the replica set (or
-		// detects a crash mid-loop by the partial mirror).
-		part.r.persistOpenDrained(recovery.OpenRec{G: g, Mirror: true, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: deadline})
-	}
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		if pe.sem != nil {
-			<-pe.sem
-		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", f)
+	return pe.adopt(g, g, tx, st, 0, true), nil
+}
+
+// Resume reattaches a parked session by engine-wide id and token: a
+// local session is routed to its home partition's row, a
+// cross-partition one resumed on this engine's own host. Cross-partition
+// sessions are resumable only within the process that parked them: a
+// restore abandons unsettled globals rather than parking them (the
+// resumption contract covers the common case — a dropped connection —
+// without replicating session state).
+func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
+	if pe.closed.Load() {
+		return nil, ErrClosed
 	}
 	pe.gmu.Lock()
-	pe.locs[g] = locs
-	pe.gmu.Unlock()
-	pe.undrainAll()
-
-	if pe.sem != nil {
-		st.holdsSlot.Store(true)
+	if sid < 0 || sid >= len(pe.home) {
+		pe.gmu.Unlock()
+		return nil, ErrUnknownSession
 	}
-	s := &gsession{pe: pe, g: g, tx: tx, st: st}
-	s.touch()
-	pe.mu.Lock()
-	pe.sessions[g] = s
-	pe.mu.Unlock()
-	return s, nil
+	homeP, locs := pe.home[sid], pe.locs[sid]
+	pe.gmu.Unlock()
+	switch {
+	case homeP < 0:
+		return pe.resume(sid, token)
+	case len(locs) == 0:
+		// A crash (or failure) between the global id assignment and the
+		// partition open.
+		return nil, fmt.Errorf("%w: its open never completed", ErrSessionDone)
+	}
+	return pe.parts[homeP].resume(locs[0], token)
+}
+
+// Reap aborts lease-expired sessions engine-wide: each partition reaps
+// its local sessions, the engine reaps its cross-partition ones.
+func (pe *PartitionedEngine) Reap() int {
+	n := pe.sessHost.Reap()
+	for _, part := range pe.parts {
+		n += part.Reap()
+	}
+	return n
+}
+
+// OpenSessions returns the number of currently open sessions across all
+// partitions plus the cross-partition ones.
+func (pe *PartitionedEngine) OpenSessions() int {
+	n := pe.sessHost.OpenSessions()
+	for _, part := range pe.parts {
+		n += part.OpenSessions()
+	}
+	return n
+}
+
+// AwaitDetached waits out every host in turn. A draining server opens
+// and resumes nothing, so a host that reached zero stays there.
+func (pe *PartitionedEngine) AwaitDetached(ctx context.Context) {
+	pe.sessHost.AwaitDetached(ctx)
+	for _, part := range pe.parts {
+		part.AwaitDetached(ctx)
+	}
 }
 
 // addRowLocked appends one global bookkeeping row (gmu held).
@@ -518,14 +493,16 @@ func (pe *PartitionedEngine) staleAllDrained(g, gen int) (bool, retryOut) {
 	return true, retryOut{again: again, delay: delay}
 }
 
-// crossStep executes one declared step of global transaction g's
+// execStep executes one declared step of global transaction g's
 // attempt gen: the lock-table action first (blocking, no drain held),
 // then admission under the cross-partition drain — definedness on the
 // replicated structural state, the policy Check on *every* partition's
 // monitor (the combined verdict is their conjunction), the unlock table
 // action, and the append into every partition's recovery core under one
-// shared sequence tag. The return contract is execStep's.
-func (pe *PartitionedEngine) crossStep(g, gen int, st model.Step) (ok, again bool, delay time.Duration) {
+// shared sequence tag. The return contract is runner.execStep's; this
+// and commit, readTxnState and teardown below are the cross-partition
+// sessBackend.
+func (pe *PartitionedEngine) execStep(g, gen int, st model.Step) (ok, again bool, delay time.Duration) {
 	if st.Op.IsLock() {
 		t0 := time.Now()
 		err := pe.mgr.Lock(g, st.Ent, st.Op.LockMode())
@@ -610,10 +587,10 @@ func (pe *PartitionedEngine) crossLockFailed(g, gen int, err error) (bool, time.
 	return pe.crossAbortDrained(g)
 }
 
-// crossCommit finalizes global transaction g (the commit analogue of
+// commit finalizes global transaction g (the commit analogue of
 // runner.commit): status flip under the cross-partition drain, mirror
 // sync, stray-lock shedding, per-partition truncation pacing.
-func (pe *PartitionedEngine) crossCommit(g, gen int) (committed, again bool, delay time.Duration) {
+func (pe *PartitionedEngine) commit(g, gen int) (committed, again bool, delay time.Duration) {
 	pe.drainAll()
 	if stale, out := pe.staleAllDrained(g, gen); stale {
 		return false, out.again, out.delay
@@ -785,21 +762,56 @@ func (pe *PartitionedEngine) rerunGlobal(g int) {
 // commits, reporting the retry policy (runner.attempt's contract).
 func (pe *PartitionedEngine) attemptGlobal(g, gen int, tx model.Txn) (bool, time.Duration) {
 	for pos := 0; pos < tx.Len(); pos++ {
-		ok, again, delay := pe.crossStep(g, gen, tx.Steps[pos])
+		ok, again, delay := pe.execStep(g, gen, tx.Steps[pos])
 		if !ok {
 			return again, delay
 		}
 	}
-	_, again, delay := pe.crossCommit(g, gen)
+	_, again, delay := pe.commit(g, gen)
 	return again, delay
 }
 
-// readGlobState snapshots g's generation, status, cause and the fatal
-// error (the cross path's readTxnState; gmu suffices because global
-// state transitions hold it).
-func (pe *PartitionedEngine) readGlobState(g int) (gen int, status txnStatus, cause, fatal error) {
+// readTxnState snapshots g's generation, status, cause and the fatal
+// error (gmu suffices because global state transitions hold it).
+func (pe *PartitionedEngine) readTxnState(g int) (gen int, status txnStatus, cause, fatal error) {
 	pe.gmu.Lock()
 	gen, status, cause, fatal = pe.ggen[g], pe.gstatus[g], pe.gcause[g], pe.fatal
 	pe.gmu.Unlock()
 	return
+}
+
+// teardown is sessBackend.teardown under the cross-partition drain.
+func (pe *PartitionedEngine) teardown(g int, cause error, park, lease bool, admit func() bool) (bool, error) {
+	pe.drainAll()
+	fatal := pe.anyFatalDrained()
+	pe.gmu.Lock()
+	active := pe.gstatus[g] == txActive
+	pe.gmu.Unlock()
+	if fatal != nil || !active || (admit != nil && !admit()) {
+		pe.undrainAll()
+		if fatal != nil {
+			// As on the runner: unwedge whoever waits on the row's locks.
+			pe.mgr.ReleaseAll(g)
+		}
+		return false, fatal
+	}
+	pe.eraseAllDrained(map[int]bool{g: true})
+	pe.gmu.Lock()
+	pe.ggen[g]++
+	pe.gcause[g] = cause
+	if !park {
+		pe.gstatus[g] = txAbandoned
+		pe.gmet.GaveUp++
+		if lease {
+			pe.gmet.LeaseExpired++
+		}
+	}
+	pe.gmu.Unlock()
+	if !park {
+		pe.syncMirrorsDrained(g)
+	}
+	fatal = pe.anyFatalDrained()
+	pe.undrainAll()
+	pe.mgr.ReleaseAll(g)
+	return true, fatal
 }

@@ -1,0 +1,219 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"locksafe/internal/model"
+)
+
+// This file is the engine-wide view of a PartitionedEngine: the
+// per-partition logs, states and metrics merged back into one, for
+// Stats, Inspect and the verification at Close.
+
+// mergedDrained rebuilds the global execution order from the
+// per-partition logs: a k-way merge ascending by shared sequence tag,
+// with each event's partition-local owner translated back to its
+// engine-wide id and a global event's n replicas (equal tags) collapsed
+// to one. Per-partition logs are strictly tag-ascending by
+// construction, so the merge is linear. Cross-partition drain held (or
+// the engine single-threaded).
+func (pe *PartitionedEngine) mergedDrained() model.Schedule {
+	logs := make([]model.Schedule, pe.n)
+	tags := make([][]uint64, pe.n)
+	total := 0
+	for p, part := range pe.parts {
+		logs[p] = part.r.rec.Events()
+		tags[p] = part.r.rec.Tags()
+		total += len(logs[p])
+	}
+	idx := make([]int, pe.n)
+	out := make(model.Schedule, 0, total)
+	for {
+		best := -1
+		var bt uint64
+		for p := 0; p < pe.n; p++ {
+			if idx[p] < len(logs[p]) && (best == -1 || tags[p][idx[p]] < bt) {
+				best, bt = p, tags[p][idx[p]]
+			}
+		}
+		if best == -1 {
+			return out
+		}
+		ev := logs[best][idx[best]]
+		out = append(out, model.Ev{T: model.TID(pe.parts[best].r.mgr.owner(int(ev.T))), S: ev.S})
+		for p := 0; p < pe.n; p++ {
+			for idx[p] < len(logs[p]) && tags[p][idx[p]] == bt {
+				idx[p]++
+			}
+		}
+	}
+}
+
+// statsDrained merges the per-partition and global metrics
+// (cross-partition drain held). Events counts the merged log — each
+// global event once — plus truncated prefixes (per-replica when
+// TruncateLog is on; exact with it off).
+func (pe *PartitionedEngine) statsDrained() Metrics {
+	pe.gmu.Lock()
+	m := pe.gmet
+	pe.gmu.Unlock()
+	distinct := 0
+	{
+		// Count distinct tags without building the merged schedule.
+		tags := make([][]uint64, pe.n)
+		idx := make([]int, pe.n)
+		for p, part := range pe.parts {
+			tags[p] = part.r.rec.Tags()
+		}
+		for {
+			best := -1
+			var bt uint64
+			for p := 0; p < pe.n; p++ {
+				if idx[p] < len(tags[p]) && (best == -1 || tags[p][idx[p]] < bt) {
+					best, bt = p, tags[p][idx[p]]
+				}
+			}
+			if best == -1 {
+				break
+			}
+			distinct++
+			for p := 0; p < pe.n; p++ {
+				for idx[p] < len(tags[p]) && tags[p][idx[p]] == bt {
+					idx[p]++
+				}
+			}
+		}
+	}
+	m.Events = distinct
+	for _, part := range pe.parts {
+		pm := part.r.met
+		m.Commits += pm.Commits
+		m.GaveUp += pm.GaveUp
+		m.DeadlockAborts += pm.DeadlockAborts
+		m.PolicyAborts += pm.PolicyAborts
+		m.ImproperAborts += pm.ImproperAborts
+		m.CascadeAborts += pm.CascadeAborts
+		m.LeaseExpired += pm.LeaseExpired
+		st := part.r.rec.Stats()
+		m.Replayed += st.Replayed
+		m.Events += st.Truncated
+		m.Wait += time.Duration(part.r.waitNs.Load())
+	}
+	m.Wait += time.Duration(pe.waitNs.Load())
+	m.Elapsed = time.Since(pe.start)
+	return m
+}
+
+// Stats returns a consistent engine-wide metrics snapshot.
+func (pe *PartitionedEngine) Stats() Metrics {
+	pe.drainAll()
+	m := pe.statsDrained()
+	pe.undrainAll()
+	return m
+}
+
+// mergedStateDrained builds the engine-wide structural state: each
+// entity's existence is taken from its home partition, the
+// authoritative replica — other replicas may miss inserts and deletes
+// that were local to another partition (cross-partition drain held).
+func (pe *PartitionedEngine) mergedStateDrained() model.State {
+	out := model.NewState()
+	for p, part := range pe.parts {
+		for e := range part.r.rec.State() {
+			if model.PartitionOf(e, pe.n) == p {
+				out[e] = struct{}{}
+			}
+		}
+	}
+	return out
+}
+
+// sysSnapshotLocked returns a stable copy of the engine-wide system
+// (gmu held by the caller).
+func (pe *PartitionedEngine) sysSnapshotLocked() *model.System {
+	return &model.System{Init: pe.init, Txns: append([]model.Txn(nil), pe.fullSys.Txns...)}
+}
+
+// Inspect returns the diagnostic snapshot over the *merged* log: the
+// global execution order, the replicated structural state, the monitor
+// key of a full-system monitor replayed over the merged log (the
+// partitioned analogue of "the live monitor equals a replay of the
+// log"), and the merged log's serializability verdict. O(log); a
+// debugging and verification facility, as on Engine. With TruncateLog
+// the merged log is a suffix and the replayed monitor key is not
+// meaningful; it is reported as "(truncated)".
+func (pe *PartitionedEngine) Inspect() Inspection {
+	pe.drainAll()
+	merged := pe.mergedDrained()
+	pe.gmu.Lock()
+	sys := pe.sysSnapshotLocked()
+	pe.gmu.Unlock()
+	truncated := false
+	for _, part := range pe.parts {
+		if part.r.rec.Stats().Truncated > 0 {
+			truncated = true
+		}
+	}
+	key := "(truncated)"
+	if !truncated {
+		mon := pe.cfg.Policy.NewMonitor(sys)
+		key = ""
+		for _, ev := range merged {
+			if err := mon.Step(ev); err != nil {
+				key = fmt.Sprintf("(merged log does not replay: %v)", err)
+				break
+			}
+		}
+		if key == "" {
+			key = mon.Key()
+		}
+	}
+	ins := Inspection{
+		Log:          merged.String(),
+		State:        fmt.Sprintf("%v", pe.mergedStateDrained()),
+		MonitorKey:   key,
+		Serializable: merged.Serializable(sys),
+		Metrics:      pe.statsDrained(),
+	}
+	pe.undrainAll()
+	ins.OpenSessions = pe.OpenSessions()
+	return ins
+}
+
+// Close shuts the partitioned engine down: cross-partition sessions are
+// force-aborted and their re-runs waited out, each partition engine is
+// closed (force-aborting its local sessions and verifying its own log
+// — which contains the partition's locals plus every global event), and
+// the merged global schedule is verified serializable against the
+// engine-wide system. Returns the merged metrics and schedule.
+func (pe *PartitionedEngine) Close() (*Result, error) {
+	if !pe.shutdown() {
+		return nil, ErrClosed
+	}
+	defer pe.lifecycle.Unlock()
+	pe.wg.Wait()
+	for _, part := range pe.parts {
+		if _, err := part.Close(); err != nil && !errors.Is(err, ErrClosed) {
+			return nil, err
+		}
+	}
+	// Single-threaded from here: sessions are excluded, re-runs done,
+	// partitions closed.
+	pe.drainAll()
+	merged := pe.mergedDrained()
+	met := pe.statsDrained()
+	fatal := pe.anyFatalDrained()
+	pe.gmu.Lock()
+	sys := pe.sysSnapshotLocked()
+	pe.gmu.Unlock()
+	pe.undrainAll()
+	if fatal != nil {
+		return nil, fatal
+	}
+	if !merged.Serializable(sys) {
+		return nil, fmt.Errorf("runtime: merged committed schedule is NOT serializable under policy %q", pe.cfg.Policy.Name())
+	}
+	return &Result{Metrics: met, Schedule: merged}, nil
+}

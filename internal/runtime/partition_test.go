@@ -132,7 +132,7 @@ func TestPartitionEquivalenceRandomTraces(t *testing.T) {
 			if len(sched) == 0 {
 				continue
 			}
-			base := Config{Policy: arm.pol, SerializedGate: true, CheckpointEvery: 3}
+			base := Config{Policy: arm.pol, GateStripes: 1, CheckpointEvery: 3}
 			ref, err := ReplayTrace(sys, sched, base, arm.commit)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", arm.name, seed, err)

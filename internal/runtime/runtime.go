@@ -32,11 +32,10 @@
 // recovery core at drain points, preserving its single-owner discipline.
 // Run verifies the committed schedule is serializable before returning.
 //
-// With Config.GateStripes = 1 (or Config.SerializedGate) every admission
-// drains the single stripe and the gate is behavior-identical to the
-// serialized monitor gate this pipeline replaced — the equivalence
-// property test pins that, and E15 measures what striping buys on
-// footprint-disjoint workloads.
+// With Config.GateStripes = 1 every admission drains the single stripe
+// and the gate is behavior-identical to the serialized monitor gate this
+// pipeline replaced — the equivalence property test pins that, and E15
+// measures what striping buys on footprint-disjoint workloads.
 //
 // Abort recovery is incremental, through the same checkpointed recovery
 // core the engine uses (locksafe/internal/recovery): the core keeps
@@ -139,15 +138,12 @@ type Config struct {
 	FullReplayRecovery bool
 	// GateStripes is the number of stripe locks in the admission gate
 	// (default: sized from GOMAXPROCS). 1 serializes every admission,
-	// reproducing the pre-striping monitor gate exactly.
+	// reproducing the pre-striping single-mutex monitor gate exactly:
+	// the reference mode of the E15 experiment and the gate equivalence
+	// tests — and the sensible choice for a policy whose footprints are
+	// always global (DTR), where every admission would otherwise pay a
+	// full drain of GateStripes mutexes to buy no concurrency.
 	GateStripes int
-	// SerializedGate forces GateStripes = 1: the legacy single-mutex
-	// monitor gate. Reference mode for the E15 experiment and the gate
-	// equivalence tests — and the sensible choice for a policy whose
-	// footprints are always global (DTR), where every admission would
-	// otherwise pay a full drain of GateStripes mutexes to buy no
-	// concurrency.
-	SerializedGate bool
 	// Lease is the session lease of a long-lived Engine: how long a
 	// Session may sit idle between requests before the engine aborts it,
 	// releases its locks and abandons it (Metrics.LeaseExpired). The
@@ -228,9 +224,7 @@ func (c Config) withDefaults() Config {
 	case c.BackoffJitter > 1:
 		c.BackoffJitter = 1
 	}
-	if c.SerializedGate {
-		c.GateStripes = 1
-	} else if c.GateStripes < 1 {
+	if c.GateStripes < 1 {
 		c.GateStripes = defaultGateStripes()
 	}
 	if c.CheckpointEvery < 1 {

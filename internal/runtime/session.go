@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -58,29 +59,53 @@ var (
 	ErrNotResumable = errors.New("session is not parked")
 )
 
-// Engine is a long-lived transaction runtime: the same sharded lock
-// manager, footprint-striped admission gate and checkpointed recovery
-// core as the batch Run, but with an open-ended session population.
-// Open appends a declared transaction to the system (growing the
-// monitors and the recovery core under a full gate drain) and returns a
-// Session the client paces; abort/retry generations, cascading aborts
-// and committed-transaction re-spawn work exactly as in batch mode —
-// a re-spawned transaction is driven by the engine itself from its
-// declared body.
-//
-// With Config.Lease > 0 the engine enforces session leases: a session
-// idle between requests for longer than the lease is aborted and
-// abandoned, its locks released, so an abandoned client cannot wedge
-// the rest of the system. With Config.Clock nil a background reaper
-// enforces leases on wall-clock time; with an injected Clock the
-// embedder calls Reap itself.
-type Engine struct {
-	r *runner
-	// start anchors Metrics.Elapsed (always wall clock, even with an
-	// injected lease Clock).
-	start time.Time
+// sessBackend is what the session lifecycle needs from the machinery
+// that executes a transaction row. There are two: one partition's runner
+// (the sessions of a plain Engine and the partition-local sessions of a
+// PartitionedEngine), which works under that partition's gate drain, and
+// the PartitionedEngine itself (its cross-partition sessions), which
+// works under the drain of every partition. Three operations — read a
+// row's state, advance it, tear its attempt down — plus the retry delay
+// Run sleeps between attempts.
+type sessBackend interface {
+	// readTxnState snapshots t's generation, status, abort cause and the
+	// engine's fatal error.
+	readTxnState(t int) (gen int, status txnStatus, cause, fatal error)
+	// execStep and commit advance t's attempt gen by one declared step,
+	// or by its commit, and report whether that took. again and delay are
+	// the batch loop's retry policy; sessions ignore them.
+	execStep(t, gen int, st model.Step) (ok, again bool, delay time.Duration)
+	commit(t, gen int) (committed, again bool, delay time.Duration)
+	// teardown ends t's in-flight attempt from outside the step path,
+	// under the backend's full drain. Unless the engine has failed, t is
+	// no longer active, or admit (evaluated under the drain; nil means
+	// yes) refuses, it erases the attempt's events (cascading as needed),
+	// bumps the generation and records cause; then it abandons t —
+	// status persisted, counted in GaveUp and, with lease, LeaseExpired —
+	// or, with park, leaves it active for a Resume. t's locks are
+	// released after the drain, which wakes a step parked inside a lock
+	// acquisition; whatever admit publishes is therefore visible to it.
+	// Reports whether the teardown happened, and the fatal error.
+	teardown(t int, cause error, park, lease bool, admit func() bool) (done bool, fatal error)
+	// backoff is the k-th retry's delay.
+	backoff(k int) time.Duration
+}
+
+// sessHost is the session lifecycle, written once: the registry of open
+// sessions, lease accounting and the reaper, MPL slots, the park/resume
+// arbiter and the shutdown sequence. Engine and PartitionedEngine embed
+// one each and differ only in the backend their sessions run on.
+type sessHost struct {
+	be    sessBackend
 	now   func() time.Time
 	lease time.Duration
+	// wallClock reports that no Clock was injected, so startReaper may
+	// start the background lease reaper.
+	wallClock bool
+	// sem is the MPL semaphore (nil = unbounded). Under a
+	// PartitionedEngine every host shares one: a session occupies one
+	// slot engine-wide, wherever it runs.
+	sem chan struct{}
 
 	// lifecycle: session operations hold it for read; Close holds it
 	// for write to wait out in-flight operations.
@@ -89,62 +114,35 @@ type Engine struct {
 	closedCh  chan struct{} // closed by Close; unblocks MPL waiters
 
 	mu       sync.Mutex
-	sessions map[int]*Session
-
-	// maxTID is one past the highest transaction index ever issued, so
-	// Resume can tell an unknown sid from a finished one without a drain.
-	maxTID atomic.Int64
-	// wallClock reports that no Clock was injected, so startReaper may
-	// start the background lease reaper.
-	wallClock bool
+	sessions map[int]*Session // by row index
+	// attached counts the registered sessions that are not parked — the
+	// ones a client can still drive. idle, when non-nil, is closed as the
+	// count reaches zero (AwaitDetached).
+	attached int
+	idle     chan struct{}
 
 	reapStop chan struct{}
 	reapDone chan struct{}
 }
 
-// NewEngine returns a running engine over the given initial structural
-// state (nil means the empty database). The configuration is the batch
-// Config; MPL bounds concurrently open sessions (Open blocks until a
-// slot frees), and Lease/Clock control session leases.
-func NewEngine(init model.State, cfg Config) *Engine {
-	return newEngineShared(init, cfg, nil)
-}
-
-// newEngineShared is NewEngine with the partitioned engine's shared
-// wiring (lock manager, tag source, MPL semaphore) injected; sh == nil
-// means standalone.
-func newEngineShared(init model.State, cfg Config, sh *sharedParts) *Engine {
-	e := newEngineCore(init, cfg, sh)
-	e.startReaper()
-	return e
-}
-
-// newEngineCore builds the engine without starting the background
-// reaper, so the durable constructor can restore the persisted history
-// before any concurrent machinery runs.
-func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
-	e := &Engine{
-		r:        newRunnerShared(model.NewSystem(init.Clone()), cfg, sh),
-		start:    time.Now(),
-		now:      cfg.Clock,
-		lease:    cfg.Lease,
-		closedCh: make(chan struct{}),
-		sessions: make(map[int]*Session),
+func (h *sessHost) init(be sessBackend, cfg Config, sem chan struct{}) {
+	h.be = be
+	h.now, h.lease, h.sem = cfg.Clock, cfg.Lease, sem
+	if h.now == nil {
+		h.now = time.Now
+		h.wallClock = true
 	}
-	if e.now == nil {
-		e.now = time.Now
-		e.wallClock = true
-	}
-	return e
+	h.closedCh = make(chan struct{})
+	h.sessions = make(map[int]*Session)
 }
 
-// startReaper starts the background lease reaper if the engine runs on
+// startReaper starts the background lease reaper if the host runs on
 // the wall clock with leases enabled. Idempotent.
-func (e *Engine) startReaper() {
-	if e.wallClock && e.lease > 0 && e.reapStop == nil {
-		e.reapStop = make(chan struct{})
-		e.reapDone = make(chan struct{})
-		go e.reapLoop()
+func (h *sessHost) startReaper() {
+	if h.wallClock && h.lease > 0 && h.reapStop == nil {
+		h.reapStop = make(chan struct{})
+		h.reapDone = make(chan struct{})
+		go h.reapLoop()
 	}
 }
 
@@ -165,27 +163,31 @@ type sessState struct {
 	deadline atomic.Int64
 	busy     atomic.Bool
 	term     atomic.Pointer[error]
-	finished atomic.Bool // release() ran (sem slot given back, deregistered)
+	finished atomic.Bool // release() ran (slot given back, deregistered)
 	// parked is the resume arbiter: set by Interrupt, cleared by the
 	// single winning Resume (CompareAndSwap).
 	parked atomic.Bool
-	// holdsSlot tracks whether this session currently occupies an MPL
-	// slot. Swap gives exactly-once acquire/release transitions across
-	// racing Interrupt/Resume/forceAbort/release paths.
-	holdsSlot atomic.Bool
+	// attached tracks whether this session currently occupies an MPL
+	// slot and counts in sessHost.attached (guarded by the host's mu),
+	// which makes detaching exactly-once across racing
+	// Interrupt/Resume/forceAbort/release.
+	attached bool
 	// parks counts Interrupts; a Session object whose snapshot disagrees
 	// predates a park and is permanently fenced from the engine.
 	parks atomic.Int64
 }
 
-// Session is one client-paced transaction of an Engine. A Session is
-// not safe for concurrent use: each session serves one client, and its
-// methods must not overlap (the network server serializes a session's
-// requests through one worker goroutine).
+// Session is one client-paced transaction of an Engine or a
+// PartitionedEngine (where it runs on its home partition, or through the
+// cross-partition drain if its body spans partitions — the client cannot
+// tell). A Session is not safe for concurrent use: each session serves
+// one client, and its methods must not overlap (the network server
+// serializes a session's requests through one worker goroutine). Cancel
+// and Interrupt are the exceptions.
 type Session struct {
-	e    *Engine
-	t    int
-	sid  int // engine-wide session id (equals t standalone; the global id under a PartitionedEngine)
+	h    *sessHost
+	t    int // row index in the backend
+	sid  int // engine-wide session id (equals t except on a partition of a PartitionedEngine)
 	tx   model.Txn
 	gen  int // generation of the current attempt, from the client's view
 	pos  int // declared steps admitted in the current attempt
@@ -195,6 +197,592 @@ type Session struct {
 	myParks int64
 
 	st *sessState
+}
+
+// checkDeclared validates a declared transaction body at the API edge.
+func checkDeclared(tx model.Txn) error {
+	if err := tx.WellFormed(); err != nil {
+		return err
+	}
+	if !tx.LocksAtMostOnce() {
+		return fmt.Errorf("runtime: declared transaction %q locks an entity more than once", tx.Name)
+	}
+	return nil
+}
+
+// acquireSlot takes an MPL slot, blocking until one frees or the engine
+// closes.
+func (h *sessHost) acquireSlot() error {
+	if h.sem == nil {
+		return nil
+	}
+	select {
+	case h.sem <- struct{}{}:
+		return nil
+	case <-h.closedCh:
+		return ErrClosed
+	}
+}
+
+func (h *sessHost) freeSlot() {
+	if h.sem != nil {
+		<-h.sem
+	}
+}
+
+// newSessState mints the shared state of a session being opened: a
+// fresh resume token and the first lease deadline (0 without leases).
+func (h *sessHost) newSessState() *sessState {
+	st := &sessState{token: newToken()}
+	if h.lease > 0 {
+		st.deadline.Store(h.now().Add(h.lease).UnixNano())
+	}
+	return st
+}
+
+// adopt is the one Session constructor — an open, a resume and a restore
+// all come through here: a fresh owner object for row t at generation
+// gen, snapshotting the park fence, registered as the row's current
+// owner. attach marks it as holding the MPL slot its caller acquired;
+// a restore registers its sessions parked, holding none. Returns nil if
+// the session finished meanwhile (only a resume can lose that race).
+func (h *sessHost) adopt(t, sid int, tx model.Txn, st *sessState, gen int, attach bool) *Session {
+	s := &Session{h: h, t: t, sid: sid, tx: tx, gen: gen, myParks: st.parks.Load(), st: st}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if st.finished.Load() {
+		return nil
+	}
+	h.sessions[t] = s
+	if attach {
+		st.attached = true
+		h.attached++
+	}
+	return s
+}
+
+// detachLocked is the one place a session stops being attached — it
+// finished or was parked: the MPL slot goes back and a drain waiting in
+// AwaitDetached is woken once nobody is left. Exactly once per attach,
+// whoever races (h.mu held).
+func (h *sessHost) detachLocked(st *sessState) {
+	if !st.attached {
+		return
+	}
+	st.attached = false
+	h.freeSlot()
+	h.attached--
+	if h.attached == 0 && h.idle != nil {
+		close(h.idle)
+		h.idle = nil
+	}
+}
+
+// release deregisters the session and detaches it, exactly once (the
+// client's own finish can race a reaper's).
+func (h *sessHost) release(s *Session) {
+	if s.st.finished.Swap(true) {
+		return
+	}
+	h.mu.Lock()
+	delete(h.sessions, s.t)
+	h.detachLocked(s.st)
+	h.mu.Unlock()
+}
+
+// AwaitDetached blocks until no attached session is left — every open
+// session has finished or is parked, so no client can make further
+// progress — or ctx ends. The server's shutdown drain waits here.
+func (h *sessHost) AwaitDetached(ctx context.Context) {
+	h.mu.Lock()
+	if h.attached == 0 {
+		h.mu.Unlock()
+		return
+	}
+	if h.idle == nil {
+		h.idle = make(chan struct{})
+	}
+	idle := h.idle
+	h.mu.Unlock()
+	select {
+	case <-idle:
+	case <-ctx.Done():
+	}
+}
+
+// TID returns the session's transaction index in its engine's system.
+func (s *Session) TID() int { return s.t }
+
+// SID returns the engine-wide session id, the identity a client quotes
+// to Resume after a connection loss.
+func (s *Session) SID() int { return s.sid }
+
+// Token returns the server-issued resume credential.
+func (s *Session) Token() uint64 { return s.st.token }
+
+// Declared returns the session's declared transaction body.
+func (s *Session) Declared() model.Txn { return s.tx }
+
+// touch renews the lease deadline.
+func (s *Session) touch() {
+	if s.h.lease > 0 {
+		s.st.deadline.Store(s.h.now().Add(s.h.lease).UnixNano())
+	}
+}
+
+// errFenced is what an owner object gets once a park has torn its view
+// down: its connection is gone and the transaction awaits (or already
+// got) a Resume. Only the Session returned by Resume may drive the
+// transaction now.
+var errFenced = fmt.Errorf("%w (session parked; reattach with resume)", ErrCancelled)
+
+// begin guards a session operation: lifecycle read lock, closed, done
+// and park-fence checks, lease renewal, busy marking. Every return path
+// that got past begin must go through end.
+func (s *Session) begin() error {
+	if s.done {
+		if p := s.st.term.Load(); p != nil {
+			return *p
+		}
+		return ErrSessionDone
+	}
+	if s.st.parks.Load() != s.myParks {
+		s.done = true
+		return errFenced
+	}
+	s.h.lifecycle.RLock()
+	if s.h.closed.Load() {
+		s.h.lifecycle.RUnlock()
+		return ErrClosed
+	}
+	s.st.busy.Store(true)
+	s.touch()
+	return nil
+}
+
+func (s *Session) end() {
+	s.touch()
+	s.st.busy.Store(false)
+	s.h.lifecycle.RUnlock()
+}
+
+// failure translates a torn-down attempt into the session API's error
+// vocabulary, adopting the new generation so the client can retry.
+func (s *Session) failure() error {
+	if s.st.parks.Load() != s.myParks {
+		// Fenced mid-flight. Leave the shared state alone — the
+		// transaction lives on for Resume.
+		s.done = true
+		return errFenced
+	}
+	gen, status, cause, fatal := s.h.be.readTxnState(s.t)
+	s.gen, s.pos = gen, 0
+	if fatal != nil {
+		s.done = true
+		s.h.release(s)
+		return fmt.Errorf("runtime: engine failed: %w", fatal)
+	}
+	if status == txActive {
+		if cause != nil {
+			return fmt.Errorf("%w (cause: %v)", ErrAborted, cause)
+		}
+		return ErrAborted
+	}
+	// Terminal: reaped, drained or out of retries.
+	s.done = true
+	s.h.release(s)
+	if p := s.st.term.Load(); p != nil {
+		return fmt.Errorf("%w (cause: %v)", *p, cause)
+	}
+	if cause != nil {
+		return fmt.Errorf("%w (last cause: %v)", ErrAbandoned, cause)
+	}
+	return ErrAbandoned
+}
+
+// Step executes the next declared step of the session's transaction: st
+// must equal that step (the declaration is the contract; the submitted
+// step is verified against it). On success the cursor advances. An
+// ErrAborted return means the attempt — including any previously
+// admitted steps — was erased; the client retries by re-sending the
+// declared steps from the first. ErrAbandoned, ErrLeaseExpired and
+// ErrClosed are terminal.
+func (s *Session) Step(st model.Step) error {
+	if err := s.begin(); err != nil {
+		return err
+	}
+	defer s.end()
+	if s.pos >= s.tx.Len() {
+		return fmt.Errorf("%w: all %d declared steps already executed", ErrStepMismatch, s.tx.Len())
+	}
+	if want := s.tx.Steps[s.pos]; st != want {
+		return fmt.Errorf("%w: got %s, declared step %d is %s", ErrStepMismatch, st, s.pos, want)
+	}
+	// A cascade (or the reaper) may have torn the attempt down since the
+	// last request; notice before doing any work.
+	if gen, status, _, fatal := s.h.be.readTxnState(s.t); fatal != nil || gen != s.gen || status != txActive {
+		return s.failure()
+	}
+	if ok, _, _ := s.h.be.execStep(s.t, s.gen, st); !ok {
+		return s.failure()
+	}
+	s.pos++
+	return nil
+}
+
+// Commit finalizes the session after every declared step was admitted.
+// On success the transaction is durably in the committed schedule
+// (subject to the cascade caveat documented in DESIGN.md: a later
+// cascade may un-commit it, in which case the engine itself re-runs the
+// declared body to completion, as the batch runtime does). ErrAborted
+// means the attempt died before the commit took; retry from the first
+// step.
+func (s *Session) Commit() error {
+	if err := s.begin(); err != nil {
+		return err
+	}
+	defer s.end()
+	if s.pos != s.tx.Len() {
+		return fmt.Errorf("%w: %d of %d declared steps executed", ErrStepMismatch, s.pos, s.tx.Len())
+	}
+	if committed, _, _ := s.h.be.commit(s.t, s.gen); !committed {
+		return s.failure()
+	}
+	s.done = true
+	s.h.release(s)
+	return nil
+}
+
+// Run drives the session's declared transaction to commit engine-side:
+// it executes every declared step and commits, retrying from the first
+// step with the runner's capped+jittered backoff whenever the attempt is
+// torn down (ErrAborted) — the same loop the engine already performs for
+// cascade re-runs, exposed so a client can ship the declared body once
+// and receive a single terminal answer (the wire protocol's run op).
+// Returns nil on commit; any other error is terminal for the session.
+// The retry budget is the engine's (Config.MaxRetries), enforced by the
+// runtime itself — Run just keeps resubmitting while the session stays
+// retryable.
+func (s *Session) Run() error {
+	for k := 1; ; k++ {
+		err := s.runDeclared()
+		if err == nil || !errors.Is(err, ErrAborted) {
+			return err
+		}
+		if d := s.h.be.backoff(k); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
+
+// runDeclared executes the remaining declared steps and commits. On
+// ErrAborted the cursor was reset by failure(), so the next call starts
+// over from the first declared step.
+func (s *Session) runDeclared() error {
+	for s.pos < s.tx.Len() {
+		if err := s.Step(s.tx.Steps[s.pos]); err != nil {
+			return err
+		}
+	}
+	return s.Commit()
+}
+
+// Abort closes the session at the client's request: its events are
+// erased (cascading as needed), its locks released and the transaction
+// abandoned (counted in Metrics.GaveUp). The session is finished.
+func (s *Session) Abort() error {
+	if err := s.begin(); err != nil {
+		return err
+	}
+	defer s.end()
+	_, fatal := s.h.be.teardown(s.t, nil, false, false, nil)
+	s.done = true
+	s.h.release(s)
+	if fatal != nil {
+		return fmt.Errorf("runtime: engine failed: %w", fatal)
+	}
+	return nil
+}
+
+// Cancel terminates the session engine-side: its current attempt is
+// erased, its locks released and the transaction abandoned (counted in
+// Metrics.GaveUp). Unlike the owner-only methods, Cancel is safe to
+// call concurrently with an in-flight Step/Commit/Abort — the network
+// server uses it to tear down the sessions of a dead connection, which
+// wakes a step parked inside a lock acquisition. The owner's in-flight
+// and subsequent calls fail with ErrCancelled. Cancelling a finished
+// session is a no-op.
+func (s *Session) Cancel() {
+	s.h.forceAbort(s, ErrCancelled, errors.New("session cancelled (connection closed)"), false)
+}
+
+// forceAbort tears down an open session engine-side (cancel, lease
+// reaper, shutdown): erase its events, release its locks, abandon it.
+// Reports whether the session was actually torn down (false if it
+// already finished or the engine is failing).
+func (h *sessHost) forceAbort(s *Session, term, cause error, lease bool) bool {
+	done, _ := h.be.teardown(s.t, cause, false, lease, func() bool {
+		if s.st.finished.Load() {
+			return false
+		}
+		// A parked Step woken by the teardown must find the terminal
+		// sentinel set, or it would misreport the cause as ErrAbandoned.
+		s.st.term.Store(&term)
+		return true
+	})
+	if done {
+		h.release(s)
+	}
+	return done
+}
+
+// Interrupt parks the session engine-side: its in-flight attempt is
+// erased (locks released, a step parked inside a lock acquisition woken
+// with a cancellation) and its MPL slot returned, but the transaction
+// stays open — a client that reconnects within the lease window (which
+// restarts at the park) reattaches with Resume and the session's token.
+// Safe to call concurrently with an in-flight owner call, like Cancel;
+// interrupting a finished or already-parked session is a no-op. The
+// network server parks the sessions of a lost connection this way so a
+// resuming client finds them intact.
+func (s *Session) Interrupt() {
+	h := s.h
+	h.be.teardown(s.t, errParked, true, false, func() bool {
+		if s.st.finished.Load() || s.st.parked.Load() {
+			return false
+		}
+		// The fence rises before anything is woken: a woken step sees the
+		// parks mismatch and dies without touching shared cursor state.
+		s.st.parks.Add(1)
+		s.touch() // the lease window restarts at the park
+		// The slot goes back before the park is published, so the Resume
+		// that wins it finds the accounting settled.
+		h.mu.Lock()
+		h.detachLocked(s.st)
+		h.mu.Unlock()
+		s.st.parked.Store(true)
+		return true
+	})
+}
+
+// errParked is the abort cause recorded for a parked session's erased
+// attempt.
+var errParked = errors.New("session parked (connection lost)")
+
+// resume reattaches the parked session of row t: the single winning
+// caller (concurrent resumes race on an atomic arbiter) gets a fresh
+// Session positioned at the first declared step, holding a fresh MPL
+// slot. A wrong token is refused without touching the session; a parked
+// session whose lease deadline has passed is reaped here
+// (deterministically — no dependence on reaper timing) and refused with
+// ErrLeaseExpired; a session that already finished is refused with
+// ErrSessionDone naming how the transaction ended, so a client that lost
+// its connection around a commit learns the outcome.
+func (h *sessHost) resume(t int, token uint64) (*Session, error) {
+	if h.closed.Load() {
+		return nil, ErrClosed
+	}
+	h.mu.Lock()
+	cur := h.sessions[t]
+	h.mu.Unlock()
+	if cur == nil {
+		_, status, cause, fatal := h.be.readTxnState(t)
+		if fatal != nil {
+			return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
+		}
+		outcome := "committed"
+		switch {
+		case status == txAbandoned && cause != nil:
+			outcome = fmt.Sprintf("was abandoned (%v)", cause)
+		case status == txAbandoned:
+			outcome = "was abandoned"
+		case status == txActive:
+			// Only a committed transaction outlives its session active: a
+			// cascade un-committed it and the engine is re-running it.
+			outcome = "committed (the engine is re-running it after a cascade)"
+		}
+		return nil, fmt.Errorf("%w: the transaction %s", ErrSessionDone, outcome)
+	}
+	st := cur.st
+	if st.token != token {
+		return nil, ErrBadToken
+	}
+	if d := st.deadline.Load(); d != 0 && d <= h.now().UnixNano() {
+		h.forceAbort(cur, ErrLeaseExpired, fmt.Errorf("lease of %v expired", h.lease), true)
+		if p := st.term.Load(); p != nil {
+			return nil, *p
+		}
+		return nil, ErrLeaseExpired
+	}
+	if !st.parked.CompareAndSwap(true, false) {
+		return nil, ErrNotResumable
+	}
+	// The park gave the MPL slot back; the resumed incarnation competes
+	// for a fresh one like an open would.
+	if err := h.acquireSlot(); err != nil {
+		st.parked.Store(true)
+		return nil, err
+	}
+	// A reaper or shutdown may have killed the session since the CAS;
+	// re-check liveness (adopt does so once more under the registry lock).
+	gen, status, _, fatal := h.be.readTxnState(t)
+	if fatal == nil && status == txActive {
+		if ns := h.adopt(t, cur.sid, cur.tx, st, gen, true); ns != nil {
+			ns.touch()
+			return ns, nil
+		}
+	}
+	h.freeSlot()
+	if p := st.term.Load(); p != nil {
+		return nil, *p
+	}
+	if fatal != nil {
+		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
+	}
+	return nil, ErrNotResumable
+}
+
+// Reap aborts every open session whose lease deadline has passed and
+// returns how many it reaped. A session with an in-flight request is
+// never reaped — the lease bounds client idleness, not lock waits. With
+// an injected Clock the embedder calls Reap after advancing the clock;
+// with the real clock a background goroutine calls it periodically.
+func (h *sessHost) Reap() int {
+	if h.lease <= 0 {
+		return 0
+	}
+	now := h.now().UnixNano()
+	h.mu.Lock()
+	var expired []*Session
+	for _, s := range h.sessions {
+		if d := s.st.deadline.Load(); d != 0 && d <= now && !s.st.busy.Load() {
+			expired = append(expired, s)
+		}
+	}
+	h.mu.Unlock()
+	n := 0
+	for _, s := range expired {
+		if h.forceAbort(s, ErrLeaseExpired, fmt.Errorf("lease of %v expired", h.lease), true) {
+			n++
+		}
+	}
+	return n
+}
+
+func (h *sessHost) reapLoop() {
+	defer close(h.reapDone)
+	period := h.lease / 4
+	if period < time.Millisecond {
+		period = time.Millisecond
+	}
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-h.reapStop:
+			return
+		case <-tick.C:
+			h.Reap()
+		}
+	}
+}
+
+// OpenSessions returns the number of currently open sessions, parked
+// ones included.
+func (h *sessHost) OpenSessions() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.sessions)
+}
+
+// abortAll force-aborts every open session (shutdown): each loses its
+// in-flight attempt, is abandoned and — if parked inside a lock
+// acquisition — woken with a cancellation.
+func (h *sessHost) abortAll() {
+	h.mu.Lock()
+	snap := make([]*Session, 0, len(h.sessions))
+	for _, s := range h.sessions {
+		snap = append(snap, s)
+	}
+	h.mu.Unlock()
+	for _, s := range snap {
+		h.forceAbort(s, ErrClosed, errors.New("engine shutting down"), false)
+	}
+}
+
+// shutdown is the session half of Close: new sessions and session
+// operations are refused, the reaper is stopped and every still-open
+// session is force-aborted. Reports false if the host was already
+// closed; otherwise it returns holding the lifecycle write lock, which
+// the caller releases when its own teardown is done.
+func (h *sessHost) shutdown() bool {
+	if h.closed.Swap(true) {
+		return false
+	}
+	close(h.closedCh)
+	if h.reapStop != nil {
+		close(h.reapStop)
+		<-h.reapDone
+	}
+	// The first pass unwedges sessions parked inside lock acquisitions so
+	// in-flight operations can finish and the lifecycle write lock is
+	// reachable; the second pass (exclusive) closes the window where an
+	// open raced the first.
+	h.abortAll()
+	h.lifecycle.Lock()
+	h.abortAll()
+	return true
+}
+
+// Engine is a long-lived transaction runtime: the same sharded lock
+// manager, footprint-striped admission gate and checkpointed recovery
+// core as the batch Run, but with an open-ended session population.
+// Open appends a declared transaction to the system (growing the
+// monitors and the recovery core under a full gate drain) and returns a
+// Session the client paces; abort/retry generations, cascading aborts
+// and committed-transaction re-spawn work exactly as in batch mode —
+// a re-spawned transaction is driven by the engine itself from its
+// declared body.
+//
+// With Config.Lease > 0 the engine enforces session leases: a session
+// idle between requests for longer than the lease is aborted and
+// abandoned, its locks released, so an abandoned client cannot wedge
+// the rest of the system. With Config.Clock nil a background reaper
+// enforces leases on wall-clock time; with an injected Clock the
+// embedder calls Reap itself.
+type Engine struct {
+	sessHost
+	r *runner
+	// start anchors Metrics.Elapsed (always wall clock, even with an
+	// injected lease Clock).
+	start time.Time
+	// maxTID is one past the highest transaction index ever issued, so
+	// Resume can tell an unknown sid from a finished one without a drain.
+	maxTID atomic.Int64
+}
+
+// NewEngine returns a running engine over the given initial structural
+// state (nil means the empty database). The configuration is the batch
+// Config; MPL bounds concurrently open sessions (Open blocks until a
+// slot frees), and Lease/Clock control session leases.
+func NewEngine(init model.State, cfg Config) *Engine {
+	e := newEngineCore(init, cfg, nil)
+	e.startReaper()
+	return e
+}
+
+// newEngineCore builds the engine without starting the background
+// reaper, so the durable constructor can restore the persisted history
+// before any concurrent machinery runs. sh is the partitioned engine's
+// shared wiring (lock manager, tag source, MPL semaphore); nil means
+// standalone.
+func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
+	e := &Engine{
+		r:     newRunnerShared(model.NewSystem(init.Clone()), cfg, sh),
+		start: time.Now(),
+	}
+	e.sessHost.init(e.r, cfg, e.r.sem)
+	return e
 }
 
 // Open appends the declared transaction to the engine's system and
@@ -212,153 +800,54 @@ func (e *Engine) Open(tx model.Txn) (*Session, error) {
 	return e.open(tx, -1)
 }
 
-// checkDeclared validates a declared transaction body at the API edge.
-func checkDeclared(tx model.Txn) error {
-	if err := tx.WellFormed(); err != nil {
-		return err
-	}
-	if !tx.LocksAtMostOnce() {
-		return fmt.Errorf("runtime: declared transaction %q locks an entity more than once", tx.Name)
-	}
-	return nil
-}
-
 // open is Open after body validation. owner >= 0 is the engine-wide
 // lock-manager owner id a PartitionedEngine assigns to a session it
 // routes here (the engine's lockSpace is in translation mode); owner < 0
 // means standalone (identity) ownership.
 func (e *Engine) open(tx model.Txn, owner int) (*Session, error) {
-	r := e.r
-	if r.sem != nil {
-		select {
-		case r.sem <- struct{}{}:
-		case <-e.closedCh:
-			return nil, ErrClosed
-		}
+	if err := e.acquireSlot(); err != nil {
+		return nil, err
 	}
 	e.lifecycle.RLock()
 	defer e.lifecycle.RUnlock()
 	if e.closed.Load() {
-		if r.sem != nil {
-			<-r.sem
-		}
+		e.freeSlot()
 		return nil, ErrClosed
 	}
-
+	r := e.r
+	st := e.newSessState()
+	var t, sid int
 	r.gate.drain()
 	r.flushPending()
-	if r.fatal != nil {
-		err := r.fatal
-		r.gate.undrain()
-		if r.sem != nil {
-			<-r.sem
+	if r.fatal == nil {
+		t = r.addTxnDrained(tx, owner, false)
+		sid = t
+		if owner >= 0 {
+			sid = owner
 		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", err)
+		// The declaration is durable before the open is acknowledged, so a
+		// restore can rebuild the transaction population (and its resume
+		// credentials) from the WAL alone.
+		r.persistOpenDrained(recovery.OpenRec{G: sid, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
 	}
-	t := r.addTxnDrained(tx, owner, false)
-	sid := t
-	if owner >= 0 {
-		sid = owner
-	}
-	st := &sessState{token: newToken()}
-	var deadline int64
-	if e.lease > 0 {
-		deadline = e.now().Add(e.lease).UnixNano()
-	}
-	st.deadline.Store(deadline)
-	// The declaration is durable before the open is acknowledged, so a
-	// restore can rebuild the transaction population (and its resume
-	// credentials) from the WAL alone.
-	r.persistOpenDrained(recovery.OpenRec{G: sid, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: deadline})
-	if r.fatal != nil {
-		err := r.fatal
-		r.gate.undrain()
-		if r.sem != nil {
-			<-r.sem
-		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", err)
-	}
+	fatal := r.fatal
 	r.gate.undrain()
-
-	if r.sem != nil {
-		st.holdsSlot.Store(true)
+	if fatal != nil {
+		e.freeSlot()
+		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
 	}
-	s := &Session{e: e, t: t, sid: sid, tx: tx, st: st}
+	s := e.adopt(t, sid, tx, st, 0, true)
 	e.maxTID.Store(int64(t) + 1)
-	s.touch()
-	e.mu.Lock()
-	e.sessions[t] = s
-	e.mu.Unlock()
 	return s, nil
 }
 
-// TID returns the session's transaction index in the engine's system.
-func (s *Session) TID() int { return s.t }
-
-// SID returns the engine-wide session id, the identity a client quotes
-// to Resume after a connection loss.
-func (s *Session) SID() int { return s.sid }
-
-// Token returns the server-issued resume credential.
-func (s *Session) Token() uint64 { return s.st.token }
-
-// Declared returns the session's declared transaction body.
-func (s *Session) Declared() model.Txn { return s.tx }
-
-// touch renews the lease deadline.
-func (s *Session) touch() {
-	if s.e.lease > 0 {
-		s.st.deadline.Store(s.e.now().Add(s.e.lease).UnixNano())
+// Resume reattaches a parked session by id and token (see
+// sessHost.resume for the contract).
+func (e *Engine) Resume(sid int, token uint64) (Sess, error) {
+	if sid < 0 || int64(sid) >= e.maxTID.Load() {
+		return nil, ErrUnknownSession
 	}
-}
-
-// begin guards a session operation: lifecycle read lock, closed, done
-// and park-fence checks, lease renewal, busy marking. Every return path
-// that got past begin must go through end.
-func (s *Session) begin() error {
-	if s.done {
-		if p := s.st.term.Load(); p != nil {
-			return *p
-		}
-		return ErrSessionDone
-	}
-	if s.st.parks.Load() != s.myParks {
-		// This object predates a park: its connection was torn down and
-		// the transaction awaits (or already got) a Resume. The stale
-		// owner is permanently fenced — only the Session returned by
-		// Resume may drive the transaction now.
-		s.done = true
-		return fmt.Errorf("%w (session parked; reattach with resume)", ErrCancelled)
-	}
-	s.e.lifecycle.RLock()
-	if s.e.closed.Load() {
-		s.e.lifecycle.RUnlock()
-		return ErrClosed
-	}
-	s.st.busy.Store(true)
-	s.touch()
-	return nil
-}
-
-func (s *Session) end() {
-	s.touch()
-	s.st.busy.Store(false)
-	s.e.lifecycle.RUnlock()
-}
-
-// release deregisters the session and returns its MPL slot, exactly
-// once (the client's own finish can race a reaper's; a parked session
-// gave its slot back at the park, which holdsSlot remembers).
-func (e *Engine) release(s *Session) {
-	if s.st.finished.Swap(true) {
-		return
-	}
-	e.mu.Lock()
-	delete(e.sessions, s.t)
-	e.mu.Unlock()
-	if e.r.sem != nil && s.st.holdsSlot.Swap(false) {
-		<-e.r.sem
-	}
+	return e.resume(sid, token)
 }
 
 // addTxnDrained appends one transaction row to the runner: the system,
@@ -391,389 +880,35 @@ func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal er
 	return
 }
 
-// failure translates a torn-down attempt into the session API's error
-// vocabulary, adopting the new generation so the client can retry.
-func (s *Session) failure() error {
-	if s.st.parks.Load() != s.myParks {
-		// Fenced: a park tore this owner's view down mid-flight. Leave
-		// the shared state alone — the transaction lives on for Resume.
-		s.done = true
-		return fmt.Errorf("%w (session parked; reattach with resume)", ErrCancelled)
-	}
-	gen, status, cause, fatal := s.e.r.readTxnState(s.t)
-	s.gen, s.pos = gen, 0
-	if fatal != nil {
-		s.done = true
-		s.e.release(s)
-		return fmt.Errorf("runtime: engine failed: %w", fatal)
-	}
-	if status == txActive {
-		if cause != nil {
-			return fmt.Errorf("%w (cause: %v)", ErrAborted, cause)
-		}
-		return ErrAborted
-	}
-	// Terminal: reaped, drained or out of retries.
-	s.done = true
-	s.e.release(s)
-	if p := s.st.term.Load(); p != nil {
-		return fmt.Errorf("%w (cause: %v)", *p, cause)
-	}
-	if cause != nil {
-		return fmt.Errorf("%w (last cause: %v)", ErrAbandoned, cause)
-	}
-	return ErrAbandoned
-}
-
-// Step executes the next declared step of the session's transaction: st
-// must equal that step (the declaration is the contract; the submitted
-// step is verified against it). On success the cursor advances. An
-// ErrAborted return means the attempt — including any previously
-// admitted steps — was erased; the client retries by re-sending the
-// declared steps from the first. ErrAbandoned, ErrLeaseExpired and
-// ErrClosed are terminal.
-func (s *Session) Step(st model.Step) error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	defer s.end()
-	if s.pos >= s.tx.Len() {
-		return fmt.Errorf("%w: all %d declared steps already executed", ErrStepMismatch, s.tx.Len())
-	}
-	if want := s.tx.Steps[s.pos]; st != want {
-		return fmt.Errorf("%w: got %s, declared step %d is %s", ErrStepMismatch, st, s.pos, want)
-	}
-	// A cascade (or the reaper) may have torn the attempt down since the
-	// last request; notice before doing any work.
-	if gen, status, _, fatal := s.e.r.readTxnState(s.t); fatal != nil || gen != s.gen || status != txActive {
-		return s.failure()
-	}
-	ok, _, _ := s.e.r.execStep(s.t, s.gen, st)
-	if !ok {
-		return s.failure()
-	}
-	s.pos++
-	return nil
-}
-
-// Commit finalizes the session after every declared step was admitted.
-// On success the transaction is durably in the committed schedule
-// (subject to the cascade caveat documented in DESIGN.md: a later
-// cascade may un-commit it, in which case the engine itself re-runs the
-// declared body to completion, as the batch runtime does). ErrAborted
-// means the attempt died before the commit took; retry from the first
-// step.
-func (s *Session) Commit() error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	defer s.end()
-	if s.pos != s.tx.Len() {
-		return fmt.Errorf("%w: %d of %d declared steps executed", ErrStepMismatch, s.pos, s.tx.Len())
-	}
-	committed, _, _ := s.e.r.commit(s.t, s.gen)
-	if !committed {
-		return s.failure()
-	}
-	s.done = true
-	s.e.release(s)
-	return nil
-}
-
-// Run drives the session's declared transaction to commit engine-side:
-// it executes every declared step and commits, retrying from the first
-// step with the runner's capped+jittered backoff whenever the attempt is
-// torn down (ErrAborted) — the same loop the engine already performs for
-// cascade re-runs, exposed so a client can ship the declared body once
-// and receive a single terminal answer (the wire protocol's run op).
-// Returns nil on commit; any other error is terminal for the session.
-// The retry budget is the engine's (Config.MaxRetries), enforced by the
-// runtime itself — Run just keeps resubmitting while the session stays
-// retryable.
-func (s *Session) Run() error {
-	for k := 1; ; k++ {
-		err := s.runDeclared()
-		if err == nil || !errors.Is(err, ErrAborted) {
-			return err
-		}
-		if d := s.e.r.backoff(k); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
-// runDeclared executes the remaining declared steps and commits. On
-// ErrAborted the cursor was reset by failure(), so the next call starts
-// over from the first declared step.
-func (s *Session) runDeclared() error {
-	for s.pos < s.tx.Len() {
-		if err := s.Step(s.tx.Steps[s.pos]); err != nil {
-			return err
-		}
-	}
-	return s.Commit()
-}
-
-// Abort closes the session at the client's request: its events are
-// erased (cascading as needed), its locks released and the transaction
-// abandoned (counted in Metrics.GaveUp). The session is finished.
-func (s *Session) Abort() error {
-	if err := s.begin(); err != nil {
-		return err
-	}
-	defer s.end()
-	r := s.e.r
+// teardown is sessBackend.teardown under this runner's gate drain.
+func (r *runner) teardown(t int, cause error, park, lease bool, admit func() bool) (bool, error) {
 	r.gate.drain()
 	r.flushPending()
-	if r.fatal == nil && r.status[s.t] == txActive {
-		r.eraseDrained(map[int]bool{s.t: true})
-		r.gen[s.t]++
-		r.status[s.t] = txAbandoned
+	if r.fatal != nil || r.status[t] != txActive || (admit != nil && !admit()) {
+		fatal := r.fatal
+		r.gate.undrain()
+		if fatal != nil {
+			// A failed engine admits nothing more; shedding the row's locks
+			// lets whoever waits on them find that out.
+			r.mgr.ReleaseAll(t)
+		}
+		return false, fatal
+	}
+	r.eraseDrained(map[int]bool{t: true})
+	r.gen[t]++
+	r.abortCause[t] = cause
+	if !park {
+		r.status[t] = txAbandoned
 		r.met.GaveUp++
-		r.persistStatusDrained(s.t, recovery.StatusAbandoned)
+		if lease {
+			r.met.LeaseExpired++
+		}
+		r.persistStatusDrained(t, recovery.StatusAbandoned)
 	}
 	fatal := r.fatal
 	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
-	s.done = true
-	s.e.release(s)
-	if fatal != nil {
-		return fmt.Errorf("runtime: engine failed: %w", fatal)
-	}
-	return nil
-}
-
-// Cancel terminates the session engine-side: its current attempt is
-// erased, its locks released and the transaction abandoned (counted in
-// Metrics.GaveUp). Unlike the owner-only methods, Cancel is safe to
-// call concurrently with an in-flight Step/Commit/Abort — the network
-// server uses it to tear down the sessions of a dead connection, which
-// wakes a step parked inside a lock acquisition. The owner's in-flight
-// and subsequent calls fail with ErrCancelled. Cancelling a finished
-// session is a no-op.
-func (s *Session) Cancel() {
-	s.e.forceAbort(s, ErrCancelled, errors.New("session cancelled (connection closed)"), false)
-}
-
-// forceAbort tears down an open session engine-side (lease reaper,
-// shutdown drain): erase its events, release its locks, abandon it.
-// Reports whether the session was actually torn down (false if it
-// already finished or the engine is failing).
-func (e *Engine) forceAbort(s *Session, term error, cause error, lease bool) bool {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil || s.st.finished.Load() || r.status[s.t] != txActive {
-		r.gate.undrain()
-		return false
-	}
-	r.eraseDrained(map[int]bool{s.t: true})
-	r.gen[s.t]++
-	r.abortCause[s.t] = cause
-	r.status[s.t] = txAbandoned
-	r.met.GaveUp++
-	if lease {
-		r.met.LeaseExpired++
-	}
-	r.persistStatusDrained(s.t, recovery.StatusAbandoned)
-	// Publish the terminal sentinel before the teardown wakes anyone:
-	// a parked Step woken by the ReleaseAll below must find term set, or
-	// it would misreport the cause as ErrAbandoned.
-	s.st.term.Store(&term)
-	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
-	e.release(s)
-	return true
-}
-
-// Interrupt parks the session engine-side: its in-flight attempt is
-// erased (locks released, a step parked inside a lock acquisition woken
-// with a cancellation) and its MPL slot returned, but the transaction
-// stays open — a client that reconnects within the lease window (which
-// restarts at the park) reattaches with Resume and the session's token.
-// Safe to call concurrently with an in-flight owner call, like Cancel;
-// interrupting a finished or already-parked session is a no-op. The
-// network server parks the sessions of a lost connection this way so a
-// resuming client finds them intact.
-func (s *Session) Interrupt() { s.e.interrupt(s) }
-
-func (e *Engine) interrupt(s *Session) {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil || s.st.finished.Load() || r.status[s.t] != txActive || s.st.parked.Load() {
-		r.gate.undrain()
-		return
-	}
-	r.eraseDrained(map[int]bool{s.t: true})
-	r.gen[s.t]++
-	r.abortCause[s.t] = errParked
-	// The fence must rise before anything parked is woken: a woken step
-	// sees the parks mismatch and dies without touching shared cursor
-	// state.
-	s.st.parks.Add(1)
-	s.st.parked.Store(true)
-	s.touch() // the lease window restarts at the park
-	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
-	if r.sem != nil && s.st.holdsSlot.Swap(false) {
-		<-r.sem
-	}
-}
-
-// errParked is the abort cause recorded for a parked session's erased
-// attempt.
-var errParked = errors.New("session parked (connection lost)")
-
-// Resume reattaches a parked session by id and token: the single
-// winning caller (concurrent Resumes race on an atomic arbiter) gets a
-// fresh Session positioned at the first declared step, holding a fresh
-// MPL slot. A wrong token is refused without touching the session; a
-// parked session whose lease deadline has passed is reaped here
-// (deterministically — no dependence on reaper timing) and refused
-// with ErrLeaseExpired.
-func (e *Engine) Resume(sid int, token uint64) (Sess, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	s, err := e.resumeLocal(sid, token)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// resumeLocal is Resume on the partition-local transaction index, split
-// out so a PartitionedEngine can route a global sid to its home
-// partition's row.
-func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
-	if t < 0 || int64(t) >= e.maxTID.Load() {
-		return nil, ErrUnknownSession
-	}
-	e.mu.Lock()
-	cur := e.sessions[t]
-	e.mu.Unlock()
-	if cur == nil {
-		return nil, ErrSessionDone
-	}
-	st := cur.st
-	if st.token != token {
-		return nil, ErrBadToken
-	}
-	if d := st.deadline.Load(); d != 0 && d <= e.now().UnixNano() {
-		e.forceAbort(cur, ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true)
-		if p := st.term.Load(); p != nil {
-			return nil, *p
-		}
-		return nil, ErrLeaseExpired
-	}
-	if !st.parked.CompareAndSwap(true, false) {
-		return nil, ErrNotResumable
-	}
-	// The park gave the MPL slot back; the resumed incarnation competes
-	// for a fresh one like an Open would.
-	if e.r.sem != nil {
-		select {
-		case e.r.sem <- struct{}{}:
-		case <-e.closedCh:
-			st.parked.Store(true)
-			return nil, ErrClosed
-		}
-		st.holdsSlot.Store(true)
-	}
-	// A reaper or shutdown may have killed the session between the CAS
-	// and the slot acquisition; re-check liveness.
-	gen, status, _, fatal := e.r.readTxnState(t)
-	if fatal != nil || status != txActive || st.finished.Load() {
-		if e.r.sem != nil && st.holdsSlot.Swap(false) {
-			<-e.r.sem
-		}
-		if p := st.term.Load(); p != nil {
-			return nil, *p
-		}
-		if fatal != nil {
-			return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
-		}
-		return nil, ErrNotResumable
-	}
-	ns := &Session{e: e, t: t, sid: cur.sid, tx: cur.tx, st: st, gen: gen, myParks: st.parks.Load()}
-	ns.touch()
-	e.mu.Lock()
-	e.sessions[t] = ns
-	e.mu.Unlock()
-	return ns, nil
-}
-
-// Reap aborts every open session whose lease deadline has passed and
-// returns how many it reaped. A session with an in-flight request is
-// never reaped — the lease bounds client idleness, not lock waits. With
-// an injected Clock the embedder calls Reap after advancing the clock;
-// with the real clock a background goroutine calls it periodically.
-func (e *Engine) Reap() int {
-	if e.lease <= 0 {
-		return 0
-	}
-	now := e.now().UnixNano()
-	e.mu.Lock()
-	var expired []*Session
-	for _, s := range e.sessions {
-		if d := s.st.deadline.Load(); d != 0 && d <= now && !s.st.busy.Load() {
-			expired = append(expired, s)
-		}
-	}
-	e.mu.Unlock()
-	n := 0
-	for _, s := range expired {
-		if e.forceAbort(s, ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true) {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *Engine) reapLoop() {
-	defer close(e.reapDone)
-	period := e.lease / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.reapStop:
-			return
-		case <-tick.C:
-			e.Reap()
-		}
-	}
-}
-
-// OpenSessions returns the number of currently open sessions.
-func (e *Engine) OpenSessions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sessions)
-}
-
-// AbortOpenSessions force-aborts every open session (shutdown drain):
-// each loses its in-flight attempt, is abandoned and — if parked inside
-// a lock acquisition — woken with a cancellation. Returns how many were
-// torn down.
-func (e *Engine) AbortOpenSessions() int {
-	e.mu.Lock()
-	snap := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		snap = append(snap, s)
-	}
-	e.mu.Unlock()
-	n := 0
-	for _, s := range snap {
-		if e.forceAbort(s, ErrClosed, errors.New("engine shutting down"), false) {
-			n++
-		}
-	}
-	return n
+	r.mgr.ReleaseAll(t)
+	return true, fatal
 }
 
 // Stats returns a consistent snapshot of the engine's metrics (cheap:
@@ -826,9 +961,7 @@ func (e *Engine) Inspect() Inspection {
 	r.gate.undrain()
 	ins.Metrics.Wait = time.Duration(r.waitNs.Load())
 	ins.Metrics.Elapsed = time.Since(e.start)
-	e.mu.Lock()
-	ins.OpenSessions = len(e.sessions)
-	e.mu.Unlock()
+	ins.OpenSessions = e.OpenSessions()
 	return ins
 }
 
@@ -839,22 +972,10 @@ func (e *Engine) Inspect() Inspection {
 // schedule is verified serializable. Returns the final metrics and
 // schedule.
 func (e *Engine) Close() (*Result, error) {
-	if e.closed.Swap(true) {
+	if !e.shutdown() {
 		return nil, ErrClosed
 	}
-	close(e.closedCh)
-	if e.reapStop != nil {
-		close(e.reapStop)
-		<-e.reapDone
-	}
-	// First pass unwedges sessions parked inside lock acquisitions so
-	// in-flight operations can finish and the lifecycle write lock is
-	// reachable; the second pass (exclusive) closes the window where an
-	// Open raced the first.
-	e.AbortOpenSessions()
-	e.lifecycle.Lock()
 	defer e.lifecycle.Unlock()
-	e.AbortOpenSessions()
 	r := e.r
 	r.wg.Wait()
 	// Session operations are excluded by the lifecycle write lock and

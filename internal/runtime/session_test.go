@@ -42,6 +42,50 @@ func (s *Session) stepAll() error {
 	return nil
 }
 
+// sessionKind is one of the three ways a session runs; the session
+// contract tests range over all of them, because the contract is the
+// same code whichever backend executes the row.
+type sessionKind struct {
+	name  string
+	parts int
+	cross bool // the body spans partitions: the cross-partition drain
+}
+
+var sessionKinds = []sessionKind{
+	{name: "plain", parts: 1},
+	{name: "local", parts: 2},
+	{name: "cross", parts: 2, cross: true},
+}
+
+// start returns an engine of this kind over two entities homed in
+// different partitions of a 2-way split, and a body of this kind. Two
+// sessions running the body conflict on its first lock.
+func (k sessionKind) start(t *testing.T, cfg Config) (SessionEngine, model.Txn) {
+	t.Helper()
+	e0, e1 := partitionedEntities(t)
+	cfg.Policy, cfg.Partitions = policy.TwoPhase{}, k.parts
+	body := rwTxn("T", e0)
+	if k.cross {
+		body = spanTxn("T", e0, e1)
+	}
+	return NewSessionEngine(model.NewState(e0, e1), cfg), body
+}
+
+// open opens body and checks the session landed on the backend the kind
+// names: a PartitionedEngine serves cross-partition sessions on its own
+// host and local ones on a partition's.
+func (k sessionKind) open(t *testing.T, eng SessionEngine, body model.Txn) *Session {
+	t.Helper()
+	s, err := eng.OpenSession(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe, ok := eng.(*PartitionedEngine); ok && (s.h == &pe.sessHost) != k.cross {
+		t.Fatalf("%s session routed to the wrong backend", k.name)
+	}
+	return s
+}
+
 func TestSessionBasicCommit(t *testing.T) {
 	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, GateStripes: 4})
 	txA := model.Txn{Name: "A", Steps: []model.Step{model.LX("a"), model.W("a"), model.LX("b"), model.W("b"), model.UX("a"), model.UX("b")}}
@@ -93,30 +137,74 @@ func TestSessionOpenRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestSessionStepMismatch: an undeclared step and an early commit are
+// refused without touching the session, and a client Abort finishes it,
+// counted in GaveUp with nothing left in the log.
 func TestSessionStepMismatch(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}})
-	s, err := e.Open(model.Txn{Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}})
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			eng, body := k.start(t, Config{})
+			s := k.open(t, eng, body)
+			if err := s.Step(model.LX("undeclared")); !errors.Is(err, ErrStepMismatch) {
+				t.Fatalf("undeclared step = %v, want ErrStepMismatch", err)
+			}
+			if err := s.Step(body.Steps[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); !errors.Is(err, ErrStepMismatch) {
+				t.Fatalf("early commit = %v, want ErrStepMismatch", err)
+			}
+			if err := s.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Step(body.Steps[1]); !errors.Is(err, ErrSessionDone) {
+				t.Fatalf("step after abort = %v, want ErrSessionDone", err)
+			}
+			res, err := eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.GaveUp != 1 || res.Metrics.Events != 0 {
+				t.Fatalf("gaveup=%d events=%d, want 1/0", res.Metrics.GaveUp, res.Metrics.Events)
+			}
+		})
 	}
-	if err := s.Step(model.LX("b")); !errors.Is(err, ErrStepMismatch) {
-		t.Fatalf("undeclared step = %v, want ErrStepMismatch", err)
-	}
-	if err := s.Commit(); !errors.Is(err, ErrStepMismatch) {
-		t.Fatalf("early commit = %v, want ErrStepMismatch", err)
-	}
-	if err := s.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Step(model.LX("a")); !errors.Is(err, ErrSessionDone) {
-		t.Fatalf("step after abort = %v, want ErrSessionDone", err)
-	}
-	res, err := e.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.GaveUp != 1 || res.Metrics.Events != 0 {
-		t.Fatalf("gaveup=%d events=%d, want 1/0", res.Metrics.GaveUp, res.Metrics.Events)
+}
+
+// TestSessionCancelWakesParkedStep: Cancel is safe concurrently with the
+// owner's in-flight call — a Step parked inside a lock acquisition is
+// woken and fails with ErrCancelled, and the cancelled session counts in
+// GaveUp while the lock's holder commits undisturbed.
+func TestSessionCancelWakesParkedStep(t *testing.T) {
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			eng, body := k.start(t, Config{})
+			holder := k.open(t, eng, body)
+			if err := holder.Step(body.Steps[0]); err != nil {
+				t.Fatal(err)
+			}
+			victim := k.open(t, eng, body)
+			stepped := make(chan error, 1)
+			go func() { stepped <- victim.Step(body.Steps[0]) }()
+			for !victim.st.busy.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			victim.Cancel()
+			if err := <-stepped; !errors.Is(err, ErrCancelled) {
+				t.Fatalf("step of a cancelled session = %v, want ErrCancelled", err)
+			}
+			victim.Cancel() // a finished session: no-op
+			if err := holder.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Metrics; m.Commits != 1 || m.GaveUp != 1 || m.Events != body.Len() {
+				t.Fatalf("commits=%d gaveup=%d events=%d, want 1/1/%d", m.Commits, m.GaveUp, m.Events, body.Len())
+			}
+		})
 	}
 }
 
@@ -167,57 +255,47 @@ func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 // locks are released, and a session waiting on that lock proceeds.
 // Deterministic: the clock is injected and Reap is called explicitly.
 func TestSessionLeaseExpiry(t *testing.T) {
-	clock := &fakeClock{}
-	e := NewEngine(model.NewState("a"), Config{
-		Policy: policy.TwoPhase{},
-		Lease:  time.Second,
-		Clock:  clock.now,
-	})
-	body := model.Txn{Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}}
-	stalled, err := e.Open(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The stalled client acquires the lock, then goes silent.
-	if err := stalled.Step(model.LX("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := stalled.Step(model.W("a")); err != nil {
-		t.Fatal(err)
-	}
-	waiter, err := e.Open(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waited := make(chan error, 1)
-	go func() { waited <- driveSession(t, waiter) }()
-	// Wait until the waiter's Step is in flight: it then parks on the
-	// stalled session's lock and stays busy — and the reaper never
-	// touches a busy session — so the upcoming Reap can only see the
-	// stalled one.
-	for !waiter.st.busy.Load() {
-		time.Sleep(50 * time.Microsecond)
-	}
-	clock.advance(2 * time.Second)
-	if n := e.Reap(); n != 1 {
-		t.Fatalf("Reap() = %d, want 1 (the stalled session)", n)
-	}
-	if err := <-waited; err != nil {
-		t.Fatalf("waiting session did not proceed after the lease expiry: %v", err)
-	}
-	if err := stalled.Step(model.UX("a")); !errors.Is(err, ErrLeaseExpired) {
-		t.Fatalf("stalled session step = %v, want ErrLeaseExpired", err)
-	}
-	res, err := e.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Metrics
-	if m.Commits != 1 || m.GaveUp != 1 || m.LeaseExpired != 1 {
-		t.Fatalf("commits=%d gaveup=%d leaseexpired=%d, want 1/1/1", m.Commits, m.GaveUp, m.LeaseExpired)
-	}
-	if m.Events != body.Len() {
-		t.Fatalf("events=%d, want %d (the stalled attempt must be erased)", m.Events, body.Len())
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			clock := &fakeClock{}
+			e, body := k.start(t, Config{Lease: time.Second, Clock: clock.now})
+			stalled := k.open(t, e, body)
+			// The stalled client acquires the lock, then goes silent.
+			if err := stalled.Step(body.Steps[0]); err != nil {
+				t.Fatal(err)
+			}
+			waiter := k.open(t, e, body)
+			waited := make(chan error, 1)
+			go func() { waited <- driveSession(t, waiter) }()
+			// Wait until the waiter's Step is in flight: it then parks on the
+			// stalled session's lock and stays busy — and the reaper never
+			// touches a busy session — so the upcoming Reap can only see the
+			// stalled one.
+			for !waiter.st.busy.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			clock.advance(2 * time.Second)
+			if n := e.Reap(); n != 1 {
+				t.Fatalf("Reap() = %d, want 1 (the stalled session)", n)
+			}
+			if err := <-waited; err != nil {
+				t.Fatalf("waiting session did not proceed after the lease expiry: %v", err)
+			}
+			if err := stalled.Step(body.Steps[1]); !errors.Is(err, ErrLeaseExpired) {
+				t.Fatalf("stalled session step = %v, want ErrLeaseExpired", err)
+			}
+			res, err := e.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			if m.Commits != 1 || m.GaveUp != 1 || m.LeaseExpired != 1 {
+				t.Fatalf("commits=%d gaveup=%d leaseexpired=%d, want 1/1/1", m.Commits, m.GaveUp, m.LeaseExpired)
+			}
+			if m.Events != body.Len() {
+				t.Fatalf("events=%d, want %d (the stalled attempt must be erased)", m.Events, body.Len())
+			}
+		})
 	}
 }
 

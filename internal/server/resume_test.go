@@ -9,10 +9,12 @@ package server
 //     and the park released the session's locks in the meantime;
 //   - a resume with the wrong token is refused without touching the
 //     session (the correct resume still works afterwards);
-//   - a resume after lease expiry finds the session reaped and is
-//     refused CodeAborted — reopening is the only way forward;
+//   - a resume after lease expiry is refused CodeExpired, or CodeDone
+//     naming the abandonment if the reaper got there first — reopening
+//     is the only way forward;
 //   - duplicate concurrent resumes: exactly one wins, the loser is
-//     refused CodeBadReq (engine: ErrNotResumable);
+//     refused CodeBadReq (engine: ErrNotResumable) or, if the winner
+//     already committed, CodeDone naming the outcome;
 //   - a resume whose declared body differs from the declaration on
 //     record is refused and the session is parked again, resumable;
 //   - pre-v4 connections cannot resume;
@@ -255,51 +257,66 @@ func TestServerResumeWrongToken(t *testing.T) {
 	}
 }
 
-// TestServerResumeLeaseExpired pins the too-late resume: the parked
-// session's lease ran out and the reaper took it, so the resume finds
-// it gone and is refused CodeAborted (client: ErrAborted) — the
-// session cannot be revived, only reopened.
+// TestServerResumeLeaseExpired pins the too-late resume, both ways it
+// can be found out. A resume that itself finds the parked session's
+// lease run out reaps it on the spot and is refused CodeExpired (client:
+// ErrLeaseExpired); a resume arriving after the reaper already took the
+// session finds it finished and is refused CodeDone, the text naming
+// the abandonment and its cause. Neither session can be revived, only
+// reopened.
 func TestServerResumeLeaseExpired(t *testing.T) {
 	var now atomic.Int64
-	srv, addr := startServer(t, model.NewState("a"), runtime.Config{
+	srv, addr := startServer(t, model.NewState("a", "b"), runtime.Config{
 		Policy: policy.TwoPhase{},
 		Lease:  time.Second,
 		Clock:  func() time.Time { return time.Unix(0, now.Load()) },
 	})
 	defer srv.Shutdown(time.Second)
-	steps := []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
-	table, csteps := model.CompactTxn(steps)
 
 	c1 := dialV4(t, addr)
-	open := c1.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
-	if !open.OK {
-		t.Fatalf("open refused: %+v", open)
-	}
-	if resp := c1.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-		CStep: csteps[0], HasCompact: true}); !resp.OK {
-		t.Fatalf("step refused: %+v", resp)
+	var opens [2]wire.Response
+	var bodies [2][]model.Step
+	for i, e := range []model.Entity{"a", "b"} {
+		bodies[i] = []model.Step{model.LX(e), model.W(e), model.UX(e)}
+		table, csteps := model.CompactTxn(bodies[i])
+		opens[i] = c1.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
+		if !opens[i].OK {
+			t.Fatalf("open refused: %+v", opens[i])
+		}
+		if resp := c1.roundTrip(wire.Request{Op: wire.OpStep, SID: opens[i].SID,
+			CStep: csteps[0], HasCompact: true}); !resp.OK {
+			t.Fatalf("step refused: %+v", resp)
+		}
 	}
 	c1.close()
-	// The park must land before the clock moves: the teardown's
+	// The parks must land before the clock moves: the teardown's
 	// Interrupt restarts the lease window at the then-current clock.
-	waitParked(t, addr, open.SID, open.Token)
-
-	now.Add(int64(2 * time.Second))
-	if n := srv.Engine().Reap(); n != 1 {
-		t.Fatalf("Reap() = %d, want 1 (the parked session's lease ran out)", n)
+	for _, o := range opens {
+		waitParked(t, addr, o.SID, o.Token)
 	}
+	now.Add(int64(2 * time.Second))
 
 	c2 := dialV4(t, addr)
 	defer c2.close()
-	if resp := c2.roundTrip(resumeReq(open.SID, open.Token, steps)); resp.OK || resp.Code != wire.CodeAborted {
-		t.Fatalf("resume after lease expiry = %+v, want CodeAborted", resp)
+	if resp := c2.roundTrip(resumeReq(opens[0].SID, opens[0].Token, bodies[0])); resp.OK || resp.Code != wire.CodeExpired {
+		t.Fatalf("resume finding the lease expired = %+v, want CodeExpired", resp)
+	}
+	if n := srv.Engine().Reap(); n != 1 {
+		t.Fatalf("Reap() = %d, want 1 (the other parked session's lease ran out)", n)
+	}
+	resp := c2.roundTrip(resumeReq(opens[1].SID, opens[1].Token, bodies[1]))
+	if resp.OK || resp.Code != wire.CodeDone || !strings.Contains(resp.Err, "abandoned") || !strings.Contains(resp.Err, "lease") {
+		t.Fatalf("resume after the reaper = %+v, want CodeDone naming the abandonment and the lease", resp)
 	}
 }
 
 // TestServerResumeDuplicateConcurrent races two clients resuming the
 // same parked session with the same valid credentials: exactly one
-// wins; the loser's refusal is CodeBadReq (the session was no longer
-// parked), mapped to ErrProtocol by the client.
+// wins. What the loser is told depends on when it arrives, and the
+// protocol allows both: CodeBadReq (client: ErrProtocol) while the
+// winner is still attached, or CodeDone naming the outcome (client:
+// ErrSessionDone, "committed") once the winner has finished. Either
+// way the transaction commits exactly once.
 func TestServerResumeDuplicateConcurrent(t *testing.T) {
 	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
 	body := model.Txn{Name: "T", Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}}
@@ -318,16 +335,12 @@ func TestServerResumeDuplicateConcurrent(t *testing.T) {
 	c1.Close()
 	waitParked(t, addr, s1.SID(), s1.Token())
 
-	type outcome struct {
-		sess *client.Session
-		err  error
-	}
-	results := make(chan outcome, 2)
+	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			c, err := client.Dial(addr)
 			if err != nil {
-				results <- outcome{nil, err}
+				results <- err
 				return
 			}
 			defer c.Close()
@@ -337,23 +350,24 @@ func TestServerResumeDuplicateConcurrent(t *testing.T) {
 				// connection closes (a close would just re-park it).
 				err = s.Run(0)
 			}
-			results <- outcome{s, err}
+			results <- err
 		}()
 	}
-	var wins, badReq int
+	var wins, refused int
 	for i := 0; i < 2; i++ {
-		o := <-results
-		switch {
-		case o.err == nil:
+		switch err := <-results; {
+		case err == nil:
 			wins++
-		case errors.Is(o.err, client.ErrProtocol):
-			badReq++
+		case errors.Is(err, client.ErrProtocol):
+			refused++
+		case errors.Is(err, client.ErrSessionDone) && strings.Contains(err.Error(), "committed"):
+			refused++
 		default:
-			t.Fatalf("duplicate resume: unexpected error %v", o.err)
+			t.Fatalf("duplicate resume: unexpected error %v", err)
 		}
 	}
-	if wins != 1 || badReq != 1 {
-		t.Fatalf("wins=%d badreq=%d, want exactly one winner and one CodeBadReq refusal", wins, badReq)
+	if wins != 1 || refused != 1 {
+		t.Fatalf("wins=%d refused=%d, want exactly one winner and one refusal", wins, refused)
 	}
 	res, err := srv.Shutdown(time.Second)
 	if err != nil {

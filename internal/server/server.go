@@ -30,6 +30,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -155,7 +156,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the server: stop accepting, refuse new sessions, wait
-// up to timeout for open sessions to finish, force-abort the rest, then
+// up to timeout for the sessions a client is still attached to to finish
+// (or be parked by their connection's death), force-abort the rest, then
 // close the engine (which verifies the committed schedule is
 // serializable) and disconnect everyone. It returns the engine's final
 // result.
@@ -171,10 +173,11 @@ func (s *Server) Shutdown(timeout time.Duration) (*runtime.Result, error) {
 	if ln != nil {
 		ln.Close()
 	}
-	deadline := time.Now().Add(timeout)
-	for s.eng.OpenSessions() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Parked sessions have no connection and cannot progress: the grace
+	// period is for the attached ones only.
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	s.eng.AwaitDetached(ctx)
+	cancel()
 	// Close force-aborts whatever is still open and waits out
 	// engine-driven re-runs before verifying the committed schedule.
 	res, err := s.eng.Close()
@@ -496,7 +499,7 @@ func (c *conn) resume(req wire.Request) {
 	}
 	sess, err := c.srv.eng.Resume(int(req.SID), req.Token)
 	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: resumeCode(err), Err: err.Error(), SID: req.SID})
+		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error(), SID: req.SID})
 		return
 	}
 	if decl := sess.Declared(); !stepsEqual(decl.Steps, steps) {
@@ -533,28 +536,6 @@ func stepsEqual(a, b []model.Step) bool {
 		}
 	}
 	return true
-}
-
-// resumeCode maps the engine's resume refusals onto wire codes: an
-// unusable request (unknown sid, wrong token, session not parked) is
-// the request's problem and touches nothing; a session that no longer
-// exists — finished, reaped, or found lease-expired by the resume
-// itself — answers CodeAborted, telling the client the session is gone
-// and a fresh open is the only way forward.
-func resumeCode(err error) string {
-	switch {
-	case errors.Is(err, runtime.ErrUnknownSession),
-		errors.Is(err, runtime.ErrBadToken),
-		errors.Is(err, runtime.ErrNotResumable):
-		return wire.CodeBadReq
-	case errors.Is(err, runtime.ErrSessionDone),
-		errors.Is(err, runtime.ErrLeaseExpired):
-		return wire.CodeAborted
-	case errors.Is(err, runtime.ErrClosed):
-		return wire.CodeClosed
-	default:
-		return wire.CodeInternal
-	}
 }
 
 // runProc executes one stored-procedure request: open the declared
@@ -845,6 +826,9 @@ func codeFor(err error) string {
 		return wire.CodeDone
 	case errors.Is(err, runtime.ErrStepMismatch):
 		return wire.CodeMismatch
+	case errors.Is(err, runtime.ErrUnknownSession), errors.Is(err, runtime.ErrBadToken), errors.Is(err, runtime.ErrNotResumable):
+		// An unusable resume: the request's problem, nothing was touched.
+		return wire.CodeBadReq
 	default:
 		return wire.CodeInternal
 	}

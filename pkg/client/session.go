@@ -87,8 +87,10 @@ func (c *Client) Open(tx model.Txn) (*Session, error) {
 // a reset attempt counter; drive it exactly like a newly opened one.
 // Refusals: wrong token, unknown sid or a session that is not parked
 // wrap ErrProtocol (the request was unusable, nothing was touched); a
-// session that is gone — finished, or its lease expired — wraps
-// ErrAborted, and reopening is the only way forward.
+// session whose lease expired wraps ErrLeaseExpired; a session that
+// already finished wraps ErrSessionDone with the outcome in the text
+// ("the transaction committed" / "was abandoned") — the way to resolve
+// a commit whose answer was lost with the connection.
 func (c *Client) Resume(prev *Session) (*Session, error) {
 	if c.version < wire.Version {
 		return nil, fmt.Errorf("%w: resume requires protocol version %d", ErrProtocol, wire.Version)
