@@ -506,7 +506,7 @@ func BenchmarkE12SharedReaders(b *testing.B) {
 // stack stays exercised by the bench-smoke job.
 func BenchmarkE16NetThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, r := experiments.E16NetThroughput(1, []int{8}, []int{4}, nil, nil, ""); r.Failed != "" {
+		if _, r := experiments.E16NetThroughput(1, []int{8}, []int{4}, nil, ""); r.Failed != "" {
 			b.Fatal(r.Failed)
 		}
 	}

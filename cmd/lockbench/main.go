@@ -35,8 +35,8 @@
 //	lockbench [-seed N] [-systems N] [-per-policy N] [-shards 1,4,16]
 //	          [-goroutines 1,4,8] [-stripes 4,16] [-clients 4,16]
 //	          [-partitions 1,2,4,8] [-procs 1,4] [-net HOST:PORT]
-//	          [-mode step,pipeline,run] [-codec json,binary]
-//	          [-scenario all] [-chaos] [-bench-json DIR]
+//	          [-mode step,pipeline,run] [-scenario all] [-chaos]
+//	          [-bench-json DIR]
 //	          [-e14-sizes 1000,2000,4000,8000] [e6|e7|...|e19]...
 //
 // With -bench-json DIR, each measured experiment among E13–E19
@@ -89,7 +89,6 @@ func main() {
 	procs := flag.String("procs", "", "GOMAXPROCS sweep for E17 (comma-separated; empty = the fixed default 1,4)")
 	netAddr := flag.String("net", "", "E16 network mode: address of a running lockd (empty = in-memory loopback server per cell)")
 	mode := flag.String("mode", "step,pipeline,run", "E16 transport modes to measure (comma-separated: step, pipeline, run)")
-	codec := flag.String("codec", "json,binary", "E16 wire codecs to measure (comma-separated: json, binary)")
 	scenario := flag.String("scenario", "all", "E18/E19 scenario names from the workload corpus (comma-separated, or \"all\")")
 	chaosOn := flag.Bool("chaos", true, "E18: inject kill/delay/stall faults (false = fault-free control through a transparent proxy)")
 	benchJSON := flag.String("bench-json", "", "directory to write machine-readable bench artifacts into (E13-E18 write BENCH_<EXP>.json)")
@@ -142,15 +141,6 @@ func main() {
 		}
 		modes = append(modes, m)
 	}
-	var codecs []string
-	for _, c := range strings.Split(*codec, ",") {
-		c = strings.TrimSpace(c)
-		if !experiments.E16ValidCodec(c) {
-			fmt.Fprintf(os.Stderr, "lockbench: -codec wants a comma-separated subset of json,binary, got %q\n", *codec)
-			os.Exit(2)
-		}
-		codecs = append(codecs, c)
-	}
 	var scenarios []string // nil = the whole corpus
 	if s := strings.TrimSpace(*scenario); s != "" && s != "all" {
 		for _, name := range strings.Split(s, ",") {
@@ -201,7 +191,7 @@ func main() {
 			return r
 		},
 		"e16": func() experiments.Report {
-			rows, r := experiments.E16NetThroughput(*seed, stripeCounts, clientCounts, modes, codecs, *netAddr)
+			rows, r := experiments.E16NetThroughput(*seed, stripeCounts, clientCounts, modes, *netAddr)
 			bestOf := experiments.E16Reps
 			if *netAddr != "" {
 				bestOf = 1

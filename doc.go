@@ -63,7 +63,7 @@
 //
 //	internal/wire        — lockd protocol: length-prefixed frames,
 //	                       versioned hello, session ops, diagnostics
-//	                       (codecs and versions: docs/PROTOCOL.md)
+//	                       (hello and payload format: docs/PROTOCOL.md)
 //	internal/server      — lockd server: one reader per connection, one
 //	                       on-demand worker per session, pipelined
 //	                       requests, lease reaping, graceful drain

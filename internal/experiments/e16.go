@@ -13,7 +13,6 @@ import (
 	"locksafe/internal/policy"
 	txnruntime "locksafe/internal/runtime"
 	"locksafe/internal/server"
-	"locksafe/internal/wire"
 	"locksafe/internal/workload"
 	"locksafe/pkg/client"
 )
@@ -22,11 +21,6 @@ import (
 // synchronous round trips, client-side pipelining, and stored-procedure
 // run (body ships once, the engine drives the loop server-side).
 var e16Modes = []string{"step", "pipeline", "run"}
-
-// e16Codecs are the wire codecs measured side by side: the protocol v2
-// JSON payloads and the protocol v3 binary payloads (the codec column
-// of the E16 tables and bench artifacts).
-var e16Codecs = []string{"json", "binary"}
 
 // E16ValidMode reports whether mode names a lockd transport mode.
 func E16ValidMode(mode string) bool {
@@ -38,25 +32,6 @@ func E16ValidMode(mode string) bool {
 	return false
 }
 
-// E16ValidCodec reports whether codec names a measurable wire codec.
-func E16ValidCodec(codec string) bool {
-	for _, c := range e16Codecs {
-		if c == codec {
-			return true
-		}
-	}
-	return false
-}
-
-// e16Version maps a codec name to the protocol version a client dials
-// to get it.
-func e16Version(codec string) int {
-	if codec == "json" {
-		return wire.VersionJSON
-	}
-	return wire.Version
-}
-
 // E16Row is one measured configuration of the lockd end-to-end study.
 type E16Row struct {
 	// Workload is "disjoint" (private per-client keys) or "zipf"
@@ -66,10 +41,7 @@ type E16Row struct {
 	// external lockd whose gate the experiment does not control.
 	Gate string `json:"gate"`
 	// Mode is the transport mode: "step", "pipeline" or "run".
-	Mode string `json:"mode"`
-	// Codec is the wire payload encoding: "json" (protocol v2) or
-	// "binary" (protocol v3).
-	Codec      string  `json:"codec"`
+	Mode       string  `json:"mode"`
 	Clients    int     `json:"clients"`
 	Throughput float64 `json:"commits_per_sec"`
 	Commits    int     `json:"commits"`
@@ -102,7 +74,7 @@ type E16Row struct {
 // As with E13–E15, wall-clock numbers are machine-dependent: the Report
 // fails only on correctness (connection or session errors, missing
 // commits, a drain that does not verify), never on speed.
-func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes, codecs []string, addr string) ([]E16Row, Report) {
+func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes []string, addr string) ([]E16Row, Report) {
 	if len(stripeCounts) == 0 {
 		stripeCounts = []int{16}
 	}
@@ -112,15 +84,12 @@ func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes, codec
 	if len(modes) == 0 {
 		modes = e16Modes
 	}
-	if len(codecs) == 0 {
-		codecs = e16Codecs
-	}
 	var rows []E16Row
 	var b strings.Builder
 	var failed string
 
-	fmt.Fprintf(&b, "%-9s %-12s %-9s %-7s %8s %11s %8s %7s %10s\n",
-		"workload", "gate", "mode", "codec", "clients", "commits/s", "commits", "aborts", "allocs/op")
+	fmt.Fprintf(&b, "%-9s %-12s %-9s %8s %11s %8s %7s %10s\n",
+		"workload", "gate", "mode", "clients", "commits/s", "commits", "aborts", "allocs/op")
 	for _, wl := range []string{"disjoint", "zipf"} {
 		for _, cN := range clientCounts {
 			var gates []gateCfg
@@ -134,15 +103,13 @@ func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes, codec
 			}
 			for _, gc := range gates {
 				for _, mode := range modes {
-					for _, codec := range codecs {
-						row, err := e16Row(seed, wl, cN, gc, mode, codec, addr)
-						if err != "" && failed == "" {
-							failed = err
-						}
-						rows = append(rows, row)
-						fmt.Fprintf(&b, "%-9s %-12s %-9s %-7s %8d %11.0f %8d %7d %10.0f\n",
-							row.Workload, row.Gate, row.Mode, row.Codec, row.Clients, row.Throughput, row.Commits, row.Aborts, row.AllocsPerOp)
+					row, err := e16Row(seed, wl, cN, gc, mode, addr)
+					if err != "" && failed == "" {
+						failed = err
 					}
+					rows = append(rows, row)
+					fmt.Fprintf(&b, "%-9s %-12s %-9s %8d %11.0f %8d %7d %10.0f\n",
+						row.Workload, row.Gate, row.Mode, row.Clients, row.Throughput, row.Commits, row.Aborts, row.AllocsPerOp)
 				}
 			}
 		}
@@ -155,18 +122,16 @@ func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes, codec
 	fmt.Fprintf(&b, "run mode to one, with abort/retry engine-side. The gate matters again\n")
 	fmt.Fprintf(&b, "once transport stops masking it; correctness (every transaction\n")
 	fmt.Fprintf(&b, "commits, the drained schedule verifies serializable) is asserted on\n")
-	fmt.Fprintf(&b, "every repetition in every mode. The codec column isolates the wire\n")
-	fmt.Fprintf(&b, "encoding: binary (protocol v3) ships compact steps against the open's\n")
-	fmt.Fprintf(&b, "entity table through pooled, reusable frame scratch, so its allocs/op\n")
-	fmt.Fprintf(&b, "— exact malloc counts over the measured window, whole stack — sit\n")
-	fmt.Fprintf(&b, "well below JSON's (protocol v2), and its commits/s above.\n")
+	fmt.Fprintf(&b, "every repetition in every mode. allocs/op is the exact malloc count\n")
+	fmt.Fprintf(&b, "over the measured window, whole stack (client and server share the\n")
+	fmt.Fprintf(&b, "heap), per committed transaction.\n")
 	return rows, Report{ID: "E16", Title: "lockd end-to-end: N clients over loopback TCP", Text: b.String(), Failed: failed}
 }
 
 // e16Row measures one cell, best-of over a few repetitions with
 // correctness asserted on every repetition.
-func e16Row(seed int64, wl string, clients int, gc gateCfg, mode, codec, addr string) (E16Row, string) {
-	row := E16Row{Workload: wl, Gate: gc.name, Mode: mode, Codec: codec, Clients: clients}
+func e16Row(seed int64, wl string, clients int, gc gateCfg, mode, addr string) (E16Row, string) {
+	row := E16Row{Workload: wl, Gate: gc.name, Mode: mode, Clients: clients}
 	reps := E16Reps
 	if addr != "" {
 		reps = 1
@@ -175,12 +140,12 @@ func e16Row(seed int64, wl string, clients int, gc gateCfg, mode, codec, addr st
 	for rep := 0; rep < reps; rep++ {
 		rng := rand.New(rand.NewSource(seed + int64(rep)))
 		bodies, universe := workload.ClientBodies(rng, wl, clients, 16, rounds, addr != "")
-		commits, aborts, allocs, elapsed, err := e16Run(bodies, universe, gc, mode, e16Version(codec), addr)
+		commits, aborts, allocs, elapsed, err := e16Run(bodies, universe, gc, mode, addr)
 		if err != nil {
-			return row, fmt.Sprintf("e16 %s %s %s %s c=%d: %v", wl, gc.name, mode, codec, clients, err)
+			return row, fmt.Sprintf("e16 %s %s %s c=%d: %v", wl, gc.name, mode, clients, err)
 		}
 		if commits != clients*rounds {
-			return row, fmt.Sprintf("e16 %s %s %s %s c=%d: %d of %d transactions committed", wl, gc.name, mode, codec, clients, commits, clients*rounds)
+			return row, fmt.Sprintf("e16 %s %s %s c=%d: %d of %d transactions committed", wl, gc.name, mode, clients, commits, clients*rounds)
 		}
 		if tp := float64(commits) / elapsed.Seconds(); tp > row.Throughput {
 			row.Throughput = tp
@@ -199,13 +164,12 @@ func e16Row(seed int64, wl string, clients int, gc gateCfg, mode, codec, addr st
 // best-of policy in the bench artifact.
 const E16Reps = 3
 
-// e16Run executes one repetition: every client on its own connection
-// speaking the given protocol version, all released together, each
-// running its transaction sequence to commit in the given transport
-// mode. With no external addr an in-memory lockd is started for the run
+// e16Run executes one repetition: every client on its own connection,
+// all released together, each running its transaction sequence to
+// commit in the given transport mode. With no external addr an in-memory lockd is started for the run
 // and drained afterwards, which verifies the committed schedule. allocs
 // is the exact heap-allocation count over the measured window.
-func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode string, version int, addr string) (commits, aborts int, allocs uint64, elapsed time.Duration, err error) {
+func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode, addr string) (commits, aborts int, allocs uint64, elapsed time.Duration, err error) {
 	var srv *server.Server
 	target := addr
 	if addr == "" {
@@ -227,7 +191,7 @@ func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode stri
 	clientsN := len(bodies)
 	conns := make([]*client.Client, clientsN)
 	for i := range conns {
-		c, derr := client.DialVersion(target, version)
+		c, derr := client.Dial(target)
 		if derr != nil {
 			return 0, 0, 0, 0, derr
 		}

@@ -71,11 +71,10 @@ type E18Row struct {
 // progress), the next delays every 128 bytes, the next stalls once past
 // the lease, the next is killed on the response stream — the client
 // sees a response frame truncated mid-byte while the server saw every
-// request — and the 5th is clean. Byte budgets are sized to the
-// protocol version 3 binary codec's volume (a whole small transaction
-// is ~50 request bytes on the wire, ~7x fewer than the JSON codec), so
-// kills land a handful of transactions into a connection's life and
-// stalls land mid-conversation rather than never.
+// request — and the 5th is clean. Byte budgets are sized to the binary
+// payload format's volume (a whole small transaction is ~50 request
+// bytes on the wire), so kills land a handful of transactions into a
+// connection's life and stalls land mid-conversation rather than never.
 func e18PlanFor(i int) chaos.Plan {
 	switch i % 5 {
 	case 0:

@@ -6,8 +6,8 @@ import "fmt"
 // single byte and the entity as an index into an entity table shipped
 // separately (once per declared body). It exists so the per-step hot
 // path on both transport endpoints can avoid re-parsing and re-sending
-// entity names: protocol version 3 frames carry (opByte, entityIndex)
-// pairs and the table travels only in open/run.
+// entity names: step frames carry (opByte, entityIndex) pairs and the
+// table travels only in open/run/resume.
 type CompactStep struct {
 	Op  Op
 	Idx uint32

@@ -473,21 +473,30 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Close seals the WAL with a clean-shutdown marker and closes it.
+// Close seals the WAL with a clean-shutdown marker and closes it. It
+// returns the first error of writing the marker, syncing it and closing
+// the file (and poisons the store with it): a nil Close attests the
+// marker reached the disk.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
+	var err error
 	if s.err == nil {
 		s.scratch = AppendCleanRec(s.scratch[:0])
-		if _, err := s.wal.Write(s.scratch); err == nil {
-			s.wal.Sync()
+		if _, err = s.wal.Write(s.scratch); err == nil {
+			err = s.wal.Sync()
 		}
 	}
-	err := s.wal.Close()
+	if cerr := s.wal.Close(); err == nil {
+		err = cerr
+	}
 	s.wal = nil
+	if s.err == nil {
+		s.err = err
+	}
 	return err
 }
 

@@ -1,9 +1,9 @@
 package server
 
-// Resumption contract tests (protocol version 4): a lost connection
-// parks its sessions instead of aborting them, and a later connection
-// reattaches a parked session by presenting its sid, resume token and
-// declared body. The contract under test:
+// Resumption contract tests: a lost connection parks its sessions
+// instead of aborting them, and a later connection reattaches a parked
+// session by presenting its sid, resume token and declared body. The
+// contract under test:
 //
 //   - disconnect → park → resume on a fresh connection drives to commit,
 //     and the park released the session's locks in the meantime;
@@ -17,14 +17,12 @@ package server
 //     already committed, CodeDone naming the outcome;
 //   - a resume whose declared body differs from the declaration on
 //     record is refused and the session is parked again, resumable;
-//   - pre-v4 connections cannot resume;
 //   - in-flight pipelined steps of the dead connection drain without
 //     executing (the park erased the attempt), so the resumed session
 //     replays from the first declared step with no duplicated events.
 
 import (
 	"errors"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,59 +34,6 @@ import (
 	"locksafe/internal/wire"
 	"locksafe/pkg/client"
 )
-
-// rawV4 is a raw binary-codec protocol-4 connection: full control over
-// sids, tokens and declared bodies, which the client API deliberately
-// hides (Session.token is not settable, so a wrong-token resume can
-// only be expressed on the wire).
-type rawV4 struct {
-	t  *testing.T
-	nc net.Conn
-	rd *wire.Reader
-	wr *wire.Writer
-	id uint64
-}
-
-func dialV4(t *testing.T, addr string) *rawV4 {
-	t.Helper()
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &rawV4{t: t, nc: nc, rd: wire.NewReader(nc), wr: wire.NewWriter(nc)}
-	if resp := c.roundTrip(wire.Request{Op: wire.OpHello, Version: wire.Version}); !resp.OK {
-		t.Fatalf("hello refused: %+v", resp)
-	}
-	c.rd.SetCodec(wire.CodecBinary)
-	c.wr.SetCodec(wire.CodecBinary)
-	return c
-}
-
-func (c *rawV4) roundTrip(req wire.Request) wire.Response {
-	c.t.Helper()
-	c.id++
-	req.ID = c.id
-	if err := c.wr.WriteRequests([]wire.Request{req}); err != nil {
-		c.t.Fatal(err)
-	}
-	if err := c.wr.Flush(); err != nil {
-		c.t.Fatal(err)
-	}
-	resps, err := c.rd.ReadResponses()
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if len(resps) != 1 {
-		c.t.Fatalf("got %d responses, want 1", len(resps))
-	}
-	return resps[0]
-}
-
-func (c *rawV4) close() {
-	c.rd.Release()
-	c.wr.Release()
-	c.nc.Close()
-}
 
 // resumeReq builds a resume request for the given body.
 func resumeReq(sid, token uint64, steps []model.Step) wire.Request {
@@ -105,7 +50,7 @@ func resumeReq(sid, token uint64, steps []model.Step) wire.Request {
 // refusal — observing the park without consuming it.
 func waitParked(t *testing.T, addr string, sid, token uint64) {
 	t.Helper()
-	probe := dialV4(t, addr)
+	probe := dialRaw(t, addr)
 	defer probe.close()
 	wrong := []model.Step{model.LX("wrong-body-probe")}
 	deadline := time.Now().Add(10 * time.Second)
@@ -215,7 +160,7 @@ func TestServerResumeWrongToken(t *testing.T) {
 	steps := []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
 	table, csteps := model.CompactTxn(steps)
 
-	c1 := dialV4(t, addr)
+	c1 := dialRaw(t, addr)
 	open := c1.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
 	if !open.OK || open.Token == 0 {
 		t.Fatalf("open = %+v, want OK with a resume token", open)
@@ -227,7 +172,7 @@ func TestServerResumeWrongToken(t *testing.T) {
 	c1.close()
 	waitParked(t, addr, open.SID, open.Token)
 
-	c2 := dialV4(t, addr)
+	c2 := dialRaw(t, addr)
 	defer c2.close()
 	// Wrong token: refused as a bad request, session untouched.
 	if resp := c2.roundTrip(resumeReq(open.SID, open.Token^1, steps)); resp.OK || resp.Code != wire.CodeBadReq {
@@ -273,7 +218,7 @@ func TestServerResumeLeaseExpired(t *testing.T) {
 	})
 	defer srv.Shutdown(time.Second)
 
-	c1 := dialV4(t, addr)
+	c1 := dialRaw(t, addr)
 	var opens [2]wire.Response
 	var bodies [2][]model.Step
 	for i, e := range []model.Entity{"a", "b"} {
@@ -296,7 +241,7 @@ func TestServerResumeLeaseExpired(t *testing.T) {
 	}
 	now.Add(int64(2 * time.Second))
 
-	c2 := dialV4(t, addr)
+	c2 := dialRaw(t, addr)
 	defer c2.close()
 	if resp := c2.roundTrip(resumeReq(opens[0].SID, opens[0].Token, bodies[0])); resp.OK || resp.Code != wire.CodeExpired {
 		t.Fatalf("resume finding the lease expired = %+v, want CodeExpired", resp)
@@ -388,7 +333,7 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 	steps := []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
 	table, csteps := model.CompactTxn(steps)
 
-	c1 := dialV4(t, addr)
+	c1 := dialRaw(t, addr)
 	open := c1.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
 	if !open.OK {
 		t.Fatalf("open refused: %+v", open)
@@ -400,7 +345,7 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 	c1.close()
 	waitParked(t, addr, open.SID, open.Token)
 
-	c2 := dialV4(t, addr)
+	c2 := dialRaw(t, addr)
 	defer c2.close()
 	// A body that differs from the declaration on record: refused, and
 	// the refusal names the mismatch. The engine granted the resume
@@ -426,45 +371,6 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 	stats := c2.roundTrip(wire.Request{Op: wire.OpStats})
 	if stats.Stats == nil || stats.Stats.Commits != 1 || stats.Stats.Events != 3 {
 		t.Fatalf("stats = %+v, want commits=1 events=3", stats.Stats)
-	}
-}
-
-// TestServerResumeRequiresV4 pins that pre-v4 connections cannot
-// resume: their disconnects abort rather than park, so granting a
-// resume would promise a semantics the connection does not have.
-func TestServerResumeRequiresV4(t *testing.T) {
-	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
-	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	rd, wr := wire.NewReader(nc), wire.NewWriter(nc)
-	defer rd.Release()
-	defer wr.Release()
-	roundTrip := func(req wire.Request) wire.Response {
-		t.Helper()
-		if err := wr.WriteRequests([]wire.Request{req}); err != nil {
-			t.Fatal(err)
-		}
-		if err := wr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		resps, err := rd.ReadResponses()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resps[0]
-	}
-	if resp := roundTrip(wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionBinary}); !resp.OK {
-		t.Fatalf("hello v3 refused: %+v", resp)
-	}
-	rd.SetCodec(wire.CodecBinary)
-	wr.SetCodec(wire.CodecBinary)
-	resp := roundTrip(wire.Request{ID: 2, Op: wire.OpResume, SID: 1, Token: 1})
-	if resp.OK || resp.Code != wire.CodeBadReq || !strings.Contains(resp.Err, "version") {
-		t.Fatalf("v3 resume = %+v, want CodeBadReq naming the version", resp)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package server exposes the session runtime (internal/runtime.Engine)
 // over the network as the lockd service: length-prefixed frames
-// (internal/wire; JSON or the negotiated version 3 binary codec) over
-// TCP, one reader goroutine per connection, one
-// worker goroutine per open session so a session parked on a lock never
-// blocks the connection's other sessions, and pipelined requests with
-// out-of-order responses matched by request id. Frames may batch many
-// messages; a single coalescing writer goroutine per connection drains
-// the whole response backlog into batch frames and flushes only when it
-// runs empty, so a pipelined burst costs one syscall per direction.
+// (internal/wire: a JSON hello, then the binary codec) over TCP, one
+// reader goroutine per connection, one worker goroutine per open
+// session so a session parked on a lock never blocks the connection's
+// other sessions, and pipelined requests with out-of-order responses
+// matched by request id. Frames may batch many messages; a single
+// coalescing writer goroutine per connection drains the whole response
+// backlog into batch frames and flushes only when it runs empty, so a
+// pipelined burst costs one syscall per direction.
 // docs/PROTOCOL.md specifies the wire format; docs/OPERATIONS.md is the
 // operator's manual.
 //
@@ -23,10 +23,10 @@
 // commit, abort and run is a direct call into the engine's session API,
 // so the gate-equivalence and session-safety arguments of DESIGN.md
 // carry over to network execution unchanged. A connection that drops
-// settles its open sessions: under protocol version 4 they are *parked*
-// (locks released, session resumable by sid + token within the lease —
-// the resume op), under earlier versions aborted outright. A connection
-// that merely stalls is the lease reaper's problem.
+// *parks* its open sessions (locks released, session resumable by sid +
+// token within the lease — the resume op) and cancels its
+// stored-procedure runs. A connection that merely stalls is the lease
+// reaper's problem.
 package server
 
 import (
@@ -36,7 +36,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locksafe/internal/model"
@@ -49,8 +48,8 @@ import (
 const sessionQueue = 128
 
 // teardownFlush bounds how long a closing connection waits for its
-// final responses (version refusals, cancellation answers) to reach a
-// possibly-dead client.
+// final responses (cancellation answers) to reach a possibly-dead
+// client.
 const teardownFlush = 2 * time.Second
 
 // Server is one lockd instance: an engine plus its listener plumbing.
@@ -149,7 +148,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			go c.writeLoop()
 			c.serve()
 		}()
 	}
@@ -196,29 +194,17 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	rd  *wire.Reader // owned by the serve goroutine
-	// version is the negotiated protocol version, written once at hello.
-	// Atomic because open/run/resume handlers run off the reader and may
-	// race a straggler hello of a misbehaving client.
-	version atomic.Int32
 
 	wmu   sync.Mutex      // outgoing responses + writer lifecycle
 	outq  []wire.Response // pending responses (nil when drained)
 	spare []wire.Response // recycled backlog slice from the last drain
-	// wswitch marks a codec switch within the queue: after writing the
-	// first wswitch responses of the current backlog the writer changes
-	// to wswitchTo (0 = no switch pending). Set when the hello response
-	// of a successful version 3 negotiation is queued, so the hello
-	// answer leaves in JSON and everything after it in binary.
-	wswitch   int
-	wswitchTo wire.Codec
-	wstop     bool
-	wake      chan struct{} // kicks the writer; buffered 1
-	wdone     chan struct{} // closed when the writer exits
+	wstop bool
+	wake  chan struct{} // kicks the writer; buffered 1
+	wdone chan struct{} // closed when the writer exits
 
 	smu      sync.Mutex
 	sessions map[uint64]*sessWorker
 	runs     map[runtime.Sess]struct{} // stored-procedure sessions in flight
-	nextSID  uint64
 	closing  bool
 
 	workers sync.WaitGroup
@@ -232,10 +218,9 @@ type conn struct {
 // accumulating workers.
 type sessWorker struct {
 	sess runtime.Sess
-	// table is the session's declared entity table (binary codec);
-	// compact step requests resolve their entity index against it. Nil
-	// for JSON sessions, whose steps arrive as text. Written once at
-	// open, read only by the runner.
+	// table is the session's declared entity table; step requests
+	// resolve their entity index against it. Written once at open, read
+	// only by the runner.
 	table []model.Entity
 
 	mu       sync.Mutex
@@ -253,8 +238,17 @@ type sessWorker struct {
 }
 
 func (c *conn) serve() {
-	defer c.teardown()
+	defer c.close()
 	defer c.rd.Release()
+	w := wire.NewWriter(c.nc)
+	if !c.hello(w) {
+		w.Release()
+		return
+	}
+	c.rd.SetCodec(wire.CodecBinary)
+	w.SetCodec(wire.CodecBinary)
+	go c.writeLoop(w)
+	defer c.teardown()
 	for {
 		reqs, err := c.rd.ReadRequests()
 		if err != nil {
@@ -266,38 +260,43 @@ func (c *conn) serve() {
 			return
 		}
 		for _, req := range reqs {
-			if stop := c.handle(req); stop {
-				return
-			}
+			c.handle(req)
 		}
 	}
 }
 
-// handle routes one request; a true return tears the connection down.
-func (c *conn) handle(req wire.Request) bool {
+// hello performs the handshake, synchronously and before the writer
+// goroutine exists: the connection's first frame must be the JSON hello
+// naming wire.Version, and it is answered in JSON — a refusal too, so a
+// client of any vintage can read it. It reports whether the connection
+// may proceed (in the binary codec, both directions, from here on).
+func (c *conn) hello(w *wire.Writer) bool {
+	reqs, err := c.rd.ReadRequests()
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+		return false
+	}
+	var resp wire.Response
+	switch {
+	case err != nil:
+		resp = wire.Response{Code: wire.CodeBadReq, Err: "the first frame must be a JSON hello: " + err.Error()}
+	case reqs[0].Op != wire.OpHello:
+		resp = wire.Response{ID: reqs[0].ID, Code: wire.CodeBadReq,
+			Err: fmt.Sprintf("the first frame must be hello, got %q", reqs[0].Op)}
+	case reqs[0].Version != wire.Version:
+		resp = wire.Response{ID: reqs[0].ID, Code: wire.CodeVersion,
+			Err: fmt.Sprintf("server speaks protocol version %d only, client sent %d", wire.Version, reqs[0].Version)}
+	default:
+		resp = wire.Response{ID: reqs[0].ID, OK: true, Version: wire.Version, Policy: c.srv.policy}
+	}
+	if w.WriteResponses([]wire.Response{resp}) != nil || w.Flush() != nil {
+		return false
+	}
+	return resp.OK
+}
+
+// handle routes one post-hello request.
+func (c *conn) handle(req wire.Request) {
 	switch req.Op {
-	case wire.OpHello:
-		switch req.Version {
-		case wire.Version, wire.VersionBinary:
-			// Version 3 or 4: answer the hello in the codec it arrived in,
-			// then both directions go binary. The reader switches here — the
-			// client won't emit a binary frame until it has our answer, so
-			// nothing already buffered can be mis-decoded. The writer
-			// switches exactly after the hello response via the queue
-			// marker, so earlier queued responses (there are none in a
-			// conforming handshake, but a pipelined pre-hello burst is
-			// legal to refuse) still leave in JSON.
-			c.version.Store(int32(req.Version))
-			c.sendSwitchAfter(wire.Response{ID: req.ID, OK: true, Version: req.Version, Policy: c.srv.policy}, wire.CodecBinary)
-			c.rd.SetCodec(wire.CodecBinary)
-		case wire.VersionJSON:
-			c.version.Store(int32(wire.VersionJSON))
-			c.send(wire.Response{ID: req.ID, OK: true, Version: wire.VersionJSON, Policy: c.srv.policy})
-		default:
-			c.send(wire.Response{ID: req.ID, Code: wire.CodeVersion,
-				Err: fmt.Sprintf("server speaks protocol versions %d through %d, client sent %d", wire.VersionJSON, wire.Version, req.Version)})
-			return true
-		}
 	case wire.OpStats:
 		c.send(statsResponse(req.ID, c.srv.eng))
 	case wire.OpInspect:
@@ -317,9 +316,10 @@ func (c *conn) handle(req wire.Request) bool {
 	case wire.OpStep, wire.OpCommit, wire.OpAbort:
 		c.dispatch(req)
 	default:
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("unknown op %q", req.Op)})
+		// A second hello (the handshake consumed the first), or an op the
+		// decoder knows and this switch does not.
+		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("unexpected op %q", req.Op)})
 	}
-	return false
 }
 
 // send queues one response for the writer. After the writer has stopped
@@ -341,41 +341,17 @@ func (c *conn) send(resp wire.Response) {
 	}
 }
 
-// sendSwitchAfter queues one response and marks the writer to change
-// codec immediately after writing it.
-func (c *conn) sendSwitchAfter(resp wire.Response, to wire.Codec) {
-	c.wmu.Lock()
-	if c.wstop {
-		c.wmu.Unlock()
-		return
-	}
-	if c.outq == nil && c.spare != nil {
-		c.outq, c.spare = c.spare, nil
-	}
-	c.outq = append(c.outq, resp)
-	c.wswitch, c.wswitchTo = len(c.outq), to
-	c.wmu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // writeLoop is the connection's coalescing writer: it drains the whole
 // response backlog per iteration into batch frames on a buffered writer
 // and flushes only when the backlog runs empty, so responses to a
 // pipelined burst leave in one frame and one syscall.
-func (c *conn) writeLoop() {
+func (c *conn) writeLoop(w *wire.Writer) {
 	defer close(c.wdone)
-	w := wire.NewWriter(c.nc)
 	defer w.Release()
 	for {
 		c.wmu.Lock()
 		batch := c.outq
 		c.outq = nil
-		k := c.wswitch
-		to := c.wswitchTo
-		c.wswitch = 0
 		stop := c.wstop
 		c.wmu.Unlock()
 		if len(batch) == 0 {
@@ -389,21 +365,7 @@ func (c *conn) writeLoop() {
 			<-c.wake
 			continue
 		}
-		var err error
-		if k > 0 {
-			// A codec switch lands mid-backlog: everything up to and
-			// including the negotiating hello's response goes out in the
-			// old codec, the rest in the new one.
-			if err = w.WriteResponses(batch[:k]); err == nil {
-				w.SetCodec(to)
-				if k < len(batch) {
-					err = w.WriteResponses(batch[k:])
-				}
-			}
-		} else {
-			err = w.WriteResponses(batch)
-		}
-		if err != nil {
+		if err := w.WriteResponses(batch); err != nil {
 			c.wfail()
 			return
 		}
@@ -448,7 +410,6 @@ func (c *conn) open(req wire.Request) {
 		return
 	}
 	w := &sessWorker{sess: sess, table: req.Table}
-	v4 := c.version.Load() >= wire.Version
 	c.smu.Lock()
 	if c.closing {
 		c.smu.Unlock()
@@ -456,40 +417,24 @@ func (c *conn) open(req wire.Request) {
 		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "connection closing"})
 		return
 	}
-	// Version 4 sessions are addressed by their engine-wide session id,
-	// which survives the connection: a resume on a later connection names
-	// the same sid. Earlier versions keep their per-connection ids.
-	var sid uint64
-	if v4 {
-		sid = uint64(sess.SID())
-	} else {
-		c.nextSID++
-		sid = c.nextSID
-	}
+	// Sessions are addressed by their engine-wide session id, which
+	// survives the connection: a resume on a later connection names the
+	// same sid and presents the token answered here.
+	sid := uint64(sess.SID())
 	c.sessions[sid] = w
 	c.smu.Unlock()
-	resp := wire.Response{ID: req.ID, OK: true, SID: sid}
-	if v4 {
-		// The resume token: present it with a later resume of this sid.
-		resp.Token = sess.Token()
-	}
-	c.send(resp)
+	c.send(wire.Response{ID: req.ID, OK: true, SID: sid, Token: sess.Token()})
 }
 
-// resume reattaches a parked session (protocol version 4): the client
-// presents the sid and token from the session's open response plus the
-// session's declared body, which must match the declaration on record —
+// resume reattaches a parked session: the client presents the sid and
+// token from the session's open response plus the session's declared
+// body, which must match the declaration on record —
 // resumption re-arms the cursor at the first declared step, so a client
 // with a different body is a confused client, refused with the session
 // left parked.
 func (c *conn) resume(req wire.Request) {
 	if c.srv.isDraining() {
 		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "server draining"})
-		return
-	}
-	if c.version.Load() < wire.Version {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq,
-			Err: fmt.Sprintf("resume requires protocol version %d", wire.Version)})
 		return
 	}
 	steps, err := req.DeclaredSteps()
@@ -663,20 +608,12 @@ func (c *conn) runWorker(sid uint64, w *sessWorker) {
 			var err error
 			switch req.Op {
 			case wire.OpStep:
-				var st model.Step
-				var perr error
-				if req.HasCompact {
-					// Binary codec: resolve (opByte, entityIndex) against
-					// the table declared at open — no parsing, no
-					// allocation. An out-of-range index is refused below
-					// without executing.
-					st, perr = req.CStep.Resolve(w.table)
-				} else {
-					st, perr = model.ParseStep(req.Step)
-				}
+				// Resolve (opByte, entityIndex) against the table declared at
+				// open — no parsing, no allocation.
+				st, perr := req.CStep.Resolve(w.table)
 				if perr != nil {
-					// A garbage step is the *request's* problem, not the
-					// session's: refuse it and leave the session (and its
+					// An out-of-range index is the *request's* problem, not
+					// the session's: refuse it and leave the session (and its
 					// locks, cursor and lease) untouched.
 					c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: perr.Error(), SID: sid})
 					w.decrement()
@@ -754,14 +691,13 @@ func (c *conn) forget(sid uint64, w *sessWorker) {
 }
 
 // teardown settles every unfinished session — the client is gone, so
-// its locks must not outlive it. Under protocol version 4 sessions are
-// *parked* (Interrupt): the attempt is erased and the locks released,
-// but the session stays open for a resume within its lease window.
-// Earlier versions cancel outright, as do stored-procedure runs (a run
-// has no resumable client-side cursor). Both wake a step parked inside
-// a lock acquisition. Then: wait out the workers, give the writer a
-// bounded chance to flush the final responses (a version refusal must
-// reach a live client) and unregister the connection.
+// its locks must not outlive it. Sessions are *parked* (Interrupt): the
+// attempt is erased and the locks released, but the session stays open
+// for a resume within its lease window. Stored-procedure runs are
+// cancelled outright (a run has no resumable client-side cursor). Both
+// wake a step parked inside a lock acquisition. Then: wait out the
+// workers and give the writer a bounded chance to flush the final
+// responses.
 func (c *conn) teardown() {
 	c.smu.Lock()
 	c.closing = true
@@ -775,13 +711,8 @@ func (c *conn) teardown() {
 		runs = append(runs, sess)
 	}
 	c.smu.Unlock()
-	v4 := c.version.Load() >= wire.Version
 	for _, w := range workers {
-		if v4 {
-			w.sess.Interrupt()
-		} else {
-			w.sess.Cancel()
-		}
+		w.sess.Interrupt()
 	}
 	for _, sess := range runs {
 		sess.Cancel()
@@ -798,6 +729,10 @@ func (c *conn) teardown() {
 	default:
 	}
 	<-c.wdone
+}
+
+// close disconnects the client and unregisters the connection.
+func (c *conn) close() {
 	c.nc.Close()
 	s := c.srv
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -29,6 +30,77 @@ func startServer(t *testing.T, init model.State, cfg runtime.Config) (*Server, s
 	}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String()
+}
+
+// rawConn is a raw protocol connection: full control over the
+// handshake, sids, tokens, declared bodies and step bytes, which the
+// client API deliberately hides (Session.token is not settable, so a
+// wrong-token resume can only be expressed on the wire). It starts, like
+// every connection, in the JSON hello state.
+type rawConn struct {
+	t  *testing.T
+	nc net.Conn
+	rd *wire.Reader
+	wr *wire.Writer
+	id uint64
+}
+
+// openRaw connects without saying hello.
+func openRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rawConn{t: t, nc: nc, rd: wire.NewReader(nc), wr: wire.NewWriter(nc)}
+}
+
+// dialRaw connects and completes the handshake: the connection is in
+// the binary codec from here on.
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c := openRaw(t, addr)
+	if resp := c.roundTrip(wire.Request{Op: wire.OpHello, Version: wire.Version}); !resp.OK {
+		t.Fatalf("hello refused: %+v", resp)
+	}
+	c.rd.SetCodec(wire.CodecBinary)
+	c.wr.SetCodec(wire.CodecBinary)
+	return c
+}
+
+func (c *rawConn) roundTrip(req wire.Request) wire.Response {
+	c.t.Helper()
+	c.id++
+	req.ID = c.id
+	if err := c.wr.WriteRequests([]wire.Request{req}); err != nil {
+		c.t.Fatal(err)
+	}
+	if err := c.wr.Flush(); err != nil {
+		c.t.Fatal(err)
+	}
+	resps, err := c.rd.ReadResponses()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if len(resps) != 1 {
+		c.t.Fatalf("got %d responses, want 1", len(resps))
+	}
+	return resps[0]
+}
+
+// expectEOF asserts the server has closed the connection.
+func (c *rawConn) expectEOF() {
+	c.t.Helper()
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if resps, err := c.rd.ReadResponses(); !errors.Is(err, io.EOF) {
+		c.t.Fatalf("connection still open: read %+v, err %v, want EOF", resps, err)
+	}
+}
+
+func (c *rawConn) close() {
+	c.rd.Release()
+	c.wr.Release()
+	c.nc.Close()
 }
 
 func TestServerBasicCommit(t *testing.T) {
@@ -103,77 +175,66 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestServerGarbageStepKeepsSession pins that an unparsable step string
-// is refused as a bad request while the session — cursor, locks, lease
-// — stays untouched (regression: it used to orphan the engine session
-// with its locks held).
-func TestServerGarbageStepKeepsSession(t *testing.T) {
-	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	roundTrip := func(req wire.Request) wire.Response {
-		t.Helper()
-		if err := wire.WriteFrame(nc, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		if err := wire.ReadFrame(nc, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	// Raw JSON frames throughout: negotiate the JSON protocol version.
-	roundTrip(wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionJSON})
-	open := roundTrip(wire.Request{ID: 2, Op: wire.OpOpen, Txn: []string{"(LX a)", "(W a)", "(UX a)"}})
-	if !open.OK {
-		t.Fatalf("open refused: %+v", open)
-	}
-	if resp := roundTrip(wire.Request{ID: 3, Op: wire.OpStep, SID: open.SID, Step: "(LX a)"}); !resp.OK {
-		t.Fatalf("step refused: %+v", resp)
-	}
-	if resp := roundTrip(wire.Request{ID: 4, Op: wire.OpStep, SID: open.SID, Step: "garbage"}); resp.OK || resp.Code != wire.CodeBadReq {
-		t.Fatalf("garbage step = %+v, want CodeBadReq refusal", resp)
-	}
-	// The session must still be live and at the same cursor.
-	for i, st := range []string{"(W a)", "(UX a)"} {
-		if resp := roundTrip(wire.Request{ID: uint64(5 + i), Op: wire.OpStep, SID: open.SID, Step: st}); !resp.OK {
-			t.Fatalf("step %s after garbage refused: %+v", st, resp)
-		}
-	}
-	if resp := roundTrip(wire.Request{ID: 7, Op: wire.OpCommit, SID: open.SID}); !resp.OK {
-		t.Fatalf("commit after garbage refused: %+v", resp)
-	}
-	res, err := srv.Shutdown(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Commits != 1 || res.Metrics.GaveUp != 0 {
-		t.Fatalf("commits=%d gaveup=%d, want 1/0", res.Metrics.Commits, res.Metrics.GaveUp)
-	}
-}
-
-// TestServerVersionHandshake pins that a version-mismatched hello is
-// refused with CodeVersion.
-func TestServerVersionHandshake(t *testing.T) {
-	srv, addr := startServer(t, nil, runtime.Config{})
-	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.Request{ID: 1, Op: wire.OpHello, Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != wire.CodeVersion {
-		t.Fatalf("hello v99 = %+v, want CodeVersion refusal", resp)
+// TestServerBadStepKeepsSession pins that a step the server cannot
+// resolve is refused bad-request without executing, and that the
+// session — cursor, locks, lease — is untouched by it: the declared body
+// still runs to commit and the refused request contributed no events
+// (regression: a refused step used to orphan the engine session with
+// its locks held). An entity index past the declared table is refused
+// per request and the connection carries on; an invalid op byte makes
+// the whole frame undecodable, so the connection is closed and the
+// session parked — resumed here on a fresh connection.
+func TestServerBadStepKeepsSession(t *testing.T) {
+	steps := []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
+	table, csteps := model.CompactTxn(steps)
+	for _, tc := range []struct {
+		name      string
+		bad       model.CompactStep
+		killsConn bool
+	}{
+		{"index past the table", model.CompactStep{Op: model.LockExclusive, Idx: 7}, false},
+		{"invalid op byte", model.CompactStep{Op: model.Op(0xEE), Idx: 0}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}, GateStripes: 4})
+			defer srv.Shutdown(time.Second)
+			c := dialRaw(t, addr)
+			defer func() { c.close() }()
+			open := c.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
+			if !open.OK {
+				t.Fatalf("open refused: %+v", open)
+			}
+			if resp := c.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID, CStep: csteps[0], HasCompact: true}); !resp.OK {
+				t.Fatalf("first declared step refused: %+v", resp)
+			}
+			bad := c.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID, CStep: tc.bad, HasCompact: true})
+			if bad.OK || bad.Code != wire.CodeBadReq {
+				t.Fatalf("bad step = %+v, want CodeBadReq", bad)
+			}
+			next := csteps[1:]
+			if tc.killsConn {
+				c.expectEOF()
+				waitParked(t, addr, open.SID, open.Token)
+				c.close()
+				c = dialRaw(t, addr)
+				if resp := c.roundTrip(resumeReq(open.SID, open.Token, steps)); !resp.OK {
+					t.Fatalf("resume after the undecodable frame: %+v", resp)
+				}
+				next = csteps // the park erased the attempt
+			}
+			for i, cs := range next {
+				if resp := c.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID, CStep: cs, HasCompact: true}); !resp.OK {
+					t.Fatalf("declared step %d refused after the bad step: %+v", i, resp)
+				}
+			}
+			if resp := c.roundTrip(wire.Request{Op: wire.OpCommit, SID: open.SID}); !resp.OK {
+				t.Fatalf("commit refused: %+v", resp)
+			}
+			stats := c.roundTrip(wire.Request{Op: wire.OpStats})
+			if stats.Stats == nil || stats.Stats.Commits != 1 || stats.Stats.Events != 3 || stats.Stats.GaveUp != 0 {
+				t.Fatalf("stats = %+v, want commits=1 events=3 gaveup=0", stats.Stats)
+			}
+		})
 	}
 }
 
@@ -236,20 +297,15 @@ func TestSessionGateEquivalence(t *testing.T) {
 			} else if got != want {
 				t.Fatalf("%s seed %d: in-process sessions diverge:\n--- sessions ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
 			}
-			// Codec dimension: the v2-JSON and v3-binary transports must
-			// both land on the batch replay's digest — same engine calls,
-			// different wire representation.
-			for _, ver := range []int{wire.VersionJSON, wire.Version} {
-				if got, err := driveNetwork(t, sys, sched, cfg, arm.commit, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: network: %v", arm.name, seed, ver, err)
-				} else if got != want {
-					t.Fatalf("%s seed %d v%d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, want)
-				}
-				if got, err := driveNetworkPipelined(t, sys, sched, cfg, arm.commit, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: pipelined: %v", arm.name, seed, ver, err)
-				} else if got != want {
-					t.Fatalf("%s seed %d v%d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, want)
-				}
+			if got, err := driveNetwork(t, sys, sched, cfg, arm.commit); err != nil {
+				t.Fatalf("%s seed %d: network: %v", arm.name, seed, err)
+			} else if got != want {
+				t.Fatalf("%s seed %d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
+			}
+			if got, err := driveNetworkPipelined(t, sys, sched, cfg, arm.commit); err != nil {
+				t.Fatalf("%s seed %d: pipelined: %v", arm.name, seed, err)
+			} else if got != want {
+				t.Fatalf("%s seed %d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
 			}
 
 			if !arm.commit {
@@ -274,22 +330,20 @@ func TestSessionGateEquivalence(t *testing.T) {
 			sm := sref.Metrics
 			swant := digest(sref.Log, sref.State, sref.MonitorKey, sref.Serializable,
 				sm.Commits, sm.GaveUp, sm.DeadlockAborts, sm.PolicyAborts, sm.ImproperAborts, sm.CascadeAborts, sm.Events)
-			for _, ver := range []int{wire.VersionJSON, wire.Version} {
-				if got, err := driveNetwork(t, sys, serial, scfg, true, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: serial network: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
-				if got, err := driveNetworkPipelined(t, sys, serial, scfg, true, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: serial pipelined: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
-				if got, err := driveNetworkRun(t, sys, scfg, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: run mode: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
+			if got, err := driveNetwork(t, sys, serial, scfg, true); err != nil {
+				t.Fatalf("%s seed %d: serial network: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			}
+			if got, err := driveNetworkPipelined(t, sys, serial, scfg, true); err != nil {
+				t.Fatalf("%s seed %d: serial pipelined: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			}
+			if got, err := driveNetworkRun(t, sys, scfg); err != nil {
+				t.Fatalf("%s seed %d: run mode: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
 			}
 		}
 	}
@@ -337,9 +391,9 @@ func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config,
 
 // driveNetwork replays the trace through pkg/client sessions against an
 // in-memory lockd on loopback, single-threaded.
-func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool, version int) (string, error) {
+func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -395,9 +449,9 @@ func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg run
 // still executes in trace order (at most one session has requests in
 // flight) while the transport carries whole segments per round trip. A
 // commit rides the same burst as its transaction's last steps.
-func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool, version int) (string, error) {
+func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -479,9 +533,9 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 // mode, in order: the body ships once per transaction and the engine
 // drives it server-side. With a zero retry budget an aborted
 // transaction answers ErrAbandoned, mirroring the replay's drop.
-func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config, version int) (string, error) {
+func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -588,44 +642,6 @@ func TestClientPipelinedAbortRetry(t *testing.T) {
 	m := res.Metrics
 	if m.Commits != 2 || m.ImproperAborts != 1 || m.GaveUp != 0 {
 		t.Fatalf("commits=%d improper=%d gaveup=%d, want 2/1/0", m.Commits, m.ImproperAborts, m.GaveUp)
-	}
-}
-
-// TestServerUnknownOp pins the server-side unknown-op refusal over a raw
-// connection (the client never emits one).
-func TestServerUnknownOp(t *testing.T) {
-	srv, addr := startServer(t, nil, runtime.Config{})
-	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionJSON}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(nc, wire.Request{ID: 2, Op: "gibberish"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != wire.CodeBadReq || resp.ID != 2 {
-		t.Fatalf("unknown op = %+v, want CodeBadReq refusal for id 2", resp)
-	}
-	// The connection survives an unknown op: a valid request still works.
-	if err := wire.WriteFrame(nc, wire.Request{ID: 3, Op: wire.OpStats}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ID != 3 {
-		t.Fatalf("stats after unknown op = %+v, want OK", resp)
 	}
 }
 

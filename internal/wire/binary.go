@@ -1,10 +1,7 @@
 package wire
 
-// binary.go is the protocol version 3 codec (version 4 speaks the same
-// codec, adding the resume op and the token/attempt response block):
-// the same framing (4-byte big-endian payload length, MaxFrame bound)
-// and the same message vocabulary as version 2, but payloads are a
-// compact binary form instead of JSON. A binary payload is
+// binary.go is the payload codec of every frame after the hello
+// exchange. A binary payload is
 //
 //	0xB3  uvarint(count)  count × message
 //
@@ -17,10 +14,9 @@ package wire
 // request shipped, so the per-step path never carries or parses an
 // entity name.
 //
-// The codec is negotiated at hello: the hello exchange itself is always
-// JSON, and when the client asked for Version (3) both endpoints switch
-// to binary for every following frame. Reader and Writer carry the
-// per-connection codec state plus reusable scratch (payload buffer,
+// The hello exchange itself is one JSON object each way, after which
+// both endpoints switch to binary for good. Reader and Writer carry
+// that per-connection state plus reusable scratch (payload buffer,
 // decoded message slice, encode buffer), recycled through sync.Pools
 // across connections, so a steady-state step request is decoded and its
 // response encoded without allocating.
@@ -29,6 +25,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -38,23 +35,17 @@ import (
 	"locksafe/internal/model"
 )
 
-// Codec selects a frame payload encoding.
+// Codec is a connection's position in the protocol: the hello exchange
+// or everything after it.
 type Codec uint8
 
 const (
-	// CodecJSON is the version 2 payload encoding (and the encoding of
-	// every hello exchange).
+	// CodecJSON is the hello exchange: exactly one JSON object per frame.
+	// Every Reader and Writer starts here.
 	CodecJSON Codec = iota
-	// CodecBinary is the version 3 payload encoding.
+	// CodecBinary is the payload encoding of every frame after the hello.
 	CodecBinary
 )
-
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
 
 // binMagic is the first byte of every binary payload; it can never open
 // a JSON payload, so a codec mismatch fails immediately and loudly.
@@ -131,9 +122,7 @@ func appendStats(b []byte, s *Stats) []byte {
 	return b
 }
 
-// appendRequest encodes one request in binary form. Open/run/step
-// requests must carry the compact body/step — the binary codec never
-// ships step text.
+// appendRequest encodes one request in binary form.
 func appendRequest(b []byte, r *Request) ([]byte, error) {
 	op, ok := binOps[r.Op]
 	if !ok {
@@ -145,9 +134,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	case OpHello:
 		b = binary.AppendVarint(b, int64(r.Version))
 	case OpOpen, OpRun, OpResume:
-		if len(r.Txn) > 0 && r.CSteps == nil {
-			return nil, fmt.Errorf("wire: binary %s requires the compact body (Table/CSteps), got step texts", r.Op)
-		}
 		b = appendString(b, r.Name)
 		b = binary.AppendUvarint(b, uint64(len(r.Table)))
 		for _, e := range r.Table {
@@ -164,7 +150,7 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 		}
 	case OpStep:
 		if !r.HasCompact {
-			return nil, fmt.Errorf("wire: binary step requires the compact step (CStep), got step text")
+			return nil, fmt.Errorf("wire: step request without a compact step (CStep, HasCompact)")
 		}
 		b = binary.AppendUvarint(b, r.SID)
 		b = binary.AppendVarint(b, int64(r.Attempt))
@@ -563,13 +549,11 @@ func putBuf(b []byte) {
 // the call — the hello exchange's request/response ordering guarantees
 // exactly that.
 type Reader struct {
-	br     *bufio.Reader
-	codec  atomic.Uint32
-	buf    []byte // payload scratch
-	reqs   []Request
-	resps  []Response
-	reqHi  int // high-water of populated scratch elements (JSON decode
-	respHi int // reuses backing arrays without zeroing absent fields)
+	br    *bufio.Reader
+	codec atomic.Uint32
+	buf   []byte // payload scratch
+	reqs  []Request
+	resps []Response
 }
 
 // NewReader wraps a connection's read side, starting in CodecJSON.
@@ -620,8 +604,11 @@ func (r *Reader) readPayload() ([]byte, error) {
 	body := r.buf[:n]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		if err == io.EOF {
-			// Same normalization as readPayload above: a death exactly on
-			// the header/payload boundary is still a mid-frame death.
+			// The header promised n payload bytes and the stream ended
+			// before the first arrived (a death exactly on the
+			// header/payload boundary). ReadFull only says ErrUnexpectedEOF
+			// when at least one byte was read; normalize so callers can
+			// tell every mid-frame death from a clean between-frames close.
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
@@ -629,9 +616,9 @@ func (r *Reader) readPayload() ([]byte, error) {
 	return body, nil
 }
 
-// ReadRequests reads one frame and decodes the requests it carries
-// under the current codec. The returned slice is scratch: valid until
-// the next call.
+// ReadRequests reads one frame and decodes the requests it carries: a
+// binary batch, or before the codec switch the one JSON hello. The
+// returned slice is scratch: valid until the next call.
 func (r *Reader) ReadRequests() ([]Request, error) {
 	body, err := r.readPayload()
 	if err != nil {
@@ -658,30 +645,12 @@ func (r *Reader) ReadRequests() ([]Request, error) {
 			return nil, fmt.Errorf("wire: %d trailing bytes after binary batch", d.rem())
 		}
 		r.reqs = out
-		if len(out) > r.reqHi {
-			r.reqHi = len(out)
-		}
 		return out, nil
 	}
-	// JSON reuses the backing array without zeroing fields absent from
-	// the payload; clear every element populated by an earlier frame.
-	clear(r.reqs[:r.reqHi])
-	r.reqs = r.reqs[:0]
-	if isBatch(body) {
-		if err := json.Unmarshal(body, &r.reqs); err != nil {
-			return nil, err
-		}
-		if len(r.reqs) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-	} else {
-		r.reqs = append(r.reqs, Request{})
-		if err := json.Unmarshal(body, &r.reqs[0]); err != nil {
-			return nil, err
-		}
-	}
-	if len(r.reqs) > r.reqHi {
-		r.reqHi = len(r.reqs)
+	// The hello: one JSON object, decoded into a zeroed element.
+	r.reqs = append(r.reqs[:0], Request{})
+	if err := json.Unmarshal(body, &r.reqs[0]); err != nil {
+		return nil, err
 	}
 	return r.reqs, nil
 }
@@ -713,28 +682,11 @@ func (r *Reader) ReadResponses() ([]Response, error) {
 			return nil, fmt.Errorf("wire: %d trailing bytes after binary batch", d.rem())
 		}
 		r.resps = out
-		if len(out) > r.respHi {
-			r.respHi = len(out)
-		}
 		return out, nil
 	}
-	clear(r.resps[:r.respHi])
-	r.resps = r.resps[:0]
-	if isBatch(body) {
-		if err := json.Unmarshal(body, &r.resps); err != nil {
-			return nil, err
-		}
-		if len(r.resps) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-	} else {
-		r.resps = append(r.resps, Response{})
-		if err := json.Unmarshal(body, &r.resps[0]); err != nil {
-			return nil, err
-		}
-	}
-	if len(r.resps) > r.respHi {
-		r.respHi = len(r.resps)
+	r.resps = append(r.resps[:0], Response{})
+	if err := json.Unmarshal(body, &r.resps[0]); err != nil {
+		return nil, err
 	}
 	return r.resps, nil
 }
@@ -751,7 +703,6 @@ type Writer struct {
 	codec atomic.Uint32
 	buf   []byte // binary encode scratch
 	ends  []int  // message boundaries within buf
-	raws  [][]byte
 }
 
 // NewWriter wraps a connection's write side, starting in CodecJSON.
@@ -777,8 +728,8 @@ func (w *Writer) Release() {
 	}
 }
 
-// WriteRequests buffers the requests as the fewest frames respecting
-// MaxFrame, under the current codec.
+// WriteRequests buffers the requests as the fewest binary frames
+// respecting MaxFrame — or, before the codec switch, the one hello.
 func (w *Writer) WriteRequests(reqs []Request) error {
 	if w.Codec() == CodecBinary {
 		w.buf = w.buf[:0]
@@ -792,15 +743,10 @@ func (w *Writer) WriteRequests(reqs []Request) error {
 		}
 		return w.writeBinaryFrames()
 	}
-	w.raws = w.raws[:0]
-	for i := range reqs {
-		body, err := json.Marshal(&reqs[i])
-		if err != nil {
-			return err
-		}
-		w.raws = append(w.raws, body)
+	if len(reqs) != 1 {
+		return errHelloBatch
 	}
-	return writeBatch(w.bw, w.raws)
+	return w.writeHello(&reqs[0])
 }
 
 // WriteResponses is WriteRequests for the server→client direction.
@@ -817,15 +763,30 @@ func (w *Writer) WriteResponses(resps []Response) error {
 		}
 		return w.writeBinaryFrames()
 	}
-	w.raws = w.raws[:0]
-	for i := range resps {
-		body, err := json.Marshal(&resps[i])
-		if err != nil {
-			return err
-		}
-		w.raws = append(w.raws, body)
+	if len(resps) != 1 {
+		return errHelloBatch
 	}
-	return writeBatch(w.bw, w.raws)
+	return w.writeHello(&resps[0])
+}
+
+// errHelloBatch refuses a batch before the codec switch: the hello
+// exchange is one message per frame.
+var errHelloBatch = errors.New("wire: the hello exchange carries exactly one message per frame")
+
+// writeHello buffers one side of the hello exchange as a frame holding
+// one bare JSON object.
+func (w *Writer) writeHello(msg any) error {
+	body, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	if _, err := w.bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err = w.bw.Write(body)
+	return err
 }
 
 func uvarintLen(v uint64) int {

@@ -12,8 +12,7 @@ import (
 	"locksafe/internal/model"
 )
 
-// sampleRequests covers every op the binary codec encodes, with the
-// compact body/step forms the v3 wire requires.
+// sampleRequests covers every op the binary codec encodes.
 func sampleRequests() []Request {
 	table, csteps := model.CompactTxn([]model.Step{
 		model.LX("accounts/7"), model.W("accounts/7"), model.LS("rates"),
@@ -128,8 +127,8 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecSwitchMidStream pins the negotiation mechanics: a
-// stream that starts JSON and switches to binary after the hello frame
+// TestBinaryCodecSwitchMidStream pins the handshake mechanics: a stream
+// that starts with the JSON hello and switches to binary after it
 // decodes cleanly when the reader switches at the same boundary.
 func TestBinaryCodecSwitchMidStream(t *testing.T) {
 	var buf bytes.Buffer
@@ -242,10 +241,133 @@ func TestBinaryMangledFramesFailCleanly(t *testing.T) {
 			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 		}
 	})
+	t.Run("truncated header", func(t *testing.T) {
+		if _, err := readFrom(frame(good)[:2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+		}
+	})
+	t.Run("oversize length", func(t *testing.T) {
+		// Refused on the header alone, before any payload is awaited.
+		hdr := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+		if _, err := readFrom(hdr); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+			t.Fatalf("err = %v, want MaxFrame refusal", err)
+		}
+	})
+}
+
+// TestBinaryMidFrameDrop sweeps every possible cut point of a real
+// batch frame — the byte-exact truncations the chaos proxy's kill plan
+// produces when a connection dies mid-send. Whatever the offset, the
+// reader must fail cleanly (no partial batch, no hang, no panic): a cut
+// before any byte is the clean between-frames close (io.EOF), every
+// other cut — inside the header, on the header/payload boundary, inside
+// any message — is io.ErrUnexpectedEOF, so the server can tell the two
+// apart.
+func TestBinaryMidFrameDrop(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SetCodec(CodecBinary)
+	if err := w.WriteRequests(sampleRequests()[1:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reqFrame := bytes.Clone(buf.Bytes())
+	buf.Reset()
+	if err := w.WriteResponses(sampleResponses()[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	respFrame := buf.Bytes()
+
+	read := func(stream []byte, resp bool) (int, error) {
+		r := NewReader(bytes.NewReader(stream))
+		r.SetCodec(CodecBinary)
+		if resp {
+			got, err := r.ReadResponses()
+			return len(got), err
+		}
+		got, err := r.ReadRequests()
+		return len(got), err
+	}
+	for _, dir := range []struct {
+		name  string
+		frame []byte
+		resp  bool
+	}{{"request", reqFrame, false}, {"response", respFrame, true}} {
+		if n, err := read(dir.frame, dir.resp); err != nil || n != 3 {
+			t.Fatalf("%s control: %d messages, err %v", dir.name, n, err)
+		}
+		for cut := 0; cut < len(dir.frame); cut++ {
+			n, err := read(dir.frame[:cut], dir.resp)
+			want := io.ErrUnexpectedEOF
+			if cut == 0 {
+				want = io.EOF
+			}
+			if err != want || n != 0 {
+				t.Fatalf("%s cut at byte %d of %d: %d messages, err %v, want %v", dir.name, cut, len(dir.frame), n, err, want)
+			}
+		}
+	}
+}
+
+// TestHelloFrame pins the one JSON frame of the protocol: before the
+// codec switch a frame is exactly one bare JSON object, in either
+// direction — anything else fails to decode, and a batch has no
+// encoding.
+func TestHelloFrame(t *testing.T) {
+	readReq := func(payload string) ([]Request, error) {
+		return NewReader(bytes.NewReader(frame([]byte(payload)))).ReadRequests()
+	}
+	reqs, err := readReq(`{"id":1,"op":"hello","version":4}`)
+	if err != nil || len(reqs) != 1 || !reflect.DeepEqual(reqs[0], Request{ID: 1, Op: OpHello, Version: Version}) {
+		t.Fatalf("hello = %+v, %v", reqs, err)
+	}
+	for _, bad := range []string{
+		`{"id":`,                    // malformed object
+		`[{"id":1,"op":"hello"}]`,   // a batch: not a bare object
+		`[]`,                        // an empty batch
+		`not json`,                  // garbage
+		string(validStepPayload(t)), // a binary payload before the switch
+	} {
+		if got, err := readReq(bad); err == nil {
+			t.Errorf("hello reader accepted %q as %+v", bad, got)
+		}
+		if got, err := NewReader(bytes.NewReader(frame([]byte(bad)))).ReadResponses(); err == nil {
+			t.Errorf("hello-answer reader accepted %q as %+v", bad, got)
+		}
+	}
+
+	// The answer — a refusal here, the frame an old client must be able
+	// to read — round-trips through the same path.
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	refusal := Response{ID: 1, Code: CodeVersion, Err: "server speaks protocol version 4 only"}
+	if err := w.WriteResponses([]Response{refusal}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resps, err := NewReader(&buf).ReadResponses()
+	if err != nil || len(resps) != 1 || !reflect.DeepEqual(resps[0], refusal) {
+		t.Fatalf("refusal = %+v, %v", resps, err)
+	}
+
+	// One message per frame until the switch.
+	if err := w.WriteRequests(sampleRequests()[:2]); err == nil {
+		t.Fatal("pre-switch request batch encoded")
+	}
+	if err := w.WriteResponses(sampleResponses()[:2]); err == nil {
+		t.Fatal("pre-switch response batch encoded")
+	}
 }
 
 // TestBinaryUnencodable pins the encoder's refusal to ship malformed
-// messages: step text where the compact form is required, and responses
+// messages: a step request without its compact step, and responses
 // whose field combinations have no binary representation.
 func TestBinaryUnencodable(t *testing.T) {
 	cases := []struct {
@@ -256,12 +378,8 @@ func TestBinaryUnencodable(t *testing.T) {
 			_, err := appendRequest(nil, &Request{Op: "bogus"})
 			return err
 		}},
-		{"open with step texts only", func() error {
-			_, err := appendRequest(nil, &Request{Op: OpOpen, Txn: []string{"(LX a)"}})
-			return err
-		}},
 		{"step without compact form", func() error {
-			_, err := appendRequest(nil, &Request{Op: OpStep, Step: "(LX a)"})
+			_, err := appendRequest(nil, &Request{Op: OpStep, SID: 1})
 			return err
 		}},
 		{"OK with refusal fields", func() error {
@@ -283,7 +401,8 @@ func TestBinaryUnencodable(t *testing.T) {
 }
 
 // TestBinaryFramePacking: a large batch must split across frames, each
-// under MaxFrame, and reassemble to the original sequence.
+// at most MaxFrame, and reassemble to the original sequence; a message
+// that alone exceeds MaxFrame is unsendable.
 func TestBinaryFramePacking(t *testing.T) {
 	big := strings.Repeat("x", MaxFrame/3)
 	reqs := make([]Request, 4)
@@ -292,8 +411,47 @@ func TestBinaryFramePacking(t *testing.T) {
 			Table:  []model.Entity{model.Entity(big)},
 			CSteps: []model.CompactStep{{Op: model.LockExclusive, Idx: 0}}}
 	}
-	got := binaryRoundTripReqs(t, reqs)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SetCodec(CodecBinary)
+	if err := w.WriteRequests(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The split: each message is ~2/3 MaxFrame, so no two share a frame,
+	// and no frame's length field exceeds the bound.
+	frames := 0
+	for stream := buf.Bytes(); len(stream) > 0; frames++ {
+		n := binary.BigEndian.Uint32(stream)
+		if n > MaxFrame {
+			t.Fatalf("frame %d carries %d payload bytes, over MaxFrame", frames, n)
+		}
+		stream = stream[4+n:]
+	}
+	if frames != len(reqs) {
+		t.Fatalf("burst packed into %d frames, want %d", frames, len(reqs))
+	}
+
+	// The reassembly: one frame per read, the original sequence overall.
+	r := NewReader(&buf)
+	r.SetCodec(CodecBinary)
+	var got []Request
+	for len(got) < len(reqs) {
+		batch, err := r.ReadRequests()
+		if err != nil {
+			t.Fatalf("decode after %d of %d: %v", len(got), len(reqs), err)
+		}
+		got = append(got, batch...)
+	}
 	if !reflect.DeepEqual(got, reqs) {
 		t.Fatal("multi-frame batch did not reassemble")
+	}
+
+	huge := []Request{{ID: 1, Op: OpOpen, Name: strings.Repeat("x", MaxFrame)}}
+	if err := w.WriteRequests(huge); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+		t.Fatalf("oversized single message: err = %v, want MaxFrame refusal", err)
 	}
 }

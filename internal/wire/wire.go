@@ -1,20 +1,20 @@
 // Package wire defines the lockd network protocol: length-prefixed
-// frames over a byte stream, with versioned hello, session lifecycle
-// requests (open / step / commit / abort), a one-round-trip
+// frames over a byte stream, with a hello handshake, session lifecycle
+// requests (open / step / commit / abort / resume), a one-round-trip
 // stored-procedure mode (run), and diagnostics (stats / inspect). It is
 // shared by the server (internal/server) and the Go client (pkg/client);
 // docs/PROTOCOL.md is the normative description, with a worked example
 // transcript.
 //
 // Framing: every message is a 4-byte big-endian payload length followed
-// by that many payload bytes, in one of two codecs negotiated at hello:
-// the version 2 JSON codec — one Request or Response object, or a
-// *batch* (a JSON array of several) — or the version 3 binary codec
-// (binary.go): a 0xB3 magic byte, a message count, and that many
-// compact binary messages. Either way a pipelined burst costs one frame
-// (and typically one syscall) per direction instead of one per step.
-// Frames are bounded by MaxFrame; an oversized length is a protocol
-// error and the peer closes the connection.
+// by that many payload bytes. The first frame in each direction is the
+// hello exchange, one bare JSON object each way — the only JSON on the
+// wire, so that a peer of any vintage can read a version refusal. Every
+// later frame is the binary codec (binary.go): a 0xB3 magic byte, a
+// message count, and that many compact binary messages, so a pipelined
+// burst costs one frame (and typically one syscall) per direction
+// instead of one per step. Frames are bounded by MaxFrame; an oversized
+// length is a protocol error and the peer closes the connection.
 //
 // Pipelining: a client may send further requests before earlier
 // responses arrive. Responses carry the request's id and may arrive out
@@ -27,36 +27,13 @@
 // retry's resubmission.
 package wire
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
+import "locksafe/internal/model"
 
-	"locksafe/internal/model"
-)
-
-// Version is the newest protocol version spoken by this tree. Version 2
-// added batch frames, attempt tags and the run op (all of PR 6's
-// transport layers); version 3 added the binary codec (varint fields,
-// single-byte ops/codes, compact steps against a per-session entity
-// table); version 4 adds session resumption: open responses carry a
-// resume token, and the resume op reattaches a disconnected session by
-// sid + token within its lease. The server accepts hellos for Version,
-// VersionBinary and VersionJSON and refuses anything else with
-// CodeVersion; the codec of every frame after the hello exchange
-// follows the negotiated version (binary for 3 and up).
+// Version is the one protocol version this tree speaks: a JSON hello,
+// then the binary codec, with engine-wide session ids, resume tokens on
+// open answers and the resume op. A hello naming any other version is
+// refused CodeVersion (versions 2 and 3 were retired in PR 15).
 const Version = 4
-
-// VersionBinary is protocol version 3: the binary codec without the
-// resume vocabulary. Kept live so v3 peers interoperate unchanged with
-// a v4 server.
-const VersionBinary = 3
-
-// VersionJSON is protocol version 2: the same message vocabulary as
-// version 3, JSON codec throughout. Kept live so v2 peers interoperate
-// unchanged with a v4 server.
-const VersionJSON = 2
 
 // MaxFrame bounds a frame's payload (requests and responses); the
 // dominant size is a declared transaction body or an inspect log dump.
@@ -73,11 +50,11 @@ const (
 	OpRun     = "run"
 	OpStats   = "stats"
 	OpInspect = "inspect"
-	// OpResume (version 4) reattaches a parked session: the client
-	// re-sends the declared body (as at open) plus the session's sid and
-	// the resume token the open response carried. On success the session
-	// is live again with a fresh attempt counter (Response.Attempt) and
-	// the client replays its steps from the first.
+	// OpResume reattaches a parked session: the client re-sends the
+	// declared body (as at open) plus the session's sid and the resume
+	// token the open response carried. On success the session is live
+	// again with a fresh attempt counter (Response.Attempt) and the client
+	// replays its steps from the first.
 	OpResume = "resume"
 )
 
@@ -98,53 +75,46 @@ const (
 	CodeInternal  = "internal"    // engine failure; the server is dying
 )
 
-// Request is a client→server message.
+// Request is a client→server message. The JSON tags are the hello
+// frame: only id, op and version ever travel as JSON.
 type Request struct {
 	ID uint64 `json:"id"`
 	Op string `json:"op"`
 	// Version accompanies hello.
 	Version int `json:"version,omitempty"`
-	// Name and Txn accompany open and run: the transaction's display
-	// name and its declared steps, each in the model text form "(LX a)".
-	Name string   `json:"name,omitempty"`
-	Txn  []string `json:"txn,omitempty"`
-	// SID addresses an open session (step, commit, abort).
-	SID uint64 `json:"sid,omitempty"`
-	// Step is the submitted step for step requests, in "(LX a)" form.
-	Step string `json:"step,omitempty"`
+	// Name accompanies open, run and resume: the transaction's display
+	// name.
+	Name string `json:"-"`
+	// SID addresses an open session (step, commit, abort, resume).
+	SID uint64 `json:"-"`
 	// Attempt tags step and commit requests with the client's retry
 	// attempt (0 for the first). The server executes the request only
 	// when the tag equals the session's current attempt; a lower tag is
 	// a late message of a torn-down attempt and is refused CodeAborted
 	// without touching the session.
-	Attempt int `json:"attempt,omitempty"`
+	Attempt int `json:"-"`
 	// Token accompanies resume: the resume token issued by the open
 	// response of the session being reattached.
-	Token uint64 `json:"token,omitempty"`
+	Token uint64 `json:"-"`
 
-	// Compact body (binary codec only, never in JSON). Under version 3,
-	// open and run carry the declared body as Table + CSteps instead of
-	// Txn, and step requests carry CStep (HasCompact distinguishes a
-	// real compact step from the zero value) instead of Step. Exactly
-	// one representation is populated per message; DeclaredSteps and the
-	// server's per-step path accept either.
+	// Open, run and resume carry the declared body as an entity table
+	// plus (op, index) steps against it; step requests carry CStep, one
+	// such pair against the table the session's open shipped (HasCompact
+	// distinguishes a real step from the zero value).
 	Table      []model.Entity      `json:"-"`
 	CSteps     []model.CompactStep `json:"-"`
 	CStep      model.CompactStep   `json:"-"`
 	HasCompact bool                `json:"-"`
 }
 
-// DeclaredSteps decodes an open/run request's declared body, whichever
-// representation it arrived in: compact (binary codec) or step texts
-// (JSON codec).
+// DeclaredSteps expands an open/run/resume request's declared body.
 func (r *Request) DeclaredSteps() ([]model.Step, error) {
-	if r.Table != nil || r.CSteps != nil {
-		return model.ExpandCompact(r.Table, r.CSteps)
-	}
-	return DecodeSteps(r.Txn)
+	return model.ExpandCompact(r.Table, r.CSteps)
 }
 
-// Response is a server→client message.
+// Response is a server→client message. The JSON tags are the hello
+// answer: only id, ok, code, error, version and policy ever travel as
+// JSON.
 type Response struct {
 	ID   uint64 `json:"id"`
 	OK   bool   `json:"ok"`
@@ -154,252 +124,42 @@ type Response struct {
 	Version int    `json:"version,omitempty"`
 	Policy  string `json:"policy,omitempty"`
 	// SID answers open.
-	SID uint64 `json:"sid,omitempty"`
-	// Token answers open under version 4: the resume token to present
-	// with a later resume of this session.
-	Token uint64 `json:"token,omitempty"`
+	SID uint64 `json:"-"`
+	// Token answers open and resume: the resume token to present with a
+	// later resume of this session.
+	Token uint64 `json:"-"`
 	// Attempt answers resume: the attempt tag the reattached session's
 	// next step must carry (the attempt counter restarts at 0).
-	Attempt int `json:"attempt,omitempty"`
+	Attempt int `json:"-"`
 	// Stats answers stats; Inspect answers inspect.
-	Stats   *Stats   `json:"stats,omitempty"`
-	Inspect *Inspect `json:"inspect,omitempty"`
+	Stats   *Stats   `json:"-"`
+	Inspect *Inspect `json:"-"`
 }
 
 // Stats mirrors runtime.Metrics plus the open-session gauge; durations
 // travel as nanoseconds.
 type Stats struct {
-	Commits        int   `json:"commits"`
-	GaveUp         int   `json:"gave_up"`
-	DeadlockAborts int   `json:"deadlock_aborts"`
-	PolicyAborts   int   `json:"policy_aborts"`
-	ImproperAborts int   `json:"improper_aborts"`
-	CascadeAborts  int   `json:"cascade_aborts"`
-	LeaseExpired   int   `json:"lease_expired"`
-	Events         int   `json:"events"`
-	Replayed       int   `json:"replayed"`
-	OpenSessions   int   `json:"open_sessions"`
-	WaitNS         int64 `json:"wait_ns"`
-	ElapsedNS      int64 `json:"elapsed_ns"`
+	Commits        int
+	GaveUp         int
+	DeadlockAborts int
+	PolicyAborts   int
+	ImproperAborts int
+	CascadeAborts  int
+	LeaseExpired   int
+	Events         int
+	Replayed       int
+	OpenSessions   int
+	WaitNS         int64
+	ElapsedNS      int64
 }
 
 // Inspect is the diagnostic world-state snapshot: the surviving log,
 // the structural state, the policy monitor's key and the log's
 // serializability verdict (the equivalence-test digest vocabulary).
 type Inspect struct {
-	Log          string `json:"log"`
-	State        string `json:"state"`
-	MonitorKey   string `json:"monitor_key"`
-	Serializable bool   `json:"serializable"`
-	Stats        Stats  `json:"stats"`
-}
-
-// WriteFrame marshals v and writes one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writeRaw(w, body)
-}
-
-// writeRaw writes one length-prefixed frame around a marshaled payload.
-func writeRaw(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readPayload reads one length-prefixed frame's payload bytes.
-func readPayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds MaxFrame", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			// The header promised n payload bytes and the stream ended
-			// before the first arrived (a death exactly on the
-			// header/payload boundary). ReadFull only says ErrUnexpectedEOF
-			// when at least one byte was read; normalize so callers can
-			// tell every mid-frame death from a clean between-frames close.
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return body, nil
-}
-
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
-// It does not accept batch frames; the batch-aware readers below do.
-func ReadFrame(r io.Reader, v any) error {
-	body, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
-// isBatch reports whether a payload is a batch (JSON array) rather than
-// a single object.
-func isBatch(body []byte) bool {
-	for _, b := range body {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '[':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// ReadRequestBatch reads one frame and returns the requests it carries:
-// one for an object payload, several for an array (batch) payload. An
-// empty batch is a protocol error.
-func ReadRequestBatch(r io.Reader) ([]Request, error) {
-	body, err := readPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	if isBatch(body) {
-		var out []Request
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, err
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-		return out, nil
-	}
-	var one Request
-	if err := json.Unmarshal(body, &one); err != nil {
-		return nil, err
-	}
-	return []Request{one}, nil
-}
-
-// ReadResponseBatch is ReadRequestBatch for the server→client direction.
-func ReadResponseBatch(r io.Reader) ([]Response, error) {
-	body, err := readPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	if isBatch(body) {
-		var out []Response
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, err
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-		return out, nil
-	}
-	var one Response
-	if err := json.Unmarshal(body, &one); err != nil {
-		return nil, err
-	}
-	return []Response{one}, nil
-}
-
-// WriteRequestBatch writes the requests as the fewest frames that
-// respect MaxFrame: a lone message travels as a bare object frame, a
-// burst as one array frame (split greedily when it would overflow).
-func WriteRequestBatch(w io.Writer, reqs []Request) error {
-	raws := make([][]byte, len(reqs))
-	for i := range reqs {
-		body, err := json.Marshal(reqs[i])
-		if err != nil {
-			return err
-		}
-		raws[i] = body
-	}
-	return writeBatch(w, raws)
-}
-
-// WriteResponseBatch is WriteRequestBatch for the server→client
-// direction.
-func WriteResponseBatch(w io.Writer, resps []Response) error {
-	raws := make([][]byte, len(resps))
-	for i := range resps {
-		body, err := json.Marshal(resps[i])
-		if err != nil {
-			return err
-		}
-		raws[i] = body
-	}
-	return writeBatch(w, raws)
-}
-
-// writeBatch packs pre-marshaled messages greedily into frames of at
-// most MaxFrame bytes. Single-message frames are bare objects, so a
-// non-batching peer's transcript is unchanged.
-func writeBatch(w io.Writer, raws [][]byte) error {
-	for start := 0; start < len(raws); {
-		if len(raws[start]) > MaxFrame {
-			return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(raws[start]))
-		}
-		size := len(raws[start]) + 2 // brackets
-		end := start + 1
-		for end < len(raws) && size+len(raws[end])+1 <= MaxFrame {
-			size += len(raws[end]) + 1 // comma
-			end++
-		}
-		if end == start+1 {
-			if err := writeRaw(w, raws[start]); err != nil {
-				return err
-			}
-		} else {
-			payload := make([]byte, 0, size)
-			payload = append(payload, '[')
-			for i := start; i < end; i++ {
-				if i > start {
-					payload = append(payload, ',')
-				}
-				payload = append(payload, raws[i]...)
-			}
-			payload = append(payload, ']')
-			if err := writeRaw(w, payload); err != nil {
-				return err
-			}
-		}
-		start = end
-	}
-	return nil
-}
-
-// EncodeSteps renders steps in the wire's "(LX a)" text form.
-func EncodeSteps(steps []model.Step) []string {
-	out := make([]string, len(steps))
-	for i, st := range steps {
-		out[i] = st.String()
-	}
-	return out
-}
-
-// DecodeSteps parses the wire's step texts.
-func DecodeSteps(texts []string) ([]model.Step, error) {
-	out := make([]model.Step, len(texts))
-	for i, t := range texts {
-		st, err := model.ParseStep(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
+	Log          string
+	State        string
+	MonitorKey   string
+	Serializable bool
+	Stats        Stats
 }

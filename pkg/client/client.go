@@ -1,9 +1,8 @@
 // Package client is the Go client of the lockd network lock service: it
 // speaks the length-prefixed frame protocol of internal/wire (specified
-// in docs/PROTOCOL.md; protocol version 4 — binary codec plus session
-// resumption — by default, versions 3 and 2 via DialVersion) over one
-// TCP connection and mirrors the session runtime's error vocabulary as
-// exported sentinels.
+// in docs/PROTOCOL.md: protocol version 4 — a JSON hello, then the
+// binary codec, with session resumption) over one TCP connection and
+// mirrors the session runtime's error vocabulary as exported sentinels.
 //
 // A transaction is declared in full at Open (the paper's policies are
 // properties of declared bodies; the server also needs the body to
@@ -21,8 +20,8 @@
 //     server drives the whole step/commit/abort/retry loop engine-side,
 //     answering with a single terminal response.
 //
-// Under protocol version 4 a session that loses its connection is
-// *parked* server-side, not aborted: its locks are released but the
+// A session that loses its connection is *parked* server-side, not
+// aborted: its locks are released but the
 // session stays open within its lease window, and Client.Resume on a
 // fresh connection reattaches it by sid + resume token (issued at open)
 // and re-drives the declared body from the first step.
@@ -66,7 +65,7 @@ var (
 	ErrStepMismatch = errors.New("client: step does not match the declared transaction")
 	ErrProtocol     = errors.New("client: protocol error")
 	// ErrVersion: the server refused our protocol version at handshake
-	// (e.g. a version 3 client dialing a server that only speaks 2).
+	// (this client dialing a lockd from before or after protocol 4).
 	ErrVersion = errors.New("client: protocol version refused by server")
 	// ErrConnLost: the TCP connection died mid-flight (read or write
 	// error, not a server refusal and not Client.Close). The critical
@@ -133,10 +132,9 @@ func (b Backoff) delay(k int) time.Duration {
 
 // Client is one connection to a lockd server. Safe for concurrent use.
 type Client struct {
-	nc      net.Conn
-	version int          // negotiated protocol version (wire.VersionJSON through wire.Version)
-	rd      *wire.Reader // owned by readLoop; codec switched at handshake
-	wr      *wire.Writer // owned by writeLoop; codec switched at handshake
+	nc net.Conn
+	rd *wire.Reader // owned by readLoop; codec switched at handshake
+	wr *wire.Writer // owned by writeLoop; codec switched at handshake
 
 	mu     sync.Mutex // pending map, id counter, outgoing queue, terminal error
 	nextID uint64
@@ -153,81 +151,52 @@ type Client struct {
 	policy string
 }
 
-// Dial connects, performs the version handshake (negotiating protocol
-// version 4: the binary codec plus session resumption) and returns the
-// client.
+// Dial connects, performs the version handshake and returns the client.
 func Dial(addr string) (*Client, error) {
-	return DialVersion(addr, wire.Version)
-}
-
-// DialVersion is Dial pinned to a specific protocol version:
-// wire.Version (4, binary codec + resume), wire.VersionBinary (3,
-// binary codec) or wire.VersionJSON (2, JSON codec — what a
-// not-yet-upgraded client in the field speaks).
-func DialVersion(addr string, version int) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return handshake(nc, version)
+	return New(nc)
 }
 
 // New wraps an established connection (tests use net.Pipe or an
 // in-process listener) and performs the version handshake.
 func New(nc net.Conn) (*Client, error) {
-	return handshake(nc, wire.Version)
-}
-
-// NewVersion is New pinned to a specific protocol version.
-func NewVersion(nc net.Conn, version int) (*Client, error) {
-	return handshake(nc, version)
-}
-
-func handshake(nc net.Conn, version int) (*Client, error) {
-	if version != wire.Version && version != wire.VersionBinary && version != wire.VersionJSON {
-		nc.Close()
-		return nil, fmt.Errorf("%w: this client speaks protocol versions %d through %d, not %d",
-			ErrProtocol, wire.VersionJSON, wire.Version, version)
-	}
 	c := &Client{
-		nc:      nc,
-		version: version,
-		rd:      wire.NewReader(nc),
-		wr:      wire.NewWriter(nc),
-		pend:    make(map[uint64]chan wire.Response),
-		wake:    make(chan struct{}, 1),
+		nc:   nc,
+		rd:   wire.NewReader(nc),
+		wr:   wire.NewWriter(nc),
+		pend: make(map[uint64]chan wire.Response),
+		wake: make(chan struct{}, 1),
 	}
 	go c.readLoop()
 	go c.writeLoop()
-	resp, err := c.roundTrip(wire.Request{Op: wire.OpHello, Version: version})
+	resp, err := c.roundTrip(wire.Request{Op: wire.OpHello, Version: wire.Version})
 	if err != nil {
 		// A transport death has already recorded ErrConnLost (fail is
 		// first-wins); a server refusal becomes a deliberate close.
 		c.fail(ErrClosed, err)
 		return nil, err
 	}
-	if version >= wire.VersionBinary {
-		// The hello exchange is JSON under every version; with version 3
-		// or 4 agreed, everything after it is binary. The server cannot
-		// emit a binary frame before answering our hello and we cannot
-		// have queued another request yet (the handshake is synchronous),
-		// so both switches land between frames on both streams.
-		c.rd.SetCodec(wire.CodecBinary)
-		c.wr.SetCodec(wire.CodecBinary)
-	}
+	// The hello exchange is JSON; everything after it is binary. The
+	// server cannot emit a binary frame before answering our hello and we
+	// cannot have queued another request yet (the handshake is
+	// synchronous), so both switches land between frames on both streams.
+	c.rd.SetCodec(wire.CodecBinary)
+	c.wr.SetCodec(wire.CodecBinary)
 	c.policy = resp.Policy
 	return c, nil
 }
 
-// binary reports whether the negotiated codec ships compact steps.
-func (c *Client) binary() bool { return c.version >= wire.VersionBinary }
-
 // Policy returns the server's policy name, as reported at handshake.
 func (c *Client) Policy() string { return c.policy }
 
-// Close tears the connection down. The server aborts this connection's
-// unfinished sessions, releasing their locks. Requests failing after
-// Close wrap ErrClosed — a deliberate local shutdown, not ErrConnLost.
+// Close tears the connection down. The server parks this connection's
+// unfinished sessions — their locks are released, and each stays
+// resumable (Resume) until its lease runs out — and cancels its
+// in-flight Runs. Requests failing after Close wrap ErrClosed — a
+// deliberate local shutdown, not ErrConnLost.
 func (c *Client) Close() error {
 	c.fail(ErrClosed, errors.New("client closed"))
 	return nil
@@ -422,11 +391,7 @@ func codeError(resp wire.Response) error {
 // resubmitting on a fresh connection can run the transaction twice.
 func (c *Client) Run(tx model.Txn) error {
 	req := wire.Request{Op: wire.OpRun, Name: tx.Name}
-	if c.binary() {
-		req.Table, req.CSteps = model.CompactTxn(tx.Steps)
-	} else {
-		req.Txn = wire.EncodeSteps(tx.Steps)
-	}
+	req.Table, req.CSteps = model.CompactTxn(tx.Steps)
 	_, err := c.roundTrip(req)
 	return err
 }

@@ -20,13 +20,13 @@ const maxInflight = 96
 type Session struct {
 	c   *Client
 	sid uint64
-	// token is the resume token the open response carried (protocol
-	// version 4; zero under earlier versions): the credential a later
-	// Resume presents to reattach this session after a lost connection.
+	// token is the resume token the open response carried: the
+	// credential a later Resume presents to reattach this session after a
+	// lost connection.
 	token uint64
 	tx    model.Txn
 
-	// Compact encoding state (binary codec only): the entity table as
+	// Compact encoding state: the entity table as
 	// declared to the server at open, the declared body in compact form,
 	// and the entity→index map for sync Step lookups. Step requests ship
 	// (opByte, entityIndex) against this table; the server resolves
@@ -58,30 +58,31 @@ type inflightOp struct {
 // Open declares a transaction on the server and returns its session.
 func (c *Client) Open(tx model.Txn) (*Session, error) {
 	s := &Session{c: c, tx: tx.Clone()}
-	req := wire.Request{Op: wire.OpOpen, Name: tx.Name}
-	if c.binary() {
-		s.table, s.csteps = model.CompactTxn(s.tx.Steps)
-		req.Table, req.CSteps = s.table, s.csteps
-		s.index = make(map[model.Entity]uint32, len(s.table))
-		for i, e := range s.table {
-			s.index[e] = uint32(i)
-		}
-	} else {
-		req.Txn = wire.EncodeSteps(tx.Steps)
+	return s.attach(wire.Request{Op: wire.OpOpen})
+}
+
+// attach ships the session's declared body — as the entity table plus
+// compact steps the session keeps for its step requests — with an open
+// or resume request, and adopts the answer's sid, token and attempt tag.
+func (s *Session) attach(req wire.Request) (*Session, error) {
+	s.table, s.csteps = model.CompactTxn(s.tx.Steps)
+	s.index = make(map[model.Entity]uint32, len(s.table))
+	for i, e := range s.table {
+		s.index[e] = uint32(i)
 	}
-	resp, err := c.roundTrip(req)
+	req.Name, req.Table, req.CSteps = s.tx.Name, s.table, s.csteps
+	resp, err := s.c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	s.sid = resp.SID
-	s.token = resp.Token
+	s.sid, s.token, s.attempt = resp.SID, resp.Token, resp.Attempt
 	return s, nil
 }
 
 // Resume reattaches a session parked server-side — typically by a lost
-// connection (the server parks a version 4 connection's sessions
-// instead of aborting them) — on this client's connection. prev is the
-// parked session's handle, usually from a now-dead Client: its sid,
+// connection (the server parks a dead connection's sessions instead of
+// aborting them) — on this client's connection. prev is the parked
+// session's handle, usually from a now-dead Client: its sid,
 // resume token and declared body identify and re-arm the session. The
 // returned session is fresh, positioned at the first declared step with
 // a reset attempt counter; drive it exactly like a newly opened one.
@@ -92,37 +93,18 @@ func (c *Client) Open(tx model.Txn) (*Session, error) {
 // ("the transaction committed" / "was abandoned") — the way to resolve
 // a commit whose answer was lost with the connection.
 func (c *Client) Resume(prev *Session) (*Session, error) {
-	if c.version < wire.Version {
-		return nil, fmt.Errorf("%w: resume requires protocol version %d", ErrProtocol, wire.Version)
-	}
-	s := &Session{c: c, sid: prev.sid, token: prev.token, tx: prev.tx.Clone()}
-	req := wire.Request{Op: wire.OpResume, Name: s.tx.Name, SID: s.sid, Token: s.token}
-	s.table, s.csteps = model.CompactTxn(s.tx.Steps)
-	req.Table, req.CSteps = s.table, s.csteps
-	s.index = make(map[model.Entity]uint32, len(s.table))
-	for i, e := range s.table {
-		s.index[e] = uint32(i)
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	s.sid = resp.SID
-	s.token = resp.Token
-	s.attempt = resp.Attempt
-	return s, nil
+	s := &Session{c: c, tx: prev.tx.Clone()}
+	return s.attach(wire.Request{Op: wire.OpResume, SID: prev.sid, Token: prev.token})
 }
 
 // Declared returns the session's declared transaction.
 func (s *Session) Declared() model.Txn { return s.tx }
 
-// SID returns the server-assigned session id: under protocol version 4
-// an engine-wide id that survives the connection (the handle Resume
-// presents), under earlier versions a per-connection counter.
+// SID returns the server-assigned session id: an engine-wide id that
+// survives the connection (the handle Resume presents).
 func (s *Session) SID() uint64 { return s.sid }
 
-// Token returns the resume token issued at open (protocol version 4;
-// zero under earlier versions).
+// Token returns the resume token issued at open.
 func (s *Session) Token() uint64 { return s.token }
 
 // Step submits the next declared step and waits for its admission. On
@@ -133,21 +115,16 @@ func (s *Session) Step(st model.Step) error {
 	if len(s.inflight) > 0 {
 		return fmt.Errorf("%w: sync Step with pipelined requests in flight; Flush first", ErrProtocol)
 	}
-	req := wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt}
-	if s.c.binary() {
-		idx, ok := s.index[st.Ent]
-		if !ok {
-			// The binary codec can only name declared entities; a step
-			// outside the table cannot be the declared next step, so this
-			// is the same refusal the server would answer with — and like
-			// the server's, it leaves the session untouched.
-			return fmt.Errorf("%w: step %s names an entity outside the declared body", ErrStepMismatch, st)
-		}
-		req.CStep, req.HasCompact = model.CompactStep{Op: st.Op, Idx: idx}, true
-	} else {
-		req.Step = st.String()
+	idx, ok := s.index[st.Ent]
+	if !ok {
+		// The wire can only name declared entities; a step outside the
+		// table cannot be the declared next step, so this is the same
+		// refusal the server would answer with — and like the server's, it
+		// leaves the session untouched.
+		return fmt.Errorf("%w: step %s names an entity outside the declared body", ErrStepMismatch, st)
 	}
-	_, err := s.c.roundTrip(req)
+	_, err := s.c.roundTrip(wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt,
+		CStep: model.CompactStep{Op: st.Op, Idx: idx}, HasCompact: true})
 	if err == nil {
 		s.pos++
 		s.sent = s.pos
@@ -204,13 +181,8 @@ func (s *Session) StepAsync() error {
 			return err
 		}
 	}
-	req := wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt}
-	if s.c.binary() {
-		req.CStep, req.HasCompact = s.csteps[s.sent], true
-	} else {
-		req.Step = s.tx.Steps[s.sent].String()
-	}
-	id, ch, err := s.c.send(req)
+	id, ch, err := s.c.send(wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt,
+		CStep: s.csteps[s.sent], HasCompact: true})
 	if err != nil {
 		return err
 	}
