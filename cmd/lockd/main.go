@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lockd [-addr HOST:PORT] [-policy NAME] [-init "a,b,A->B"]
-//	      [-partitions N] [-stripes N | -serialized-gate] [-shards N]
+//	      [-partitions N] [-stripes N] [-shards N]
 //	      [-mpl N] [-checkpoint-every N] [-truncate-log=false]
 //	      [-data-dir DIR] [-fsync] [-lease DUR] [-max-retries N]
 //	      [-backoff DUR] [-backoff-cap DUR] [-backoff-jitter F]
@@ -81,8 +81,7 @@ func main() {
 	polName := flag.String("policy", "2PL", "locking policy: "+strings.Join(policy.Names(), ", "))
 	initEnts := flag.String("init", "", "comma-separated entities of the initial structural state")
 	partitions := flag.Int("partitions", 1, "entity-hash engine partitions (1 = single engine)")
-	stripes := flag.Int("stripes", 0, "admission-gate stripes per partition (0 = size from GOMAXPROCS)")
-	serialized := flag.Bool("serialized-gate", false, "use the single-mutex serialized gate (forces stripes=1)")
+	stripes := flag.Int("stripes", 0, "admission-gate stripes per partition (0 = size from GOMAXPROCS, 1 = the serialized single-mutex gate)")
 	shards := flag.Int("shards", 16, "lock-manager shards")
 	mpl := flag.Int("mpl", 0, "max concurrently open sessions (0 = unbounded)")
 	ckpt := flag.Int("checkpoint-every", 0, "events between recovery checkpoints (0 = default)")
@@ -112,9 +111,6 @@ func main() {
 		}
 	}
 
-	if *serialized {
-		*stripes = 1
-	}
 	cfg := runtime.Config{
 		Policy:          pol,
 		Shards:          *shards,
@@ -163,7 +159,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("lockd: listening on %s policy=%s partitions=%d stripes=%s shards=%d lease=%v\n",
-		ln.Addr(), pol.Name(), maxInt(*partitions, 1), gateDesc(*stripes, *serialized), *shards, *lease)
+		ln.Addr(), pol.Name(), maxInt(*partitions, 1), gateDesc(*stripes), *shards, *lease)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -195,10 +191,7 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func gateDesc(stripes int, serialized bool) string {
-	if serialized {
-		return "serialized"
-	}
+func gateDesc(stripes int) string {
 	if stripes == 0 {
 		return "auto"
 	}

@@ -76,7 +76,8 @@
 //	                       per-client network-mode bodies, and the
 //	                       paper's worked examples (Figures 1–5)
 //	internal/experiments — the evaluation suite (index: DESIGN.md,
-//	                       recorded results: EXPERIMENTS.md)
+//	                       recorded results: EXPERIMENTS.md); asserts
+//	                       safety and accounting, reports no speed
 //
 // Executables: cmd/locksafe (safety decider), cmd/figures (figure
 // walkthroughs), cmd/lockbench (quantitative tables; -net drives a
@@ -85,8 +86,10 @@
 // and godoc Example functions cover the lockmgr, runtime (batch and
 // session) and pkg/client entry points.
 //
-// The benchmarks in bench_test.go regenerate each experiment; see
-// EXPERIMENTS.md for recorded results and DESIGN.md for the full system
+// The benchmarks in bench_test.go time the deterministic experiments
+// and the core machinery; the service's performance benchmark is the
+// separate module under bench/ (BENCHMARK.json). See EXPERIMENTS.md for
+// recorded results and DESIGN.md for the full system
 // inventory and the design notes on the lock table, the sharded manager,
 // the monitor protocol, the footprint-striped gate, the unified
 // recovery core and the service layer.

@@ -4,56 +4,39 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"locksafe/internal/model"
 	"locksafe/internal/policy"
 	"locksafe/internal/recovery"
-	txnruntime "locksafe/internal/runtime"
 	"locksafe/internal/workload"
 )
 
-// E14Row is one measured configuration of the recovery-scaling study.
+// E14Row is one configuration of the recovery-scaling study.
 type E14Row struct {
-	// Section is "core" (deterministic replay counts on the recovery
-	// core) or "runtime" (the goroutine runtime on an abort-heavy
-	// workload, wall-clock).
-	Section string
 	// Mode is "checkpointed" (suffix replay from periodic snapshots) or
 	// "full-replay" (the pre-recovery-core discipline: rebuild from the
 	// initial state).
 	Mode string
-	// Events is the log length at the abort (core) or the surviving
-	// executed events (runtime).
+	// Events is the log length at the abort.
 	Events int
 	// Replayed is the number of surviving events re-verified to recover.
 	Replayed int
-	// Checkpoints is the number of retained snapshots (core section).
+	// Checkpoints is the number of retained snapshots.
 	Checkpoints int
-	// Throughput is commits per second (runtime section).
-	Throughput float64
-	// Aborts is the total abort count (runtime section).
-	Aborts int
 }
 
 // E14Recovery is the abort-heavy recovery-scaling study enabled by the
-// shared checkpointed-recovery core (internal/recovery). It measures:
-//
-//  1. core replay counts, deterministically: build a log of N events,
-//     erase the most recent transaction, and count the events re-verified
-//     under checkpointed suffix replay vs the naive full replay the
-//     runtime used before the recovery core. Full replay walks the whole
-//     surviving log — O(N) per abort, O(N²) on abort-heavy runs — while
-//     checkpointed recovery is bounded by the checkpoint suffix
-//     regardless of N;
-//  2. the goroutine runtime on a deadlock-prone workload (opposing lock
-//     orders) in both recovery modes, on wall-clock time.
-//
-// The core counts are deterministic and asserted; the runtime rows are
-// wall-clock and machine-dependent, so the Report only fails on
-// correctness (completion, accounting), never on speed. Recorded tables
-// live in EXPERIMENTS.md.
-func E14Recovery(seed int64, sizes []int) ([]E14Row, Report) {
+// shared checkpointed-recovery core (internal/recovery). It counts
+// replay work on the core, deterministically: build a log of N events,
+// erase the most recent transaction, and count the events re-verified
+// under checkpointed suffix replay vs the naive full replay the runtime
+// used before the recovery core. Full replay walks the whole surviving
+// log — O(N) per abort, O(N²) on abort-heavy runs — while checkpointed
+// recovery is bounded by the checkpoint suffix regardless of N. Both
+// counts are asserted; what an abort costs in seconds is bench/'s
+// shuffle-abort workload (runtime.replayed_per_abort,
+// recovery.compact_us_p50).
+func E14Recovery(sizes []int) ([]E14Row, Report) {
 	if len(sizes) == 0 {
 		sizes = []int{1000, 2000, 4000, 8000}
 	}
@@ -61,21 +44,18 @@ func E14Recovery(seed int64, sizes []int) ([]E14Row, Report) {
 	var b strings.Builder
 	var failed string
 
-	// (1) Deterministic replay counts on the recovery core.
-	fmt.Fprintf(&b, "%-8s %-13s %9s %9s %12s %11s %8s\n",
-		"section", "mode", "events", "replayed", "checkpoints", "commits/s", "aborts")
+	fmt.Fprintf(&b, "%-13s %9s %9s %12s\n", "mode", "events", "replayed", "checkpoints")
 	var prevFull int
 	for _, n := range sizes {
 		ck, full := e14CoreRows(n)
 		rows = append(rows, ck, full)
 		for _, r := range []E14Row{ck, full} {
-			fmt.Fprintf(&b, "%-8s %-13s %9d %9d %12d %11s %8s\n",
-				r.Section, r.Mode, r.Events, r.Replayed, r.Checkpoints, "-", "-")
+			fmt.Fprintf(&b, "%-13s %9d %9d %12d\n", r.Mode, r.Events, r.Replayed, r.Checkpoints)
 		}
 		// The asserted asymptotic shape: full replay walks the whole
 		// surviving log and grows with N; checkpointed replay stays
 		// bounded by the (doubling-schedule) suffix. The first failure
-		// wins, as in the runtime section.
+		// wins.
 		if full.Replayed != full.Events-3 && failed == "" {
 			failed = fmt.Sprintf("full replay at %d events re-verified %d, want %d", n, full.Replayed, full.Events-3)
 		}
@@ -88,25 +68,12 @@ func E14Recovery(seed int64, sizes []int) ([]E14Row, Report) {
 		}
 	}
 
-	// (2) The goroutine runtime on an abort-heavy workload, both modes.
-	sys := AbortHeavySystem(seed, 16)
-	for _, full := range []bool{false, true} {
-		row, err := e14RuntimeRow(sys, full)
-		if err != "" && failed == "" {
-			failed = err
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(&b, "%-8s %-13s %9d %9d %12s %11.1f %8d\n",
-			row.Section, row.Mode, row.Events, row.Replayed, "-", row.Throughput, row.Aborts)
-	}
-
 	fmt.Fprintf(&b, "\nShape: an abort must erase the victim's events and re-verify that the\n")
 	fmt.Fprintf(&b, "surviving history still replays. Rebuilding from the initial state costs\n")
-	fmt.Fprintf(&b, "the whole log per abort (left column grows with events); replaying from\n")
+	fmt.Fprintf(&b, "the whole log per abort (replayed grows with events); replaying from\n")
 	fmt.Fprintf(&b, "the last checkpoint at or before the victim's first event costs only the\n")
 	fmt.Fprintf(&b, "suffix, bounded by the doubling checkpoint schedule no matter how long\n")
-	fmt.Fprintf(&b, "the run gets. The runtime rows show the same machinery live under the\n")
-	fmt.Fprintf(&b, "monitor gate (wall-clock, machine-dependent).\n")
+	fmt.Fprintf(&b, "the run gets.\n")
 	return rows, Report{ID: "E14", Title: "abort-heavy recovery scaling (checkpointed vs full replay)", Text: b.String(), Failed: failed}
 }
 
@@ -147,7 +114,6 @@ func e14CoreRows(n int) (ck, full E14Row) {
 			mode = "full-replay"
 		}
 		return E14Row{
-			Section:     "core",
 			Mode:        mode,
 			Events:      logLen,
 			Replayed:    c.Stats().Replayed,
@@ -164,8 +130,8 @@ func e14CoreRows(n int) (ck, full E14Row) {
 // violate two-phase locking on every attempt (lock after unlock) and
 // therefore abort, forcing recovery, until MaxRetries abandons them.
 // Every churn abort erases logged events and re-verifies the survivors,
-// which is exactly the work the two recovery modes price differently.
-// Shared between E14 and BenchmarkRuntimeAbortHeavy.
+// which is exactly the work checkpointed recovery bounds. It is the
+// workload of BenchmarkRuntimeAbortHeavy.
 func AbortHeavySystem(seed int64, committers int) *model.System {
 	rng := rand.New(rand.NewSource(seed))
 	shared := make([]model.Entity, 6)
@@ -191,34 +157,4 @@ func AbortHeavySystem(seed int64, committers int) *model.System {
 		}
 	}
 	return model.NewSystem(model.NewState(all...), txns...)
-}
-
-func e14RuntimeRow(sys *model.System, fullReplay bool) (E14Row, string) {
-	mode := "checkpointed"
-	if fullReplay {
-		mode = "full-replay"
-	}
-	row := E14Row{Section: "runtime", Mode: mode}
-	res, err := txnruntime.Run(sys, txnruntime.Config{
-		Policy:             policy.TwoPhase{},
-		Shards:             4,
-		Backoff:            5 * time.Microsecond,
-		MaxRetries:         60,
-		FullReplayRecovery: fullReplay,
-	})
-	if err != nil {
-		return row, fmt.Sprintf("runtime %s: %v", mode, err)
-	}
-	m := res.Metrics
-	row.Events = m.Events
-	row.Replayed = m.Replayed
-	row.Throughput = m.Throughput()
-	row.Aborts = m.Aborts()
-	if m.Commits+m.GaveUp != len(sys.Txns) {
-		return row, fmt.Sprintf("runtime %s: commits %d + gaveup %d != %d", mode, m.Commits, m.GaveUp, len(sys.Txns))
-	}
-	if m.Commits == 0 {
-		return row, fmt.Sprintf("runtime %s: nothing committed", mode)
-	}
-	return row, ""
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -17,7 +16,7 @@ import (
 	"locksafe/pkg/client"
 )
 
-// e16Modes are the transport modes measured side by side: per-step
+// e16Modes are the transport modes exercised side by side: per-step
 // synchronous round trips, client-side pipelining, and stored-procedure
 // run (body ships once, the engine drives the loop server-side).
 var e16Modes = []string{"step", "pipeline", "run"}
@@ -32,52 +31,39 @@ func E16ValidMode(mode string) bool {
 	return false
 }
 
-// E16Row is one measured configuration of the lockd end-to-end study.
+// e16Rounds is how many transactions each client runs per cell.
+const e16Rounds = 3
+
+// E16Row is one cell of the lockd transport smoke.
 type E16Row struct {
 	// Workload is "disjoint" (private per-client keys) or "zipf"
 	// (hot-key skewed shared keys).
-	Workload string `json:"workload"`
-	// Gate is "serialized", "striped:N", or "server" when measuring an
-	// external lockd whose gate the experiment does not control.
-	Gate string `json:"gate"`
+	Workload string
 	// Mode is the transport mode: "step", "pipeline" or "run".
-	Mode       string  `json:"mode"`
-	Clients    int     `json:"clients"`
-	Throughput float64 `json:"commits_per_sec"`
-	Commits    int     `json:"commits"`
-	Aborts     int     `json:"aborts"`
-	// AllocsPerOp is heap allocations per committed transaction across
-	// the whole in-process stack (client + server share the heap), from
-	// the runtime's exact mallocs counter over the measured window of
-	// the best repetition. 0 in external network mode, where the server
-	// heap is out of reach and the client share alone would mislead.
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Mode    string
+	Clients int
+	Commits int
+	Aborts  int
 }
 
-// E16NetThroughput measures end-to-end lockd throughput: N concurrent
-// clients, each on its own TCP connection, each running a sequence of
-// declared transactions through pkg/client against a lockd instance —
-// by default an in-memory server on loopback, so the full stack (wire
-// framing, batch coalescing, per-session workers, session API, striped
-// gate, sharded locks) is on the measured path. Each cell is measured
-// in every requested transport mode (nil modes = all of step, pipeline,
-// run), so the three layers of the transport stack report side by side.
-// Workload shapes and gate configurations mirror E15, so the gap
-// between E15 (in-process) and E16 (loopback) is the transport cost.
+// E16Transport is the lockd transport-mode smoke: N concurrent clients,
+// each on its own TCP connection, each running a sequence of declared
+// transactions through pkg/client against a lockd instance — by default
+// an in-memory server on loopback, so the full stack (wire framing,
+// batch coalescing, per-session workers, session API, striped gate,
+// sharded locks) is exercised. Each workload x clients cell runs in
+// every requested transport mode (nil modes = all of step, pipeline,
+// run) and asserts that every body commits and, in-process, that the
+// drain verifies the committed schedule and the server's commit count
+// equals the clients'.
 //
 // With addr non-empty the experiment instead targets a running lockd at
 // that address ("network mode", the CI smoke's path). External bodies
 // are pure locking traffic (workload.LockOnlySteps) so they run against
-// any -init; in-process cells use read/write bodies and verify the
-// committed schedule serializable at drain.
+// any -init; in-process cells use read/write bodies.
 //
-// As with E13–E15, wall-clock numbers are machine-dependent: the Report
-// fails only on correctness (connection or session errors, missing
-// commits, a drain that does not verify), never on speed.
-func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes []string, addr string) ([]E16Row, Report) {
-	if len(stripeCounts) == 0 {
-		stripeCounts = []int{16}
-	}
+// It reports no speed: anything measured in seconds is bench/'s job.
+func E16Transport(seed int64, clientCounts []int, modes []string, addr string) ([]E16Row, Report) {
 	if len(clientCounts) == 0 {
 		clientCounts = []int{4, 16}
 	}
@@ -88,101 +74,53 @@ func E16NetThroughput(seed int64, stripeCounts, clientCounts []int, modes []stri
 	var b strings.Builder
 	var failed string
 
-	fmt.Fprintf(&b, "%-9s %-12s %-9s %8s %11s %8s %7s %10s\n",
-		"workload", "gate", "mode", "clients", "commits/s", "commits", "aborts", "allocs/op")
+	fmt.Fprintf(&b, "%-9s %-9s %8s %8s %7s\n", "workload", "mode", "clients", "commits", "aborts")
 	for _, wl := range []string{"disjoint", "zipf"} {
 		for _, cN := range clientCounts {
-			var gates []gateCfg
-			if addr != "" {
-				gates = []gateCfg{{name: "server"}}
-			} else {
-				gates = []gateCfg{{name: "serialized", stripes: 1}}
-				for _, s := range stripeCounts {
-					gates = append(gates, gateCfg{name: fmt.Sprintf("striped:%d", s), stripes: s})
+			// Every mode drives the same declared bodies.
+			bodies, universe := workload.ClientBodies(rand.New(rand.NewSource(seed)), wl, cN, 16, e16Rounds, addr != "")
+			for _, mode := range modes {
+				row := E16Row{Workload: wl, Mode: mode, Clients: cN}
+				var err error
+				row.Commits, row.Aborts, err = e16Run(bodies, universe, mode, addr)
+				if err == nil && row.Commits != cN*e16Rounds {
+					err = fmt.Errorf("%d of %d transactions committed", row.Commits, cN*e16Rounds)
 				}
-			}
-			for _, gc := range gates {
-				for _, mode := range modes {
-					row, err := e16Row(seed, wl, cN, gc, mode, addr)
-					if err != "" && failed == "" {
-						failed = err
-					}
-					rows = append(rows, row)
-					fmt.Fprintf(&b, "%-9s %-12s %-9s %8d %11.0f %8d %7d %10.0f\n",
-						row.Workload, row.Gate, row.Mode, row.Clients, row.Throughput, row.Commits, row.Aborts, row.AllocsPerOp)
+				if err != nil && failed == "" {
+					failed = fmt.Sprintf("e16 %s %s c=%d: %v", wl, mode, cN, err)
 				}
+				rows = append(rows, row)
+				fmt.Fprintf(&b, "%-9s %-9s %8d %8d %7d\n", row.Workload, row.Mode, row.Clients, row.Commits, row.Aborts)
 			}
 		}
 	}
-	fmt.Fprintf(&b, "\nShape: in step mode the per-request round trip dominates — a commit\n")
-	fmt.Fprintf(&b, "costs one open, one request/response per step and one commit (34 round\n")
-	fmt.Fprintf(&b, "trips for a 16-entity body), so throughput tracks declared-body length\n")
-	fmt.Fprintf(&b, "far more than gate discipline. Pipeline mode collapses an attempt to\n")
-	fmt.Fprintf(&b, "~two round trips (open, then steps+commit in one coalesced burst);\n")
-	fmt.Fprintf(&b, "run mode to one, with abort/retry engine-side. The gate matters again\n")
-	fmt.Fprintf(&b, "once transport stops masking it; correctness (every transaction\n")
-	fmt.Fprintf(&b, "commits, the drained schedule verifies serializable) is asserted on\n")
-	fmt.Fprintf(&b, "every repetition in every mode. allocs/op is the exact malloc count\n")
-	fmt.Fprintf(&b, "over the measured window, whole stack (client and server share the\n")
-	fmt.Fprintf(&b, "heap), per committed transaction.\n")
-	return rows, Report{ID: "E16", Title: "lockd end-to-end: N clients over loopback TCP", Text: b.String(), Failed: failed}
+	fmt.Fprintf(&b, "\nEvery cell: each client's transactions all committed in the given\n")
+	fmt.Fprintf(&b, "transport mode (step = one round trip per request, pipeline = open then\n")
+	fmt.Fprintf(&b, "steps+commit in one coalesced burst, run = the body ships once and the\n")
+	fmt.Fprintf(&b, "engine drives abort/retry server-side). Cells run against an in-memory\n")
+	fmt.Fprintf(&b, "server also drained it: the schedule verified serializable and the\n")
+	fmt.Fprintf(&b, "server counted exactly the clients' commits.\n")
+	return rows, Report{ID: "E16", Title: "lockd transport smoke: N clients over loopback TCP", Text: b.String(), Failed: failed}
 }
 
-// e16Row measures one cell, best-of over a few repetitions with
-// correctness asserted on every repetition.
-func e16Row(seed int64, wl string, clients int, gc gateCfg, mode, addr string) (E16Row, string) {
-	row := E16Row{Workload: wl, Gate: gc.name, Mode: mode, Clients: clients}
-	reps := E16Reps
-	if addr != "" {
-		reps = 1
-	}
-	const rounds = 3
-	for rep := 0; rep < reps; rep++ {
-		rng := rand.New(rand.NewSource(seed + int64(rep)))
-		bodies, universe := workload.ClientBodies(rng, wl, clients, 16, rounds, addr != "")
-		commits, aborts, allocs, elapsed, err := e16Run(bodies, universe, gc, mode, addr)
-		if err != nil {
-			return row, fmt.Sprintf("e16 %s %s %s c=%d: %v", wl, gc.name, mode, clients, err)
-		}
-		if commits != clients*rounds {
-			return row, fmt.Sprintf("e16 %s %s %s c=%d: %d of %d transactions committed", wl, gc.name, mode, clients, commits, clients*rounds)
-		}
-		if tp := float64(commits) / elapsed.Seconds(); tp > row.Throughput {
-			row.Throughput = tp
-			row.Commits = commits
-			row.Aborts = aborts
-			if addr == "" {
-				row.AllocsPerOp = float64(allocs) / float64(commits)
-			}
-		}
-	}
-	return row, ""
-}
-
-// E16Reps is the best-of repetition count per in-process cell (external
-// network mode measures once); exported so lockbench can record the
-// best-of policy in the bench artifact.
-const E16Reps = 3
-
-// e16Run executes one repetition: every client on its own connection,
-// all released together, each running its transaction sequence to
-// commit in the given transport mode. With no external addr an in-memory lockd is started for the run
-// and drained afterwards, which verifies the committed schedule. allocs
-// is the exact heap-allocation count over the measured window.
-func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode, addr string) (commits, aborts int, allocs uint64, elapsed time.Duration, err error) {
+// e16Run executes one cell: every client on its own connection, all
+// released together, each running its transaction sequence to commit in
+// the given transport mode. With no external addr an in-memory lockd is
+// started for the run and drained afterwards, which verifies the
+// committed schedule.
+func e16Run(bodies [][]model.Txn, universe []model.Entity, mode, addr string) (commits, aborts int, err error) {
 	var srv *server.Server
 	target := addr
 	if addr == "" {
 		srv = server.New(model.NewState(universe...), txnruntime.Config{
-			Policy:      policy.TwoPhase{},
-			Shards:      16,
-			GateStripes: gc.stripes,
-			Backoff:     50 * time.Microsecond,
-			MaxRetries:  500,
+			Policy:     policy.TwoPhase{},
+			Shards:     16,
+			Backoff:    50 * time.Microsecond,
+			MaxRetries: 500,
 		})
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
-			return 0, 0, 0, 0, lerr
+			return 0, 0, lerr
 		}
 		go srv.Serve(ln)
 		target = ln.Addr().String()
@@ -193,7 +131,7 @@ func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode, add
 	for i := range conns {
 		c, derr := client.Dial(target)
 		if derr != nil {
-			return 0, 0, 0, 0, derr
+			return 0, 0, derr
 		}
 		conns[i] = c
 		defer c.Close()
@@ -237,36 +175,29 @@ func e16Run(bodies [][]model.Txn, universe []model.Entity, gc gateCfg, mode, add
 			}
 		}(i)
 	}
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
 	close(start)
 	wg.Wait()
-	elapsed = time.Since(t0)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	allocs = after.Mallocs - before.Mallocs
 	for i, e := range errs {
 		if e != nil {
-			return 0, 0, 0, 0, fmt.Errorf("client %d: %w", i, e)
+			return 0, 0, fmt.Errorf("client %d: %w", i, e)
 		}
 		commits += counts[i]
 	}
 	if srv != nil {
 		res, serr := srv.Shutdown(5 * time.Second)
 		if serr != nil {
-			return 0, 0, 0, 0, fmt.Errorf("drain: %w", serr)
+			return 0, 0, fmt.Errorf("drain: %w", serr)
 		}
 		aborts = res.Metrics.Aborts()
 		if res.Metrics.Commits != commits {
-			return 0, 0, 0, 0, fmt.Errorf("server counted %d commits, clients counted %d", res.Metrics.Commits, commits)
+			return 0, 0, fmt.Errorf("server counted %d commits, clients counted %d", res.Metrics.Commits, commits)
 		}
 	} else {
 		st, serr := conns[0].Stats()
 		if serr != nil {
-			return 0, 0, 0, 0, serr
+			return 0, 0, serr
 		}
 		aborts = st.DeadlockAborts + st.PolicyAborts + st.ImproperAborts + st.CascadeAborts
 	}
-	return commits, aborts, allocs, elapsed, nil
+	return commits, aborts, nil
 }

@@ -24,11 +24,11 @@ import (
 // partition count, each cell run over TCP through the fault-injection
 // proxy (internal/chaos) with connections being killed mid-frame,
 // delayed, and stalled past the session lease. The claim under test is
-// not throughput — it is that the serializability verdict and the
-// engine's accounting survive a hostile dynamic workload: every cell
-// must drain cleanly (Shutdown verifies the committed schedule) and the
-// server's commit counter must agree with the clients' within the
-// unknown-outcome window that lost connections create.
+// that the serializability verdict and the engine's accounting survive
+// a hostile dynamic workload: every cell must drain cleanly (Shutdown
+// verifies the committed schedule) and the server's commit counter must
+// agree with the clients' within the unknown-outcome window that lost
+// connections create.
 
 // E18DefaultLease is the harness session lease for scenarios that do
 // not demand their own: long enough for healthy traffic, short enough
@@ -43,25 +43,24 @@ const E18StallFor = 200 * time.Millisecond
 
 // E18Row is one measured cell of the chaos grid.
 type E18Row struct {
-	Scenario   string `json:"scenario"`
-	Policy     string `json:"policy"`
-	Partitions int    `json:"partitions"`
+	Scenario   string
+	Policy     string
+	Partitions int
 	// Chaos summarizes the fault mix the cell's connections drew
 	// ("kill+delay+stall" for the standard rotation).
-	Chaos   string `json:"chaos"`
-	Clients int    `json:"clients"`
+	Chaos   string
+	Clients int
 	// Commits is the server's count; Confirmed is the clients' (terminal
 	// OK responses received). Unknown counts attempts whose connection
 	// died mid-flight — the gap the accounting bound allows.
-	Commits   int `json:"commits"`
-	Confirmed int `json:"confirmed"`
-	Unknown   int `json:"unknown"`
+	Commits   int
+	Confirmed int
+	Unknown   int
 	// Aborted counts attempts refused terminally (lease expiry, give-up,
 	// drain) — outcomes the server proved did not commit.
-	Aborted int `json:"aborted"`
+	Aborted int
 	// Killed is how many connections the proxy cut.
-	Killed     int     `json:"killed"`
-	Throughput float64 `json:"commits_per_sec"`
+	Killed int
 }
 
 // e18PlanFor is the standard chaos rotation, keyed by accept index so a
@@ -116,8 +115,8 @@ func e18ChaosMix() string {
 //	confirmed <= server commits <= confirmed + unknown
 //
 // (a refusal proves non-commitment; a lost connection proves nothing,
-// so unknown outcomes may or may not have landed). Throughput is
-// recorded but secondary: chaos cells measure survival, not speed.
+// so unknown outcomes may or may not have landed). Chaos cells measure
+// survival, not speed.
 //
 // faults=false runs the same grid through a transparent proxy — the
 // fault-free control (lockbench -chaos=false), where unknown and killed
@@ -138,8 +137,8 @@ func E18ChaosCorpus(seed int64, names []string, partCounts []int, faults bool, c
 		mix = "clean"
 	}
 	fmt.Fprintf(&b, "chaos mix per cell: %s (by accept index)\n\n", mix)
-	fmt.Fprintf(&b, "%-12s %-12s %-5s %8s %9s %8s %8s %7s %11s\n",
-		"scenario", "policy", "parts", "commits", "confirmed", "unknown", "aborted", "killed", "commits/s")
+	fmt.Fprintf(&b, "%-12s %-12s %-5s %8s %9s %8s %8s %7s\n",
+		"scenario", "policy", "parts", "commits", "confirmed", "unknown", "aborted", "killed")
 	for _, name := range names {
 		sc, ok := workload.ScenarioByName(name)
 		if !ok {
@@ -152,9 +151,9 @@ func E18ChaosCorpus(seed int64, names []string, partCounts []int, faults bool, c
 					failed = err
 				}
 				rows = append(rows, row)
-				fmt.Fprintf(&b, "%-12s %-12s %5d %8d %9d %8d %8d %7d %11.0f\n",
+				fmt.Fprintf(&b, "%-12s %-12s %5d %8d %9d %8d %8d %7d\n",
 					row.Scenario, row.Policy, row.Partitions, row.Commits, row.Confirmed,
-					row.Unknown, row.Aborted, row.Killed, row.Throughput)
+					row.Unknown, row.Aborted, row.Killed)
 			}
 		}
 	}
@@ -162,8 +161,6 @@ func E18ChaosCorpus(seed int64, names []string, partCounts []int, faults bool, c
 	fmt.Fprintf(&b, "serializable under the %s fault mix, and the server's commit\n", mix)
 	fmt.Fprintf(&b, "count stayed inside [confirmed, confirmed+unknown] — lost connections\n")
 	fmt.Fprintf(&b, "leave outcomes unknown (client.ErrConnLost), never misaccounted.\n")
-	fmt.Fprintf(&b, "Throughput is secondary here (fault pauses dominate); see E16/E17 for\n")
-	fmt.Fprintf(&b, "fault-free numbers, and note the single-core caveat in EXPERIMENTS.md.\n")
 	return rows, Report{ID: "E18", Title: "chaos corpus: the verdict under a hostile dynamic workload", Text: b.String(), Failed: failed}
 }
 
@@ -217,7 +214,6 @@ func e18Cell(seed int64, sc workload.Scenario, pol policy.Policy, partitions int
 	var confirmed, unknown, aborted atomic.Int64
 	backoff := client.Backoff{Base: 50 * time.Microsecond}
 	var wg sync.WaitGroup
-	t0 := time.Now()
 	for ci, script := range run.Scripts {
 		wg.Add(1)
 		go func(ci int, script []workload.ScriptTxn) {
@@ -284,7 +280,6 @@ func e18Cell(seed int64, sc workload.Scenario, pol policy.Policy, partitions int
 		}(ci, script)
 	}
 	wg.Wait()
-	row.Throughput = float64(confirmed.Load()) / time.Since(t0).Seconds()
 	row.Killed = proxy.Killed()
 	proxy.Close()
 	res, serr := srv.Shutdown(10 * time.Second)

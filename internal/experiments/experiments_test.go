@@ -163,38 +163,6 @@ func TestE11Ablation(t *testing.T) {
 	}
 }
 
-func TestE13Scaling(t *testing.T) {
-	shards, gors := []int{1, 4}, []int{2, 4}
-	if testing.Short() {
-		shards, gors = []int{1, 2}, []int{2}
-	}
-	rows, r := E13Scaling(1, shards, gors)
-	if r.Failed != "" {
-		t.Fatalf("E13 failed: %s\n%s", r.Failed, r.Text)
-	}
-	if !strings.Contains(r.Text, "exactly one refused") {
-		t.Errorf("E13 must prove cross-shard deadlock detection:\n%s", r.Text)
-	}
-	var mgrRows, runtimeRows int
-	for _, row := range rows {
-		switch row.Section {
-		case "lockmgr":
-			mgrRows++
-			if row.OpsPerSec <= 0 {
-				t.Errorf("row %+v has no measured ops", row)
-			}
-		case "runtime":
-			runtimeRows++
-			if row.Commits == 0 {
-				t.Errorf("row %+v committed nothing", row)
-			}
-		}
-	}
-	if mgrRows != len(shards)*len(gors) || runtimeRows == 0 {
-		t.Fatalf("unexpected row counts: mgr=%d runtime=%d", mgrRows, runtimeRows)
-	}
-}
-
 func TestE12SharedReaders(t *testing.T) {
 	r := E12SharedReaders(1)
 	if r.Failed != "" {
@@ -205,35 +173,23 @@ func TestE12SharedReaders(t *testing.T) {
 	}
 }
 
-func TestE15GateScaling(t *testing.T) {
-	stripes, gors := []int{2, 8}, []int{4, 8}
-	if testing.Short() {
-		stripes, gors = []int{2}, []int{4}
-	}
-	rows, r := E15GateScaling(1, stripes, gors)
+// TestE16Transport runs the lockd transport smoke in-process: two
+// clients per cell over loopback TCP in every transport mode. The cell
+// assertions (every body commits, clean drain, server commit count ==
+// clients') live inside E16Transport; the test pins the grid's shape and
+// each cell's commit count.
+func TestE16Transport(t *testing.T) {
+	const clients = 2
+	rows, r := E16Transport(1, []int{clients}, []string{"step", "pipeline", "run"}, "")
 	if r.Failed != "" {
-		t.Fatalf("E15 failed: %s\n%s", r.Failed, r.Text)
+		t.Fatalf("E16 failed: %s\n%s", r.Failed, r.Text)
 	}
-	// Per (workload, goroutines) cell: one serialized row plus one per
-	// stripe count, both workloads.
-	if want := 2 * len(gors) * (1 + len(stripes)); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	if want := 2 * 3; len(rows) != want { // workloads x modes
+		t.Fatalf("grid has %d cells, want %d", len(rows), want)
 	}
-	var serialized, striped int
 	for _, row := range rows {
-		if row.Throughput <= 0 || row.Commits == 0 {
-			t.Errorf("row %+v measured nothing", row)
+		if row.Commits != clients*e16Rounds {
+			t.Errorf("%s/%s: %d commits, want %d", row.Workload, row.Mode, row.Commits, clients*e16Rounds)
 		}
-		if row.Gate == "serialized" {
-			serialized++
-		} else {
-			striped++
-		}
-		if row.Workload == "disjoint" && row.Commits != row.Goroutines {
-			t.Errorf("disjoint row %+v: all transactions must commit", row)
-		}
-	}
-	if serialized == 0 || striped == 0 {
-		t.Fatalf("missing gate rows: serialized=%d striped=%d", serialized, striped)
 	}
 }

@@ -262,10 +262,10 @@ func TestGateStripeSetCoversEvent(t *testing.T) {
 	}
 }
 
-// TestGateStripedStress hammers the striped gate from many goroutines
-// with heavily overlapping footprints — shared hot entities, structural
-// creators racing readers (improper aborts + slow path), deadlock-prone
-// lock orders — under -race in CI. The committed schedule must be
+// TestGateStripedStress hammers the gate, serialized (stripes=1) and
+// striped, from many goroutines with heavily overlapping footprints —
+// shared hot entities, structural creators racing readers (improper
+// aborts + slow path), deadlock-prone lock orders — under -race in CI. The committed schedule must be
 // serializable (Run verifies it) and the commit/give-up accounting must
 // balance.
 func TestGateStripedStress(t *testing.T) {
@@ -288,7 +288,7 @@ func TestGateStripedStress(t *testing.T) {
 		)
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	for _, stripes := range []int{2, 8} {
+	for _, stripes := range []int{1, 2, 8} {
 		res, err := Run(sys, Config{
 			Policy: policy.TwoPhase{}, Shards: 8, GateStripes: stripes,
 			Backoff: 20 * time.Microsecond, MaxRetries: 600, CheckpointEvery: 8,

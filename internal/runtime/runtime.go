@@ -130,12 +130,6 @@ type Config struct {
 	// striped gate's sequencer: once that many events are buffered, the
 	// next admission drains the stripes and flushes them to the core.
 	CheckpointEvery int
-	// FullReplayRecovery disables checkpointed suffix replay: abort
-	// recovery rebuilds the monitor and state by replaying the entire
-	// surviving log from the initial state, as before the shared
-	// recovery core. Reference mode for the E14 experiment and the
-	// equivalence tests; O(events²) on abort-heavy runs.
-	FullReplayRecovery bool
 	// GateStripes is the number of stripe locks in the admission gate
 	// (default: sized from GOMAXPROCS). 1 serializes every admission,
 	// reproducing the pre-striping single-mutex monitor gate exactly:
@@ -251,9 +245,9 @@ type Metrics struct {
 	// Events is the number of executed (surviving) events.
 	Events int
 	// Replayed is the total number of surviving events re-verified
-	// during abort recovery — the work the checkpoints bound. With
-	// FullReplayRecovery it grows with the whole log per abort; with
-	// checkpointed recovery it is bounded by the replayed suffixes.
+	// during abort recovery — the work the checkpoints bound. Under the
+	// core's full-replay reference mode it grows with the whole log per
+	// abort; checkpointed recovery bounds it by the replayed suffixes.
 	Replayed int
 	// LeaseExpired counts sessions abandoned by the lease reaper (a
 	// subset of GaveUp). Always zero in batch runs.
@@ -428,10 +422,13 @@ type runner struct {
 // Run executes the system's transactions as goroutines and returns
 // metrics and the committed schedule.
 func Run(sys *model.System, cfg Config) (*Result, error) {
-	r := newRunner(sys, cfg)
+	return newRunner(sys, cfg).run()
+}
+
+func (r *runner) run() (*Result, error) {
 	start := time.Now()
-	r.wg.Add(len(sys.Txns))
-	for t := range sys.Txns {
+	r.wg.Add(len(r.sys.Txns))
+	for t := range r.sys.Txns {
 		go r.runTxn(t)
 	}
 	r.wg.Wait()
@@ -449,7 +446,7 @@ func Run(sys *model.System, cfg Config) (*Result, error) {
 	// Abandoned transactions' events were erased at their final abort, so
 	// the log is exactly the committed schedule.
 	sched := r.rec.Events()
-	if !sched.Serializable(sys) {
+	if !sched.Serializable(r.sys) {
 		return nil, fmt.Errorf("runtime: committed schedule is NOT serializable under policy %q", r.cfg.Policy.Name())
 	}
 	return &Result{Metrics: r.met, Schedule: sched}, nil
@@ -495,9 +492,6 @@ func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
 		if cfg.MPL > 0 {
 			r.sem = make(chan struct{}, cfg.MPL)
 		}
-	}
-	if cfg.FullReplayRecovery {
-		r.rec.SetFullReplay(true)
 	}
 	r.brand = cfg.BackoffRand
 	if r.brand == nil {

@@ -228,7 +228,8 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 		{T: 2, S: model.UX("y")},
 	}
 	build := func(full bool) *runner {
-		r := newRunner(sys, Config{MaxRetries: 10, Backoff: time.Microsecond, CheckpointEvery: 2, FullReplayRecovery: full})
+		r := newRunner(sys, Config{MaxRetries: 10, Backoff: time.Microsecond, CheckpointEvery: 2})
+		r.rec.SetFullReplay(full)
 		r.gate.drain()
 		for _, ev := range log {
 			if !r.commitEventDrained(ev) {
@@ -265,7 +266,7 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 
 // TestRecoveryModesEndToEnd runs an abort-heavy workload through both
 // recovery disciplines: both must complete with full accounting and a
-// serializable committed schedule (verified inside Run), and both must
+// serializable committed schedule (verified inside run), and both must
 // record the replay work they performed.
 func TestRecoveryModesEndToEnd(t *testing.T) {
 	ents := entities(6)
@@ -278,10 +279,12 @@ func TestRecoveryModesEndToEnd(t *testing.T) {
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
 	for _, full := range []bool{false, true} {
-		res, err := Run(sys, Config{
+		r := newRunner(sys, Config{
 			Policy: policy.TwoPhase{}, Shards: 4, Backoff: 50 * time.Microsecond,
-			MaxRetries: 200, CheckpointEvery: 4, FullReplayRecovery: full,
+			MaxRetries: 200, CheckpointEvery: 4,
 		})
+		r.rec.SetFullReplay(full)
+		res, err := r.run()
 		if err != nil {
 			t.Fatalf("full=%v: %v", full, err)
 		}

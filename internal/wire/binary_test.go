@@ -455,3 +455,69 @@ func TestBinaryFramePacking(t *testing.T) {
 		t.Fatalf("oversized single message: err = %v, want MaxFrame refusal", err)
 	}
 }
+
+// TestBinarySteadyStateAllocs pins the codec's steady-state allocation
+// cost exactly: after warm-up, one WriteRequests+Flush+ReadRequests
+// round of step/commit messages over a bytes.Buffer (and the same in
+// the response direction) allocates at most twice, and the count does
+// not depend on how many messages the frame carries — the pooled
+// scratch, not the batch, pays. The traced bench run's
+// wire.codec_allocs_per_commit and server.allocs_per_commit are the
+// end-to-end view of the same property.
+func TestBinarySteadyStateAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w, r := NewWriter(&buf), NewReader(&buf)
+	w.SetCodec(CodecBinary)
+	r.SetCodec(CodecBinary)
+	defer w.Release()
+	defer r.Release()
+
+	batch := func(n int) ([]Request, []Response) {
+		reqs, resps := make([]Request, n), make([]Response, n)
+		for i := range reqs {
+			reqs[i] = Request{ID: uint64(i + 1), Op: OpStep, SID: 9, Attempt: 2,
+				CStep: model.CompactStep{Op: model.Write, Idx: uint32(i)}, HasCompact: true}
+			if i == n-1 {
+				reqs[i] = Request{ID: uint64(i + 1), Op: OpCommit, SID: 9, Attempt: 2}
+			}
+			resps[i] = Response{ID: uint64(i + 1), OK: true, SID: 9, Attempt: 2}
+		}
+		return reqs, resps
+	}
+	measure := func(n int) (reqAllocs, respAllocs float64) {
+		reqs, resps := batch(n)
+		reqRound := func() {
+			if err := w.WriteRequests(reqs); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.ReadRequests(); err != nil || len(got) != n {
+				t.Fatalf("read %d requests, err %v, want %d", len(got), err, n)
+			}
+		}
+		respRound := func() {
+			if err := w.WriteResponses(resps); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.ReadResponses(); err != nil || len(got) != n {
+				t.Fatalf("read %d responses, err %v, want %d", len(got), err, n)
+			}
+		}
+		// AllocsPerRun's own warm-up call sizes the scratch.
+		return testing.AllocsPerRun(100, reqRound), testing.AllocsPerRun(100, respRound)
+	}
+	req1, resp1 := measure(1)
+	req16, resp16 := measure(16)
+	t.Logf("allocs per round: requests %v (n=1) %v (n=16), responses %v (n=1) %v (n=16)", req1, req16, resp1, resp16)
+	if req1 != req16 || resp1 != resp16 {
+		t.Errorf("allocations depend on batch size: requests %v vs %v, responses %v vs %v", req1, req16, resp1, resp16)
+	}
+	if req16 > 2 || resp16 > 2 {
+		t.Errorf("steady-state round allocates: requests %v, responses %v, want <= 2 each", req16, resp16)
+	}
+}
