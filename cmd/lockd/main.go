@@ -20,15 +20,17 @@
 // parked for client resume within their leases. -fsync additionally
 // syncs every WAL append, making acknowledged commits survive machine
 // (not just process) crashes. A corrupt store refuses to start: exit
-// nonzero with the failing record named. Without -data-dir lockd is
-// memory-only, exactly as before.
+// nonzero with the failing record named; so does a directory written
+// with a different -partitions, with both counts named. Without
+// -data-dir lockd is memory-only.
 //
-// -partitions > 1 runs the entity-hash partitioned engine group: each
+// -partitions sets the engine's entity-hash partition count (default 1,
+// where every transaction is local to the one partition): each
 // partition is a full engine (own recovery core, stripe set, sequencer)
 // and sessions whose declared body stays inside one partition never
 // touch the others. Cross-partition and global-footprint transactions
 // go through the cross-partition drain. The wire protocol is identical
-// either way. -truncate-log (default on) discards log events below the
+// for every count. -truncate-log (default on) discards log events below the
 // earliest checkpoint whose owners are all settled, bounding recovery
 // memory on long-lived servers at the cost of full-log inspection.
 //
@@ -80,7 +82,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "listen address")
 	polName := flag.String("policy", "2PL", "locking policy: "+strings.Join(policy.Names(), ", "))
 	initEnts := flag.String("init", "", "comma-separated entities of the initial structural state")
-	partitions := flag.Int("partitions", 1, "entity-hash engine partitions (1 = single engine)")
+	partitions := flag.Int("partitions", 1, "entity-hash engine partitions; a -data-dir is served only by the count that wrote it")
 	stripes := flag.Int("stripes", 0, "admission-gate stripes per partition (0 = size from GOMAXPROCS, 1 = the serialized single-mutex gate)")
 	shards := flag.Int("shards", 16, "lock-manager shards")
 	mpl := flag.Int("mpl", 0, "max concurrently open sessions (0 = unbounded)")

@@ -55,9 +55,11 @@
 //	                       manager: footprint-striped monitor gate with a
 //	                       sequenced log, abort/retry, cascading aborts,
 //	                       wall-clock metrics; batch Run over complete
-//	                       workloads plus the long-lived Engine/Session
-//	                       API (declared bodies, client-paced steps,
-//	                       lease-reaped abandonment)
+//	                       workloads plus the long-lived session engine
+//	                       (NewSessionEngine: n ≥ 1 entity-hash
+//	                       partitions, declared bodies, client-paced
+//	                       steps, lease-reaped abandonment, durable
+//	                       restore)
 //
 // Service — the runtime exposed as a long-lived network lock service:
 //

@@ -3,35 +3,27 @@ package runtime
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"locksafe/internal/model"
 	"locksafe/internal/recovery"
 )
 
-// This file is the durable session engine: construction of an Engine (or
-// PartitionedEngine, see durable_partition.go) over a disk-backed
-// recovery store, and the restore path that rebuilds the transaction
-// population, the committed schedule and the parked sessions from the
-// WAL after a crash or restart.
-//
-// The restore contract, matching the write-side ordering in runtime.go
-// and session.go:
-//
-//   - A transaction declaration (OpenRec) is durable before its open is
-//     acknowledged, so every recovered event has a recovered row.
-//   - A commit status record is durable before the commit is
-//     acknowledged (with Config.Fsync), so every acknowledged commit is
-//     recovered committed — possibly with more transactions committed
-//     than acknowledged (the status landed, the ack did not).
-//   - A transaction recovered active lost its in-flight attempt with
-//     the process: its events are erased (cascading exactly as a live
-//     abort would) and the session is restored *parked* — the client
-//     reattaches with Resume inside the lease window persisted at open
-//     — or abandoned outright if that window already passed.
-//   - The recovered committed schedule is re-verified serializable
-//     before the engine accepts work.
+// This file is the durable side of the session engine: its constructor,
+// the on-disk layout (PartitionDir, checkLayout) and the restore — each
+// partition's recovered history replayed into its runner, the
+// engine-wide rows rebuilt from the open records, cross-partition
+// transactions arbitrated across their mirror rows, recovered-active
+// attempts erased and their sessions parked or abandoned, and the merged
+// log re-verified serializable before the engine accepts work. DESIGN.md
+// ("The restore contract") states what is guaranteed and the write-side
+// orderings in runtime.go, session.go and partition.go it rests on.
 
 // newToken mints a session resume token: 64 random bits, forced nonzero
 // so zero can mean "no session" in the WAL. Falls back to the clock if
@@ -63,89 +55,168 @@ type RestoreInfo struct {
 	Torn bool
 }
 
-// NewDurableEngine returns a running engine persisting into
-// cfg.DataDir, after restoring whatever durable history the directory
-// already holds. With an empty DataDir it is exactly NewEngine: the
-// memory-only path is byte-identical.
-func NewDurableEngine(init model.State, cfg Config) (*Engine, *RestoreInfo, error) {
-	if cfg.DataDir == "" {
-		return NewEngine(init, cfg), &RestoreInfo{Clean: true}, nil
-	}
-	e := newEngineCore(init, cfg, nil)
-	info, err := e.restoreDir(cfg.DataDir, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.startReaper()
-	return e, info, nil
-}
-
-// restoreDir opens dir's durable store, rebuilds the engine from its
-// recovered history and attaches the store for further appends.
-func (e *Engine) restoreDir(dir string, cfg Config) (*RestoreInfo, error) {
-	st, rec, err := recovery.Open(dir, recovery.Options{Fsync: cfg.Fsync})
-	if err != nil {
-		return nil, fmt.Errorf("runtime: opening durable store: %w", err)
-	}
-	var p recovery.Persister = st
-	if cfg.WrapPersister != nil {
-		p = cfg.WrapPersister(st)
-	}
-	info, err := e.restore(rec, p)
-	if err != nil {
-		// The store is deliberately not sealed on a failed restore
-		// (Store.Close writes a clean marker, which would claim a
-		// shutdown that never happened): the history on disk is
-		// evidence. The open file handle dies with the process.
-		return nil, err
-	}
-	return info, nil
-}
-
-// restore rebuilds a standalone engine from a recovered history and
-// attaches p as its persister. Called before the engine accepts any
-// work (no reaper, no sessions).
-func (e *Engine) restore(rec recovery.Recovered, p recovery.Persister) (*RestoreInfo, error) {
-	r := e.r
-	info := &RestoreInfo{Clean: rec.Clean, Torn: rec.Torn}
-	r.gate.drain()
-	defer r.gate.undrain()
-
-	for i, o := range rec.Opens {
-		if o.G != i || o.Mirror {
-			return nil, fmt.Errorf("runtime: restore: %w: open %d has G=%d mirror=%v", recovery.ErrCorrupt, i, o.G, o.Mirror)
+// NewDurableSessionEngine returns a running session engine of
+// max(1, cfg.Partitions) partitions persisting into cfg.DataDir, after
+// restoring whatever durable history the directory already holds. With
+// an empty DataDir the engine is memory-only and nothing is restored.
+func NewDurableSessionEngine(init model.State, cfg Config) (SessionEngine, *RestoreInfo, error) {
+	pe := newPartitionedCore(init, cfg)
+	info := &RestoreInfo{Clean: true}
+	if cfg.DataDir != "" {
+		var err error
+		if info, err = pe.restoreDirs(cfg); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := r.replayRecoveredDrained(rec, false); err != nil {
+	pe.startReaper()
+	return pe, info, nil
+}
+
+// ErrLayout: the data directory holds a history written with a
+// different Config.Partitions. Entities are homed by hash modulo the
+// partition count, so such a history cannot be served.
+var ErrLayout = errors.New("data directory was written with a different partition count")
+
+func partName(p int) string { return "p" + strconv.Itoa(p) }
+
+// PartitionDir returns the durable directory of partition p of n under
+// a data directory: the directory itself for a one-partition engine,
+// its subdirectory p<p> otherwise. The on-disk layout is decided here
+// and checked by checkLayout.
+func PartitionDir(dataDir string, n, p int) string {
+	if n == 1 {
+		return dataDir
+	}
+	return filepath.Join(dataDir, partName(p))
+}
+
+// checkLayout refuses a data directory that holds a non-empty history
+// where an n-partition engine does not look — in the directory itself
+// for n > 1, in p<i> subdirectories for n = 1 or in a different number
+// of them for n > 1 — instead of silently serving an empty or re-homed
+// database. It writes nothing. A fresh directory, and one whose first
+// start crashed before any open was logged, pass.
+func checkLayout(dataDir string, n int) error {
+	ents, err := os.ReadDir(dataDir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	present, dirs := 0, 0 // p<i> directories, and one past the highest i
+	for _, e := range ents {
+		if i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "p")); err == nil && e.IsDir() && e.Name() == partName(i) {
+			present++
+			dirs = max(dirs, i+1)
+		}
+	}
+	// check refuses dir, a store of the layout `written` partitions use,
+	// if it logged an open.
+	check := func(dir string, written int) error {
+		rec, err := recovery.Restore(dir)
+		switch {
+		case err != nil:
+			return fmt.Errorf("runtime: reading %s: %w", dir, err)
+		case len(rec.Opens) == 0:
+			return nil
+		case written == n:
+			return fmt.Errorf("runtime: %w: %s holds a %d-partition history, but some partition directories are missing", ErrLayout, dataDir, n)
+		}
+		return fmt.Errorf("runtime: %w: %s holds a %d-partition history and cannot be opened with %d", ErrLayout, dataDir, written, n)
+	}
+	if n > 1 {
+		if err := check(dataDir, 1); err != nil {
+			return err
+		}
+		if dirs == 0 || (dirs == n && present == n) {
+			return nil
+		}
+	}
+	for i := 0; i < dirs; i++ {
+		if err := check(filepath.Join(dataDir, partName(i)), dirs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreDirs opens every partition's durable store, rebuilds the
+// engine from the combined history and attaches the stores. Called
+// before the engine accepts any work (no reaper, no sessions). On a
+// failure the stores are deliberately left unsealed (Store.Close writes
+// a clean marker, which would claim a shutdown that never happened):
+// the history on disk is evidence, and the open file handles die with
+// the process.
+func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
+	if err := checkLayout(cfg.DataDir, pe.n); err != nil {
 		return nil, err
 	}
-	r.tagSrc.Store(rec.MaxTag())
+	info := &RestoreInfo{Clean: true}
+	pe.drainAll()
+	defer pe.undrainAll()
 
-	// Attach the persister *before* erasing unsettled transactions: the
-	// erasure below must itself be durable, or a second restart would
-	// resurrect the erased events.
-	r.rec.SetPersister(p)
+	recs := make([]recovery.Recovered, pe.n)
+	var maxTag uint64
+	for p, part := range pe.parts {
+		st, rec, err := recovery.Open(PartitionDir(cfg.DataDir, pe.n, p), recovery.Options{Fsync: cfg.Fsync})
+		if err != nil {
+			return nil, fmt.Errorf("runtime: opening durable store for partition %d: %w", p, err)
+		}
+		recs[p] = rec
+		info.Clean = info.Clean && rec.Clean
+		info.Torn = info.Torn || rec.Torn
+		maxTag = max(maxTag, rec.MaxTag())
+		if err := part.r.replayRecoveredDrained(rec); err != nil {
+			return nil, fmt.Errorf("partition %d: %w", p, err)
+		}
+		// The store is attached after the replay, which must not re-append
+		// what it reads, and *before* any unsettled transaction is erased:
+		// the erasures below must themselves be durable, or a second
+		// restart would resurrect the erased events.
+		var pers recovery.Persister = st
+		if cfg.WrapPersister != nil {
+			pers = cfg.WrapPersister(st)
+		}
+		part.r.rec.SetPersister(pers)
+	}
+	pe.tags.Store(maxTag)
 
-	if err := e.settleRestoredDrained(rec.Opens, info); err != nil {
+	if err := pe.rebuildGlobalDrained(recs, info); err != nil {
 		return nil, err
 	}
-	e.maxTID.Store(int64(len(r.sys.Txns)))
 
-	if !r.rec.Events().Serializable(r.sys) {
-		return nil, fmt.Errorf("runtime: restore: %w: recovered schedule is not serializable under policy %q", recovery.ErrCorrupt, r.cfg.Policy.Name())
+	// Settle each partition's local transactions: erase recovered-active
+	// attempts, park or abandon their sessions. Mirror rows are skipped
+	// and settled globally above.
+	for p, part := range pe.parts {
+		if err := part.settleRestoredDrained(recs[p].Opens, info); err != nil {
+			return nil, fmt.Errorf("partition %d: %w", p, err)
+		}
 	}
-	info.Events = r.rec.Len()
-	info.Commits = r.met.Commits
+
+	// Verify the merged global schedule against the engine-wide system.
+	merged := pe.mergedDrained()
+	pe.gmu.Lock()
+	sys := pe.sysSnapshotLocked()
+	pe.gmu.Unlock()
+	if !merged.Serializable(sys) {
+		return nil, fmt.Errorf("runtime: restore: %w: merged recovered schedule is not serializable under policy %q", recovery.ErrCorrupt, pe.cfg.Policy.Name())
+	}
+	if f := pe.anyFatalDrained(); f != nil {
+		return nil, fmt.Errorf("runtime: restore: %w", f)
+	}
+	info.Events = len(merged)
+	info.Commits = pe.statsDrained().Commits
 	return info, nil
 }
 
-// replayRecoveredDrained rebuilds the runner's transaction population,
-// statuses and event log from a recovered history. Called with a full
-// drain held and no persister attached (the replay must not re-append
-// what it reads). partitioned selects owner translation for a
-// PartitionedEngine's partition runner: the lock-manager owner id is
-// the global row index o.G rather than the local index.
-func (r *runner) replayRecoveredDrained(rec recovery.Recovered, partitioned bool) error {
+// replayRecoveredDrained rebuilds the runner's transaction population
+// (each row's lock-manager owner is its engine-wide id o.G), statuses
+// and event log from a recovered history. Called with a full drain held
+// and no persister attached (the replay must not re-append what it
+// reads).
+func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 	for i, o := range rec.Opens {
 		tx := model.Txn{Name: o.Name, Steps: o.Steps}
 		if tx.Len() > 0 {
@@ -153,11 +224,10 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered, partitioned bool
 				return fmt.Errorf("runtime: restore: %w: open %d: %v", recovery.ErrCorrupt, i, err)
 			}
 		}
-		owner := -1
-		if partitioned {
-			owner = o.G
+		if o.G < 0 {
+			return fmt.Errorf("runtime: restore: %w: open %d has G=%d", recovery.ErrCorrupt, i, o.G)
 		}
-		if t := r.addTxnDrained(tx, owner, o.Mirror); t != i {
+		if t := r.addTxnDrained(tx, o.G, o.Mirror); t != i {
 			return fmt.Errorf("runtime: restore: %w: open %d landed at row %d", recovery.ErrCorrupt, i, t)
 		}
 	}
@@ -250,6 +320,148 @@ func (e *Engine) settleRestoredDrained(opens []recovery.OpenRec, info *RestoreIn
 	}
 	if r.fatal != nil {
 		return fmt.Errorf("runtime: restore: %w", r.fatal)
+	}
+	return nil
+}
+
+// rebuildGlobalDrained reconstructs the engine-wide system and the
+// global bookkeeping rows from the per-partition open records, then
+// settles every cross-partition transaction (cross-partition drain
+// held, persisters attached).
+func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered, info *RestoreInfo) error {
+	// witness[g] lists (partition, local index, mirror) for every row of
+	// global id g, in ascending partition order.
+	type rowRef struct {
+		p, lt  int
+		mirror bool
+	}
+	maxG := -1
+	byG := map[int][]rowRef{}
+	for p := 0; p < pe.n; p++ {
+		for lt, o := range recs[p].Opens {
+			byG[o.G] = append(byG[o.G], rowRef{p: p, lt: lt, mirror: o.Mirror})
+			if o.G > maxG {
+				maxG = o.G
+			}
+		}
+	}
+
+	for g := 0; g <= maxG; g++ {
+		refs := byG[g]
+		switch {
+		case len(refs) == 0:
+			// A lost open: the crash hit between the global id assignment
+			// and the first durable registration. No partition holds the
+			// row, no events exist; a placeholder keeps the global id
+			// space dense so later ids stay aligned.
+			pe.fullSys.Add(model.Txn{Name: "(lost)"})
+			pe.addRowLocked(-1)
+			pe.gstatus[g] = txAbandoned
+			continue
+
+		case len(refs) == 1 && !refs[0].mirror:
+			// A local transaction, owned whole by its home partition.
+			ref := refs[0]
+			o := recs[ref.p].Opens[ref.lt]
+			pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
+			pe.addRowLocked(ref.p)
+			pe.locs[g] = []int{ref.lt}
+			// Its status lives in the partition; the global row of a
+			// local transaction is unused, as in live operation.
+			continue
+		}
+
+		// Cross-partition: every ref must be a mirror, one per partition
+		// (refs are in ascending partition order, so a second row of one
+		// partition follows its first).
+		for i, ref := range refs {
+			if !ref.mirror || (i > 0 && refs[i-1].p == ref.p) {
+				return fmt.Errorf("runtime: restore: %w: global id %d has inconsistent rows", recovery.ErrCorrupt, g)
+			}
+		}
+		if pe.n == 1 {
+			// classify never makes a global of a one-partition engine's body.
+			return fmt.Errorf("runtime: restore: %w: global id %d is a mirror row in a one-partition history", recovery.ErrCorrupt, g)
+		}
+		o := recs[refs[0].p].Opens[refs[0].lt]
+		pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
+		pe.addRowLocked(-1)
+
+		if len(refs) < pe.n {
+			// A partial mirror: the crash hit inside the registration
+			// loop, before the open was acknowledged — no events exist.
+			// Abandon the rows that do exist, durably.
+			for _, ref := range refs {
+				r := pe.parts[ref.p].r
+				if r.status[ref.lt] != txAbandoned {
+					r.status[ref.lt] = txAbandoned
+					r.persistStatusDrained(ref.lt, recovery.StatusAbandoned)
+				}
+			}
+			pe.gstatus[g] = txAbandoned
+			pe.gmet.GaveUp++
+			continue
+		}
+
+		locs := make([]int, pe.n)
+		for _, ref := range refs {
+			locs[ref.p] = ref.lt
+		}
+		pe.locs[g] = locs
+
+		// Arbitrate the status: syncs walk partitions in ascending
+		// order, so the lowest-index replica is the freshest. Reconcile
+		// the stragglers, durably.
+		status := pe.parts[0].r.status[locs[0]]
+		pe.gstatus[g] = status
+		for p := 1; p < pe.n; p++ {
+			r := pe.parts[p].r
+			if r.status[locs[p]] != status {
+				r.status[locs[p]] = status
+				r.persistStatusDrained(locs[p], statusByte(status))
+			}
+		}
+		switch status {
+		case txCommitted:
+			pe.gmet.Commits++
+		case txAbandoned:
+			pe.gmet.GaveUp++
+		}
+	}
+
+	// Settle cross-partition transactions recovered active: their
+	// session died with the process and globals are not restored parked
+	// (see PartitionedEngine.Resume), so erase their events engine-wide — cascades
+	// and all — and abandon them. The original set is snapshotted apart
+	// from the (growable) victims map: an un-committed cascade victim is
+	// re-spawned engine-driven and must not be abandoned here.
+	var orig []int
+	unsettled := map[int]bool{}
+	for g := 0; g <= maxG; g++ {
+		if pe.home[g] == -1 && len(pe.locs[g]) == pe.n && pe.gstatus[g] == txActive {
+			orig = append(orig, g)
+			unsettled[g] = true
+		}
+	}
+	if len(unsettled) > 0 {
+		pe.eraseAllDrained(unsettled)
+		for _, g := range orig {
+			// The re-spawn goroutines read the global bookkeeping under
+			// gmu, so from here on the restore takes it too.
+			pe.gmu.Lock()
+			active := pe.fatal == nil && pe.gstatus[g] == txActive
+			if active {
+				pe.gstatus[g] = txAbandoned
+				pe.gmet.GaveUp++
+			}
+			pe.gmu.Unlock()
+			if active {
+				pe.syncMirrorsDrained(g)
+			}
+		}
+	}
+	if f := pe.anyFatalDrained(); f != nil {
+		return fmt.Errorf("runtime: restore: %w", f)
 	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package runtime
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -156,6 +160,76 @@ func TestDurableRestartResume(t *testing.T) {
 			}
 			if info3.Events != wantEvents {
 				t.Fatalf("recovered events = %d, want %d", info3.Events, wantEvents)
+			}
+		})
+	}
+
+	// Hand-written one-partition histories, crashed with C1 committed
+	// (row 0) and P1 one step into its attempt (row 1).
+	for _, h := range []struct {
+		name    string
+		g       [2]int // engine-wide ids of rows 0 and 1
+		mirror  bool   // row 1 claims to be a mirror
+		corrupt bool
+	}{
+		// What the standalone engine of earlier versions wrote: the
+		// directory itself, every G equal to its row.
+		{name: "written-by-standalone-engine", g: [2]int{0, 1}},
+		// Two concurrent opens may take ids and rows in different orders.
+		{name: "rows-out-of-id-order", g: [2]int{1, 0}},
+		// One partition has nothing to mirror.
+		{name: "mirror-row", g: [2]int{0, 1}, mirror: true, corrupt: true},
+	} {
+		t.Run(h.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c1, p1 := rwTxn("C1", e0), rwTxn("P1", e1)
+			st, _, err := recovery.Open(dir, recovery.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := model.Schedule{{T: 0, S: c1.Steps[0]}, {T: 0, S: c1.Steps[1]}, {T: 0, S: c1.Steps[2]}, {T: 1, S: p1.Steps[0]}}
+			for _, err := range []error{
+				st.AppendOpen(recovery.OpenRec{G: h.g[0], Name: c1.Name, Steps: c1.Steps, Token: 11}),
+				st.AppendOpen(recovery.OpenRec{G: h.g[1], Mirror: h.mirror, Name: p1.Name, Steps: p1.Steps, Token: 13}),
+				st.AppendEvents(evs, []uint64{0, 1, 2, 3}),
+				st.AppendStatus(0, recovery.StatusCommitted),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng, info, err := NewDurableSessionEngine(model.NewState(e0, e1), Config{Policy: policy.TwoPhase{}, DataDir: dir, Partitions: 1})
+			if h.corrupt {
+				if !errors.Is(err, recovery.ErrCorrupt) {
+					t.Fatalf("restore = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Commits != 1 || info.Sessions != 1 || info.Events != c1.Len() {
+				t.Fatalf("restore = %+v, want 1 commit, 1 parked session, %d events", info, c1.Len())
+			}
+			if _, err := eng.Resume(h.g[0], 11); !errors.Is(err, ErrSessionDone) {
+				t.Fatalf("resume of committed session = %v, want ErrSessionDone", err)
+			}
+			rs, err := eng.Resume(h.g[1], 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.SID() != h.g[1] || rs.Declared().Name != p1.Name {
+				t.Fatalf("resumed sid %d body %q, want %d %q", rs.SID(), rs.Declared().Name, h.g[1], p1.Name)
+			}
+			if err := rs.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.Commits != 2 {
+				t.Fatalf("commits after resume = %d, want 2", res.Metrics.Commits)
 			}
 		})
 	}
@@ -366,6 +440,101 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 					}
 					return p
 				})
+			}
+		})
+	}
+}
+
+// dirListing renders every file under dir with its size and content
+// hash, to assert a refused start left the directory untouched.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			fmt.Fprintln(&b, path)
+			return err
+		}
+		data, err := os.ReadFile(path)
+		fmt.Fprintf(&b, "%s %d %x\n", path, len(data), sha256.Sum256(data))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestDataDirPartitionMismatch: a data directory is served only by the
+// partition count that wrote it. Any other count is refused by name,
+// before anything is written — not answered with an empty or re-homed
+// database. A directory that never logged an open belongs to no count.
+func TestDataDirPartitionMismatch(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	init := model.NewState(e0, e1)
+	for _, tc := range []struct {
+		from, to int
+		empty    bool   // the first life opens no session
+		remove   string // deleted between the two lives
+		refusal  string // "" = restored
+	}{
+		{from: 1, to: 1},
+		{from: 2, to: 2},
+		{from: 1, to: 2, refusal: "holds a 1-partition history and cannot be opened with 2"},
+		{from: 2, to: 1, refusal: "holds a 2-partition history and cannot be opened with 1"},
+		{from: 2, to: 4, refusal: "holds a 2-partition history and cannot be opened with 4"},
+		{from: 4, to: 2, refusal: "holds a 4-partition history and cannot be opened with 2"},
+		{from: 2, to: 2, remove: "p0", refusal: "holds a 2-partition history, but some partition directories are missing"},
+		{from: 1, to: 2, empty: true},
+		{from: 2, to: 1, empty: true},
+	} {
+		t.Run(fmt.Sprintf("%d-to-%d/empty=%v/remove=%s", tc.from, tc.to, tc.empty, tc.remove), func(t *testing.T) {
+			cfg := Config{Policy: policy.TwoPhase{}, DataDir: t.TempDir(), Partitions: tc.from}
+			eng, _, err := NewDurableSessionEngine(init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commits := 0
+			if !tc.empty {
+				for _, e := range []model.Entity{e0, e1} {
+					s, err := eng.OpenSession(rwTxn("T", e))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					commits++
+				}
+			}
+			if _, err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.remove != "" {
+				if err := os.RemoveAll(filepath.Join(cfg.DataDir, tc.remove)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirListing(t, cfg.DataDir)
+			cfg.Partitions = tc.to
+			eng, info, err := NewDurableSessionEngine(init, cfg)
+			if tc.refusal != "" {
+				if !errors.Is(err, ErrLayout) || !strings.Contains(err.Error(), tc.refusal) {
+					t.Fatalf("restore = %v, want ErrLayout saying %q", err, tc.refusal)
+				}
+				if after := dirListing(t, cfg.DataDir); after != before {
+					t.Fatalf("a refused start changed the directory:\n--- before ---\n%s--- after ---\n%s", before, after)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Commits != commits {
+				t.Fatalf("restored %d commits, want %d", info.Commits, commits)
+			}
+			if _, err := eng.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

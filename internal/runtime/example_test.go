@@ -46,9 +46,9 @@ func ExampleRun() {
 // and returns the final metrics — the batch Run semantics, paced by the
 // client instead of the engine.
 func ExampleEngine() {
-	eng := runtime.NewEngine(model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
+	eng := runtime.NewSessionEngine(model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
 	tx := model.NewTxn("T1", model.LX("a"), model.W("a"), model.UX("a"))
-	s, err := eng.Open(tx)
+	s, err := eng.OpenSession(tx)
 	if err != nil {
 		fmt.Println("open failed:", err)
 		return

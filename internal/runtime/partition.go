@@ -13,15 +13,17 @@ import (
 	"locksafe/internal/recovery"
 )
 
-// This file is the partitioned session engine: N entity-hash partitions
+// This file is the session engine: n ≥ 1 entity-hash partitions
 // (model.PartitionOf), each a full Engine with its own admission gate,
-// sequencer and recovery core. A session whose declared body — steps
-// plus their footprints — touches entities of a single partition is
-// opened, stepped, committed, reaped and recovered entirely by that
-// partition, with zero cross-partition coordination; its gate drains,
-// checkpoints and compactions involve one partition's stripes only. A
-// session with a global footprint (DTR, altruistic donation,
-// INSERT/DELETE) or a body spanning partitions runs through the
+// sequencer and recovery core. With n = 1 every body is local to the
+// one partition and nothing below the word "global" ever runs. A
+// session whose declared body — steps plus their footprints — touches
+// entities of a single partition is opened, stepped, committed, reaped
+// and recovered entirely by that partition, with zero cross-partition
+// coordination; its gate drains, checkpoints and compactions involve
+// one partition's stripes only. With n > 1, a session with a global
+// footprint (DTR, altruistic donation, INSERT/DELETE) or a body spanning
+// partitions runs through the
 // *cross-partition drain*: every partition is quiesced (the distributed
 // analogue of the stripe drain), the event is evaluated under the
 // combined view — the AND of every partition's monitor verdict — and
@@ -54,13 +56,12 @@ import (
 // invariant.
 
 // Sess is a client-paced session of a SessionEngine. There is one
-// implementation, whichever engine opened it and wherever it runs.
+// implementation, wherever it runs.
 type Sess = *Session
 
-// SessionEngine is the session-serving surface shared by Engine and
-// PartitionedEngine; the network server (internal/server) is written
-// against it, which is what makes partitioning transparent to the wire
-// protocol.
+// SessionEngine is the session-serving surface of PartitionedEngine; the
+// network server (internal/server) is written against it, which is what
+// makes partitioning transparent to the wire protocol.
 type SessionEngine interface {
 	// OpenSession opens a declared transaction and returns its session.
 	OpenSession(tx model.Txn) (Sess, error)
@@ -82,18 +83,14 @@ type SessionEngine interface {
 	Close() (*Result, error)
 }
 
-// OpenSession adapts Open to the SessionEngine interface.
-func (e *Engine) OpenSession(tx model.Txn) (Sess, error) { return e.Open(tx) }
-
-// NewSessionEngine returns the session engine selected by
-// cfg.Partitions: the plain single Engine for 0 or 1 (byte-identical to
-// NewEngine — partitioning adds no code to that path), the partitioned
-// engine otherwise.
+// NewSessionEngine returns a running memory-only session engine of
+// max(1, cfg.Partitions) partitions over the given initial structural
+// state (nil means the empty database; it is replicated into every
+// partition). It is NewDurableSessionEngine without a DataDir.
 func NewSessionEngine(init model.State, cfg Config) SessionEngine {
-	if cfg.withDefaults().Partitions <= 1 {
-		return NewEngine(init, cfg)
-	}
-	return NewPartitionedEngine(init, cfg)
+	cfg.DataDir = ""
+	e, _, _ := NewDurableSessionEngine(init, cfg) // cannot fail: nothing is restored
+	return e
 }
 
 // PartitionedEngine is the entity-partitioned session engine. See the
@@ -151,42 +148,32 @@ type PartitionedEngine struct {
 	fatal     error
 }
 
-// NewPartitionedEngine returns a running partitioned engine with
-// cfg.Partitions entity-hash partitions over the given initial
-// structural state (replicated into every partition). Most callers want
-// NewSessionEngine, which falls back to the plain Engine for a single
-// partition.
-func NewPartitionedEngine(init model.State, cfg Config) *PartitionedEngine {
-	pe := newPartitionedCore(init, cfg)
-	pe.startReaper()
-	return pe
-}
-
-// newPartitionedCore builds the partitioned engine without starting any
-// background reaper (its own or the partitions'), so the durable
-// constructor can restore the persisted history before any concurrent
-// machinery runs.
+// newPartitionedCore builds the engine without starting any background
+// reaper (its own or the partitions'), so a restore can rebuild the
+// persisted history before any concurrent machinery runs.
 func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
-	cfg = cfg.withDefaults()
+	dcfg := cfg.withDefaults()
 	pe := &PartitionedEngine{
-		n:       cfg.Partitions,
-		cfg:     cfg,
-		mgr:     lockmgr.NewSharded(cfg.Shards),
+		n:       dcfg.Partitions,
+		cfg:     dcfg,
+		mgr:     lockmgr.NewSharded(dcfg.Shards),
 		init:    init.Clone(),
 		start:   time.Now(),
 		fullSys: model.NewSystem(init.Clone()),
 	}
-	pe.fpMon = cfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
+	pe.fpMon = dcfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
 	sh := &sharedParts{mgr: pe.mgr, tags: &pe.tags}
 	if cfg.MPL > 0 {
 		sh.sem = make(chan struct{}, cfg.MPL)
 	}
 	pe.sessHost.init(pe, cfg, sh.sem)
-	pcfg := cfg
-	pcfg.MPL = 0 // the shared semaphore is injected, not re-created
+	// The partitions get the caller's configuration, not dcfg:
+	// withDefaults maps the sentinels (MaxRetries: -1 → 0) and a second
+	// pass would read the result as "unset" (0 → 40).
+	cfg.MPL = 0 // the shared semaphore is injected, not re-created
 	pe.parts = make([]*Engine, pe.n)
 	for p := range pe.parts {
-		pe.parts[p] = newEngineCore(init, pcfg, sh)
+		pe.parts[p] = newEngineCore(init, cfg, sh)
 	}
 	return pe
 }

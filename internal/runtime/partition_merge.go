@@ -141,9 +141,9 @@ func (pe *PartitionedEngine) sysSnapshotLocked() *model.System {
 // key of a full-system monitor replayed over the merged log (the
 // partitioned analogue of "the live monitor equals a replay of the
 // log"), and the merged log's serializability verdict. O(log); a
-// debugging and verification facility, as on Engine. With TruncateLog
-// the merged log is a suffix and the replayed monitor key is not
-// meaningful; it is reported as "(truncated)".
+// debugging and verification facility, not a metrics poll (use Stats for
+// that). With TruncateLog the merged log is a suffix and the replayed
+// monitor key is not meaningful; it is reported as "(truncated)".
 func (pe *PartitionedEngine) Inspect() Inspection {
 	pe.drainAll()
 	merged := pe.mergedDrained()

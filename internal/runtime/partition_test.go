@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,23 +9,6 @@ import (
 	"locksafe/internal/policy"
 	"locksafe/internal/workload"
 )
-
-// TestNewSessionEngineSinglePartition pins the "partitions=1 is the
-// existing engine exactly" guarantee: the partitioned construction adds
-// no code to the single-partition path.
-func TestNewSessionEngineSinglePartition(t *testing.T) {
-	for _, p := range []int{0, 1} {
-		cfg := Config{Policy: policy.TwoPhase{}, Partitions: p}
-		se := NewSessionEngine(model.NewState("a"), cfg)
-		if _, ok := se.(*Engine); !ok {
-			t.Fatalf("Partitions=%d: NewSessionEngine returned %T, want *Engine", p, se)
-		}
-	}
-	se := NewSessionEngine(model.NewState("a"), Config{Policy: policy.TwoPhase{}, Partitions: 2})
-	if _, ok := se.(*PartitionedEngine); !ok {
-		t.Fatalf("Partitions=2: NewSessionEngine returned %T, want *PartitionedEngine", se)
-	}
-}
 
 // TestPartitionOfStable pins the entity hash: routing is a pure
 // function of the entity name and the partition count, so a session's
@@ -47,51 +29,6 @@ func TestPartitionOfStable(t *testing.T) {
 			}
 		}
 	}
-}
-
-// drivePartitioned replays a trace through a partitioned session
-// engine, one OpenSession per transaction, single-threaded — the Sess
-// analogue of driveSessions, dropping a session on abort exactly as
-// ReplayTrace drops a transaction.
-func drivePartitioned(sys *model.System, sched model.Schedule, cfg Config, commit bool) (string, error) {
-	e := NewSessionEngine(sys.Init, cfg)
-	sess := make([]Sess, len(sys.Txns))
-	for i, tx := range sys.Txns {
-		s, err := e.OpenSession(tx)
-		if err != nil {
-			return "", err
-		}
-		sess[i] = s
-	}
-	dropped := make([]bool, len(sys.Txns))
-	fed := make([]int, len(sys.Txns))
-	for _, ev := range sched {
-		tn := int(ev.T)
-		if dropped[tn] {
-			continue
-		}
-		if err := sess[tn].Step(ev.S); err != nil {
-			if errors.Is(err, ErrAborted) || errors.Is(err, ErrAbandoned) {
-				dropped[tn] = true
-				continue
-			}
-			return "", err
-		}
-		fed[tn]++
-		if commit && fed[tn] == sys.Txns[tn].Len() {
-			if err := sess[tn].Commit(); err != nil {
-				return "", err
-			}
-		}
-	}
-	ins := e.Inspect()
-	return (&TraceResult{
-		Log:          ins.Log,
-		State:        ins.State,
-		MonitorKey:   ins.MonitorKey,
-		Serializable: ins.Serializable,
-		Metrics:      ins.Metrics,
-	}).Digest(), nil
 }
 
 // TestPartitionEquivalenceRandomTraces is the pinning property test for
@@ -140,7 +77,7 @@ func TestPartitionEquivalenceRandomTraces(t *testing.T) {
 			want := ref.Digest()
 			for _, parts := range []int{1, 2, 8} {
 				cfg := Config{Policy: arm.pol, GateStripes: 8, CheckpointEvery: 3, Partitions: parts}
-				got, err := drivePartitioned(sys, sched, cfg, arm.commit)
+				got, err := driveSessions(sys, sched, cfg, arm.commit)
 				if err != nil {
 					t.Fatalf("%s seed %d partitions %d: %v", arm.name, seed, parts, err)
 				}

@@ -51,24 +51,26 @@
 // cascade, so compaction restarts from the earliest invalidated
 // checkpoint and converges.
 //
-// Sessions ride the same machinery: Engine.Open appends the declared
-// transaction to the system under a full gate drain (growing the
-// monitors and the recovery core via their Grow methods), Session.Step
-// goes through exactly the batch loop's lock-acquisition and admission
-// paths, and a committed session un-committed by a cascade is re-run by
-// the engine itself from its declared body. DESIGN.md's "Service layer"
-// section gives the argument that this preserves the gate-equivalence
-// invariants; TestSessionGateEquivalence pins it end to end.
+// Sessions ride the same machinery: opening one appends the declared
+// transaction to its partition's system under a full gate drain (growing
+// the monitors and the recovery core via their Grow methods),
+// Session.Step goes through exactly the batch loop's lock-acquisition
+// and admission paths, and a committed session un-committed by a cascade
+// is re-run by the engine itself from its declared body. DESIGN.md's
+// "Service layer" section gives the argument that this preserves the
+// gate-equivalence invariants; TestSessionGateEquivalence pins it end to
+// end.
 //
-// With Config.Partitions > 1, NewSessionEngine returns a
-// PartitionedEngine instead: N entity-hash partitions, each a complete
-// engine (own striped gate, sequencer, recovery core), sharing only the
-// lock manager. Sessions whose declared bodies are partition-local run
+// There is one session engine, PartitionedEngine (NewSessionEngine,
+// NewDurableSessionEngine): max(1, Config.Partitions) entity-hash
+// partitions, each a complete Engine (own striped gate, sequencer,
+// recovery core), sharing only the lock manager. Sessions whose declared
+// bodies are partition-local — with one partition, all of them — run
 // entirely on their home partition; bodies spanning partitions and
 // global-footprint events go through a cross-partition drain that
 // quiesces every partition — see partition.go and DESIGN.md
 // ("Partitioned engines"). TestPartitionEquivalenceRandomTraces pins
-// 1-, 2- and 8-partition digests identical to the single engine's.
+// 1-, 2- and 8-partition digests identical to the batch reference's.
 package runtime
 
 import (
@@ -149,24 +151,25 @@ type Config struct {
 	// Clock overrides the time source used for lease accounting (nil
 	// means time.Now). With a non-nil Clock the engine starts no
 	// background reaper: the test or embedding server advances the clock
-	// and calls Engine.Reap itself, which makes lease expiry fully
+	// and calls the engine's Reap itself, which makes lease expiry fully
 	// deterministic.
 	Clock func() time.Time
-	// Partitions selects the entity-partitioned session engine
+	// Partitions is the session engine's partition count
 	// (NewSessionEngine): the entity space is hashed into this many
 	// partitions, each a full Engine with its own gate, sequencer and
 	// recovery core; sessions whose declared body stays inside one
 	// partition run there with zero cross-partition coordination, and
-	// the rest go through the cross-partition drain. 0 or 1 means the
-	// plain single Engine. Batch Run and NewEngine ignore the field.
+	// the rest go through the cross-partition drain. 0 means 1: one
+	// partition of the same engine, on which every body is local. Batch
+	// Run ignores the field.
 	Partitions int
-	// DataDir enables durability: the engine's recovery core writes an
-	// append-only WAL (plus checkpoint snapshots) under this directory,
-	// and NewDurableEngine/NewDurableSessionEngine restore the committed
-	// schedule from it on start. Empty means memory-only — the durable
-	// constructors then behave byte-identically to the plain ones. With
-	// Partitions > 1 each partition persists into DataDir/p<i>. Batch
-	// Run and the non-durable constructors ignore the field.
+	// DataDir enables durability: each partition's recovery core writes
+	// an append-only WAL (plus checkpoint snapshots) under this
+	// directory, and NewDurableSessionEngine restores the committed
+	// schedule from it on start. Empty means memory-only. One partition
+	// persists into DataDir itself, n > 1 into DataDir/p<i>; a directory
+	// written with a different partition count is refused (ErrLayout).
+	// Batch Run and NewSessionEngine ignore the field.
 	DataDir string
 	// Fsync syncs the WAL after every append batch. Required for the
 	// "commit acked implies commit recovered" guarantee; without it a
@@ -287,10 +290,10 @@ const (
 // bounded neighborhood.
 const maxStripeBuf = 8
 
-// lockSpace is a runner's view of its lock manager. Standalone runners
-// (batch Run, a plain Engine) own their manager and address it by local
-// transaction index. The engines of a PartitionedEngine instead *share*
-// one manager — cross-partition deadlock cycles threading a global
+// lockSpace is a runner's view of its lock manager. A standalone runner
+// (batch Run) owns its manager and addresses it by local transaction
+// index. The partitions of a PartitionedEngine instead *share* one
+// manager — cross-partition deadlock cycles threading a global
 // transaction through two partitions' locals are only visible to a
 // detector that sees every edge — and translate their local transaction
 // indices to engine-wide owner ids through glob. The mapping is
@@ -385,7 +388,7 @@ type runner struct {
 	// (status, gen, attempts, abortCause) are read under any stripe set
 	// covering that transaction and written only under a full drain;
 	// everything else — the recovery core, the aggregate metrics, fatal,
-	// the transaction list itself (grown by Engine.Open via sys.Add) —
+	// the transaction list itself (grown by Engine.open via sys.Add) —
 	// is touched only under a full drain. fatal is additionally *read*
 	// on the fast path, which is safe because its writers hold every
 	// stripe including the reader's.
@@ -555,7 +558,7 @@ func (r *runner) attempt(t int) (bool, time.Duration) {
 		return false, 0
 	}
 	gen := r.gen[t]
-	// The transaction list is grown by Engine.Open under a full drain,
+	// The transaction list is grown by Engine.open under a full drain,
 	// so the declared body must be read under a stripe.
 	tx := r.sys.Txns[t]
 	r.gate.unlockSet(tset)

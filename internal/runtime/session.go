@@ -12,16 +12,18 @@ import (
 	"locksafe/internal/recovery"
 )
 
-// This file is the session layer over the striped runtime: a long-lived
-// Engine whose transaction population is not known up front. Clients
-// open a Session by declaring the transaction's full step sequence (the
-// paper's policies are properties of declared transaction bodies: the
-// altruistic locked point and the DTR tree-locking check need the whole
-// text, and cascade recovery must be able to re-run a committed
-// transaction without its client), then drive the declared steps one at
-// a time through exactly the same lock-manager and gate-admission code
-// paths the batch loop uses. The network service in internal/server is
-// a thin transport over this API.
+// This file is the session layer over the striped runtime: the session
+// lifecycle (sessHost, Session) and Engine, one partition of the
+// long-lived session engine, whose transaction population is not known
+// up front. Clients open a Session by declaring the transaction's full
+// step sequence (the paper's policies are properties of declared
+// transaction bodies: the altruistic locked point and the DTR
+// tree-locking check need the whole text, and cascade recovery must be
+// able to re-run a committed transaction without its client), then drive
+// the declared steps one at a time through exactly the same lock-manager
+// and gate-admission code paths the batch loop uses. The engine clients
+// see is PartitionedEngine (partition.go); the network service in
+// internal/server is a thin transport over its SessionEngine surface.
 
 // Sentinel errors of the session API. Step, Commit and Abort wrap them
 // with cause detail; test with errors.Is.
@@ -61,12 +63,11 @@ var (
 
 // sessBackend is what the session lifecycle needs from the machinery
 // that executes a transaction row. There are two: one partition's runner
-// (the sessions of a plain Engine and the partition-local sessions of a
-// PartitionedEngine), which works under that partition's gate drain, and
-// the PartitionedEngine itself (its cross-partition sessions), which
-// works under the drain of every partition. Three operations — read a
-// row's state, advance it, tear its attempt down — plus the retry delay
-// Run sleeps between attempts.
+// (the partition-local sessions of a PartitionedEngine), which works
+// under that partition's gate drain, and the PartitionedEngine itself
+// (its cross-partition sessions), which works under the drain of every
+// partition. Three operations — read a row's state, advance it, tear its
+// attempt down — plus the retry delay Run sleeps between attempts.
 type sessBackend interface {
 	// readTxnState snapshots t's generation, status, abort cause and the
 	// engine's fatal error.
@@ -177,17 +178,17 @@ type sessState struct {
 	parks atomic.Int64
 }
 
-// Session is one client-paced transaction of an Engine or a
-// PartitionedEngine (where it runs on its home partition, or through the
-// cross-partition drain if its body spans partitions — the client cannot
-// tell). A Session is not safe for concurrent use: each session serves
-// one client, and its methods must not overlap (the network server
-// serializes a session's requests through one worker goroutine). Cancel
-// and Interrupt are the exceptions.
+// Session is one client-paced transaction of a PartitionedEngine: it runs
+// on its home partition, or through the cross-partition drain if its
+// body spans partitions — the client cannot tell. A Session is not safe
+// for concurrent use: each session serves one client, and its methods
+// must not overlap (the network server serializes a session's requests
+// through one worker goroutine). Cancel and Interrupt are the
+// exceptions.
 type Session struct {
 	h    *sessHost
 	t    int // row index in the backend
-	sid  int // engine-wide session id (equals t except on a partition of a PartitionedEngine)
+	sid  int // engine-wide session id (the row index only on the cross-partition host)
 	tx   model.Txn
 	gen  int // generation of the current attempt, from the client's view
 	pos  int // declared steps admitted in the current attempt
@@ -309,9 +310,6 @@ func (h *sessHost) AwaitDetached(ctx context.Context) {
 	case <-ctx.Done():
 	}
 }
-
-// TID returns the session's transaction index in its engine's system.
-func (s *Session) TID() int { return s.t }
 
 // SID returns the engine-wide session id, the identity a client quotes
 // to Resume after a connection loss.
@@ -734,17 +732,18 @@ func (h *sessHost) shutdown() bool {
 	return true
 }
 
-// Engine is a long-lived transaction runtime: the same sharded lock
+// Engine is one partition of a PartitionedEngine: the same sharded lock
 // manager, footprint-striped admission gate and checkpointed recovery
-// core as the batch Run, but with an open-ended session population.
-// Open appends a declared transaction to the system (growing the
-// monitors and the recovery core under a full gate drain) and returns a
-// Session the client paces; abort/retry generations, cascading aborts
-// and committed-transaction re-spawn work exactly as in batch mode —
-// a re-spawned transaction is driven by the engine itself from its
-// declared body.
+// core as the batch Run, but with an open-ended session population, and
+// a session host for the sessions whose bodies stay inside the
+// partition. open appends a declared transaction to the partition's
+// system (growing the monitors and the recovery core under a full gate
+// drain) and returns a Session the client paces; abort/retry
+// generations, cascading aborts and committed-transaction re-spawn work
+// exactly as in batch mode — a re-spawned transaction is driven by the
+// engine itself from its declared body.
 //
-// With Config.Lease > 0 the engine enforces session leases: a session
+// With Config.Lease > 0 the host enforces session leases: a session
 // idle between requests for longer than the lease is aborted and
 // abandoned, its locks released, so an abandoned client cannot wedge
 // the rest of the system. With Config.Clock nil a background reaper
@@ -756,26 +755,12 @@ type Engine struct {
 	// start anchors Metrics.Elapsed (always wall clock, even with an
 	// injected lease Clock).
 	start time.Time
-	// maxTID is one past the highest transaction index ever issued, so
-	// Resume can tell an unknown sid from a finished one without a drain.
-	maxTID atomic.Int64
 }
 
-// NewEngine returns a running engine over the given initial structural
-// state (nil means the empty database). The configuration is the batch
-// Config; MPL bounds concurrently open sessions (Open blocks until a
-// slot frees), and Lease/Clock control session leases.
-func NewEngine(init model.State, cfg Config) *Engine {
-	e := newEngineCore(init, cfg, nil)
-	e.startReaper()
-	return e
-}
-
-// newEngineCore builds the engine without starting the background
-// reaper, so the durable constructor can restore the persisted history
-// before any concurrent machinery runs. sh is the partitioned engine's
-// shared wiring (lock manager, tag source, MPL semaphore); nil means
-// standalone.
+// newEngineCore builds one partition without starting its background
+// reaper, so a restore can rebuild the persisted history before any
+// concurrent machinery runs. sh is the PartitionedEngine's shared wiring
+// (lock manager, tag source, MPL semaphore).
 func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
 	e := &Engine{
 		r:     newRunnerShared(model.NewSystem(init.Clone()), cfg, sh),
@@ -785,26 +770,11 @@ func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
 	return e
 }
 
-// Open appends the declared transaction to the engine's system and
-// returns a session for it. The full step sequence must be declared up
-// front: the policies need the body (locked points, tree-locking), and
-// cascade recovery re-runs committed transactions from it. The body
-// must be well-formed and lock each entity at most once — malformed
-// bodies are rejected here so a misbehaving client cannot trip the
-// runtime's internal-invariant failures. With Config.MPL set, Open
-// blocks until a session slot is free.
-func (e *Engine) Open(tx model.Txn) (*Session, error) {
-	if err := checkDeclared(tx); err != nil {
-		return nil, err
-	}
-	return e.open(tx, -1)
-}
-
-// open is Open after body validation. owner >= 0 is the engine-wide
-// lock-manager owner id a PartitionedEngine assigns to a session it
-// routes here (the engine's lockSpace is in translation mode); owner < 0
-// means standalone (identity) ownership.
-func (e *Engine) open(tx model.Txn, owner int) (*Session, error) {
+// open appends the declared (and already validated) transaction to the
+// partition's system under the engine-wide id g — its session id and its
+// lock-manager owner — and returns a session for it. With Config.MPL
+// set, open blocks until a session slot is free.
+func (e *Engine) open(tx model.Txn, g int) (*Session, error) {
 	if err := e.acquireSlot(); err != nil {
 		return nil, err
 	}
@@ -816,19 +786,15 @@ func (e *Engine) open(tx model.Txn, owner int) (*Session, error) {
 	}
 	r := e.r
 	st := e.newSessState()
-	var t, sid int
+	var t int
 	r.gate.drain()
 	r.flushPending()
 	if r.fatal == nil {
-		t = r.addTxnDrained(tx, owner, false)
-		sid = t
-		if owner >= 0 {
-			sid = owner
-		}
+		t = r.addTxnDrained(tx, g, false)
 		// The declaration is durable before the open is acknowledged, so a
 		// restore can rebuild the transaction population (and its resume
 		// credentials) from the WAL alone.
-		r.persistOpenDrained(recovery.OpenRec{G: sid, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
+		r.persistOpenDrained(recovery.OpenRec{G: g, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
 	}
 	fatal := r.fatal
 	r.gate.undrain()
@@ -836,26 +802,15 @@ func (e *Engine) open(tx model.Txn, owner int) (*Session, error) {
 		e.freeSlot()
 		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
 	}
-	s := e.adopt(t, sid, tx, st, 0, true)
-	e.maxTID.Store(int64(t) + 1)
-	return s, nil
-}
-
-// Resume reattaches a parked session by id and token (see
-// sessHost.resume for the contract).
-func (e *Engine) Resume(sid int, token uint64) (Sess, error) {
-	if sid < 0 || int64(sid) >= e.maxTID.Load() {
-		return nil, ErrUnknownSession
-	}
-	return e.resume(sid, token)
+	return e.adopt(t, g, tx, st, 0, true), nil
 }
 
 // addTxnDrained appends one transaction row to the runner: the system,
 // the recovery core, the footprint monitor and every per-transaction
 // bookkeeping slice grow in lockstep, and the lock-owner mapping learns
-// the row's engine-wide owner id (no-op for standalone engines). mirror
-// marks a row registered on behalf of a cross-partition transaction.
-// Called with a full drain held, sequencer flushed.
+// the row's engine-wide owner id. mirror marks a row registered on
+// behalf of a cross-partition transaction. Called with a full drain
+// held, sequencer flushed.
 func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
 	t := int(r.sys.Add(tx))
 	r.rec.Grow(len(r.sys.Txns))
@@ -911,22 +866,6 @@ func (r *runner) teardown(t int, cause error, park, lease bool, admit func() boo
 	return true, fatal
 }
 
-// Stats returns a consistent snapshot of the engine's metrics (cheap:
-// no serializability check). Elapsed is the wall-clock time since
-// NewEngine.
-func (e *Engine) Stats() Metrics {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	m := r.met
-	m.Events = r.rec.Len() + r.rec.Stats().Truncated
-	m.Replayed = r.rec.Stats().Replayed
-	r.gate.undrain()
-	m.Wait = time.Duration(r.waitNs.Load())
-	m.Elapsed = time.Since(e.start)
-	return m
-}
-
 // Inspection is a diagnostic snapshot of the engine's world state, in
 // the digest vocabulary of the equivalence tests: the surviving log,
 // the structural state, the policy monitor's memoization key and the
@@ -938,31 +877,6 @@ type Inspection struct {
 	Serializable bool
 	OpenSessions int
 	Metrics      Metrics
-}
-
-// Inspect returns a diagnostic snapshot. It drains the gate and builds
-// the serializability graph of the whole surviving log — O(log) work —
-// so it is a debugging and verification facility, not a metrics poll
-// (use Stats for that).
-func (e *Engine) Inspect() Inspection {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	ins := Inspection{
-		Log:          r.rec.Events().String(),
-		State:        fmt.Sprintf("%v", r.rec.State()),
-		MonitorKey:   r.rec.Monitor().Key(),
-		Serializable: r.rec.Events().Serializable(r.sys),
-	}
-	m := r.met
-	m.Events = r.rec.Len() + r.rec.Stats().Truncated
-	m.Replayed = r.rec.Stats().Replayed
-	ins.Metrics = m
-	r.gate.undrain()
-	ins.Metrics.Wait = time.Duration(r.waitNs.Load())
-	ins.Metrics.Elapsed = time.Since(e.start)
-	ins.OpenSessions = e.OpenSessions()
-	return ins
 }
 
 // Close shuts the engine down: new sessions and session operations are

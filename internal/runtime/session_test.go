@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -42,9 +43,11 @@ func (s *Session) stepAll() error {
 	return nil
 }
 
-// sessionKind is one of the three ways a session runs; the session
-// contract tests range over all of them, because the contract is the
-// same code whichever backend executes the row.
+// sessionKind is one of the three ways a session runs — on the one
+// partition of a one-partition engine, on its home partition of two, or
+// across both; the session contract tests range over all of them,
+// because the contract is the same code whichever backend executes the
+// row.
 type sessionKind struct {
 	name  string
 	parts int
@@ -80,21 +83,21 @@ func (k sessionKind) open(t *testing.T, eng SessionEngine, body model.Txn) *Sess
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe, ok := eng.(*PartitionedEngine); ok && (s.h == &pe.sessHost) != k.cross {
+	if pe := eng.(*PartitionedEngine); (s.h == &pe.sessHost) != k.cross {
 		t.Fatalf("%s session routed to the wrong backend", k.name)
 	}
 	return s
 }
 
 func TestSessionBasicCommit(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, GateStripes: 4})
+	e := NewSessionEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, GateStripes: 4})
 	txA := model.Txn{Name: "A", Steps: []model.Step{model.LX("a"), model.W("a"), model.LX("b"), model.W("b"), model.UX("a"), model.UX("b")}}
 	txB := model.Txn{Name: "B", Steps: []model.Step{model.LX("a"), model.R("a"), model.UX("a")}}
-	sa, err := e.Open(txA)
+	sa, err := e.OpenSession(txA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := e.Open(txB)
+	sb, err := e.OpenSession(txB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,20 +122,20 @@ func TestSessionBasicCommit(t *testing.T) {
 }
 
 func TestSessionOpenRejectsMalformed(t *testing.T) {
-	e := NewEngine(model.NewState("a"), Config{})
+	e := NewSessionEngine(model.NewState("a"), Config{})
 	// Unlock of a lock that is not held.
-	if _, err := e.Open(model.Txn{Steps: []model.Step{model.UX("a")}}); err == nil {
+	if _, err := e.OpenSession(model.Txn{Steps: []model.Step{model.UX("a")}}); err == nil {
 		t.Fatal("malformed body accepted")
 	}
 	// Entity locked twice.
 	twice := model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a"), model.LX("a"), model.UX("a")}}
-	if _, err := e.Open(twice); err == nil {
+	if _, err := e.OpenSession(twice); err == nil {
 		t.Fatal("lock-twice body accepted")
 	}
 	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Open(model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a")}}); !errors.Is(err, ErrClosed) {
+	if _, err := e.OpenSession(model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a")}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Open after Close = %v, want ErrClosed", err)
 	}
 }
@@ -211,35 +214,58 @@ func TestSessionCancelWakesParkedStep(t *testing.T) {
 // TestSessionPolicyAbortAndRetry pins the abort/retry contract: a
 // non-two-phase body is vetoed under 2PL at its post-unlock lock, the
 // whole attempt is erased, and the client's retry fails the same way
-// until the budget runs out.
+// until the budget runs out. The budget is the caller's on every
+// backend: with the MaxRetries sentinel (-1: no retries) the first abort
+// abandons, also on a partition of a multi-partition engine — whose
+// constructor once defaulted the configuration twice (-1 → 0 → 40).
 func TestSessionPolicyAbortAndRetry(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, MaxRetries: 2, Backoff: -1})
-	bad := model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a"), model.LX("b"), model.UX("b")}}
-	s, err := e.Open(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aborts := 0
-	for {
-		err := s.stepAll()
-		if errors.Is(err, ErrAborted) {
-			aborts++
-			continue
+	// Two entities of one partition, so the body is partition-local.
+	var ents []model.Entity
+	for c := byte('a'); len(ents) < 2; c++ {
+		if e := model.Entity([]byte{c}); model.PartitionOf(e, 2) == 0 {
+			ents = append(ents, e)
 		}
-		if !errors.Is(err, ErrAbandoned) {
-			t.Fatalf("want ErrAbandoned eventually, got %v", err)
-		}
-		break
 	}
-	if aborts != 2 { // MaxRetries=2: attempts 1 and 2 abort, attempt 3 abandons
-		t.Fatalf("aborts=%d, want 2", aborts)
-	}
-	res, err := e.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.PolicyAborts != 3 || res.Metrics.GaveUp != 1 || res.Metrics.Events != 0 {
-		t.Fatalf("pol=%d gaveup=%d events=%d, want 3/1/0", res.Metrics.PolicyAborts, res.Metrics.GaveUp, res.Metrics.Events)
+	a, b := ents[0], ents[1]
+	for _, tc := range []struct{ parts, maxRetries, aborts int }{
+		{parts: 1, maxRetries: 2, aborts: 2}, // attempts 1 and 2 abort, attempt 3 abandons
+		{parts: 2, maxRetries: 2, aborts: 2},
+		{parts: 1, maxRetries: -1, aborts: 0},
+		{parts: 2, maxRetries: -1, aborts: 0},
+	} {
+		t.Run(fmt.Sprintf("partitions=%d/retries=%d", tc.parts, tc.maxRetries), func(t *testing.T) {
+			e := NewSessionEngine(model.NewState(a, b), Config{Policy: policy.TwoPhase{}, Partitions: tc.parts, MaxRetries: tc.maxRetries, Backoff: -1})
+			bad := model.Txn{Steps: []model.Step{model.LX(a), model.UX(a), model.LX(b), model.UX(b)}}
+			s, err := e.OpenSession(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aborts := 0
+			for {
+				err := s.stepAll()
+				if errors.Is(err, ErrAborted) {
+					aborts++
+					continue
+				}
+				if !errors.Is(err, ErrAbandoned) {
+					t.Fatalf("want ErrAbandoned eventually, got %v", err)
+				}
+				break
+			}
+			if aborts != tc.aborts {
+				t.Fatalf("aborts=%d, want %d", aborts, tc.aborts)
+			}
+			if m := e.Stats(); m.GaveUp != 1 {
+				t.Fatalf("Stats().GaveUp=%d, want 1", m.GaveUp)
+			}
+			res, err := e.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Metrics; m.PolicyAborts != tc.aborts+1 || m.GaveUp != 1 || m.Events != 0 {
+				t.Fatalf("pol=%d gaveup=%d events=%d, want %d/1/0", m.PolicyAborts, m.GaveUp, m.Events, tc.aborts+1)
+			}
+		})
 	}
 }
 
@@ -342,14 +368,15 @@ func TestSessionTraceEquivalence(t *testing.T) {
 	}
 }
 
-// driveSessions replays a trace through in-process sessions, one Open
-// per transaction, single-threaded, dropping a session on abort exactly
-// as ReplayTrace drops a transaction.
+// driveSessions replays a trace through in-process sessions of the
+// engine cfg selects, one OpenSession per transaction, single-threaded,
+// dropping a session on abort exactly as ReplayTrace drops a
+// transaction.
 func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit bool) (string, error) {
-	e := NewEngine(sys.Init, cfg)
-	sess := make([]*Session, len(sys.Txns))
+	e := NewSessionEngine(sys.Init, cfg)
+	sess := make([]Sess, len(sys.Txns))
 	for i, tx := range sys.Txns {
-		s, err := e.Open(tx)
+		s, err := e.OpenSession(tx)
 		if err != nil {
 			return "", err
 		}

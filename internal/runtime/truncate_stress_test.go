@@ -19,10 +19,10 @@ import (
 // the retained suffix.
 func TestEngineTruncationBoundsLog(t *testing.T) {
 	init := model.NewState("x")
-	e := NewEngine(init, Config{Policy: policy.TwoPhase{}, TruncateLog: true, CheckpointEvery: 2})
+	pe := NewSessionEngine(init, Config{Policy: policy.TwoPhase{}, TruncateLog: true, CheckpointEvery: 2}).(*PartitionedEngine)
 	const rounds = 200
 	for i := 0; i < rounds; i++ {
-		s, err := e.Open(model.NewTxn("T", model.LX("x"), model.W("x"), model.UX("x")))
+		s, err := pe.OpenSession(model.NewTxn("T", model.LX("x"), model.W("x"), model.UX("x")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,17 +30,17 @@ func TestEngineTruncationBoundsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := e.Stats()
+	m := pe.Stats()
 	if m.Events != 3*rounds {
 		t.Fatalf("Events = %d, want %d (truncation must not lose the count)", m.Events, 3*rounds)
 	}
-	if retained := e.r.rec.Len(); retained >= 3*rounds/2 {
+	if retained := pe.parts[0].r.rec.Len(); retained >= 3*rounds/2 {
 		t.Fatalf("retained log %d events of %d: truncation never fired", retained, 3*rounds)
 	}
-	if tr := e.r.rec.Stats().Truncated; tr == 0 {
+	if tr := pe.parts[0].r.rec.Stats().Truncated; tr == 0 {
 		t.Fatal("Stats().Truncated = 0, want > 0")
 	}
-	res, err := e.Close()
+	res, err := pe.Close()
 	if err != nil {
 		t.Fatalf("Close after truncation: %v", err)
 	}
@@ -54,9 +54,9 @@ func TestEngineTruncationBoundsLog(t *testing.T) {
 func TestPartitionedTruncation(t *testing.T) {
 	ents := spanningEntities(t, 2)
 	init := model.NewState(ents...)
-	pe := NewPartitionedEngine(init, Config{
+	pe := NewSessionEngine(init, Config{
 		Policy: policy.TwoPhase{}, Partitions: 2, TruncateLog: true, CheckpointEvery: 2,
-	})
+	}).(*PartitionedEngine)
 	const rounds = 120
 	for i := 0; i < rounds; i++ {
 		e := ents[i%2]
@@ -120,12 +120,12 @@ func spanningEntities(t *testing.T, n int) []model.Entity {
 func TestPartitionCancelReapStress(t *testing.T) {
 	ents := spanningEntities(t, 2)
 	init := model.NewState(ents...)
-	pe := NewPartitionedEngine(init, Config{
+	pe := NewSessionEngine(init, Config{
 		Policy:     policy.TwoPhase{},
 		Partitions: 2,
 		Lease:      25 * time.Millisecond, // real clock: the reaper runs
 		MaxRetries: 3,
-	})
+	}).(*PartitionedEngine)
 	var opened atomic.Int64
 	var wg sync.WaitGroup
 	cross := model.NewTxn("G",

@@ -53,9 +53,9 @@ const sessionQueue = 128
 const teardownFlush = 2 * time.Second
 
 // Server is one lockd instance: an engine plus its listener plumbing.
-// The engine may be a single runtime.Engine or a partitioned group of
-// them (runtime.Config.Partitions > 1); the wire protocol is identical
-// either way — partitioning is invisible to clients.
+// The engine has runtime.Config.Partitions partitions (one by default);
+// the wire protocol is identical for every count — partitioning is
+// invisible to clients.
 type Server struct {
 	eng    runtime.SessionEngine
 	policy string

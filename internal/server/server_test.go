@@ -353,10 +353,10 @@ func TestSessionGateEquivalence(t *testing.T) {
 // engine, single-threaded, dropping a transaction on abort exactly as
 // the batch drive does.
 func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
-	e := runtime.NewEngine(sys.Init, cfg)
+	e := runtime.NewSessionEngine(sys.Init, cfg)
 	sess := make([]*runtime.Session, len(sys.Txns))
 	for i, tx := range sys.Txns {
-		s, err := e.Open(tx)
+		s, err := e.OpenSession(tx)
 		if err != nil {
 			return "", err
 		}
