@@ -14,10 +14,15 @@ package model
 // hot paths can probe candidate events without cloning monitor state.
 // Step applies the event; it must veto exactly the events Check vetoes and
 // must leave the monitor unchanged when it returns an error (validate
-// first, then mutate). Fork returns an independent deep copy for search
-// procedures that genuinely branch, such as checker state expansion. Key
-// returns a compact serialization of the monitor state for memoization, or
-// "" to disable memoization across states containing this monitor.
+// first, then mutate). Fork returns an independent copy for search
+// procedures that genuinely branch, such as checker state expansion, and
+// for recovery checkpoints: stepping either monitor never shows in the
+// other. Independent does not mean deep — a row that can no longer
+// change (its transaction finished holding nothing) may be shared — so
+// a fork costs the rows still in play, not the transactions ever seen.
+// Key returns a compact serialization of the monitor state for
+// memoization, or "" to disable memoization across states containing
+// this monitor.
 //
 // Footprint declares which transactions' bookkeeping and which entities'
 // shared state evaluating ev (Check and Step) reads or writes, so
@@ -29,15 +34,23 @@ package model
 // it before taking any lock. GlobalFootprint() is always a correct
 // answer and is the expected fallback for cross-cutting rules.
 //
-// Grow supports long-lived executors whose transaction population is not
-// known up front (the session runtime): after the caller appends
-// transactions to the monitor's System (System.Add), Grow extends the
-// monitor's per-transaction bookkeeping to cover them, with the new rows
-// in their never-started state. Growing is append-only — existing rows
-// are untouched — so a grown monitor behaves exactly like one
-// constructed over the extended system with the same events applied.
-// Grow must be serialized with Check/Step/Fork by the caller; executors
-// call it only while holding exclusive ownership of the monitor.
+// Grow re-synchronizes the monitor with its System's population window
+// [Floor(), len(Txns)), for long-lived executors whose transaction
+// population is not known up front (the session runtime). After the
+// caller appends transactions (System.Add), Grow extends the
+// per-transaction bookkeeping to cover them, the new rows in their
+// never-started state; after the caller raises the retirement floor
+// (System.Retire), Grow drops the rows below it. Existing rows above the
+// floor are untouched, so a grown monitor behaves exactly like one
+// constructed over the extended system with the same events applied. A
+// monitor drops a row only if it is *inert* — never started, or finished
+// and holding nothing — and keeps every row from the first one that is
+// not, whatever the floor says; each policy states why an inert row of
+// another transaction can never change one of its verdicts. An event of
+// a dropped transaction is vetoed. A fork is grown by whoever next uses
+// it, not when its original is. Grow must be serialized with
+// Check/Step/Fork by the caller; executors call it only while holding
+// exclusive ownership of the monitor.
 type Monitor interface {
 	Check(ev Ev) error
 	Step(ev Ev) error

@@ -29,6 +29,8 @@ type System struct {
 	// means the empty database.
 	Init State
 	Txns []Txn
+	// floor is the retirement floor, see Retire.
+	floor int
 }
 
 // NewSystem builds a system over the given initial state.
@@ -51,6 +53,21 @@ func (sys *System) Add(t Txn) TID {
 	sys.Txns = append(sys.Txns, t)
 	return TID(len(sys.Txns) - 1)
 }
+
+// Retire raises the retirement floor: the caller promises that the
+// transactions below it are settled for good — they will issue no further
+// event, and own no event of any schedule a Monitor over sys will be
+// asked about again (a log suffix replayed after an abort). Txns stays
+// dense (names and bodies remain readable); what retirement licenses is
+// for every Monitor to drop its bookkeeping rows below the floor at its
+// next Grow. The floor never moves down and never passes len(Txns).
+// Serialized by the caller like Add.
+func (sys *System) Retire(floor int) {
+	sys.floor = max(sys.floor, min(floor, len(sys.Txns)))
+}
+
+// Floor returns the retirement floor (0 until Retire is first called).
+func (sys *System) Floor() int { return sys.floor }
 
 // Name returns the display name of a transaction, defaulting to "T<i+1>".
 func (sys *System) Name(t TID) string {
@@ -448,9 +465,40 @@ func (s Schedule) Graph(sys *System) *SGraph {
 }
 
 // Serializable reports whether the schedule is (conflict-)serializable:
-// D(S) is acyclic.
+// D(S) is acyclic. It decides that on a subgraph of D(S) with the same
+// reachability, built in one pass: per entity only the last conflicting
+// step with everything (an operation outside {R, LS, US}) and the
+// non-conflicting steps since it can be the *nearest* conflict of a later
+// step, and every other edge of D(S) is a path through those. Graph is
+// quadratic in the steps on one entity; a drain-time verdict over a hot
+// entity must not be.
 func (s Schedule) Serializable(sys *System) bool {
-	return s.Graph(sys).Acyclic()
+	type frontier struct {
+		last   TID   // owner of the last step outside {R, LS, US}
+		any    bool  // whether there has been one
+		shared []TID // owners of the steps since
+	}
+	g := NewSGraph(len(sys.Txns))
+	byEnt := make(map[Entity]*frontier)
+	for _, ev := range s {
+		f := byEnt[ev.S.Ent]
+		if f == nil {
+			f = new(frontier)
+			byEnt[ev.S.Ent] = f
+		}
+		if f.any {
+			g.AddEdge(f.last, ev.T)
+		}
+		if nonConflicting(ev.S.Op) {
+			f.shared = append(f.shared, ev.T)
+			continue
+		}
+		for _, t := range f.shared {
+			g.AddEdge(t, ev.T)
+		}
+		f.last, f.any, f.shared = ev.T, true, f.shared[:0]
+	}
+	return g.Acyclic()
 }
 
 // FinalState computes the structural state after executing the schedule,

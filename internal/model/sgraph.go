@@ -1,6 +1,7 @@
 package model
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -97,50 +98,90 @@ func (g *SGraph) Equal(h *SGraph) bool {
 
 // Acyclic reports whether the graph has no directed cycle.
 func (g *SGraph) Acyclic() bool {
-	_, ok := g.TopoSort()
+	ok, _ := g.kahn()
 	return ok
 }
 
-// TopoSort returns a topological order of all n nodes and true, or nil and
-// false if the graph has a cycle. Ties are broken by node index so the
-// order is deterministic.
-func (g *SGraph) TopoSort() ([]TID, bool) {
+// indegrees counts every node's incoming edges.
+func (g *SGraph) indegrees() []int {
 	indeg := make([]int, g.n)
 	for _, m := range g.adj {
 		for j := range m {
 			indeg[int(j)]++
 		}
 	}
-	var queue []int
-	for i := g.n - 1; i >= 0; i-- {
-		if indeg[i] == 0 {
+	return indeg
+}
+
+// kahn is Kahn's algorithm without an order: it reports whether every
+// node can be removed in dependency order, and the number of queue
+// operations (pushes and pops) plus edge visits that took — n + e on an
+// acyclic graph, which is what keeps the drain-time verdict linear in a
+// system with a node per transaction ever opened.
+func (g *SGraph) kahn() (acyclic bool, ops int) {
+	indeg := g.indegrees()
+	queue := make([]int, 0, g.n)
+	for i, d := range indeg {
+		if d == 0 {
 			queue = append(queue, i)
 		}
 	}
-	// queue is kept sorted ascending by popping from the end after the
-	// reverse fill above.
-	var order []TID
+	removed := 0
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		order = append(order, TID(i))
-		// Collect newly freed nodes, then merge keeping descending order
-		// in queue (so the smallest index pops next).
-		var freed []int
+		removed++
+		ops++
 		for j := range g.adj[i] {
-			indeg[int(j)]--
-			if indeg[int(j)] == 0 {
-				freed = append(freed, int(j))
+			ops++
+			if indeg[int(j)]--; indeg[int(j)] == 0 {
+				queue = append(queue, int(j))
 			}
 		}
-		sort.Sort(sort.Reverse(sort.IntSlice(freed)))
-		queue = append(queue, freed...)
-		sort.Sort(sort.Reverse(sort.IntSlice(queue)))
+	}
+	return removed == g.n, ops
+}
+
+// TopoSort returns a topological order of all n nodes and true, or nil and
+// false if the graph has a cycle. Among the nodes that are ready the one
+// with the smallest index goes first (a min-heap), so the order is
+// deterministic.
+func (g *SGraph) TopoSort() ([]TID, bool) {
+	indeg := g.indegrees()
+	ready := &intHeap{}
+	for i, d := range indeg {
+		if d == 0 {
+			*ready = append(*ready, i) // ascending, so already a heap
+		}
+	}
+	order := make([]TID, 0, g.n)
+	for ready.Len() > 0 {
+		i := heap.Pop(ready).(int)
+		order = append(order, TID(i))
+		for j := range g.adj[i] {
+			if indeg[int(j)]--; indeg[int(j)] == 0 {
+				heap.Push(ready, int(j))
+			}
+		}
 	}
 	if len(order) != g.n {
 		return nil, false
 	}
 	return order, true
+}
+
+// intHeap is a min-heap of node indices.
+type intHeap []int
+
+func (h intHeap) Len() int           { return len(h) }
+func (h intHeap) Less(a, b int) bool { return h[a] < h[b] }
+func (h intHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *intHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // FindCycle returns some directed cycle as a list of nodes (without

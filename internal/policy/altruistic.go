@@ -1,6 +1,9 @@
 package policy
 
 import (
+	"iter"
+	"maps"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -30,53 +33,56 @@ func (Altruistic) Name() string { return "altruistic" }
 
 // NewMonitor returns a monitor enforcing AL1–AL3.
 func (Altruistic) NewMonitor(sys *model.System) model.Monitor {
-	n := len(sys.Txns)
-	m := &altruisticMonitor{
-		t:           newTracker(sys),
-		lockedPoint: make([]int, n),
-		unlocked:    make([]map[model.Entity]bool, n),
-		wake:        make([][]bool, n),
-	}
-	for i, tx := range sys.Txns {
-		m.lockedPoint[i] = tx.LockedPoint()
-		m.unlocked[i] = make(map[model.Entity]bool)
-		m.wake[i] = make([]bool, n)
-	}
+	m := &altruisticMonitor{t: newTracker(sys)}
+	m.Grow()
 	return m
 }
 
+// altRow is one started transaction's altruistic state.
+type altRow struct {
+	// lockedPoint is the static index just after the last lock step.
+	lockedPoint int
+	// unlocked is the set of items the transaction has unlocked so far.
+	unlocked map[model.Entity]bool
+	// wake is the set of transactions currently in this one's wake. It is
+	// kept with the donor so that a finished transaction's row never
+	// changes: entering a wake writes the row of a donor that has not
+	// reached its locked point, dissolving writes the stepping row.
+	wake map[int]bool
+}
+
+// altruisticMonitor keeps one altRow per tracker row, in step with the
+// tracker's window; nil until the transaction's first event. AL2 reads
+// another transaction's row only as a donor that has started and not
+// reached its locked point: a finished transaction is past it and an
+// unstarted one has donated nothing, so an inert row — and whether it is
+// still in the window — cannot change a verdict.
 type altruisticMonitor struct {
-	t *tracker
-	// lockedPoint[i] is the static index just after Ti's last lock step.
-	lockedPoint []int
-	// unlocked[j] is the set of items Tj has unlocked so far.
-	unlocked []map[model.Entity]bool
-	// wake[i][j] records that Ti is currently in the wake of Tj.
-	wake [][]bool
+	t    *tracker
+	rows []*altRow
 }
 
 func (m *altruisticMonitor) Fork() model.Monitor {
-	n := len(m.wake)
-	c := &altruisticMonitor{
-		t:           m.t.clone(),
-		lockedPoint: m.lockedPoint, // static, shared
-		unlocked:    make([]map[model.Entity]bool, n),
-		wake:        make([][]bool, n),
-	}
-	for i := range m.unlocked {
-		c.unlocked[i] = make(map[model.Entity]bool, len(m.unlocked[i]))
-		for e := range m.unlocked[i] {
-			c.unlocked[i][e] = true
+	c := &altruisticMonitor{t: m.t.clone(), rows: make([]*altRow, len(m.rows))}
+	for k, a := range m.rows {
+		if c.t.rows[k] != m.t.rows[k] { // the tracker copied it: it can still change
+			a = &altRow{lockedPoint: a.lockedPoint, unlocked: maps.Clone(a.unlocked), wake: maps.Clone(a.wake)}
 		}
-		c.wake[i] = make([]bool, n)
-		copy(c.wake[i], m.wake[i])
+		c.rows[k] = a
 	}
 	return c
 }
 
-// atLockedPoint reports whether Tj has reached its locked point.
-func (m *altruisticMonitor) atLockedPoint(j int) bool {
-	return m.t.pos[j] >= m.lockedPoint[j]
+// donors ranges over the transactions other than i that have started and
+// not reached their locked point, in index order.
+func (m *altruisticMonitor) donors(i int) iter.Seq2[int, *altRow] {
+	return func(yield func(int, *altRow) bool) {
+		for k, d := range m.rows {
+			if j := m.t.base + k; d != nil && j != i && m.t.rows[k].pos < d.lockedPoint && !yield(j, d) {
+				return
+			}
+		}
+	}
 }
 
 // Check validates AL1–AL3 without mutating the monitor. Wake entry is
@@ -84,7 +90,11 @@ func (m *altruisticMonitor) atLockedPoint(j int) bool {
 // would put Ti in Tj's wake, so AL2 is checked against the union of the
 // current and entered wakes.
 func (m *altruisticMonitor) Check(ev model.Ev) error {
+	if err := m.t.retired("altruistic", ev); err != nil {
+		return err
+	}
 	i := int(ev.T)
+	own := m.t.row(i)
 	st := ev.S
 	viol := func(rule, why string) error {
 		return &Violation{"altruistic", rule, ev, why}
@@ -94,24 +104,21 @@ func (m *altruisticMonitor) Check(ev model.Ev) error {
 		return viol("X-only", "basic altruistic locking uses exclusive locks only")
 
 	case model.LockExclusive:
-		if m.t.lockedEver[i][st.Ent] {
+		if own.lockedEver[st.Ent] {
 			return viol("AL3", "item locked twice")
 		}
 		// AL2: while in the wake of Tj — including the wakes this very
 		// lock would enter — everything Ti has locked, including this
 		// item, must have been unlocked by Tj.
-		for j := range m.wake[i] {
-			if j == i || m.atLockedPoint(j) {
-				continue
-			}
-			if !m.wake[i][j] && !m.unlocked[j][st.Ent] {
+		for j, d := range m.donors(i) {
+			if !d.wake[i] && !d.unlocked[st.Ent] {
 				continue // not in Tj's wake, and this lock would not enter it
 			}
-			if !m.unlocked[j][st.Ent] {
+			if !d.unlocked[st.Ent] {
 				return viol("AL2", "locked an item not donated by "+m.t.sys.Name(model.TID(j))+" while in its wake")
 			}
-			for e := range m.t.lockedEver[i] {
-				if !m.unlocked[j][e] {
+			for e := range own.lockedEver {
+				if !d.unlocked[e] {
 					return viol("AL2", "previously locked item "+string(e)+" was not donated by "+m.t.sys.Name(model.TID(j)))
 				}
 			}
@@ -121,7 +128,7 @@ func (m *altruisticMonitor) Check(ev model.Ev) error {
 		// Always permitted.
 
 	case model.Insert, model.Delete, model.Read, model.Write:
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if _, ok := own.held[st.Ent]; !ok {
 			return viol("AL1", "operation without a lock")
 		}
 	}
@@ -133,71 +140,47 @@ func (m *altruisticMonitor) Step(ev model.Ev) error {
 		return err
 	}
 	i := int(ev.T)
+	own := m.rows[i-m.t.base]
+	if own == nil {
+		own = &altRow{lockedPoint: m.t.sys.Txns[i].LockedPoint(), unlocked: make(map[model.Entity]bool), wake: make(map[int]bool)}
+		m.rows[i-m.t.base] = own
+	}
 	st := ev.S
 	switch st.Op {
 	case model.LockExclusive:
 		// Entering wakes: locking an item donated by an active Tj puts
 		// Ti in Tj's wake.
-		for j := range m.wake[i] {
-			if j == i || m.atLockedPoint(j) {
-				continue
-			}
-			if m.unlocked[j][st.Ent] {
-				m.wake[i][j] = true
+		for _, d := range m.donors(i) {
+			if d.unlocked[st.Ent] {
+				d.wake[i] = true
 			}
 		}
 	case model.UnlockExclusive:
-		m.unlocked[i][st.Ent] = true
+		own.unlocked[st.Ent] = true
 	}
 	m.t.advance(ev)
 
 	// A transaction reaching its locked point dissolves all wakes it
 	// anchors (it can no longer donate: its lock set is final).
-	if st.Op.IsLock() && m.atLockedPoint(i) {
-		for k := range m.wake {
-			m.wake[k][i] = false
-		}
+	if st.Op.IsLock() && m.t.row(i).pos >= own.lockedPoint {
+		clear(own.wake)
 	}
 	return nil
 }
 
-// Grow extends the per-transaction rows to cover appended transactions:
-// their locked points are computed from the declared bodies, their
-// unlocked sets start empty and they are in nobody's wake. Every row is
-// reallocated (including the nominally static locked points and the wake
-// columns) so sequentially grown forks never share growth.
+// Grow re-synchronizes the window with the system: the tracker's rows and
+// this monitor's move together.
 func (m *altruisticMonitor) Grow() {
-	m.t.grow()
-	old := len(m.lockedPoint)
-	n := len(m.t.pos)
-	if n <= old {
-		return
+	k := m.t.grow()
+	m.rows = m.rows[min(k, len(m.rows)):]
+	for len(m.rows) < len(m.t.rows) {
+		m.rows = append(m.rows, nil)
 	}
-	lp := make([]int, n)
-	copy(lp, m.lockedPoint)
-	for i := old; i < n; i++ {
-		lp[i] = m.t.sys.Txns[i].LockedPoint()
-	}
-	m.lockedPoint = lp
-	unlocked := make([]map[model.Entity]bool, n)
-	copy(unlocked, m.unlocked)
-	for i := old; i < n; i++ {
-		unlocked[i] = make(map[model.Entity]bool)
-	}
-	m.unlocked = unlocked
-	wake := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		wake[i] = make([]bool, n)
-		if i < old {
-			copy(wake[i], m.wake[i])
-		}
-	}
-	m.wake = wake
 }
 
 // Footprint: LX is global — rule AL2 reads every transaction's unlocked
-// set and position, wake entry writes the requester's wake row, and
-// reaching a locked point clears the requester's column in *every* row.
+// set and position, wake entry writes the donors' wake sets, and
+// reaching a locked point clears the requester's own.
 // UX writes only the unlocker's own unlocked set (read elsewhere solely
 // by the global LX evaluations), data operations read only the event's
 // own held set (AL1), and LS/US are vetoed by the X-only rule without
@@ -210,26 +193,31 @@ func (m *altruisticMonitor) Footprint(ev model.Ev) model.Footprint {
 }
 
 // Key: positions determine locked points, held sets and unlocked sets, but
-// the wake relation depends on event order, so it is part of the key.
+// the wake relation depends on event order, so it is part of the key
+// ("iwj;" for Ti in the wake of Tj, ascending).
 func (m *altruisticMonitor) Key() string {
-	var b strings.Builder
-	b.WriteString(m.t.posKey())
-	b.WriteByte('|')
-	for i := range m.wake {
-		for j, w := range m.wake[i] {
-			if w {
-				b.WriteString(strconv.Itoa(i))
-				b.WriteByte('w')
-				b.WriteString(strconv.Itoa(j))
-				b.WriteByte(';')
+	var pairs [][2]int
+	for k, d := range m.rows {
+		if d != nil {
+			for i := range d.wake {
+				pairs = append(pairs, [2]int{i, m.t.base + k})
 			}
 		}
 	}
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a][0] != pairs[b][0] {
+			return pairs[a][0] < pairs[b][0]
+		}
+		return pairs[a][1] < pairs[b][1]
+	})
+	var b strings.Builder
+	b.WriteString(m.t.posKey())
+	b.WriteByte('|')
+	for _, p := range pairs {
+		b.WriteString(strconv.Itoa(p[0]))
+		b.WriteByte('w')
+		b.WriteString(strconv.Itoa(p[1]))
+		b.WriteByte(';')
+	}
 	return b.String()
-}
-
-// InWake reports whether Ti is currently in the wake of Tj; the
-// figure-walkthrough experiment uses it to narrate the Fig. 4 scenario.
-func (m *altruisticMonitor) InWake(i, j model.TID) bool {
-	return m.wake[int(i)][int(j)]
 }

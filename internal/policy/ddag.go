@@ -58,6 +58,10 @@ func (DDAG) NewMonitor(sys *model.System) model.Monitor {
 	}
 }
 
+// ddagMonitor's rules read the graph, the deleted set and the event's own
+// row only — never another transaction's — so an inert row of another
+// transaction cannot change a verdict (DDAG-SX shares this monitor's
+// bookkeeping and the argument).
 type ddagMonitor struct {
 	t       *tracker
 	g       *graph.Digraph
@@ -85,7 +89,7 @@ func isEdgeEntity(e model.Entity) (a, b graph.Node, ok bool) {
 // firstNodeLock reports whether T has not yet locked any node entity (edge
 // entity locks do not count for L4).
 func (m *ddagMonitor) firstNodeLock(i int) bool {
-	for e := range m.t.lockedEver[i] {
+	for e := range m.t.row(i).lockedEver {
 		if !strings.Contains(string(e), "->") {
 			return false
 		}
@@ -127,7 +131,11 @@ func (m *ddagMonitor) apply(ev model.Ev) {
 // Check validates rules L1–L5 and the structural assumptions against the
 // present state of the graph, without mutating the monitor.
 func (m *ddagMonitor) Check(ev model.Ev) error {
+	if err := m.t.retired("DDAG", ev); err != nil {
+		return err
+	}
 	i := int(ev.T)
+	own := m.t.row(i)
 	st := ev.S
 	viol := func(rule, why string) error {
 		return &Violation{"DDAG", rule, ev, why}
@@ -140,16 +148,16 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
 			// Edge-entity lock: permitted only while holding both
 			// endpoints (it accompanies an edge operation).
-			if _, ok := m.t.held[i][model.Entity(a)]; !ok {
+			if _, ok := own.held[model.Entity(a)]; !ok {
 				return viol("L1", "edge lock without a lock on endpoint "+string(a))
 			}
-			if _, ok := m.t.held[i][model.Entity(b)]; !ok {
+			if _, ok := own.held[model.Entity(b)]; !ok {
 				return viol("L1", "edge lock without a lock on endpoint "+string(b))
 			}
 			break
 		}
 		n := graph.Node(st.Ent)
-		if m.t.lockedEver[i][st.Ent] {
+		if own.lockedEver[st.Ent] {
 			return viol("L3", "node locked twice")
 		}
 		if m.firstNodeLock(i) {
@@ -162,10 +170,10 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 		holdsOne := false
 		for _, p := range m.g.Preds(n) {
 			pe := model.Entity(p)
-			if !m.t.lockedEver[i][pe] {
+			if !own.lockedEver[pe] {
 				return viol("L5", "predecessor "+string(p)+" was never locked")
 			}
-			if _, ok := m.t.held[i][pe]; ok {
+			if _, ok := own.held[pe]; ok {
 				holdsOne = true
 			}
 		}
@@ -230,25 +238,25 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 }
 
 func (m *ddagMonitor) requireHeld(ev model.Ev, e model.Entity) error {
-	if _, ok := m.t.held[int(ev.T)][e]; !ok {
+	if _, ok := m.t.row(int(ev.T)).held[e]; !ok {
 		return &Violation{"DDAG", "L1", ev, "operation without a lock on " + string(e)}
 	}
 	return nil
 }
 
 func (m *ddagMonitor) requireEndpoints(ev model.Ev, a, b graph.Node) error {
-	i := int(ev.T)
-	if _, ok := m.t.held[i][model.Entity(a)]; !ok {
+	own := m.t.row(int(ev.T))
+	if _, ok := own.held[model.Entity(a)]; !ok {
 		return &Violation{"DDAG", "L1", ev, "edge operation without a lock on " + string(a)}
 	}
-	if _, ok := m.t.held[i][model.Entity(b)]; !ok {
+	if _, ok := own.held[model.Entity(b)]; !ok {
 		return &Violation{"DDAG", "L1", ev, "edge operation without a lock on " + string(b)}
 	}
 	return nil
 }
 
-// Grow extends the tracker to cover appended transactions; the graph and
-// deleted set are keyed by entity, not transaction.
+// Grow re-synchronizes the tracker's window with the system; the graph
+// and deleted set are keyed by entity, not transaction.
 func (m *ddagMonitor) Grow() { m.t.grow() }
 
 // Footprint: READ/WRITE, unlocks and edge-entity locks consult only the

@@ -80,25 +80,29 @@ func (m *ddagSXMonitor) Step(ev model.Ev) error {
 
 // Check validates rules L1'–L5' without mutating the monitor.
 func (m *ddagSXMonitor) Check(ev model.Ev) error {
-	i := int(ev.T)
-	st := ev.S
 	in := m.inner
+	if err := in.t.retired("DDAG-SX", ev); err != nil {
+		return err
+	}
+	i := int(ev.T)
+	own := in.t.row(i)
+	st := ev.S
 	viol := func(rule, why string) error {
 		return &Violation{"DDAG-SX", rule, ev, why}
 	}
 	switch st.Op {
 	case model.LockShared, model.LockExclusive:
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
-			if _, ok := in.t.held[i][model.Entity(a)]; !ok {
+			if _, ok := own.held[model.Entity(a)]; !ok {
 				return viol("L1", "edge lock without a lock on endpoint "+string(a))
 			}
-			if _, ok := in.t.held[i][model.Entity(b)]; !ok {
+			if _, ok := own.held[model.Entity(b)]; !ok {
 				return viol("L1", "edge lock without a lock on endpoint "+string(b))
 			}
 			break
 		}
 		n := graph.Node(st.Ent)
-		if in.t.lockedEver[i][st.Ent] {
+		if own.lockedEver[st.Ent] {
 			return viol("L3", "node locked twice")
 		}
 		if in.firstNodeLock(i) {
@@ -117,10 +121,10 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 		holdsOne := false
 		for _, p := range preds {
 			pe := model.Entity(p)
-			if !in.t.lockedEver[i][pe] {
+			if !own.lockedEver[pe] {
 				return viol("L5", "predecessor "+string(p)+" was never locked")
 			}
-			if _, ok := in.t.held[i][pe]; ok {
+			if _, ok := own.held[pe]; ok {
 				holdsOne = true
 			}
 		}
@@ -138,7 +142,7 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 			}
 			break
 		}
-		if _, ok := in.t.held[i][st.Ent]; !ok {
+		if _, ok := own.held[st.Ent]; !ok {
 			return viol("L1", "READ without a lock")
 		}
 
@@ -147,13 +151,13 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 		// monitor (no-reinsert, acyclicity, lock presence), but
 		// additionally demand exclusive mode on the target(s).
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
-			if mmode, ok := in.t.held[i][model.Entity(a)]; !ok || mmode != model.Exclusive {
+			if mmode, ok := own.held[model.Entity(a)]; !ok || mmode != model.Exclusive {
 				return viol("L1", "structural edge operation without an exclusive lock on "+string(a))
 			}
-			if mmode, ok := in.t.held[i][model.Entity(b)]; !ok || mmode != model.Exclusive {
+			if mmode, ok := own.held[model.Entity(b)]; !ok || mmode != model.Exclusive {
 				return viol("L1", "structural edge operation without an exclusive lock on "+string(b))
 			}
-		} else if mmode, ok := in.t.held[i][st.Ent]; !ok || mmode != model.Exclusive {
+		} else if mmode, ok := own.held[st.Ent]; !ok || mmode != model.Exclusive {
 			return viol("L1", st.Op.String()+" without an exclusive lock")
 		}
 		if err := in.Check(ev); err != nil {

@@ -49,6 +49,10 @@ func (DTR) NewMonitor(sys *model.System) model.Monitor {
 	}
 }
 
+// dtrMonitor's cross-transaction rule, DT3, reads which nodes are locked
+// and the bodies of *active* transactions; DT2 reads the forest and the
+// event's own body. An inert row is neither active nor holding, so
+// whether it is still in the window cannot change a verdict.
 type dtrMonitor struct {
 	t      *tracker
 	forest *graph.Forest
@@ -192,13 +196,13 @@ func (m *dtrMonitor) dt3() {
 	for {
 		deletedAny := false
 		for _, n := range m.forest.Nodes() {
-			if m.t.anyHolds(model.Entity(n), -1) {
+			if m.t.anyHolds(model.Entity(n)) {
 				continue
 			}
 			f := m.forest.Clone()
 			_ = f.Delete(n)
 			ok := true
-			for j := range m.t.sys.Txns {
+			for j := m.t.base; j < m.t.end(); j++ {
 				if !m.t.active(j) {
 					continue
 				}
@@ -228,6 +232,9 @@ func (m *dtrMonitor) dt3() {
 // the monitor. For a transaction's first event it returns the DT2 forest
 // to commit; otherwise the forest is nil.
 func (m *dtrMonitor) validate(ev model.Ev) (*graph.Forest, error) {
+	if err := m.t.retired("DTR", ev); err != nil {
+		return nil, err
+	}
 	i := int(ev.T)
 	st := ev.S
 	viol := func(rule, why string) error {
@@ -237,11 +244,11 @@ func (m *dtrMonitor) validate(ev model.Ev) (*graph.Forest, error) {
 		return nil, viol("X-only", "the DTR policy of Section 6 uses exclusive locks only")
 	}
 	if st.Op.IsData() {
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if _, ok := m.t.row(i).held[st.Ent]; !ok {
 			return nil, viol("lock-first", "operation without a lock")
 		}
 	}
-	if !m.t.started(i) {
+	if m.t.row(i) == unstarted {
 		// The locked transaction is precomputed: rule DT2 runs now and
 		// the whole lock sequence must be tree-locked with respect to
 		// the tree it produces.
@@ -274,7 +281,7 @@ func (m *dtrMonitor) Step(ev model.Ev) error {
 	return nil
 }
 
-// Grow extends the tracker to cover appended transactions. The DT2
+// Grow re-synchronizes the tracker's window with the system. The DT2
 // joining for a new transaction happens lazily at its first event, so no
 // forest work is needed here.
 func (m *dtrMonitor) Grow() { m.t.grow() }

@@ -23,6 +23,7 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,104 +52,123 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("%s: rule %s violated by %s: %s", v.Policy, v.Rule, v.Ev, v.Why)
 }
 
-// tracker is the bookkeeping shared by all monitors: per-transaction
-// positions, held locks and locked-ever sets.
+// row is one transaction's bookkeeping: its position, the locks it holds,
+// the entities it has ever locked and whether it has released any lock.
+type row struct {
+	pos        int
+	held       map[model.Entity]model.Mode
+	lockedEver map[model.Entity]bool
+	unlocked   bool
+}
+
+// unstarted is the row of every transaction that has executed nothing.
+// It is shared and never written: advance replaces it by a private row
+// at the transaction's first event.
+var unstarted = &row{}
+
+// inert reports whether the row can neither change nor matter again: its
+// transaction never started, or finished (n is its length) holding
+// nothing. No monitor will step such a row, so forks share it; and no
+// rule of any policy reads another transaction's row unless that
+// transaction is active or holds a lock, so Grow may drop it once the
+// system says the transaction is retired.
+func (r *row) inert(n int) bool {
+	return r == unstarted || (r.pos >= n && len(r.held) == 0)
+}
+
+// tracker is the bookkeeping shared by all monitors: one row per
+// transaction of the window [base, len(sys.Txns)). Rows below base
+// belonged to retired transactions and are gone.
 type tracker struct {
-	sys        *model.System
-	pos        []int
-	held       []map[model.Entity]model.Mode
-	lockedEver []map[model.Entity]bool
+	sys  *model.System
+	base int
+	rows []*row
 }
 
 func newTracker(sys *model.System) *tracker {
-	t := &tracker{
-		sys:        sys,
-		pos:        make([]int, len(sys.Txns)),
-		held:       make([]map[model.Entity]model.Mode, len(sys.Txns)),
-		lockedEver: make([]map[model.Entity]bool, len(sys.Txns)),
-	}
-	for i := range sys.Txns {
-		t.held[i] = make(map[model.Entity]model.Mode)
-		t.lockedEver[i] = make(map[model.Entity]bool)
-	}
+	t := &tracker{sys: sys}
+	t.grow()
 	return t
 }
 
+// row returns transaction i's row; i must be in the window.
+func (t *tracker) row(i int) *row { return t.rows[i-t.base] }
+
+// end is one past the last transaction the tracker covers.
+func (t *tracker) end() int { return t.base + len(t.rows) }
+
+// clone copies the window. Inert rows are shared by reference; a row
+// that can still change is copied, so neither tracker sees the other
+// advance.
 func (t *tracker) clone() *tracker {
-	c := &tracker{
-		sys:        t.sys,
-		pos:        make([]int, len(t.pos)),
-		held:       make([]map[model.Entity]model.Mode, len(t.held)),
-		lockedEver: make([]map[model.Entity]bool, len(t.lockedEver)),
-	}
-	copy(c.pos, t.pos)
-	for i := range t.held {
-		c.held[i] = make(map[model.Entity]model.Mode, len(t.held[i]))
-		for e, m := range t.held[i] {
-			c.held[i][e] = m
+	c := &tracker{sys: t.sys, base: t.base, rows: make([]*row, len(t.rows))}
+	for k, r := range t.rows {
+		if !r.inert(t.sys.Txns[t.base+k].Len()) {
+			r = &row{pos: r.pos, unlocked: r.unlocked, held: maps.Clone(r.held), lockedEver: maps.Clone(r.lockedEver)}
 		}
-		c.lockedEver[i] = make(map[model.Entity]bool, len(t.lockedEver[i]))
-		for e := range t.lockedEver[i] {
-			c.lockedEver[i][e] = true
-		}
+		c.rows[k] = r
 	}
 	return c
 }
 
-// grow extends the per-transaction rows to cover transactions appended
-// to the system since construction (or the last grow), leaving existing
-// rows untouched. The rows are reallocated rather than appended in place
-// so that forks sharing a backing array (checkpoint monitors grown in
-// sequence) can never observe each other's growth.
-func (t *tracker) grow() {
-	n := len(t.sys.Txns)
-	if n <= len(t.pos) {
-		return
+// grow re-synchronizes the window with the system: unstarted rows are
+// appended for the transactions added since the last grow, and rows
+// below the system's retirement floor are dropped — up to the first one
+// that is not inert, which the tracker keeps (and everything above it)
+// whatever the floor says. Appending is in place: clone never shares a
+// backing array. Returns the number of rows dropped, for monitors that
+// keep rows of their own in step.
+func (t *tracker) grow() int {
+	for n := len(t.sys.Txns); t.end() < n; {
+		t.rows = append(t.rows, unstarted)
 	}
-	pos := make([]int, n)
-	copy(pos, t.pos)
-	held := make([]map[model.Entity]model.Mode, n)
-	copy(held, t.held)
-	lockedEver := make([]map[model.Entity]bool, n)
-	copy(lockedEver, t.lockedEver)
-	for i := len(t.pos); i < n; i++ {
-		held[i] = make(map[model.Entity]model.Mode)
-		lockedEver[i] = make(map[model.Entity]bool)
+	k := 0
+	for t.base+k < t.sys.Floor() && t.rows[k].inert(t.sys.Txns[t.base+k].Len()) {
+		k++
 	}
-	t.pos, t.held, t.lockedEver = pos, held, lockedEver
+	t.rows = t.rows[k:]
+	t.base += k
+	return k
+}
+
+// retired vetoes an event of a transaction whose row has been dropped;
+// every monitor's Check starts here, so no rule ever indexes below base.
+func (t *tracker) retired(policy string, ev model.Ev) error {
+	if int(ev.T) >= t.base {
+		return nil
+	}
+	return &Violation{policy, "retired", ev, "transaction " + t.sys.Name(ev.T) + " is below the retirement floor"}
 }
 
 // advance applies the event's effect on positions, held locks and
 // locked-ever sets. It must be called after a monitor accepts the event.
 func (t *tracker) advance(ev model.Ev) {
-	i := int(ev.T)
-	t.pos[i]++
+	r := t.row(int(ev.T))
+	if r == unstarted {
+		r = &row{held: make(map[model.Entity]model.Mode), lockedEver: make(map[model.Entity]bool)}
+		t.rows[int(ev.T)-t.base] = r
+	}
+	r.pos++
 	switch {
 	case ev.S.Op.IsLock():
-		t.held[i][ev.S.Ent] = ev.S.Op.LockMode()
-		t.lockedEver[i][ev.S.Ent] = true
+		r.held[ev.S.Ent] = ev.S.Op.LockMode()
+		r.lockedEver[ev.S.Ent] = true
 	case ev.S.Op.IsUnlock():
-		delete(t.held[i], ev.S.Ent)
+		delete(r.held, ev.S.Ent)
+		r.unlocked = true
 	}
 }
 
-// started reports whether transaction i has executed at least one event.
-func (t *tracker) started(i int) bool { return t.pos[i] > 0 }
-
-// finished reports whether transaction i has executed all its events.
-func (t *tracker) finished(i int) bool { return t.pos[i] >= t.sys.Txns[i].Len() }
-
 // active reports whether transaction i has started but not finished.
-func (t *tracker) active(i int) bool { return t.started(i) && !t.finished(i) }
+func (t *tracker) active(i int) bool {
+	p := t.row(i).pos
+	return p > 0 && p < t.sys.Txns[i].Len()
+}
 
-// anyHolds reports whether any transaction other than self currently holds
-// a lock on e (self < 0 checks all transactions).
-func (t *tracker) anyHolds(e model.Entity, self int) bool {
-	for i := range t.held {
-		if i == self {
-			continue
-		}
-		if _, ok := t.held[i][e]; ok {
+// anyHolds reports whether any transaction currently holds a lock on e.
+func (t *tracker) anyHolds(e model.Entity) bool {
+	for _, r := range t.rows {
+		if _, ok := r.held[e]; ok {
 			return true
 		}
 	}
@@ -156,14 +176,21 @@ func (t *tracker) anyHolds(e model.Entity, self int) bool {
 }
 
 // posKey serializes the position vector; for monitors whose entire state
-// is a function of positions this is a complete memoization key.
+// is a function of positions this is a complete memoization key. It
+// covers the window: with rows retired it starts "@<base>:", with none
+// it is the plain vector.
 func (t *tracker) posKey() string {
 	var b strings.Builder
-	for i, p := range t.pos {
-		if i > 0 {
+	if t.base > 0 {
+		b.WriteByte('@')
+		b.WriteString(strconv.Itoa(t.base))
+		b.WriteByte(':')
+	}
+	for k, r := range t.rows {
+		if k > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(strconv.Itoa(p))
+		b.WriteString(strconv.Itoa(r.pos))
 	}
 	return b.String()
 }

@@ -28,6 +28,8 @@ func (Tree) NewMonitor(sys *model.System) model.Monitor {
 	return &treeMonitor{t: newTracker(sys), parent: parent}
 }
 
+// treeMonitor's rules read the static tree and the event's own row only,
+// so an inert row of another transaction cannot change a verdict.
 type treeMonitor struct {
 	t      *tracker
 	parent map[graph.Node]graph.Node // static, shared across forks
@@ -48,7 +50,10 @@ func (m *treeMonitor) Step(ev model.Ev) error {
 // Check validates the tree rules against the current state without
 // mutating the monitor.
 func (m *treeMonitor) Check(ev model.Ev) error {
-	i := int(ev.T)
+	if err := m.t.retired("tree", ev); err != nil {
+		return err
+	}
+	own := m.t.row(int(ev.T))
 	st := ev.S
 	viol := func(rule, why string) error {
 		return &Violation{"tree", rule, ev, why}
@@ -62,28 +67,28 @@ func (m *treeMonitor) Check(ev model.Ev) error {
 		if _, _, isEdge := isEdgeEntity(st.Ent); isEdge {
 			return viol("nodes-only", "only tree nodes are lockable")
 		}
-		if m.t.lockedEver[i][st.Ent] {
+		if own.lockedEver[st.Ent] {
 			return viol("lock-once", "node locked twice")
 		}
-		if len(m.t.lockedEver[i]) == 0 {
+		if len(own.lockedEver) == 0 {
 			break // first lock: any node
 		}
 		p, ok := m.parent[graph.Node(st.Ent)]
 		if !ok {
 			return viol("parent-held", "non-first lock of a root (or unknown node)")
 		}
-		if _, held := m.t.held[i][model.Entity(p)]; !held {
+		if _, held := own.held[model.Entity(p)]; !held {
 			return viol("parent-held", "parent "+string(p)+" is not currently locked")
 		}
 	case model.Read, model.Write:
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if _, ok := own.held[st.Ent]; !ok {
 			return viol("lock-first", "operation without a lock")
 		}
 	}
 	return nil
 }
 
-// Grow extends the tracker to cover appended transactions; the tree
+// Grow re-synchronizes the tracker's window with the system; the tree
 // itself is static.
 func (m *treeMonitor) Grow() { m.t.grow() }
 

@@ -14,27 +14,26 @@ func (TwoPhase) Name() string { return "2PL" }
 // NewMonitor returns a monitor enforcing the two-phase rule per
 // transaction.
 func (TwoPhase) NewMonitor(sys *model.System) model.Monitor {
-	return &twoPhaseMonitor{
-		t:        newTracker(sys),
-		unlocked: make([]bool, len(sys.Txns)),
-	}
+	return &twoPhaseMonitor{t: newTracker(sys)}
 }
 
+// twoPhaseMonitor needs nothing beyond the tracker: "has the transaction
+// released any lock yet?" is the row's unlocked flag. The rule reads the
+// event's own row only, so an inert row of another transaction — and
+// whether it is still there — cannot change a verdict.
 type twoPhaseMonitor struct {
-	t        *tracker
-	unlocked []bool // has the transaction released any lock yet?
+	t *tracker
 }
 
-func (m *twoPhaseMonitor) Fork() model.Monitor {
-	c := &twoPhaseMonitor{t: m.t.clone(), unlocked: make([]bool, len(m.unlocked))}
-	copy(c.unlocked, m.unlocked)
-	return c
-}
+func (m *twoPhaseMonitor) Fork() model.Monitor { return &twoPhaseMonitor{t: m.t.clone()} }
 
 // Check vetoes a lock acquired after an unlock, without mutating the
 // monitor.
 func (m *twoPhaseMonitor) Check(ev model.Ev) error {
-	if ev.S.Op.IsLock() && m.unlocked[int(ev.T)] {
+	if err := m.t.retired("2PL", ev); err != nil {
+		return err
+	}
+	if ev.S.Op.IsLock() && m.t.row(int(ev.T)).unlocked {
 		return &Violation{"2PL", "two-phase", ev, "lock acquired after an unlock"}
 	}
 	return nil
@@ -44,24 +43,15 @@ func (m *twoPhaseMonitor) Step(ev model.Ev) error {
 	if err := m.Check(ev); err != nil {
 		return err
 	}
-	if ev.S.Op.IsUnlock() {
-		m.unlocked[int(ev.T)] = true
-	}
 	m.t.advance(ev)
 	return nil
 }
 
-// Grow extends the unlocked flags (and the tracker) to cover appended
-// transactions; new transactions have released nothing.
-func (m *twoPhaseMonitor) Grow() {
-	m.t.grow()
-	for len(m.unlocked) < len(m.t.pos) {
-		m.unlocked = append(m.unlocked, false)
-	}
-}
+// Grow re-synchronizes the tracker's window with the system.
+func (m *twoPhaseMonitor) Grow() { m.t.grow() }
 
 // Footprint is local: the two-phase rule reads and writes only the
-// event's own transaction's unlocked flag and tracker row.
+// event's own transaction's tracker row.
 func (m *twoPhaseMonitor) Footprint(ev model.Ev) model.Footprint {
 	return model.LocalFootprint(ev)
 }

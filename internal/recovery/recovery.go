@@ -27,6 +27,12 @@
 //   - Compact only removes events; victims only grow across a cascade
 //     (the caller re-invokes Compact with the grown set), so the cascade
 //     loop converges.
+//   - Per-transaction bookkeeping is a window above a settled floor, like
+//     the log: evIdx covers the transactions [evBase, txns), and Truncate
+//     raises evBase past every transaction that is settled and owns no
+//     retained event. Only the live monitor follows the population (Grow);
+//     a checkpoint monitor is a frozen fork and is grown when Compact
+//     forks it again, which is the only time it is read.
 //
 // Both internal/engine (virtual-time simulation) and internal/runtime
 // (goroutine execution under the monitor gate) are thin clients of this
@@ -80,9 +86,10 @@ type Stats struct {
 // Create one with New, record executed events with Append, and erase
 // aborted transactions with Compact.
 type Core struct {
-	// every is the current snapshot interval; it starts at the value
-	// given to New and doubles whenever the checkpoint list is thinned.
-	every int
+	// every is the current snapshot interval; it starts at every0, the
+	// value given to New, doubles whenever the checkpoint list is thinned
+	// and is restored toward every0 by a successful Truncate.
+	every, every0 int
 	// full disables suffix replay: Compact rebuilds from the initial
 	// state and takes no replay-time checkpoints, reproducing the naive
 	// full-replay recovery. Reference mode for tests and E14.
@@ -98,8 +105,11 @@ type Core struct {
 	// nextTag is the tag auto-assigned to the next untagged append; it
 	// stays strictly above every tag ever recorded.
 	nextTag uint64
-	evIdx   [][]int
-	ckpts   []checkpoint
+	// evIdx[t-evBase] lists the log positions of transaction t's events,
+	// ascending; transactions below evBase own none (see Truncate).
+	evBase int
+	evIdx  [][]int
+	ckpts  []checkpoint
 
 	state   model.State
 	monitor model.Monitor
@@ -134,6 +144,7 @@ func New(txns int, init model.State, monitor model.Monitor, every int) *Core {
 	}
 	c := &Core{
 		every:   every,
+		every0:  every,
 		evIdx:   make([][]int, txns),
 		state:   init.Clone(),
 		monitor: monitor,
@@ -231,21 +242,30 @@ func (c *Core) Stats() Stats { return c.stats }
 // including the initial state.
 func (c *Core) Checkpoints() int { return len(c.ckpts) }
 
-// Grow extends the Core to cover transactions appended to the system it
-// executes (System.Add) since construction or the last Grow: the
-// per-transaction event indices gain empty rows and the live monitor
-// *and every retained checkpoint monitor* are grown, so a later Compact
-// that rolls back to a pre-growth snapshot can still replay the new
-// transactions' suffix events. txns is the new total transaction count.
-// Like every other mutator, Grow requires exclusive ownership.
+// Grow re-synchronizes the Core with the population of the system it
+// executes, after transactions were appended (System.Add) or retired
+// (System.Retire): the per-transaction event indices gain empty rows up
+// to txns, the new total, and the live monitor is grown. Retained
+// checkpoint monitors are not touched — Compact grows the one it rolls
+// back to, so an open costs one amortised append here, not one per
+// checkpoint. Like every other mutator, Grow requires exclusive
+// ownership.
 func (c *Core) Grow(txns int) {
-	for len(c.evIdx) < txns {
+	for c.evBase+len(c.evIdx) < txns {
 		c.evIdx = append(c.evIdx, nil)
 	}
 	c.monitor.Grow()
-	for i := range c.ckpts {
-		c.ckpts[i].monitor.Grow()
-	}
+}
+
+// Floor returns the first transaction the Core still indexes: every
+// transaction below it was settled and owned no retained event at the
+// last Truncate, so it can never again be named by Compact. The caller
+// passes it to System.Retire.
+func (c *Core) Floor() int { return c.evBase }
+
+// index records that log position idx holds an event of transaction t.
+func (c *Core) index(t model.TID, idx int) {
+	c.evIdx[int(t)-c.evBase] = append(c.evIdx[int(t)-c.evBase], idx)
 }
 
 // Append records one executed event: it advances the monitor (returning
@@ -270,7 +290,7 @@ func (c *Core) AppendTagged(ev model.Ev, tag uint64) error {
 	if tag >= c.nextTag {
 		c.nextTag = tag + 1
 	}
-	c.evIdx[int(ev.T)] = append(c.evIdx[int(ev.T)], idx)
+	c.index(ev.T, idx)
 	c.maybeCheckpoint()
 	if c.p != nil {
 		one := [1]model.Ev{ev}
@@ -337,7 +357,7 @@ func (c *Core) AppendAppliedTagged(evs []model.Ev, tags []uint64) error {
 		if tag >= c.nextTag {
 			c.nextTag = tag + 1
 		}
-		c.evIdx[int(ev.T)] = append(c.evIdx[int(ev.T)], idx)
+		c.index(ev.T, idx)
 	}
 	if len(evs) > 0 {
 		c.maybeCheckpoint()
@@ -374,7 +394,10 @@ func (c *Core) thin() {
 func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 	first := len(c.log)
 	for v := range victims {
-		if idxs := c.evIdx[v]; len(idxs) > 0 && idxs[0] < first {
+		if v < c.evBase {
+			continue // retired: it owns no retained event
+		}
+		if idxs := c.evIdx[v-c.evBase]; len(idxs) > 0 && idxs[0] < first {
 			first = idxs[0]
 		}
 	}
@@ -389,6 +412,7 @@ func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 	ck := c.ckpts[ci]
 	state := ck.state.Clone()
 	monitor := ck.monitor.Fork()
+	monitor.Grow() // the checkpoint predates later opens and retirements
 	suffix := make(model.Schedule, 0, len(c.log)-ck.n)
 	sufTags := make([]uint64, 0, len(c.log)-ck.n)
 	// Snapshot at the usual interval while replaying, so a later abort in
@@ -431,8 +455,7 @@ func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 		c.evIdx[i] = c.evIdx[i][:sort.SearchInts(c.evIdx[i], ck.n)]
 	}
 	for x := ck.n; x < len(c.log); x++ {
-		ti := int(c.log[x].T)
-		c.evIdx[ti] = append(c.evIdx[ti], x)
+		c.index(c.log[x].T, x)
 	}
 	c.state = state
 	c.monitor = monitor
@@ -461,6 +484,13 @@ func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 // replayed — hence retained — event, which by the clean-separation rule
 // owns nothing below B either).
 //
+// A successful truncation also raises the floor (see Floor) to the lowest
+// transaction that is unsettled or still owns a retained event, dropping
+// the index rows below it, and restores the snapshot interval toward the
+// configured one while the retained checkpoints, taken twice as densely,
+// would still fit in half the retention bound — a long straddler doubles
+// the interval (thin) and, once it settles, this is what undoes that.
+//
 // settled(t) must be stable for the duration of the call. Returns the
 // number of events discarded (0 when no checkpoint qualifies). After a
 // truncation Events() is a suffix of the full history: end-of-run
@@ -474,11 +504,11 @@ func (c *Core) Truncate(settled func(t int) bool) int {
 			break
 		}
 		clean := true
-		for t, idxs := range c.evIdx {
+		for k, idxs := range c.evIdx {
 			if len(idxs) == 0 || idxs[0] >= b {
 				continue
 			}
-			if idxs[len(idxs)-1] >= b || !settled(t) {
+			if idxs[len(idxs)-1] >= b || !settled(c.evBase+k) {
 				clean = false
 				break
 			}
@@ -490,25 +520,29 @@ func (c *Core) Truncate(settled func(t int) bool) int {
 		// truncated prefix is actually released.
 		c.log = append(model.Schedule(nil), c.log[b:]...)
 		c.tags = append([]uint64(nil), c.tags[b:]...)
-		for t, idxs := range c.evIdx {
-			if len(idxs) == 0 {
+		for k, idxs := range c.evIdx {
+			if len(idxs) > 0 && idxs[0] < b {
+				c.evIdx[k] = nil
 				continue
 			}
-			if idxs[0] < b {
-				c.evIdx[t] = nil
-				continue
+			for i := range idxs {
+				idxs[i] -= b
 			}
-			moved := make([]int, len(idxs))
-			for i, x := range idxs {
-				moved[i] = x - b
-			}
-			c.evIdx[t] = moved
 		}
+		drop := 0
+		for drop < len(c.evIdx) && len(c.evIdx[drop]) == 0 && settled(c.evBase+drop) {
+			drop++
+		}
+		c.evIdx = c.evIdx[drop:]
+		c.evBase += drop
 		kept := append([]checkpoint(nil), c.ckpts[ci:]...)
 		for i := range kept {
 			kept[i].n -= b
 		}
 		c.ckpts = kept
+		for n := 2 * len(kept); c.every > c.every0 && n <= maxCheckpoints/2; n *= 2 {
+			c.every /= 2
+		}
 		c.stats.Truncated += b
 		if c.p != nil {
 			// On disk, truncation is generation rotation: the surviving

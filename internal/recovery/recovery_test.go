@@ -166,11 +166,22 @@ func compactAll(t *testing.T, c *recovery.Core, victims map[int]bool) []int {
 // observably identical: same cascade victim sequences, same surviving
 // logs, same structural states, same monitor states (via Key) and the
 // same serializability verdict — across interleaved append and compact
-// phases.
+// phases. One more variant truncates and retires at every opportunity —
+// after every append and every compaction, with every transaction that
+// has run out of events and will not be picked as a victim settled — and
+// must show the same victims and cascades, the same state, and as its
+// log exactly the base log minus the prefix it discarded.
 func TestEquivalenceRandomTraces(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	truncations, retired := 0, 0 // what the truncating variant did, over all seeds
+	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sys, sched := workload.Random(rng, workload.DefaultConfig())
+		cfg := workload.DefaultConfig()
+		if seed >= 40 {
+			// More, shorter transactions: with three, two of them victims,
+			// little ever settles and the floor rarely moves.
+			cfg.Txns, cfg.Steps = 7, 6
+		}
+		sys, sched := workload.Random(rng, cfg)
 		if len(sched) == 0 {
 			continue
 		}
@@ -180,6 +191,9 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			c       *recovery.Core
 			st      *recovery.Store
 			restart bool
+			// retire, when non-nil, is the variant's own copy of the system:
+			// it truncates whenever it can and retires below the core's floor.
+			retire *model.System
 		}
 		mk := func(every int, full bool) *recovery.Core {
 			c := recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), every)
@@ -199,6 +213,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			}
 			return &variant{name: name, c: c, st: st, restart: restart}
 		}
+		rsys := model.NewSystem(sys.Init, sys.Txns...)
 		vars := []*variant{
 			{name: "every=1", c: mk(1, false)},
 			{name: "every=3", c: mk(3, false)},
@@ -206,8 +221,38 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			{name: "full-replay", c: mk(128, true)},
 			mkWAL(3, false),
 			mkWAL(16, true),
+			{name: "truncate+retire", retire: rsys,
+				c: recovery.New(len(rsys.Txns), rsys.Init, policy.Unrestricted{}.NewMonitor(rsys), 1)},
 		}
 		base := vars[0].c
+
+		// The victims of the two compaction rounds are drawn now (the same
+		// draws, in the same order, as when they were drawn per round) so
+		// that the truncating variant can keep them unsettled, as a runtime
+		// keeps an active transaction.
+		victimOf := [2]int{rng.Intn(len(sys.Txns)), rng.Intn(len(sys.Txns))}
+		lastEv := make([]int, len(sys.Txns)) // index in sched of each transaction's last event
+		for i, ev := range sched {
+			lastEv[int(ev.T)] = i
+		}
+		fed, round := 0, 0
+		settled := func(tn int) bool {
+			for _, v := range victimOf[round:] {
+				if v == tn {
+					return false
+				}
+			}
+			return lastEv[tn] < fed
+		}
+		truncate := func() {
+			for _, v := range vars {
+				if v.retire != nil && v.c.Truncate(settled) > 0 {
+					truncations++
+					v.retire.Retire(v.c.Floor())
+					v.c.Grow(len(v.retire.Txns))
+				}
+			}
+		}
 
 		// restartWAL tears down every restart-flagged variant — as a
 		// crash would, without sealing the WAL — and rebuilds it from
@@ -235,6 +280,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 		erased := map[int]bool{}
 		feed := func(evs model.Schedule) {
 			for _, ev := range evs {
+				fed++
 				if erased[int(ev.T)] {
 					continue
 				}
@@ -248,11 +294,14 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 						t.Fatalf("seed %d %s: append %v: %v", seed, v.name, ev, err)
 					}
 				}
+				truncate()
 			}
 		}
 		agree := func(phase string) {
 			for _, v := range vars[1:] {
-				if got, want := v.c.Events().String(), base.Events().String(); got != want {
+				// A truncating variant keeps the base log minus what it cut.
+				kept := base.Events()[min(v.c.Stats().Truncated, base.Len()):]
+				if got, want := v.c.Events().String(), kept.String(); got != want {
 					t.Fatalf("seed %d %s after %s: log\n%s\nwant\n%s", seed, v.name, phase, got, want)
 				}
 				if !v.c.State().Equal(base.State()) {
@@ -261,7 +310,11 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 				if got, want := v.c.Monitor().Key(), base.Monitor().Key(); got != want {
 					t.Fatalf("seed %d %s after %s: monitor key %q, want %q", seed, v.name, phase, got, want)
 				}
-				if got, want := v.c.Events().Serializable(sys), base.Events().Serializable(sys); got != want {
+				got, want := v.c.Events().Serializable(sys), base.Events().Serializable(sys)
+				if v.retire != nil && !want {
+					continue // the verdict on a suffix of a non-serializable log is not determined
+				}
+				if got != want {
 					t.Fatalf("seed %d %s after %s: serializability verdict %v, want %v", seed, v.name, phase, got, want)
 				}
 			}
@@ -276,8 +329,8 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 		// Two compaction rounds with an append phase between them, so the
 		// second round exercises replay-time checkpoints and truncated
 		// event indices.
-		for round := 0; round < 2; round++ {
-			victim := rng.Intn(len(sys.Txns))
+		for ; round < 2; round++ {
+			victim := victimOf[round]
 			var baseCascades []int
 			for i, v := range vars {
 				victims := map[int]bool{victim: true}
@@ -294,6 +347,8 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 				}
 			}
 			agree(fmt.Sprintf("compaction round %d", round))
+			truncate()
+			agree(fmt.Sprintf("truncation after compaction round %d", round))
 			if round == 0 {
 				restartWAL("compaction round 0")
 				agree("restart after compaction round 0")
@@ -310,6 +365,11 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			}
 			v.st.Close()
 		}
+		retired += rsys.Floor()
+	}
+	t.Logf("truncating variant: %d truncations, %d transactions retired", truncations, retired)
+	if truncations < 50 || retired < 80 {
+		t.Fatalf("the truncating variant truncated %d times and retired %d transactions over 60 seeds; the dimension is not exercised", truncations, retired)
 	}
 }
 

@@ -121,3 +121,68 @@ func TestTruncateRefusesStraddlers(t *testing.T) {
 		t.Fatalf("Truncate discarded %d events across a straddler, want 0", n)
 	}
 }
+
+// TestTruncateRaisesFloorAndRestoresInterval: one long straddler pins
+// every boundary while 200 one-event transactions run past it, which
+// thins the checkpoints twice (interval 1 → 4); once the straddler
+// settles, the next truncation discards the lot, reports a floor above
+// everything settled — the core no longer indexes those transactions, and
+// naming one as a victim is a no-op — and brings the interval back to the
+// configured one instead of snapshotting four times too rarely for the
+// rest of the core's life.
+func TestTruncateRaisesFloorAndRestoresInterval(t *testing.T) {
+	const short = 200
+	sys := model.NewSystem(model.NewState("a", "s"))
+	sys.Add(model.NewTxn("straddler", model.LX("s"), model.UX("s")))
+	for i := 0; i < short; i++ {
+		sys.Add(model.NewTxn("w", model.W("a")))
+	}
+	c := recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 1)
+	app := func(tn int, st model.Step) {
+		t.Helper()
+		if err := c.Append(model.Ev{T: model.TID(tn), S: st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// cadence appends eight events of fresh transactions and reports how
+	// many checkpoints that took.
+	cadence := func() int {
+		before := c.Checkpoints()
+		for i := 0; i < 8; i++ {
+			tn := sys.Add(model.NewTxn("w", model.W("a")))
+			c.Grow(len(sys.Txns))
+			app(int(tn), model.W("a"))
+		}
+		return c.Checkpoints() - before
+	}
+	allSettled := func(int) bool { return true }
+
+	app(0, model.LX("s"))
+	for i := 1; i <= short; i++ {
+		app(i, model.W("a"))
+	}
+	if n := c.Truncate(func(tn int) bool { return tn != 0 }); n != 0 {
+		t.Fatalf("Truncate discarded %d events below an open straddler, want 0", n)
+	}
+	if c.Floor() != 0 {
+		t.Fatalf("Floor = %d with the first transaction unsettled, want 0", c.Floor())
+	}
+	if got := cadence(); got != 2 {
+		t.Fatalf("%d checkpoints in 8 events after two thinnings, want 2 (interval 4)", got)
+	}
+	app(0, model.UX("s"))
+	cadence() // a boundary above the straddler's last event
+	if n := c.Truncate(allSettled); n == 0 {
+		t.Fatal("Truncate discarded nothing although everything has settled")
+	}
+	if got, want := c.Floor(), len(sys.Txns)-c.Len(); got < want || got < short {
+		t.Fatalf("Floor = %d, want at least %d: every transaction without a retained event is settled", got, want)
+	}
+	if got := cadence(); got != 8 {
+		t.Fatalf("%d checkpoints in 8 events after the truncation, want 8: the interval must return to the configured 1", got)
+	}
+	before := c.Len()
+	if ok, _ := c.Compact(map[int]bool{0: true, 17: true}); !ok || c.Len() != before {
+		t.Fatalf("compacting transactions below the floor must be a no-op: ok=%v, log %d -> %d", ok, before, c.Len())
+	}
+}

@@ -298,8 +298,8 @@ const maxStripeBuf = 8
 // detector that sees every edge — and translate their local transaction
 // indices to engine-wide owner ids through glob. The mapping is
 // append-only: registrations append under the partition's full gate
-// drain via a copy-on-write swap, and lock calls (which run before any
-// stripe is held) read it with an atomic load.
+// drain and publish the longer slice header, and lock calls (which run
+// before any stripe is held) read it with an atomic load.
 type lockSpace struct {
 	m    *lockmgr.Manager
 	glob atomic.Pointer[[]int] // local txn index -> owner id; nil = identity
@@ -318,15 +318,17 @@ func sharedLockSpace(m *lockmgr.Manager) *lockSpace {
 
 // register appends the owner id of the next local transaction index.
 // No-op in identity mode. Callers in translation mode hold the
-// partition's full drain, which serializes registrations.
+// partition's full drain, which serializes registrations. The append
+// writes spare capacity of the published table in place: a reader
+// indexes strictly below the length of the header it loaded, so it never
+// touches the slot being written, and sees the new one only through the
+// atomic store of the longer header.
 func (ls *lockSpace) register(owner int) {
 	p := ls.glob.Load()
 	if p == nil {
 		return
 	}
-	next := make([]int, len(*p)+1)
-	copy(next, *p)
-	next[len(*p)] = owner
+	next := append(*p, owner)
 	ls.glob.Store(&next)
 }
 
@@ -808,13 +810,21 @@ func (r *runner) commit(t, gen int) (committed, again bool, delay time.Duration)
 // longer active: abandoned rows own no events, and committed rows
 // entirely below the truncation point can never become cascade victims
 // (compaction only re-examines retained events, whose owners are
-// separated from the truncated prefix by Truncate's rule). Called with
+// separated from the truncated prefix by Truncate's rule). A truncation
+// that took also retires the transactions below the core's new floor —
+// settled, owning no retained event — from the system, and re-syncs the
+// live monitor (through the core) and the footprint monitor, so their
+// rows stop at the floor like the log stops at the boundary. Called with
 // a full drain held, sequencer flushed.
 func (r *runner) maybeTruncateDrained() {
 	if r.rec.Len() < r.truncMark {
 		return
 	}
-	r.rec.Truncate(func(t int) bool { return r.status[t] != txActive })
+	if r.rec.Truncate(func(t int) bool { return r.status[t] != txActive }) > 0 {
+		r.sys.Retire(r.rec.Floor())
+		r.rec.Grow(len(r.sys.Txns))
+		r.fpMon.Grow()
+	}
 	r.truncMark = r.rec.Len() + 4*r.cfg.CheckpointEvery
 }
 

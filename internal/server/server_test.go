@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,6 +247,18 @@ func digest(log, state, key string, ser bool, commits, gaveUp, dead, pol, imp, c
 		log, state, key, ser, commits, gaveUp, dead, pol, imp, casc, events)
 }
 
+// outcome reduces a digest to what a truncating server can still be
+// compared on — state, verdict, commit, give-up and abort counts — by
+// dropping the log line, the monitor key and the event count, and reports
+// whether the server had truncated (its key then reads "(truncated)").
+func outcome(d string) (reduced string, truncated bool) {
+	_, rest, _ := strings.Cut(d, "\n")
+	before, after, _ := strings.Cut(rest, " key:")
+	_, after, _ = strings.Cut(after, " serializable:")
+	after, _, _ = strings.Cut(after, " events:")
+	return before + " serializable:" + after, strings.Contains(d, `key:"(truncated)"`)
+}
+
 // TestSessionGateEquivalence is the acceptance pin of the service
 // layer: the same randomized trace driven through (a) the batch
 // reference drive, (b) in-process runtime Sessions, (c) per-step
@@ -262,7 +275,14 @@ func digest(log, state, key string, ser bool, commits, gaveUp, dead, pol, imp, c
 // transaction, the clients observe ErrAbandoned, and the engine-side
 // run loop terminates instead of re-hitting the same veto and skewing
 // the abort counts).
+//
+// The committing arm is driven once more with TruncateLog on — the log
+// truncated and the settled transactions retired from the monitors as
+// the trace runs — and every client arm must then report the untruncated
+// replay's outcome: the same commits, give-ups, abort counts, final
+// state and verdict.
 func TestSessionGateEquivalence(t *testing.T) {
+	truncated := 0
 	arms := []struct {
 		name   string
 		pol    policy.Policy
@@ -311,6 +331,30 @@ func TestSessionGateEquivalence(t *testing.T) {
 			if !arm.commit {
 				continue
 			}
+			// A snapshot after every event: traces this short otherwise end
+			// before a boundary separates anything.
+			tcfg := cfg
+			tcfg.TruncateLog, tcfg.CheckpointEvery = true, 1
+			sameOutcome := func(name, got, want string) {
+				t.Helper()
+				g, cut := outcome(got)
+				if cut {
+					truncated++
+				}
+				if w, _ := outcome(want); g != w {
+					t.Fatalf("%s seed %d: %s with TruncateLog diverges from the untruncated replay:\n--- truncating ---\n%s\n--- batch ---\n%s", arm.name, seed, name, g, w)
+				}
+			}
+			if got, err := driveInProcess(sys, sched, tcfg, true); err != nil {
+				t.Fatalf("%s seed %d: truncating sessions: %v", arm.name, seed, err)
+			} else {
+				sameOutcome("in-process", got, want)
+			}
+			if got, err := driveNetwork(t, sys, sched, tcfg, true); err != nil {
+				t.Fatalf("%s seed %d: truncating network: %v", arm.name, seed, err)
+			} else {
+				sameOutcome("per-step", got, want)
+			}
 			// Serial rendering: each declared body contiguous, committed at
 			// its end, zero retry budget — the trace shape run mode can
 			// express. All four client arms must match the replay on it.
@@ -345,7 +389,23 @@ func TestSessionGateEquivalence(t *testing.T) {
 			} else if got != swant {
 				t.Fatalf("%s seed %d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
 			}
+			tscfg := scfg
+			tscfg.TruncateLog, tscfg.CheckpointEvery = true, 1
+			if got, err := driveNetworkPipelined(t, sys, serial, tscfg, true); err != nil {
+				t.Fatalf("%s seed %d: truncating serial pipelined: %v", arm.name, seed, err)
+			} else {
+				sameOutcome("serial pipelined", got, swant)
+			}
+			if got, err := driveNetworkRun(t, sys, tscfg); err != nil {
+				t.Fatalf("%s seed %d: truncating run mode: %v", arm.name, seed, err)
+			} else {
+				sameOutcome("run mode", got, swant)
+			}
 		}
+	}
+	t.Logf("%d TruncateLog drives truncated", truncated)
+	if truncated < 10 {
+		t.Fatalf("only %d TruncateLog drives truncated; the arm is not exercised", truncated)
 	}
 }
 

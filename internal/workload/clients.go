@@ -65,6 +65,9 @@ func LockOnlySteps(ents []model.Entity) []model.Step {
 // clients all drive the same declared text.
 func ClientBodies(rng *rand.Rand, wl string, clients, perTxn, rounds int, lockOnly bool) ([][]model.Txn, []model.Entity) {
 	bodies := make([][]model.Txn, clients)
+	for i := range bodies {
+		bodies[i] = make([]model.Txn, 0, rounds)
+	}
 	var universe []model.Entity
 	switch wl {
 	case "disjoint":

@@ -152,7 +152,7 @@ func DTRChainSteps(ents []model.Entity) []model.Step {
 // at the end. It is the hold-to-end baseline the early-release policies
 // are measured against.
 func TwoPhaseSteps(ents []model.Entity) []model.Step {
-	var steps []model.Step
+	steps := make([]model.Step, 0, 3*len(ents))
 	for _, e := range ents {
 		steps = append(steps, model.LX(e), model.W(e))
 	}
