@@ -9,8 +9,7 @@
 //	      [-partitions N] [-stripes N] [-shards N]
 //	      [-mpl N] [-checkpoint-every N] [-truncate-log=false]
 //	      [-data-dir DIR] [-fsync] [-lease DUR] [-max-retries N]
-//	      [-backoff DUR] [-backoff-cap DUR] [-backoff-jitter F]
-//	      [-drain-timeout DUR] [-pprof HOST:PORT]
+//	      [-backoff DUR] [-drain-timeout DUR] [-pprof HOST:PORT]
 //
 // -data-dir makes lockd durable: every partition appends its committed
 // schedule, transaction declarations and statuses to a write-ahead log
@@ -26,18 +25,18 @@
 //
 // -partitions sets the engine's entity-hash partition count (default 1,
 // where every transaction is local to the one partition): each
-// partition is a full engine (own recovery core, stripe set, sequencer)
-// and sessions whose declared body stays inside one partition never
-// touch the others. Cross-partition and global-footprint transactions
-// go through the cross-partition drain. The wire protocol is identical
+// partition has its own recovery core, stripe set and sequencer, and
+// sessions whose declared body stays inside one partition never touch
+// the others. Cross-partition and global-footprint transactions drain
+// every partition. The wire protocol is identical
 // for every count. -truncate-log (default on) discards log events below the
 // earliest checkpoint whose owners are all settled, bounding recovery
 // memory on long-lived servers at the cost of full-log inspection.
 //
-// The backoff flags pace the retries lockd itself drives: run-mode
+// -backoff paces the retries lockd itself drives: run-mode
 // (stored-procedure) transactions and cascade re-runs. The k-th retry
-// waits k*backoff, capped at -backoff-cap, jittered down by up to the
-// -backoff-jitter fraction so colliding transactions desynchronize.
+// waits k*backoff, capped at 100*backoff, jittered down by up to half so
+// colliding transactions desynchronize.
 // Client-paced sessions (step/pipeline modes) choose their own backoff
 // client-side.
 //
@@ -92,9 +91,7 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync every WAL append (with -data-dir); acknowledged commits survive machine crashes")
 	lease := flag.Duration("lease", 30*time.Second, "session lease; idle sessions are aborted after this (0 disables)")
 	maxRetries := flag.Int("max-retries", 0, "per-transaction retry budget (0 = default, negative = none)")
-	backoff := flag.Duration("backoff", 0, "base retry delay for engine-driven retries (run mode, cascade re-runs; 0 = default, negative = none)")
-	backoffCap := flag.Duration("backoff-cap", 0, "cap on the linear retry delay (0 = default 100x base, negative = uncapped)")
-	backoffJitter := flag.Float64("backoff-jitter", 0, "fraction of the retry delay randomized away, 0..1 (0 = default 0.5, negative = none)")
+	backoff := flag.Duration("backoff", 0, "base retry delay for engine-driven retries (run mode, cascade re-runs; capped at 100x, jittered down by up to half; 0 = default, negative = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a drain waits for open sessions before force-aborting them")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled; unauthenticated, keep it loopback/firewalled)")
 	flag.Parse()
@@ -119,8 +116,6 @@ func main() {
 		MPL:             *mpl,
 		MaxRetries:      *maxRetries,
 		Backoff:         *backoff,
-		BackoffCap:      *backoffCap,
-		BackoffJitter:   *backoffJitter,
 		CheckpointEvery: *ckpt,
 		GateStripes:     *stripes,
 		Lease:           *lease,

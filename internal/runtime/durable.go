@@ -153,12 +153,12 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		return nil, err
 	}
 	info := &RestoreInfo{Clean: true}
-	pe.drainAll()
-	defer pe.undrainAll()
+	pe.parts.drain()
+	defer pe.parts.undrain()
 
 	recs := make([]recovery.Recovered, pe.n)
 	var maxTag uint64
-	for p, part := range pe.parts {
+	for p, r := range pe.parts {
 		st, rec, err := recovery.Open(PartitionDir(cfg.DataDir, pe.n, p), recovery.Options{Fsync: cfg.Fsync})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: opening durable store for partition %d: %w", p, err)
@@ -167,7 +167,7 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		info.Clean = info.Clean && rec.Clean
 		info.Torn = info.Torn || rec.Torn
 		maxTag = max(maxTag, rec.MaxTag())
-		if err := part.r.replayRecoveredDrained(rec); err != nil {
+		if err := r.replayRecoveredDrained(rec); err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
 		}
 		// The store is attached after the replay, which must not re-append
@@ -178,19 +178,19 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		if cfg.WrapPersister != nil {
 			pers = cfg.WrapPersister(st)
 		}
-		part.r.rec.SetPersister(pers)
+		r.rec.SetPersister(pers)
 	}
 	pe.tags.Store(maxTag)
 
-	if err := pe.rebuildGlobalDrained(recs, info); err != nil {
+	if err := pe.rebuildGlobalDrained(recs); err != nil {
 		return nil, err
 	}
 
 	// Settle each partition's local transactions: erase recovered-active
-	// attempts, park or abandon their sessions. Mirror rows are skipped
-	// and settled globally above.
-	for p, part := range pe.parts {
-		if err := part.settleRestoredDrained(recs[p].Opens, info); err != nil {
+	// attempts, park or abandon their sessions. Rows spanning partitions
+	// were settled above.
+	for p, r := range pe.parts {
+		if err := pe.settleRestoredDrained(r, recs[p].Opens, info); err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
 		}
 	}
@@ -203,7 +203,7 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 	if !merged.Serializable(sys) {
 		return nil, fmt.Errorf("runtime: restore: %w: merged recovered schedule is not serializable under policy %q", recovery.ErrCorrupt, pe.cfg.Policy.Name())
 	}
-	if f := pe.anyFatalDrained(); f != nil {
+	if f := pe.parts.fatal(); f != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", f)
 	}
 	info.Events = len(merged)
@@ -227,7 +227,7 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 		if o.G < 0 {
 			return fmt.Errorf("runtime: restore: %w: open %d has G=%d", recovery.ErrCorrupt, i, o.G)
 		}
-		if t := r.addTxnDrained(tx, o.G, o.Mirror); t != i {
+		if t := r.addTxnDrained(tx, o.G); t != i {
 			return fmt.Errorf("runtime: restore: %w: open %d landed at row %d", recovery.ErrCorrupt, i, t)
 		}
 	}
@@ -235,15 +235,18 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 		if t < 0 || t >= len(r.sys.Txns) {
 			return fmt.Errorf("runtime: restore: %w: status for unknown transaction %d", recovery.ErrCorrupt, t)
 		}
+		// A mirror row's metrics are its owner's, counted once per
+		// transaction by rebuildGlobalDrained.
+		local := !rec.Opens[t].Mirror
 		switch st {
 		case recovery.StatusCommitted:
 			r.status[t] = txCommitted
-			if !r.mirror[t] {
+			if local {
 				r.met.Commits++
 			}
 		case recovery.StatusAbandoned:
 			r.status[t] = txAbandoned
-			if !r.mirror[t] {
+			if local {
 				r.met.GaveUp++
 			}
 		case recovery.StatusActive:
@@ -254,7 +257,7 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 	}
 	for i, ev := range rec.Events {
 		// Bounds only — no definedness check: a partition's log
-		// legitimately holds a global transaction's events for entities
+		// legitimately holds a spanning transaction's events for entities
 		// homed elsewhere, which its local structural state never
 		// defines. The merged verification pass at the end of restore is
 		// the integrity check that matters.
@@ -269,53 +272,52 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 }
 
 // settleRestoredDrained resolves every recovered-active local
-// transaction: its in-flight attempt died with the process, so its
-// events are erased (cascading as a live abort would — a committed
-// cascade victim is un-committed, durably, and re-spawned engine-side);
-// then the transaction is either restored as a parked session (its
-// persisted lease window still open) or abandoned (window passed, or it
-// never was a session). Called with a full drain held, persister
-// attached. Skips mirror rows: a PartitionedEngine settles its
-// cross-partition transactions globally.
-func (e *Engine) settleRestoredDrained(opens []recovery.OpenRec, info *RestoreInfo) error {
-	r := e.r
-	// Snapshot the original actives separately: eraseDrained grows the
-	// victims map with cascade victims, and an un-committed cascade
-	// victim is re-spawned engine-driven — it must NOT be parked as a
-	// session below.
-	orig := map[int]bool{}
-	victims := map[int]bool{}
+// transaction of partition r: its in-flight attempt died with the
+// process, so its events are erased (cascading as a live abort would — a
+// committed cascade victim is un-committed, durably, and re-spawned
+// engine-side); then the transaction is either restored as a parked
+// session (its persisted lease window still open) or abandoned (window
+// passed, or it never was a session). Called with a full drain held,
+// persisters attached. Skips rows spanning partitions, which
+// rebuildGlobalDrained settles.
+func (pe *PartitionedEngine) settleRestoredDrained(r *runner, opens []recovery.OpenRec, info *RestoreInfo) error {
+	// The original actives, snapshotted before the erase: an un-committed
+	// cascade victim is re-spawned engine-driven — it must NOT be parked
+	// as a session below.
+	var orig []*txn
 	for t := range r.sys.Txns {
-		if r.status[t] == txActive && !r.mirror[t] {
-			orig[t] = true
-			victims[t] = true
+		if r.status[t] != txActive {
+			continue
+		}
+		if x := r.rowTxn(t); len(x.span) == 1 {
+			orig = append(orig, x)
 		}
 	}
-	if len(victims) > 0 {
-		r.eraseDrained(victims)
+	if len(orig) > 0 {
+		eraseDrained(span{r}, orig...)
 		if r.fatal != nil {
 			return fmt.Errorf("runtime: restore: %w", r.fatal)
 		}
 	}
-	now := e.now().UnixNano()
-	for t := range r.sys.Txns {
-		if !orig[t] || r.status[t] != txActive {
+	now := pe.now().UnixNano()
+	for _, x := range orig {
+		_, t := x.own()
+		if r.status[t] != txActive {
 			continue
 		}
 		o := opens[t]
 		if o.Deadline != 0 && o.Deadline <= now {
 			// The lease ran out while the process was down; the client
 			// is gone. Abandon, durably.
-			r.status[t] = txAbandoned
 			r.met.GaveUp++
 			r.met.LeaseExpired++
-			r.persistStatusDrained(t, recovery.StatusAbandoned)
+			x.setStatusDrained(txAbandoned)
 			continue
 		}
 		st := &sessState{token: o.Token}
 		st.deadline.Store(o.Deadline)
 		st.parked.Store(true)
-		e.adopt(t, o.G, r.sys.Txns[t], st, r.gen[t], false)
+		pe.adopt(*x, o.G, r.sys.Txns[t], st, r.gen[t], false)
 		info.Sessions++
 	}
 	if r.fatal != nil {
@@ -325,38 +327,37 @@ func (e *Engine) settleRestoredDrained(opens []recovery.OpenRec, info *RestoreIn
 }
 
 // rebuildGlobalDrained reconstructs the engine-wide system and the
-// global bookkeeping rows from the per-partition open records, then
-// settles every cross-partition transaction (cross-partition drain
-// held, persisters attached).
-func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered, info *RestoreInfo) error {
-	// witness[g] lists (partition, local index, mirror) for every row of
-	// global id g, in ascending partition order.
-	type rowRef struct {
+// session-id table from the per-partition open records, builds the rows
+// of transactions spanning partitions, then settles those recovered
+// active (every partition drained, persisters attached).
+func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered) error {
+	// byG[g] lists (partition, local index, mirror) for every row of
+	// session id g, in ascending partition order.
+	type replica struct {
 		p, lt  int
 		mirror bool
 	}
 	maxG := -1
-	byG := map[int][]rowRef{}
+	byG := map[int][]replica{}
 	for p := 0; p < pe.n; p++ {
 		for lt, o := range recs[p].Opens {
-			byG[o.G] = append(byG[o.G], rowRef{p: p, lt: lt, mirror: o.Mirror})
-			if o.G > maxG {
-				maxG = o.G
-			}
+			byG[o.G] = append(byG[o.G], replica{p: p, lt: lt, mirror: o.Mirror})
+			maxG = max(maxG, o.G)
 		}
 	}
 
+	owner := pe.parts[0]
+	var unsettled []*txn
 	for g := 0; g <= maxG; g++ {
 		refs := byG[g]
 		switch {
 		case len(refs) == 0:
-			// A lost open: the crash hit between the global id assignment
-			// and the first durable registration. No partition holds the
-			// row, no events exist; a placeholder keeps the global id
-			// space dense so later ids stay aligned.
+			// A lost open: the crash hit between the id assignment and the
+			// first durable registration. No partition holds the row, no
+			// events exist; a placeholder keeps the id space dense so later
+			// ids stay aligned.
 			pe.fullSys.Add(model.Txn{Name: "(lost)"})
-			pe.addRowLocked(-1)
-			pe.gstatus[g] = txAbandoned
+			pe.rows = append(pe.rows, rowRef{p: -1})
 			continue
 
 		case len(refs) == 1 && !refs[0].mirror:
@@ -364,103 +365,78 @@ func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered, inf
 			ref := refs[0]
 			o := recs[ref.p].Opens[ref.lt]
 			pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
-			pe.addRowLocked(ref.p)
-			pe.locs[g] = []int{ref.lt}
-			// Its status lives in the partition; the global row of a
-			// local transaction is unused, as in live operation.
+			pe.rows = append(pe.rows, rowRef{p: ref.p, t: ref.lt})
 			continue
 		}
 
-		// Cross-partition: every ref must be a mirror, one per partition
-		// (refs are in ascending partition order, so a second row of one
-		// partition follows its first).
+		// Spanning: every ref must be a mirror, one per partition (refs are
+		// in ascending partition order, so a second row of one partition
+		// follows its first).
 		for i, ref := range refs {
 			if !ref.mirror || (i > 0 && refs[i-1].p == ref.p) {
 				return fmt.Errorf("runtime: restore: %w: global id %d has inconsistent rows", recovery.ErrCorrupt, g)
 			}
 		}
 		if pe.n == 1 {
-			// classify never makes a global of a one-partition engine's body.
+			// spanOf never spans more than a one-partition engine has.
 			return fmt.Errorf("runtime: restore: %w: global id %d is a mirror row in a one-partition history", recovery.ErrCorrupt, g)
 		}
 		o := recs[refs[0].p].Opens[refs[0].lt]
 		pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
-		pe.addRowLocked(-1)
 
 		if len(refs) < pe.n {
-			// A partial mirror: the crash hit inside the registration
-			// loop, before the open was acknowledged — no events exist.
-			// Abandon the rows that do exist, durably.
+			// A partial registration: the crash hit inside the open's loop,
+			// before the open was acknowledged — no events exist. Abandon
+			// the rows that do exist, durably.
 			for _, ref := range refs {
-				r := pe.parts[ref.p].r
+				r := pe.parts[ref.p]
 				if r.status[ref.lt] != txAbandoned {
 					r.status[ref.lt] = txAbandoned
 					r.persistStatusDrained(ref.lt, recovery.StatusAbandoned)
 				}
 			}
-			pe.gstatus[g] = txAbandoned
-			pe.gmet.GaveUp++
+			owner.met.GaveUp++
+			pe.rows = append(pe.rows, rowRef{p: -1})
 			continue
 		}
 
-		locs := make([]int, pe.n)
+		x := &txn{span: pe.parts, locs: make([]int, pe.n)}
 		for _, ref := range refs {
-			locs[ref.p] = ref.lt
+			x.locs[ref.p] = ref.lt
 		}
-		pe.locs[g] = locs
+		pe.spanning[g] = x
+		pe.rows = append(pe.rows, rowRef{p: 0, t: x.locs[0]})
 
-		// Arbitrate the status: syncs walk partitions in ascending
-		// order, so the lowest-index replica is the freshest. Reconcile
-		// the stragglers, durably.
-		status := pe.parts[0].r.status[locs[0]]
-		pe.gstatus[g] = status
-		for p := 1; p < pe.n; p++ {
-			r := pe.parts[p].r
-			if r.status[locs[p]] != status {
-				r.status[locs[p]] = status
-				r.persistStatusDrained(locs[p], statusByte(status))
-			}
-		}
+		// The owner row is the arbiter: status writes reach the replicas
+		// in ascending order, so it is the freshest. Reconcile the
+		// stragglers, durably.
+		status := owner.status[x.locs[0]]
+		x.setStatusDrained(status)
 		switch status {
 		case txCommitted:
-			pe.gmet.Commits++
+			owner.met.Commits++
 		case txAbandoned:
-			pe.gmet.GaveUp++
+			owner.met.GaveUp++
+		case txActive:
+			unsettled = append(unsettled, x)
 		}
 	}
 
-	// Settle cross-partition transactions recovered active: their
-	// session died with the process and globals are not restored parked
-	// (see PartitionedEngine.Resume), so erase their events engine-wide — cascades
-	// and all — and abandon them. The original set is snapshotted apart
-	// from the (growable) victims map: an un-committed cascade victim is
-	// re-spawned engine-driven and must not be abandoned here.
-	var orig []int
-	unsettled := map[int]bool{}
-	for g := 0; g <= maxG; g++ {
-		if pe.home[g] == -1 && len(pe.locs[g]) == pe.n && pe.gstatus[g] == txActive {
-			orig = append(orig, g)
-			unsettled[g] = true
-		}
-	}
+	// Settle spanning transactions recovered active: their session died
+	// with the process and they are not restored parked (see Resume), so
+	// erase their events engine-wide — cascades and all — and abandon
+	// them. An un-committed cascade victim is re-spawned engine-driven
+	// and is not in unsettled.
 	if len(unsettled) > 0 {
-		pe.eraseAllDrained(unsettled)
-		for _, g := range orig {
-			// The re-spawn goroutines read the global bookkeeping under
-			// gmu, so from here on the restore takes it too.
-			pe.gmu.Lock()
-			active := pe.fatal == nil && pe.gstatus[g] == txActive
-			if active {
-				pe.gstatus[g] = txAbandoned
-				pe.gmet.GaveUp++
-			}
-			pe.gmu.Unlock()
-			if active {
-				pe.syncMirrorsDrained(g)
+		eraseDrained(pe.parts, unsettled...)
+		for _, x := range unsettled {
+			if pe.parts.fatal() == nil && owner.status[x.locs[0]] == txActive {
+				owner.met.GaveUp++
+				x.setStatusDrained(txAbandoned)
 			}
 		}
 	}
-	if f := pe.anyFatalDrained(); f != nil {
+	if f := pe.parts.fatal(); f != nil {
 		return fmt.Errorf("runtime: restore: %w", f)
 	}
 	return nil

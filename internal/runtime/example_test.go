@@ -39,13 +39,13 @@ func ExampleRun() {
 	// serializable: verified by Run
 }
 
-// ExampleEngine drives the long-lived session API: the engine starts
+// ExampleNewSessionEngine drives the long-lived session API: the engine starts
 // with no transactions, a client Opens a session by declaring the full
 // body, submits the declared steps one at a time and commits. Close
 // force-aborts stragglers, verifies the committed schedule serializable
 // and returns the final metrics — the batch Run semantics, paced by the
 // client instead of the engine.
-func ExampleEngine() {
+func ExampleNewSessionEngine() {
 	eng := runtime.NewSessionEngine(model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
 	tx := model.NewTxn("T1", model.LX("a"), model.W("a"), model.UX("a"))
 	s, err := eng.OpenSession(tx)

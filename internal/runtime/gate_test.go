@@ -40,44 +40,35 @@ func TestConfigSentinels(t *testing.T) {
 }
 
 // TestBackoffCapJitter pins the retry-delay schedule: linear in the
-// attempt number, capped, then jittered downward by a deterministic
-// injected source — the fix for unbounded k*base growth under long
-// retry storms.
+// attempt number, capped at 100x the base, then jittered downward by up
+// to half (a deterministic draw is injected) — the fix for unbounded
+// k*base growth under long retry storms.
 func TestBackoffCapJitter(t *testing.T) {
 	sys := model.NewSystem(model.NewState())
-	mk := func(cfg Config) *runner { return newRunner(sys, cfg) }
+	mk := func(cfg Config, draw float64) *runner {
+		r := newRunner(sys, cfg)
+		r.brand = func() float64 { return draw }
+		return r
+	}
 
-	// Defaults: cap = 100x base, jitter = 0.5 of the delay.
-	r := mk(Config{Backoff: time.Millisecond, BackoffRand: func() float64 { return 0 }})
+	r := mk(Config{Backoff: time.Millisecond}, 0)
 	if d := r.backoff(3); d != 3*time.Millisecond {
 		t.Fatalf("backoff(3) = %v, want 3ms (no jitter drawn)", d)
 	}
 	if d := r.backoff(500); d != 100*time.Millisecond {
 		t.Fatalf("backoff(500) = %v, want the 100x cap", d)
 	}
-	// A full jitter draw removes half the delay by default.
-	r = mk(Config{Backoff: time.Millisecond, BackoffRand: func() float64 { return 1 }})
+	// A full jitter draw removes half the delay.
+	r = mk(Config{Backoff: time.Millisecond}, 1)
 	if d := r.backoff(4); d != 2*time.Millisecond {
 		t.Fatalf("jittered backoff(4) = %v, want 2ms (half removed)", d)
 	}
-
-	// Explicit cap and jitter fraction.
-	r = mk(Config{
-		Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond,
-		BackoffJitter: 0.2, BackoffRand: func() float64 { return 1 },
-	})
-	if d := r.backoff(10); d != 4*time.Millisecond {
-		t.Fatalf("backoff(10) = %v, want cap 5ms minus 20%%", d)
+	if d := r.backoff(500); d != 50*time.Millisecond {
+		t.Fatalf("jittered backoff(500) = %v, want half the 100x cap", d)
 	}
 
-	// Negative sentinels: uncapped, unjittered.
-	r = mk(Config{Backoff: time.Millisecond, BackoffCap: -1, BackoffJitter: -1, BackoffRand: func() float64 { return 1 }})
-	if d := r.backoff(1000); d != time.Second {
-		t.Fatalf("uncapped backoff(1000) = %v, want 1s", d)
-	}
-
-	// Backoff=-1 (literal zero) never sleeps regardless of cap/jitter.
-	r = mk(Config{Backoff: -1})
+	// Backoff=-1 (literal zero) never sleeps.
+	r = mk(Config{Backoff: -1}, 1)
 	if d := r.backoff(50); d != 0 {
 		t.Fatalf("zero-backoff schedule slept %v", d)
 	}
@@ -123,7 +114,7 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 		if !commit || dropped[tn] || fed[tn] != total[tn] {
 			return
 		}
-		if _, again, _ := r.commit(tn, r.gen[tn]); again {
+		if _, again, _ := r.rowTxn(tn).commit(r.gen[tn]); again {
 			t.Fatal("single-threaded commit cannot be stale")
 		}
 	}
@@ -135,10 +126,10 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 		// Injected abort: exercise erase/charge under the drain exactly
 		// as a deadlock abort would.
 		if rng.Intn(12) == 0 {
-			r.gate.drain()
-			r.flushPending()
+			x := r.rowTxn(tn)
+			x.span.drain()
 			r.met.DeadlockAborts++
-			r.abortDrained(tn)
+			x.abortDrained()
 			dropped[tn] = true
 			continue
 		}
@@ -147,7 +138,7 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 				t.Fatalf("single-threaded lock on a legal schedule failed: %v", err)
 			}
 		}
-		ok, _, _ := r.admit(tn, r.gen[tn], ev)
+		ok, _, _ := r.rowTxn(tn).admit(r.gen[tn], ev.S)
 		if !ok {
 			// Vetoed (and aborted) or stale after a cascade: drop.
 			dropped[tn] = true

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -24,8 +23,8 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 	tags := make([][]uint64, pe.n)
 	total := 0
 	for p, part := range pe.parts {
-		logs[p] = part.r.rec.Events()
-		tags[p] = part.r.rec.Tags()
+		logs[p] = part.rec.Events()
+		tags[p] = part.rec.Tags()
 		total += len(logs[p])
 	}
 	idx := make([]int, pe.n)
@@ -42,7 +41,7 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 			return out
 		}
 		ev := logs[best][idx[best]]
-		out = append(out, model.Ev{T: model.TID(pe.parts[best].r.mgr.owner(int(ev.T))), S: ev.S})
+		out = append(out, model.Ev{T: model.TID(pe.parts[best].mgr.owner(int(ev.T))), S: ev.S})
 		for p := 0; p < pe.n; p++ {
 			for idx[p] < len(logs[p]) && tags[p][idx[p]] == bt {
 				idx[p]++
@@ -51,21 +50,19 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 	}
 }
 
-// statsDrained merges the per-partition and global metrics
-// (cross-partition drain held). Events counts the merged log — each
-// global event once — plus truncated prefixes (per-replica when
-// TruncateLog is on; exact with it off).
+// statsDrained sums the per-partition metrics — each row's are charged
+// to its owner replica (every partition drained). Events counts the
+// merged log — each spanning event once — plus truncated prefixes
+// (per-replica when TruncateLog is on; exact with it off).
 func (pe *PartitionedEngine) statsDrained() Metrics {
-	pe.gmu.Lock()
-	m := pe.gmet
-	pe.gmu.Unlock()
+	var m Metrics
 	distinct := 0
 	{
 		// Count distinct tags without building the merged schedule.
 		tags := make([][]uint64, pe.n)
 		idx := make([]int, pe.n)
 		for p, part := range pe.parts {
-			tags[p] = part.r.rec.Tags()
+			tags[p] = part.rec.Tags()
 		}
 		for {
 			best := -1
@@ -88,7 +85,7 @@ func (pe *PartitionedEngine) statsDrained() Metrics {
 	}
 	m.Events = distinct
 	for _, part := range pe.parts {
-		pm := part.r.met
+		pm := part.met
 		m.Commits += pm.Commits
 		m.GaveUp += pm.GaveUp
 		m.DeadlockAborts += pm.DeadlockAborts
@@ -96,21 +93,20 @@ func (pe *PartitionedEngine) statsDrained() Metrics {
 		m.ImproperAborts += pm.ImproperAborts
 		m.CascadeAborts += pm.CascadeAborts
 		m.LeaseExpired += pm.LeaseExpired
-		st := part.r.rec.Stats()
+		st := part.rec.Stats()
 		m.Replayed += st.Replayed
 		m.Events += st.Truncated
-		m.Wait += time.Duration(part.r.waitNs.Load())
+		m.Wait += time.Duration(part.waitNs.Load())
 	}
-	m.Wait += time.Duration(pe.waitNs.Load())
 	m.Elapsed = time.Since(pe.start)
 	return m
 }
 
 // Stats returns a consistent engine-wide metrics snapshot.
 func (pe *PartitionedEngine) Stats() Metrics {
-	pe.drainAll()
+	pe.parts.drain()
 	m := pe.statsDrained()
-	pe.undrainAll()
+	pe.parts.undrain()
 	return m
 }
 
@@ -121,7 +117,7 @@ func (pe *PartitionedEngine) Stats() Metrics {
 func (pe *PartitionedEngine) mergedStateDrained() model.State {
 	out := model.NewState()
 	for p, part := range pe.parts {
-		for e := range part.r.rec.State() {
+		for e := range part.rec.State() {
 			if model.PartitionOf(e, pe.n) == p {
 				out[e] = struct{}{}
 			}
@@ -145,14 +141,14 @@ func (pe *PartitionedEngine) sysSnapshotLocked() *model.System {
 // that). With TruncateLog the merged log is a suffix and the replayed
 // monitor key is not meaningful; it is reported as "(truncated)".
 func (pe *PartitionedEngine) Inspect() Inspection {
-	pe.drainAll()
+	pe.parts.drain()
 	merged := pe.mergedDrained()
 	pe.gmu.Lock()
 	sys := pe.sysSnapshotLocked()
 	pe.gmu.Unlock()
 	truncated := false
 	for _, part := range pe.parts {
-		if part.r.rec.Stats().Truncated > 0 {
+		if part.rec.Stats().Truncated > 0 {
 			truncated = true
 		}
 	}
@@ -177,38 +173,44 @@ func (pe *PartitionedEngine) Inspect() Inspection {
 		Serializable: merged.Serializable(sys),
 		Metrics:      pe.statsDrained(),
 	}
-	pe.undrainAll()
+	pe.parts.undrain()
 	ins.OpenSessions = pe.OpenSessions()
 	return ins
 }
 
-// Close shuts the partitioned engine down: cross-partition sessions are
-// force-aborted and their re-runs waited out, each partition engine is
-// closed (force-aborting its local sessions and verifying its own log
-// — which contains the partition's locals plus every global event), and
-// the merged global schedule is verified serializable against the
-// engine-wide system. Returns the merged metrics and schedule.
+// Close shuts the engine down: new sessions and session operations are
+// refused, every still-open session is force-aborted (erasing its
+// events, so the final log is exactly the committed schedule, as in
+// batch Run), engine-driven re-runs are waited out, the durable stores
+// are sealed and the merged schedule is verified serializable against
+// the engine-wide system. Returns the merged metrics and schedule.
 func (pe *PartitionedEngine) Close() (*Result, error) {
 	if !pe.shutdown() {
 		return nil, ErrClosed
 	}
 	defer pe.lifecycle.Unlock()
 	pe.wg.Wait()
-	for _, part := range pe.parts {
-		if _, err := part.Close(); err != nil && !errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-	}
-	// Single-threaded from here: sessions are excluded, re-runs done,
-	// partitions closed.
-	pe.drainAll()
+	// Session operations are excluded by the lifecycle write lock and the
+	// re-runs are done, but Stats/Inspect stay reachable (a draining
+	// server still answers polls), so the final state is read under the
+	// drain like every other access.
+	pe.parts.drain()
 	merged := pe.mergedDrained()
 	met := pe.statsDrained()
-	fatal := pe.anyFatalDrained()
+	fatal := pe.parts.fatal()
 	pe.gmu.Lock()
 	sys := pe.sysSnapshotLocked()
 	pe.gmu.Unlock()
-	pe.undrainAll()
+	pe.parts.undrain()
+	// Seal the durable stores (if any): the clean-shutdown marker lets the
+	// next Open skip torn-tail scanning and attests nothing was lost.
+	for _, r := range pe.parts {
+		if p := r.rec.Persister(); p != nil {
+			if err := p.Close(); err != nil && fatal == nil {
+				fatal = fmt.Errorf("runtime: sealing durable store: %w", err)
+			}
+		}
+	}
 	if fatal != nil {
 		return nil, fatal
 	}

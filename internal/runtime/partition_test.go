@@ -1,12 +1,17 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"locksafe/internal/model"
 	"locksafe/internal/policy"
+	"locksafe/internal/recovery"
 	"locksafe/internal/workload"
 )
 
@@ -87,5 +92,173 @@ func TestPartitionEquivalenceRandomTraces(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// statusLog records every durable status record a partition's store is
+// asked to append, by local row.
+type statusLog struct {
+	recovery.Persister
+	mu  *sync.Mutex
+	got map[int][]byte
+}
+
+func (l statusLog) AppendStatus(tid int, status byte) error {
+	l.mu.Lock()
+	l.got[tid] = append(l.got[tid], status)
+	l.mu.Unlock()
+	return l.Persister.AppendStatus(tid, status)
+}
+
+// TestCascadeUnCommitsAndRespawnsAcrossPartitions is the two-partition
+// twin of TestCascadeUnCommitsAndRespawns, on rows spanning both
+// partitions: T1 inserted x and T2, already committed, read it; aborting
+// T1 must cascade into T2, un-commit it in both replicas — durably, in
+// both stores — and re-run it, whereupon the re-run finds x undefined
+// and gives up. The re-run is a transaction like any other: under
+// MPL 1 it executes no step while an attached session holds the slot.
+func TestCascadeUnCommitsAndRespawnsAcrossPartitions(t *testing.T) {
+	x, y := partitionedEntities(t) // homed in partitions 0 and 1; x starts absent
+	var mu sync.Mutex
+	var stores []map[int][]byte
+	cfg := Config{
+		Policy: policy.Unrestricted{}, Partitions: 2, MPL: 1, MaxRetries: 2, Backoff: time.Microsecond,
+		DataDir: t.TempDir(),
+		WrapPersister: func(p recovery.Persister) recovery.Persister {
+			l := statusLog{Persister: p, mu: &mu, got: map[int][]byte{}}
+			stores = append(stores, l.got)
+			return l
+		},
+	}
+	eng, _, err := NewDurableSessionEngine(model.NewState(y), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := eng.(*PartitionedEngine)
+	t1 := model.NewTxn("T1", model.LX(x), model.I(x), model.UX(x), model.LX(y), model.W(y), model.UX(y))
+	t2 := model.NewTxn("T2", model.LX(x), model.R(x), model.UX(x), model.LX(y), model.R(y), model.UX(y))
+	// Each row is opened as a session and parked at once, which hands its
+	// MPL slot back; the test drives the rows itself.
+	row := func(tx model.Txn) (txn, int) {
+		s, err := pe.OpenSession(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Interrupt()
+		if len(s.x.span) != 2 {
+			t.Fatalf("%s spans %d partitions, want 2", tx.Name, len(s.x.span))
+		}
+		gen, _, _, _ := s.x.readTxnState()
+		for _, st := range tx.Steps {
+			if ok, _, _ := s.x.execStep(gen, st); !ok {
+				t.Fatalf("%s: step %s refused", tx.Name, st)
+			}
+		}
+		return s.x, gen
+	}
+	x1, _ := row(t1)
+	x2, gen2 := row(t2)
+	if committed, _, _ := x2.commit(gen2); !committed {
+		t.Fatal("T2 did not commit")
+	}
+	holder, err := pe.OpenSession(rwTxn("H", y))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// T1 aborts.
+	x1.span.drain()
+	x1.abortDrained()
+
+	// The re-run of T2 waits for the holder's slot.
+	time.Sleep(20 * time.Millisecond)
+	if m := pe.Stats(); m.CascadeAborts != 1 || m.Commits != 0 || m.ImproperAborts != 0 {
+		t.Fatalf("with the slot held: cascades=%d commits=%d improper=%d, want 1/0/0 (T2 un-committed, its re-run not started)",
+			m.CascadeAborts, m.Commits, m.ImproperAborts)
+	}
+	holder.Interrupt()
+	pe.wg.Wait()
+
+	m := pe.Stats()
+	if m.CascadeAborts != 1 || m.Commits != 0 || m.GaveUp != 1 || m.ImproperAborts == 0 {
+		t.Fatalf("cascades=%d commits=%d gaveup=%d improper=%d, want 1/0/1/>0 (T2's re-run abandons: x never exists)",
+			m.CascadeAborts, m.Commits, m.GaveUp, m.ImproperAborts)
+	}
+	mu.Lock()
+	for p, r := range pe.parts {
+		t2row := x2.locs[p]
+		want := []byte{recovery.StatusCommitted, recovery.StatusActive, recovery.StatusAbandoned}
+		if got := stores[p][t2row]; string(got) != string(want) {
+			t.Errorf("partition %d: T2's durable statuses %v, want %v (committed, un-committed, abandoned)", p, got, want)
+		}
+		r.gate.drain()
+		if r.status[t2row] != txAbandoned {
+			t.Errorf("partition %d: T2's replica is %d, want abandoned", p, r.status[t2row])
+		}
+		r.gate.undrain()
+	}
+	mu.Unlock()
+	if _, err := pe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, info, err := NewDurableSessionEngine(model.NewState(y), Config{Policy: policy.Unrestricted{}, Partitions: 2, DataDir: cfg.DataDir}); err != nil || info.Commits != 0 {
+		t.Fatalf("restore = %+v, %v; want no commits", info, err)
+	}
+}
+
+// TestSessionCrossPartitionDeadlock: two sessions spanning both
+// partitions lock e0 and e1 in opposite orders. The cycle runs through
+// both partitions' entities, so only the shared detector sees it: one
+// session gets ErrAborted naming the deadlock, the other commits, and
+// the drain verdict is clean.
+func TestSessionCrossPartitionDeadlock(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	eng := NewSessionEngine(model.NewState(e0, e1), Config{Policy: policy.TwoPhase{}, Partitions: 2, Backoff: -1})
+	var ss [2]*Session
+	for i, tx := range []model.Txn{spanTxn("A", e0, e1), spanTxn("B", e1, e0)} {
+		s, err := eng.OpenSession(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.x.span) != 2 {
+			t.Fatalf("%s spans %d partitions, want 2", tx.Name, len(s.x.span))
+		}
+		if err := s.Step(tx.Steps[0]); err != nil {
+			t.Fatal(err)
+		}
+		ss[i] = s
+	}
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, s := range ss {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Step(s.tx.Steps[1])
+		}()
+	}
+	wg.Wait()
+	victim, survivor := 0, 1
+	if errs[0] == nil {
+		victim, survivor = 1, 0
+	}
+	if err := errs[victim]; !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("victim's step = %v, want ErrAborted naming the deadlock", err)
+	}
+	if errs[survivor] != nil {
+		t.Fatalf("both steps failed: %v / %v", errs[0], errs[1])
+	}
+	if err := ss[survivor].Run(); err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	if err := ss[victim].Abort(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Close()
+	if err != nil {
+		t.Fatalf("drain verdict: %v", err)
+	}
+	if m := res.Metrics; m.Commits != 1 || m.DeadlockAborts != 1 || m.GaveUp != 1 {
+		t.Fatalf("commits=%d deadlocks=%d gaveup=%d, want 1/1/1", m.Commits, m.DeadlockAborts, m.GaveUp)
 	}
 }

@@ -113,8 +113,7 @@ func TestResumeBelowFloor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for p, part := range pe.parts {
-			r := part.r
+		for p, r := range pe.parts {
 			r.gate.drain()
 			floor, n, key := r.sys.Floor(), len(r.sys.Txns), r.rec.Monitor().Key()
 			r.gate.undrain()
@@ -166,7 +165,7 @@ func TestAgingFlatByCount(t *testing.T) {
 	pe := NewSessionEngine(model.NewState(universe...), Config{
 		Policy: policy.TwoPhase{}, Shards: 16, GateStripes: 16, TruncateLog: true,
 	}).(*PartitionedEngine)
-	r := pe.parts[0].r
+	r := pe.parts[0]
 
 	var done atomic.Int64
 	var allocAt, window [samples + 1]uint64 // written by whoever lands on the thousand

@@ -2,12 +2,12 @@
 // sharded concurrent lock manager under a locking-policy monitor, in
 // two modes: Run executes a complete pre-generated workload batch-style
 // (every transaction driven by its own goroutine to commit or
-// abandonment), and Engine serves a *long-lived, open-ended* population
+// abandonment), and a session engine serves a *long-lived, open-ended* population
 // — clients Open sessions by declaring a transaction body and drive its
 // steps one at a time (Session.Step/Commit/Abort), with lease timeouts
 // reaping abandoned sessions. The network lock service lockd
 // (locksafe/internal/server, cmd/lockd) is a thin transport over the
-// Engine API. It is the concurrent counterpart of the virtual-time
+// SessionEngine API. It is the concurrent counterpart of the virtual-time
 // execution engine (locksafe/internal/engine): the same abort/retry
 // discipline, the same cascading-abort rule (a surviving event that no
 // longer replays — for example a wake member of an aborted altruistic
@@ -51,32 +51,36 @@
 // cascade, so compaction restarts from the earliest invalidated
 // checkpoint and converges.
 //
-// Sessions ride the same machinery: opening one appends the declared
-// transaction to its partition's system under a full gate drain (growing
-// the monitors and the recovery core via their Grow methods),
-// Session.Step goes through exactly the batch loop's lock-acquisition
-// and admission paths, and a committed session un-committed by a cascade
-// is re-run by the engine itself from its declared body. DESIGN.md's
-// "Service layer" section gives the argument that this preserves the
-// gate-equivalence invariants; TestSessionGateEquivalence pins it end to
-// end.
+// Every transaction — a batch one, a client-paced session, the engine's
+// own re-run of a committed transaction a cascade un-committed — is
+// driven by one row machine (txn, below), parameterised by the
+// transaction's span: the partitions whose gates it drains and whose
+// logs its events land in. Batch Run has one partition, so every span is
+// that runner. Opening a session appends the declared transaction to the
+// systems of its span under the span's drain (growing the monitors and
+// the recovery cores via their Grow methods), Session.Step goes through
+// exactly the batch loop's lock-acquisition and admission paths, and a
+// committed session un-committed by a cascade is re-run by the engine
+// itself from its declared body. DESIGN.md's "Service layer" section
+// gives the argument that this preserves the gate-equivalence
+// invariants; TestSessionGateEquivalence pins it end to end.
 //
 // There is one session engine, PartitionedEngine (NewSessionEngine,
 // NewDurableSessionEngine): max(1, Config.Partitions) entity-hash
-// partitions, each a complete Engine (own striped gate, sequencer,
-// recovery core), sharing only the lock manager. Sessions whose declared
-// bodies are partition-local — with one partition, all of them — run
-// entirely on their home partition; bodies spanning partitions and
-// global-footprint events go through a cross-partition drain that
-// quiesces every partition — see partition.go and DESIGN.md
-// ("Partitioned engines"). TestPartitionEquivalenceRandomTraces pins
-// 1-, 2- and 8-partition digests identical to the batch reference's.
+// partitions, each a runner with its own striped gate, sequencer and
+// recovery core, sharing the lock manager. A partition-local body's span
+// is its home partition — with one partition, every body's; a body
+// spanning partitions, or declaring a global footprint, spans all of
+// them, and its drain quiesces every partition — see partition.go and
+// DESIGN.md ("Partitioned engines"). TestPartitionEquivalenceRandomTraces
+// pins 1-, 2- and 8-partition digests identical to the batch reference's.
 package runtime
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,26 +109,13 @@ type Config struct {
 	// transaction is abandoned and counted in Metrics.GaveUp.
 	// 0 selects the default (40); negative means no retries at all.
 	MaxRetries int
-	// Backoff is the base retry delay; the k-th retry waits k*Backoff,
-	// capped at BackoffCap and shrunk by up to BackoffJitter.
+	// Backoff is the base retry delay: the k-th retry waits k*Backoff,
+	// capped at backoffCapFactor×Backoff (without a cap a long abort
+	// streak walks the delay out without limit, identically for every
+	// client on it), then shrunk at random by up to backoffJitter of
+	// itself, desynchronizing clients that aborted together.
 	// 0 selects the default (200µs); negative means no delay.
 	Backoff time.Duration
-	// BackoffCap bounds the linear retry delay — without it a long abort
-	// streak walks the delay out without limit and, worse, every client
-	// on the same streak walks it identically, synchronizing retry
-	// storms. 0 selects the default (100×Backoff); negative means no cap
-	// (the pre-cap behavior, for ablation).
-	BackoffCap time.Duration
-	// BackoffJitter randomizes each delay down by up to this fraction
-	// (the k-th retry sleeps uniformly in [(1-J)·d, d] for d the capped
-	// linear delay), desynchronizing clients that aborted together.
-	// 0 selects the default (0.5); negative means none; values above 1
-	// are clamped to 1.
-	BackoffJitter float64
-	// BackoffRand supplies the jitter's uniform [0,1) draws (nil means
-	// the process-global math/rand source). Inject for deterministic
-	// delay tests.
-	BackoffRand func() float64
 	// CheckpointEvery is the number of logged events between
 	// monitor/state snapshots used for incremental abort recovery
 	// (default 128, as in the engine). Smaller values make aborts
@@ -140,7 +131,7 @@ type Config struct {
 	// always global (DTR), where every admission would otherwise pay a
 	// full drain of GateStripes mutexes to buy no concurrency.
 	GateStripes int
-	// Lease is the session lease of a long-lived Engine: how long a
+	// Lease is the session lease of a session engine: how long a
 	// Session may sit idle between requests before the engine aborts it,
 	// releases its locks and abandons it (Metrics.LeaseExpired). The
 	// lease clock runs only between session requests — a session parked
@@ -156,10 +147,10 @@ type Config struct {
 	Clock func() time.Time
 	// Partitions is the session engine's partition count
 	// (NewSessionEngine): the entity space is hashed into this many
-	// partitions, each a full Engine with its own gate, sequencer and
-	// recovery core; sessions whose declared body stays inside one
-	// partition run there with zero cross-partition coordination, and
-	// the rest go through the cross-partition drain. 0 means 1: one
+	// partitions, each with its own gate, sequencer and recovery core;
+	// sessions whose declared body stays inside one partition run there
+	// with zero cross-partition coordination, and the rest drain every
+	// partition. 0 means 1: one
 	// partition of the same engine, on which every body is local. Batch
 	// Run ignores the field.
 	Partitions int
@@ -209,17 +200,6 @@ func (c Config) withDefaults() Config {
 		c.Backoff = 200 * time.Microsecond
 	case c.Backoff < 0:
 		c.Backoff = 0
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 100 * c.Backoff
-	}
-	switch {
-	case c.BackoffJitter == 0:
-		c.BackoffJitter = 0.5
-	case c.BackoffJitter < 0:
-		c.BackoffJitter = 0
-	case c.BackoffJitter > 1:
-		c.BackoffJitter = 1
 	}
 	if c.GateStripes < 1 {
 		c.GateStripes = defaultGateStripes()
@@ -359,10 +339,13 @@ type runner struct {
 	fpMon model.Monitor
 
 	sem chan struct{} // MPL admission; nil = unbounded
-	wg  sync.WaitGroup
+	// wg counts the goroutines driving transactions to commit (a batch
+	// Run's, and the engine's cascade re-runs); the partitions of one
+	// engine share it.
+	wg *sync.WaitGroup
 
-	// brand is the backoff jitter source (cfg.BackoffRand or the
-	// process-global math/rand).
+	// brand is the backoff jitter's uniform [0,1) source (math/rand's;
+	// tests inject a fixed draw).
 	brand func() float64
 
 	// seqMu is the sequencer: it assigns log order by appending to
@@ -382,15 +365,14 @@ type runner struct {
 	// drainReq asks the next admission to drain the gate and flush the
 	// sequencer (checkpoint pacing).
 	drainReq atomic.Bool
-	// waitNs accumulates lock-wait time from the fast path; folded into
-	// met.Wait when the run ends.
+	// waitNs accumulates lock-wait time of the rows this runner owns.
 	waitNs atomic.Int64
 
 	// The fields below are stripe-protected. Per-transaction entries
 	// (status, gen, attempts, abortCause) are read under any stripe set
 	// covering that transaction and written only under a full drain;
 	// everything else — the recovery core, the aggregate metrics, fatal,
-	// the transaction list itself (grown by Engine.open via sys.Add) —
+	// the transaction list itself (grown by OpenSession via sys.Add) —
 	// is touched only under a full drain. fatal is additionally *read*
 	// on the fast path, which is safe because its writers hold every
 	// stripe including the reader's.
@@ -405,23 +387,94 @@ type runner struct {
 	// victim, policy veto, improper step, cascade, lease expiry), so a
 	// session client can be told what killed it.
 	abortCause []error
-	// mirror marks rows registered on behalf of a cross-partition
-	// (global) transaction by a PartitionedEngine: their lifecycle is
-	// owned by the cross-partition drain, never by this runner's local
-	// paths. A local abort cascading onto a mirror row would mean a
-	// partition-local event invalidated a global one — impossible while
-	// classification is sound (local transactions own no structural
-	// events and no donations), so eraseDrained treats it as a fatal
-	// invariant breach rather than mutating one replica of a global
-	// transaction.
-	mirror []bool
-	met    Metrics
+	// self is the one-partition span of this runner.
+	self span
+	// spanning holds the rows of transactions spanning several
+	// partitions, by engine-wide owner id; the partitions of one engine
+	// share it, and it is written only under every partition's drain. A
+	// row absent from it spans self alone. Only the owner replica's
+	// status, gen, attempts and abortCause entries are a row's
+	// bookkeeping; status is kept in step on every replica.
+	spanning map[int]*txn
+	met      Metrics
 	// truncMark paces log truncation (Config.TruncateLog): the next
 	// commit at or past this log length attempts a prefix truncation.
 	truncMark int
 	// fatal records an internal invariant breach (monitor Check/Step
-	// disagreement); the run stops admitting events and reports it.
+	// disagreement, a failed persist); the run stops admitting events
+	// and reports it.
 	fatal error
+}
+
+// span is the ordered set of partitions one transaction row works over.
+// Its drain drains every member's gate and flushes its sequencer in
+// ascending partition order — a fixed global order, so two spans cannot
+// deadlock on each other's half-acquired drains — and the holder owns
+// every member's world until undrain.
+type span []*runner
+
+func (sp span) drain() {
+	for _, r := range sp {
+		r.gate.drain()
+		r.flushPending()
+	}
+}
+
+func (sp span) undrain() {
+	for i := len(sp) - 1; i >= 0; i-- {
+		sp[i].gate.undrain()
+	}
+}
+
+// fatal reports the first member's recorded invariant breach (drain
+// held).
+func (sp span) fatal() error {
+	for _, r := range sp {
+		if r.fatal != nil {
+			return r.fatal
+		}
+	}
+	return nil
+}
+
+// setFatal records err on every member that has none yet, so a breach
+// in a spanning row halts every partition it touched (drain held).
+func (sp span) setFatal(err error) {
+	for _, r := range sp {
+		if r.fatal == nil {
+			r.fatal = err
+		}
+	}
+}
+
+// txn is one transaction row as the row machine drives it: span lists
+// the partitions whose gates it drains and whose logs its events land
+// in, ascending — the home partition of a partition-local body, every
+// partition of the engine for a body spanning them or declaring a global
+// footprint — and locs[i] is the row's local index in span[i]. The
+// owner replica span[0] keeps the row's generation, attempts and abort
+// cause, is charged its metrics and is its lock-manager identity; status
+// writes reach every replica. A txn holds no state of its own, so any
+// copy drives the same row.
+type txn struct {
+	span span
+	locs []int
+}
+
+// rowTxn returns the row of local index t.
+func (r *runner) rowTxn(t int) *txn {
+	if x := r.spanning[r.mgr.owner(t)]; x != nil {
+		return x
+	}
+	return &txn{span: r.self, locs: []int{t}}
+}
+
+// own returns the owner replica and the row's local index there.
+func (x *txn) own() (*runner, int) { return x.span[0], x.locs[0] }
+
+// ev renders step st as span member i's local event.
+func (x *txn) ev(i int, st model.Step) model.Ev {
+	return model.Ev{T: model.TID(x.locs[i]), S: st}
 }
 
 // Run executes the system's transactions as goroutines and returns
@@ -434,7 +487,7 @@ func (r *runner) run() (*Result, error) {
 	start := time.Now()
 	r.wg.Add(len(r.sys.Txns))
 	for t := range r.sys.Txns {
-		go r.runTxn(t)
+		go r.rowTxn(t).runTxn()
 	}
 	r.wg.Wait()
 	// Single-threaded from here on; drain for the helpers' discipline.
@@ -457,19 +510,23 @@ func (r *runner) run() (*Result, error) {
 	return &Result{Metrics: r.met, Schedule: sched}, nil
 }
 
+// newRunner returns a standalone runner over sys's transactions.
 func newRunner(sys *model.System, cfg Config) *runner {
 	return newRunnerShared(sys, cfg, nil)
 }
 
 // sharedParts is the wiring a PartitionedEngine injects into its
-// partition engines: one lock manager (cross-partition deadlock cycles
-// need a single detector), one global event-tag source (per-partition
-// logs merge by tag), and one MPL semaphore (a session occupies one
-// slot engine-wide, wherever it runs).
+// partitions: one lock manager (cross-partition deadlock cycles need a
+// single detector), one global event-tag source (per-partition logs
+// merge by tag), one MPL semaphore (a transaction occupies one slot
+// engine-wide, wherever it runs), one re-run group and one table of
+// spanning rows.
 type sharedParts struct {
-	mgr  *lockmgr.Manager
-	tags *atomic.Uint64
-	sem  chan struct{}
+	mgr      *lockmgr.Manager
+	tags     *atomic.Uint64
+	sem      chan struct{}
+	wg       *sync.WaitGroup
+	spanning map[int]*txn
 }
 
 func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
@@ -479,42 +536,41 @@ func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
 		cfg:        cfg,
 		gate:       newGate(cfg.GateStripes),
 		fpMon:      cfg.Policy.NewMonitor(sys),
+		brand:      rand.Float64,
 		rec:        recovery.New(len(sys.Txns), sys.Init, cfg.Policy.NewMonitor(sys), cfg.CheckpointEvery),
 		status:     make([]txnStatus, len(sys.Txns)),
 		gen:        make([]int, len(sys.Txns)),
 		attempts:   make([]int, len(sys.Txns)),
 		abortCause: make([]error, len(sys.Txns)),
-		mirror:     make([]bool, len(sys.Txns)),
 		truncMark:  4 * cfg.CheckpointEvery,
 	}
+	r.self = span{r}
 	if sh != nil {
 		r.mgr = sharedLockSpace(sh.mgr)
-		r.tagSrc = sh.tags
-		r.sem = sh.sem
-	} else {
-		r.mgr = newLockSpace(cfg.Shards)
-		r.tagSrc = new(atomic.Uint64)
-		if cfg.MPL > 0 {
-			r.sem = make(chan struct{}, cfg.MPL)
-		}
+		r.tagSrc, r.sem, r.wg, r.spanning = sh.tags, sh.sem, sh.wg, sh.spanning
+		return r
 	}
-	r.brand = cfg.BackoffRand
-	if r.brand == nil {
-		r.brand = rand.Float64
+	r.mgr = newLockSpace(cfg.Shards)
+	r.tagSrc, r.wg = new(atomic.Uint64), new(sync.WaitGroup)
+	if cfg.MPL > 0 {
+		r.sem = make(chan struct{}, cfg.MPL)
 	}
 	return r
 }
 
-// runTxn drives one transaction to commit or abandonment, retrying with
-// linear backoff after each abort.
-func (r *runner) runTxn(t int) {
-	defer r.wg.Done()
-	if r.sem != nil {
-		r.sem <- struct{}{}
-		defer func() { <-r.sem }()
+// runTxn drives x to commit or abandonment, retrying with backoff after
+// each abort — a batch Run's transactions, and the engine's re-run of a
+// committed transaction a cascade un-committed. It holds an MPL slot
+// throughout; an engine's slots are the ones its sessions hold.
+func (x *txn) runTxn() {
+	o, _ := x.own()
+	defer o.wg.Done()
+	if o.sem != nil {
+		o.sem <- struct{}{}
+		defer func() { <-o.sem }()
 	}
 	for {
-		again, delay := r.attempt(t)
+		again, delay := x.attempt()
 		if !again {
 			return
 		}
@@ -524,21 +580,23 @@ func (r *runner) runTxn(t int) {
 	}
 }
 
+// The retry-delay curve (see Config.Backoff).
+const (
+	backoffCapFactor = 100
+	backoffJitter    = 0.5
+)
+
 // backoff returns the k-th retry's delay: linear in k, capped at
-// BackoffCap, then jittered down by up to BackoffJitter so transactions
-// aborted by the same conflict do not re-collide in lockstep.
+// backoffCapFactor×Backoff, then jittered down by up to backoffJitter so
+// transactions aborted by the same conflict do not re-collide in
+// lockstep.
 func (r *runner) backoff(k int) time.Duration {
 	d := time.Duration(k) * r.cfg.Backoff
 	if d <= 0 {
 		return 0
 	}
-	if cap := r.cfg.BackoffCap; cap > 0 && d > cap {
-		d = cap
-	}
-	if j := r.cfg.BackoffJitter; j > 0 {
-		d = time.Duration(float64(d) * (1 - j*r.brand()))
-	}
-	return d
+	d = min(d, backoffCapFactor*r.cfg.Backoff)
+	return time.Duration(float64(d) * (1 - backoffJitter*r.brand()))
 }
 
 // txnStripes returns the stripe set covering transaction t's bookkeeping.
@@ -549,72 +607,75 @@ func (r *runner) txnStripes(buf []int, t int) []int {
 	return append(buf, r.gate.stripeOfTxn(t))
 }
 
-// attempt executes one full pass over t's declared steps. It reports
+// attempt executes one full pass over x's declared steps. It reports
 // whether to retry and after what delay.
-func (r *runner) attempt(t int) (bool, time.Duration) {
+func (x *txn) attempt() (bool, time.Duration) {
+	o, t := x.own()
 	var buf [maxStripeBuf]int
-	tset := r.txnStripes(buf[:0], t)
-	r.gate.lockSet(tset)
-	if r.status[t] != txActive || r.fatal != nil {
-		r.gate.unlockSet(tset)
+	tset := o.txnStripes(buf[:0], t)
+	o.gate.lockSet(tset)
+	if o.status[t] != txActive || o.fatal != nil {
+		o.gate.unlockSet(tset)
 		return false, 0
 	}
-	gen := r.gen[t]
-	// The transaction list is grown by Engine.open under a full drain,
+	gen := o.gen[t]
+	// The transaction list is grown by OpenSession under a full drain,
 	// so the declared body must be read under a stripe.
-	tx := r.sys.Txns[t]
-	r.gate.unlockSet(tset)
+	tx := o.sys.Txns[t]
+	o.gate.unlockSet(tset)
 
 	for pos := 0; pos < tx.Len(); pos++ {
-		ok, again, delay := r.execStep(t, gen, tx.Steps[pos])
+		ok, again, delay := x.execStep(gen, tx.Steps[pos])
 		if !ok {
 			return again, delay
 		}
 	}
-	_, again, delay := r.commit(t, gen)
+	_, again, delay := x.commit(gen)
 	return again, delay
 }
 
-// execStep performs one declared step of t's attempt gen: the lock-table
+// execStep performs one declared step of x's attempt gen: the lock-table
 // action for lock steps, then gate admission. ok reports whether the
 // step was admitted; otherwise (again, delay) is the retry policy for
 // the attempt, exactly as the batch loop interprets it.
-func (r *runner) execStep(t, gen int, step model.Step) (ok, again bool, delay time.Duration) {
-	ev := model.Ev{T: model.TID(t), S: step}
+func (x *txn) execStep(gen int, step model.Step) (ok, again bool, delay time.Duration) {
 	if step.Op.IsLock() {
+		o, t := x.own()
 		t0 := time.Now()
-		err := r.mgr.Lock(t, step.Ent, step.Op.LockMode())
-		r.waitNs.Add(int64(time.Since(t0)))
+		err := o.mgr.Lock(t, step.Ent, step.Op.LockMode())
+		o.waitNs.Add(int64(time.Since(t0)))
 		if err != nil {
-			again, delay = r.lockFailed(t, gen, err)
+			again, delay = x.lockFailed(gen, err)
 			return false, again, delay
 		}
 	}
-	return r.admit(t, gen, ev)
+	return x.admit(gen, step)
 }
 
-// admit passes one event through the gate: the fast path evaluates it
-// under its footprint stripes; anything that cannot complete there —
-// global footprints, structural updates, a due sequencer flush, a stale
-// generation, a policy veto, an undefined data step — re-runs on the
-// slow path under a full drain, where the complete legacy gate logic
-// (including aborting) applies atomically.
-func (r *runner) admit(t, gen int, ev model.Ev) (ok, again bool, delay time.Duration) {
-	var buf [maxStripeBuf]int
-	if !r.drainReq.Load() {
-		if set, fast := r.gate.setFor(buf[:0], ev, r.fpMon.Footprint(ev)); fast {
-			switch out, err := r.admitFast(set, t, gen, ev); out {
+// admit passes one step through the gate. A one-partition span first
+// tries the fast path, which evaluates it under its footprint stripes;
+// anything that cannot complete there — global footprints, structural
+// updates, a due sequencer flush, a stale generation, a policy veto, an
+// undefined data step — and every step of a wider span runs on the slow
+// path under the span's drain, where the complete gate logic (including
+// aborting) applies atomically.
+func (x *txn) admit(gen int, st model.Step) (ok, again bool, delay time.Duration) {
+	if o, t := x.own(); len(x.span) == 1 && !o.drainReq.Load() {
+		ev := model.Ev{T: model.TID(t), S: st}
+		var buf [maxStripeBuf]int
+		if set, fast := o.gate.setFor(buf[:0], ev, o.fpMon.Footprint(ev)); fast {
+			switch out, err := o.admitFast(set, t, gen, ev); out {
 			case fastAdmitted:
 				return true, false, 0
 			case fastFatal:
-				again, delay = r.bailSlow(t, err)
+				again, delay = x.bailSlow(err)
 				return false, again, delay
 			case fastFallback:
 				// fall through to the slow path; nothing happened
 			}
 		}
 	}
-	return r.admitSlow(t, gen, ev)
+	return x.admitSlow(gen, st)
 }
 
 type fastOutcome int
@@ -709,44 +770,58 @@ func (r *runner) flushPending() {
 	r.seqMu.Unlock()
 }
 
-// admitSlow is the authoritative admission path: under a full drain it
-// runs the complete serialized-gate logic — stale check, definedness,
-// policy Check, the unlock table action, and the recovery-core append
-// (which steps the monitor and takes checkpoints). Aborts and fatal
-// errors are handled atomically here. With GateStripes = 1 every event
-// takes this path and the runtime is the pre-striping serialized gate.
-func (r *runner) admitSlow(t, gen int, ev model.Ev) (ok, again bool, delay time.Duration) {
-	r.gate.drain()
-	r.flushPending()
-	if stale, out := r.staleDrained(t, gen); stale {
+// admitSlow is the authoritative admission path: under the span's
+// drain it runs the complete serialized-gate logic — stale check,
+// definedness, the policy Check on every member's monitor (the verdict
+// is their conjunction), the unlock table action, and the append into
+// every member's recovery core under one sequence tag (which steps the
+// monitors and takes checkpoints). Aborts and fatal errors are handled
+// atomically here. With GateStripes = 1 every event of a one-partition
+// span takes this path and the runtime is the pre-striping serialized
+// gate.
+func (x *txn) admitSlow(gen int, st model.Step) (ok, again bool, delay time.Duration) {
+	x.span.drain()
+	if stale, out := x.staleDrained(gen); stale {
 		return false, out.again, out.delay
 	}
-	if ev.S.Op.IsData() && !r.rec.State().Defined(ev.S) {
+	o, t := x.own()
+	// Definedness is judged by the entity's home partition within the
+	// span: every event that can create or delete st.Ent — a local
+	// structural step of a transaction homed there, or a spanning one,
+	// logged everywhere — lands in that partition's log, so its state is
+	// authoritative for its own entities. A one-partition span is its own
+	// home.
+	if st.Op.IsData() && !x.span[model.PartitionOf(st.Ent, len(x.span))].rec.State().Defined(st) {
 		// The workload raced ahead of a creator transaction: retry later.
-		r.met.ImproperAborts++
-		r.abortCause[t] = fmt.Errorf("improper step %s: undefined in the structural state", ev)
-		again, delay = r.abortDrained(t)
+		o.met.ImproperAborts++
+		o.abortCause[t] = fmt.Errorf("improper step %s: undefined in the structural state", x.ev(0, st))
+		again, delay = x.abortDrained()
 		return false, again, delay
 	}
-	if err := r.rec.Monitor().Check(ev); err != nil {
-		r.met.PolicyAborts++
-		r.abortCause[t] = err
-		again, delay = r.abortDrained(t)
-		return false, again, delay
-	}
-	if ev.S.Op.IsUnlock() {
-		if err := r.mgr.Unlock(t, ev.S.Ent); err != nil {
-			// Releasing an un-held entity: a malformed workload, not an
-			// abortable conflict.
-			again, delay = r.bailDrained(t, fmt.Errorf("runtime: %w", err))
+	for i, r := range x.span {
+		if err := r.rec.Monitor().Check(x.ev(i, st)); err != nil {
+			o.met.PolicyAborts++
+			o.abortCause[t] = err
+			again, delay = x.abortDrained()
 			return false, again, delay
 		}
 	}
-	if !r.commitEventDrained(ev) {
-		again, delay = r.bailDrained(t, nil)
-		return false, again, delay
+	if st.Op.IsUnlock() {
+		if err := o.mgr.Unlock(t, st.Ent); err != nil {
+			// Releasing an un-held entity: a malformed workload, not an
+			// abortable conflict.
+			again, delay = x.bailDrained(fmt.Errorf("runtime: %w", err))
+			return false, again, delay
+		}
 	}
-	r.gate.undrain()
+	tag := o.tagSrc.Add(1) - 1
+	for i, r := range x.span {
+		if !r.commitEventDrained(x.ev(i, st), tag) {
+			again, delay = x.bailDrained(nil)
+			return false, again, delay
+		}
+	}
+	x.span.undrain()
 	return true, false, 0
 }
 
@@ -754,53 +829,54 @@ func (r *runner) admitSlow(t, gen int, ev model.Ev) (ok, again bool, delay time.
 // the attempt, anything else (re-locking a held entity — a malformed
 // workload) is fatal. A stale generation wins over either, as in the
 // serialized gate.
-func (r *runner) lockFailed(t, gen int, err error) (bool, time.Duration) {
-	r.gate.drain()
-	r.flushPending()
-	if stale, out := r.staleDrained(t, gen); stale {
+func (x *txn) lockFailed(gen int, err error) (bool, time.Duration) {
+	x.span.drain()
+	if stale, out := x.staleDrained(gen); stale {
 		return out.again, out.delay
 	}
 	if !errors.Is(err, lockmgr.ErrDeadlock) {
-		return r.bailDrained(t, fmt.Errorf("runtime: %w", err))
+		return x.bailDrained(fmt.Errorf("runtime: %w", err))
 	}
-	// Deadlock victim (intra- or cross-shard).
-	r.met.DeadlockAborts++
-	r.abortCause[t] = err
-	return r.abortDrained(t)
+	// Deadlock victim (intra- or cross-shard, intra- or cross-partition).
+	o, t := x.own()
+	o.met.DeadlockAborts++
+	o.abortCause[t] = err
+	return x.abortDrained()
 }
 
-// commit finalizes t: its last event is already sequenced, so only the
-// bookkeeping and stray-lock shedding remain, done under a drain so a
+// commit finalizes x: its last event is already sequenced, so only the
+// bookkeeping and stray-lock shedding remain, done under the drain so a
 // concurrent cascade cannot interleave between the status flip and the
-// teardown. committed reports whether t actually reached txCommitted —
+// teardown. committed reports whether x actually reached txCommitted —
 // false when the attempt went stale under the drain (the session API
 // needs the distinction; the batch loop only follows again/delay).
-func (r *runner) commit(t, gen int) (committed, again bool, delay time.Duration) {
-	r.gate.drain()
-	r.flushPending()
-	if stale, out := r.staleDrained(t, gen); stale {
+func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
+	x.span.drain()
+	if stale, out := x.staleDrained(gen); stale {
 		return false, out.again, out.delay
 	}
-	r.status[t] = txCommitted
-	r.met.Commits++
+	o, t := x.own()
+	o.met.Commits++
 	// The commit is acknowledged only after the status record is durably
-	// appended (with Fsync on), so an acked commit survives a crash.
-	r.persistStatusDrained(t, recovery.StatusCommitted)
-	if r.fatal != nil {
-		out := retryOut{}
-		r.gate.undrain()
-		r.mgr.ReleaseAll(t)
-		return false, out.again, out.delay
+	// appended in every replica (with Fsync on), so an acked commit
+	// survives a crash.
+	x.setStatusDrained(txCommitted)
+	if x.span.fatal() != nil {
+		x.span.undrain()
+		o.mgr.ReleaseAll(t)
+		return false, false, 0
 	}
 	// Well-formed transactions have released everything; drop strays (so
 	// a workload bug cannot wedge the rest of the run) while still
 	// draining — after the drain ends a cascade may un-commit and
-	// re-spawn t, and a stray teardown would tear the new attempt down.
-	r.mgr.ReleaseAll(t)
-	if r.cfg.TruncateLog {
-		r.maybeTruncateDrained()
+	// re-spawn x, and a stray teardown would tear the new attempt down.
+	o.mgr.ReleaseAll(t)
+	for _, r := range x.span {
+		if r.cfg.TruncateLog {
+			r.maybeTruncateDrained()
+		}
 	}
-	r.gate.undrain()
+	x.span.undrain()
 	return true, false, 0
 }
 
@@ -833,56 +909,59 @@ type retryOut struct {
 	delay time.Duration
 }
 
-// staleDrained checks whether t's attempt was invalidated by a concurrent
-// cascade (or the run hit a fatal error). Called with a full drain held;
-// on stale it releases the drain, sheds any lock the attempt acquired
-// inside the race window after the cascade's ReleaseAll, and reports how
-// to continue.
-func (r *runner) staleDrained(t, gen int) (bool, retryOut) {
-	if r.fatal != nil {
-		r.gate.undrain()
-		r.mgr.ReleaseAll(t)
+// staleDrained checks whether x's attempt was invalidated by a
+// concurrent cascade (or the engine hit a fatal error). Called with the
+// span drained; on stale it releases the drain, sheds any lock the
+// attempt acquired inside the race window after the cascade's
+// ReleaseAll, and reports how to continue.
+func (x *txn) staleDrained(gen int) (bool, retryOut) {
+	o, t := x.own()
+	if x.span.fatal() != nil {
+		x.span.undrain()
+		o.mgr.ReleaseAll(t)
 		return true, retryOut{again: false}
 	}
-	if r.gen[t] == gen {
+	if o.gen[t] == gen {
 		return false, retryOut{}
 	}
-	again := r.status[t] == txActive
-	delay := r.backoff(r.attempts[t])
-	r.gate.undrain()
+	again := o.status[t] == txActive
+	delay := o.backoff(o.attempts[t])
+	x.span.undrain()
 	// The aborter already erased our events, charged the retry and
 	// released our locks; only locks acquired after that teardown can
 	// remain, and they were never observed by the monitor.
-	r.mgr.ReleaseAll(t)
+	o.mgr.ReleaseAll(t)
 	return true, retryOut{again: again, delay: delay}
 }
 
-// bailDrained stops t after a fatal error (recording err unless one is
-// already recorded or err is nil). Called with a full drain held;
-// releases it.
-func (r *runner) bailDrained(t int, err error) (bool, time.Duration) {
-	if r.fatal == nil && err != nil {
-		r.fatal = err
+// bailDrained stops x after a fatal error, recording err (nil: the
+// error a member already recorded) on every member of the span that has
+// none. Called with the span drained; releases it.
+func (x *txn) bailDrained(err error) (bool, time.Duration) {
+	if err == nil {
+		err = x.span.fatal()
 	}
-	r.gate.undrain()
-	r.mgr.ReleaseAll(t)
+	x.span.setFatal(err)
+	x.span.undrain()
+	o, t := x.own()
+	o.mgr.ReleaseAll(t)
 	return false, 0
 }
 
 // bailSlow is bailDrained for callers not yet draining (the fast path's
 // post-side-effect failures).
-func (r *runner) bailSlow(t int, err error) (bool, time.Duration) {
-	r.gate.drain()
-	r.flushPending()
-	return r.bailDrained(t, err)
+func (x *txn) bailSlow(err error) (bool, time.Duration) {
+	x.span.drain()
+	return x.bailDrained(err)
 }
 
 // commitEventDrained applies ev to the monitor and structural state and
-// appends it to the log, all through the recovery core. Called with a
-// full drain held after a successful Check; reports false (recording a
-// fatal error) if the monitor reneges on its Check.
-func (r *runner) commitEventDrained(ev model.Ev) bool {
-	if err := r.rec.AppendTagged(ev, r.tagSrc.Add(1)-1); err != nil {
+// appends it to the log under the given sequence tag, all through the
+// recovery core. Called with a full drain held after a successful
+// Check; reports false (recording a fatal error) if the monitor reneges
+// on its Check or the append cannot be persisted.
+func (r *runner) commitEventDrained(ev model.Ev, tag uint64) bool {
+	if err := r.rec.AppendTagged(ev, tag); err != nil {
 		var perr *recovery.PersistError
 		if errors.As(err, &perr) {
 			r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
@@ -924,97 +1003,129 @@ func statusByte(s txnStatus) byte {
 	}
 }
 
-// abortDrained aborts t's current attempt: erase its events (cascading
-// as needed), charge the retry, tear down its locks. Called with a full
-// drain held; returns with the drain released.
-func (r *runner) abortDrained(t int) (bool, time.Duration) {
-	r.eraseDrained(map[int]bool{t: true})
-	r.chargeDrained(t)
-	again := r.status[t] == txActive
-	delay := r.backoff(r.attempts[t])
-	r.gate.undrain()
-	r.mgr.ReleaseAll(t)
-	return again, delay
-}
-
-// chargeDrained bumps t's generation and retry count, abandoning it past
-// MaxRetries. Called with a full drain held.
-func (r *runner) chargeDrained(t int) {
-	r.gen[t]++
-	r.attempts[t]++
-	if r.attempts[t] > r.cfg.MaxRetries && r.status[t] == txActive {
-		r.status[t] = txAbandoned
-		r.met.GaveUp++
-		r.persistStatusDrained(t, recovery.StatusAbandoned)
+// setStatusDrained sets x's status in every replica, durably where it
+// changed (span drained). Ascending partition order, so a crash midway
+// leaves a prefix of the replicas updated, the owner first — and the
+// owner's is the status a restore believes.
+func (x *txn) setStatusDrained(s txnStatus) {
+	for i, r := range x.span {
+		if t := x.locs[i]; r.status[t] != s {
+			r.status[t] = s
+			r.persistStatusDrained(t, statusByte(s))
+		}
 	}
 }
 
-// eraseDrained removes the victims' events from the log through the
-// recovery core's checkpointed compaction: only the suffix after the
-// last snapshot at or before the victims' first event is replayed. A
+// abortDrained aborts x's current attempt: erase its events (cascading
+// as needed), charge the retry, tear down its locks. Called with the
+// span drained; returns with the drain released.
+func (x *txn) abortDrained() (bool, time.Duration) {
+	eraseDrained(x.span, x)
+	x.chargeDrained()
+	o, t := x.own()
+	again := o.status[t] == txActive
+	delay := o.backoff(o.attempts[t])
+	x.span.undrain()
+	o.mgr.ReleaseAll(t)
+	return again, delay
+}
+
+// chargeDrained bumps x's generation and retry count, abandoning it past
+// MaxRetries. Called with the span drained.
+func (x *txn) chargeDrained() {
+	o, t := x.own()
+	o.gen[t]++
+	o.attempts[t]++
+	if o.attempts[t] > o.cfg.MaxRetries && o.status[t] == txActive {
+		o.met.GaveUp++
+		x.setStatusDrained(txAbandoned)
+	}
+}
+
+// eraseDrained removes the victims' events from the logs of sp through
+// each member's checkpointed compaction: only the suffix after the last
+// snapshot at or before the victims' first event is replayed. A
 // surviving event that no longer replays identifies a cascade victim
 // (for example a wake member of an aborted altruistic donor): it is torn
 // down too — un-committing and re-spawning it if it had already finished
 // — and compaction retries with the grown victim set, restarting from
-// the earliest checkpoint the removals invalidate. Victims only grow, so
-// the loop converges. Called with a full drain held (the sequencer must
-// already be flushed).
-func (r *runner) eraseDrained(victims map[int]bool) {
-	for {
-		ok, cascade := r.rec.Compact(victims)
-		if ok {
-			return
+// the earliest checkpoint the removals invalidate; a victim spanning
+// several partitions joins every member's set, and the members before
+// the one that found it compact again. Victims only grow, so the loop
+// converges. Called with sp drained; every victim's span lies within sp.
+func eraseDrained(sp span, victims ...*txn) {
+	lv := make([]map[int]bool, len(sp))
+	for i := range lv {
+		lv[i] = make(map[int]bool)
+	}
+	add := func(v *txn) {
+		for j, r := range v.span {
+			lv[slices.Index(sp, r)][v.locs[j]] = true
 		}
-		if victims[cascade] {
-			// Compact never re-reports a transaction already in the set;
-			// seeing one is an invariant breach, not a livelock to spin on.
-			r.fatal = fmt.Errorf("runtime: abort cascade cannot converge on T%d", cascade+1)
-			return
+	}
+	for _, v := range victims {
+		add(v)
+	}
+restart:
+	for i, r := range sp {
+		for {
+			ok, c := r.rec.Compact(lv[i])
+			if ok {
+				break
+			}
+			if lv[i][c] {
+				// Compact never re-reports a transaction already in the set;
+				// seeing one is an invariant breach, not a livelock to spin on.
+				sp.setFatal(fmt.Errorf("runtime: abort cascade cannot converge on T%d", c+1))
+				return
+			}
+			v := r.rowTxn(c)
+			if len(v.span) > len(sp) {
+				// A partition-local abort cascaded onto a spanning
+				// transaction: local bodies hold no structural events and no
+				// donations, so their events never invalidate a spanning
+				// one's. This is an invariant breach — mutating one replica
+				// here would diverge the partitions.
+				sp.setFatal(fmt.Errorf("runtime: local abort cascade reached cross-partition transaction T%d", c+1))
+				return
+			}
+			v.cascadeVictimDrained()
+			add(v)
+			if len(v.span) > 1 {
+				goto restart
+			}
 		}
-		if r.mirror[cascade] {
-			// A partition-local abort cascaded onto a cross-partition
-			// transaction's mirror row: local events can never invalidate
-			// global ones (see the mirror field), so this is an invariant
-			// breach — mutating one replica here would diverge the
-			// partitions.
-			r.fatal = fmt.Errorf("runtime: local abort cascade reached cross-partition transaction T%d", cascade+1)
-			return
-		}
-		victims[cascade] = true
-		r.cascadeVictimDrained(cascade)
 	}
 }
 
-// cascadeVictimDrained performs the bookkeeping teardown of one local
-// cascade victim: charge the retry, un-commit and re-spawn if it had
-// already finished, release its locks (waking it with a cancellation if
-// parked). Called with a full drain held — by eraseDrained's loop and
-// by the partitioned engine's cross-partition compaction when a local
-// transaction falls victim to a global abort.
-func (r *runner) cascadeVictimDrained(cascade int) {
-	r.met.CascadeAborts++
-	r.abortCause[cascade] = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", cascade+1)
+// cascadeVictimDrained performs the bookkeeping teardown of one cascade
+// victim: charge the retry, un-commit and re-spawn it if it had already
+// finished, release its locks (waking it with a cancellation if
+// parked). Called by eraseDrained with a span drained that covers x's.
+func (x *txn) cascadeVictimDrained() {
+	o, t := x.own()
+	o.met.CascadeAborts++
+	o.abortCause[t] = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", o.mgr.owner(t)+1)
 	respawn := false
-	if r.status[cascade] == txCommitted {
-		// The cascade reached an already-committed transaction (e.g.
-		// a wake member whose altruistic donor aborts after the
-		// member finished). Un-commit and re-run it, as the engine
-		// does. The un-commit is persisted *before* the compact record
-		// that erases the victim's events lands, so a crash between
-		// them recovers the transaction as active, never as a
-		// committed transaction with no events.
-		r.status[cascade] = txActive
-		r.met.Commits--
-		r.persistStatusDrained(cascade, recovery.StatusActive)
+	if o.status[t] == txCommitted {
+		// The cascade reached an already-committed transaction (e.g. a
+		// wake member whose altruistic donor aborts after the member
+		// finished). Un-commit and re-run it, as the engine does. The
+		// un-commit is persisted *before* the compact record that erases
+		// the victim's events lands, so a crash between them recovers the
+		// transaction as active, never as a committed transaction with no
+		// events.
+		o.met.Commits--
+		x.setStatusDrained(txActive)
 		respawn = true
 	}
-	r.chargeDrained(cascade)
+	x.chargeDrained()
 	// Tear down the victim's locks and wake it if parked
-	// (ErrCancelled); a running victim notices its stale generation
-	// at its next gate entry.
-	r.mgr.ReleaseAll(cascade)
-	if respawn && r.status[cascade] == txActive {
-		r.wg.Add(1)
-		go r.runTxn(cascade)
+	// (ErrCancelled); a running victim notices its stale generation at
+	// its next gate entry.
+	o.mgr.ReleaseAll(t)
+	if respawn && o.status[t] == txActive {
+		o.wg.Add(1)
+		go x.runTxn()
 	}
 }

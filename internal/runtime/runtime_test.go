@@ -150,7 +150,7 @@ func TestRunPolicyVetoGivesUp(t *testing.T) {
 	}
 }
 
-// TestCascadeUnCommitsAndRespawns drives eraseLocked directly: T1
+// TestCascadeUnCommitsAndRespawns drives eraseDrained directly: T1
 // inserted x and T2 (already committed) read it; aborting T1 must
 // cascade into T2, un-commit it, and re-run it — whereupon the re-run
 // finds x undefined and eventually gives up.
@@ -171,7 +171,7 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 		{T: 1, S: model.R("x")},
 		{T: 1, S: model.UX("x")},
 	} {
-		if !r.commitEventDrained(ev) {
+		if !r.commitEventDrained(ev, r.tagSrc.Add(1)-1) {
 			t.Fatal(r.fatal)
 		}
 	}
@@ -179,8 +179,8 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 	r.met.Commits = 1
 
 	// T1 aborts.
-	r.eraseDrained(map[int]bool{0: true})
-	r.chargeDrained(0)
+	eraseDrained(span{r}, r.rowTxn(0))
+	r.rowTxn(0).chargeDrained()
 	r.gate.undrain()
 
 	// The cascade must have re-spawned T2; wait for it to run out.
@@ -232,7 +232,7 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 		r.rec.SetFullReplay(full)
 		r.gate.drain()
 		for _, ev := range log {
-			if !r.commitEventDrained(ev) {
+			if !r.commitEventDrained(ev, r.tagSrc.Add(1)-1) {
 				t.Fatal(r.fatal)
 			}
 		}
@@ -241,8 +241,8 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 	ck, full := build(false), build(true)
 	// Erasing T1 cascades into T2 (its READ of x no longer replays) but
 	// must leave T3 untouched.
-	ck.eraseDrained(map[int]bool{0: true})
-	full.eraseDrained(map[int]bool{0: true})
+	eraseDrained(span{ck}, ck.rowTxn(0))
+	eraseDrained(span{full}, full.rowTxn(0))
 	if ck.fatal != nil || full.fatal != nil {
 		t.Fatalf("fatal: %v / %v", ck.fatal, full.fatal)
 	}

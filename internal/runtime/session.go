@@ -9,20 +9,20 @@ import (
 	"time"
 
 	"locksafe/internal/model"
-	"locksafe/internal/recovery"
 )
 
 // This file is the session layer over the striped runtime: the session
-// lifecycle (sessHost, Session) and Engine, one partition of the
-// long-lived session engine, whose transaction population is not known
-// up front. Clients open a Session by declaring the transaction's full
-// step sequence (the paper's policies are properties of declared
-// transaction bodies: the altruistic locked point and the DTR
-// tree-locking check need the whole text, and cascade recovery must be
-// able to re-run a committed transaction without its client), then drive
-// the declared steps one at a time through exactly the same lock-manager
-// and gate-admission code paths the batch loop uses. The engine clients
-// see is PartitionedEngine (partition.go); the network service in
+// lifecycle (sessHost, Session) of the long-lived session engine, whose
+// transaction population is not known up front, and the row machine's
+// session entry points (readTxnState, teardown). Clients open a Session
+// by declaring the transaction's full step sequence (the paper's
+// policies are properties of declared transaction bodies: the altruistic
+// locked point and the DTR tree-locking check need the whole text, and
+// cascade recovery must be able to re-run a committed transaction
+// without its client), then drive the declared steps one at a time
+// through exactly the same row machine, lock-manager and gate-admission
+// code paths the batch loop uses, whatever the session's span. The
+// engine is PartitionedEngine (partition.go); the network service in
 // internal/server is a thin transport over its SessionEngine surface.
 
 // Sentinel errors of the session API. Step, Commit and Abort wrap them
@@ -61,51 +61,18 @@ var (
 	ErrNotResumable = errors.New("session is not parked")
 )
 
-// sessBackend is what the session lifecycle needs from the machinery
-// that executes a transaction row. There are two: one partition's runner
-// (the partition-local sessions of a PartitionedEngine), which works
-// under that partition's gate drain, and the PartitionedEngine itself
-// (its cross-partition sessions), which works under the drain of every
-// partition. Three operations — read a row's state, advance it, tear its
-// attempt down — plus the retry delay Run sleeps between attempts.
-type sessBackend interface {
-	// readTxnState snapshots t's generation, status, abort cause and the
-	// engine's fatal error.
-	readTxnState(t int) (gen int, status txnStatus, cause, fatal error)
-	// execStep and commit advance t's attempt gen by one declared step,
-	// or by its commit, and report whether that took. again and delay are
-	// the batch loop's retry policy; sessions ignore them.
-	execStep(t, gen int, st model.Step) (ok, again bool, delay time.Duration)
-	commit(t, gen int) (committed, again bool, delay time.Duration)
-	// teardown ends t's in-flight attempt from outside the step path,
-	// under the backend's full drain. Unless the engine has failed, t is
-	// no longer active, or admit (evaluated under the drain; nil means
-	// yes) refuses, it erases the attempt's events (cascading as needed),
-	// bumps the generation and records cause; then it abandons t —
-	// status persisted, counted in GaveUp and, with lease, LeaseExpired —
-	// or, with park, leaves it active for a Resume. t's locks are
-	// released after the drain, which wakes a step parked inside a lock
-	// acquisition; whatever admit publishes is therefore visible to it.
-	// Reports whether the teardown happened, and the fatal error.
-	teardown(t int, cause error, park, lease bool, admit func() bool) (done bool, fatal error)
-	// backoff is the k-th retry's delay.
-	backoff(k int) time.Duration
-}
-
 // sessHost is the session lifecycle, written once: the registry of open
-// sessions, lease accounting and the reaper, MPL slots, the park/resume
-// arbiter and the shutdown sequence. Engine and PartitionedEngine embed
-// one each and differ only in the backend their sessions run on.
+// sessions, lease accounting and the reaper, MPL slots, the park arbiter
+// and the shutdown sequence. The session engine embeds one; whatever a
+// session's span, its row machine (txn) is what its methods drive.
 type sessHost struct {
-	be    sessBackend
 	now   func() time.Time
 	lease time.Duration
 	// wallClock reports that no Clock was injected, so startReaper may
 	// start the background lease reaper.
 	wallClock bool
-	// sem is the MPL semaphore (nil = unbounded). Under a
-	// PartitionedEngine every host shares one: a session occupies one
-	// slot engine-wide, wherever it runs.
+	// sem is the MPL semaphore (nil = unbounded), shared with the
+	// engine's re-runs: a transaction occupies one slot wherever it runs.
 	sem chan struct{}
 
 	// lifecycle: session operations hold it for read; Close holds it
@@ -115,7 +82,7 @@ type sessHost struct {
 	closedCh  chan struct{} // closed by Close; unblocks MPL waiters
 
 	mu       sync.Mutex
-	sessions map[int]*Session // by row index
+	sessions map[int]*Session // by session id
 	// attached counts the registered sessions that are not parked — the
 	// ones a client can still drive. idle, when non-nil, is closed as the
 	// count reaches zero (AwaitDetached).
@@ -126,8 +93,7 @@ type sessHost struct {
 	reapDone chan struct{}
 }
 
-func (h *sessHost) init(be sessBackend, cfg Config, sem chan struct{}) {
-	h.be = be
+func (h *sessHost) init(cfg Config, sem chan struct{}) {
 	h.now, h.lease, h.sem = cfg.Clock, cfg.Lease, sem
 	if h.now == nil {
 		h.now = time.Now
@@ -178,17 +144,16 @@ type sessState struct {
 	parks atomic.Int64
 }
 
-// Session is one client-paced transaction of a PartitionedEngine: it runs
-// on its home partition, or through the cross-partition drain if its
-// body spans partitions — the client cannot tell. A Session is not safe
-// for concurrent use: each session serves one client, and its methods
-// must not overlap (the network server serializes a session's requests
-// through one worker goroutine). Cancel and Interrupt are the
-// exceptions.
+// Session is one client-paced transaction of a PartitionedEngine: its row
+// spans its home partition, or every partition if its body spans them —
+// the client cannot tell. A Session is not safe for concurrent use: each
+// session serves one client, and its methods must not overlap (the
+// network server serializes a session's requests through one worker
+// goroutine). Cancel and Interrupt are the exceptions.
 type Session struct {
 	h    *sessHost
-	t    int // row index in the backend
-	sid  int // engine-wide session id (the row index only on the cross-partition host)
+	x    txn // its row (a value: every incarnation holds a copy)
+	sid  int // engine-wide session id
 	tx   model.Txn
 	gen  int // generation of the current attempt, from the client's view
 	pos  int // declared steps admitted in the current attempt
@@ -242,19 +207,20 @@ func (h *sessHost) newSessState() *sessState {
 }
 
 // adopt is the one Session constructor — an open, a resume and a restore
-// all come through here: a fresh owner object for row t at generation
-// gen, snapshotting the park fence, registered as the row's current
-// owner. attach marks it as holding the MPL slot its caller acquired;
-// a restore registers its sessions parked, holding none. Returns nil if
-// the session finished meanwhile (only a resume can lose that race).
-func (h *sessHost) adopt(t, sid int, tx model.Txn, st *sessState, gen int, attach bool) *Session {
-	s := &Session{h: h, t: t, sid: sid, tx: tx, gen: gen, myParks: st.parks.Load(), st: st}
+// all come through here: a fresh owner object for row x, session id sid,
+// at generation gen, snapshotting the park fence, registered as the
+// session's current owner. attach marks it as holding the MPL slot its
+// caller acquired; a restore registers its sessions parked, holding
+// none. Returns nil if the session finished meanwhile (only a resume can
+// lose that race).
+func (h *sessHost) adopt(x txn, sid int, tx model.Txn, st *sessState, gen int, attach bool) *Session {
+	s := &Session{h: h, x: x, sid: sid, tx: tx, gen: gen, myParks: st.parks.Load(), st: st}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if st.finished.Load() {
 		return nil
 	}
-	h.sessions[t] = s
+	h.sessions[sid] = s
 	if attach {
 		st.attached = true
 		h.attached++
@@ -286,7 +252,7 @@ func (h *sessHost) release(s *Session) {
 		return
 	}
 	h.mu.Lock()
-	delete(h.sessions, s.t)
+	delete(h.sessions, s.sid)
 	h.detachLocked(s.st)
 	h.mu.Unlock()
 }
@@ -373,7 +339,7 @@ func (s *Session) failure() error {
 		s.done = true
 		return errFenced
 	}
-	gen, status, cause, fatal := s.h.be.readTxnState(s.t)
+	gen, status, cause, fatal := s.x.readTxnState()
 	s.gen, s.pos = gen, 0
 	if fatal != nil {
 		s.done = true
@@ -418,10 +384,10 @@ func (s *Session) Step(st model.Step) error {
 	}
 	// A cascade (or the reaper) may have torn the attempt down since the
 	// last request; notice before doing any work.
-	if gen, status, _, fatal := s.h.be.readTxnState(s.t); fatal != nil || gen != s.gen || status != txActive {
+	if gen, status, _, fatal := s.x.readTxnState(); fatal != nil || gen != s.gen || status != txActive {
 		return s.failure()
 	}
-	if ok, _, _ := s.h.be.execStep(s.t, s.gen, st); !ok {
+	if ok, _, _ := s.x.execStep(s.gen, st); !ok {
 		return s.failure()
 	}
 	s.pos++
@@ -443,7 +409,7 @@ func (s *Session) Commit() error {
 	if s.pos != s.tx.Len() {
 		return fmt.Errorf("%w: %d of %d declared steps executed", ErrStepMismatch, s.pos, s.tx.Len())
 	}
-	if committed, _, _ := s.h.be.commit(s.t, s.gen); !committed {
+	if committed, _, _ := s.x.commit(s.gen); !committed {
 		return s.failure()
 	}
 	s.done = true
@@ -467,7 +433,8 @@ func (s *Session) Run() error {
 		if err == nil || !errors.Is(err, ErrAborted) {
 			return err
 		}
-		if d := s.h.be.backoff(k); d > 0 {
+		o, _ := s.x.own()
+		if d := o.backoff(k); d > 0 {
 			time.Sleep(d)
 		}
 	}
@@ -493,7 +460,7 @@ func (s *Session) Abort() error {
 		return err
 	}
 	defer s.end()
-	_, fatal := s.h.be.teardown(s.t, nil, false, false, nil)
+	_, fatal := s.x.teardown(nil, false, false, nil)
 	s.done = true
 	s.h.release(s)
 	if fatal != nil {
@@ -519,7 +486,7 @@ func (s *Session) Cancel() {
 // Reports whether the session was actually torn down (false if it
 // already finished or the engine is failing).
 func (h *sessHost) forceAbort(s *Session, term, cause error, lease bool) bool {
-	done, _ := h.be.teardown(s.t, cause, false, lease, func() bool {
+	done, _ := s.x.teardown(cause, false, lease, func() bool {
 		if s.st.finished.Load() {
 			return false
 		}
@@ -545,7 +512,7 @@ func (h *sessHost) forceAbort(s *Session, term, cause error, lease bool) bool {
 // resuming client finds them intact.
 func (s *Session) Interrupt() {
 	h := s.h
-	h.be.teardown(s.t, errParked, true, false, func() bool {
+	s.x.teardown(errParked, true, false, func() bool {
 		if s.st.finished.Load() || s.st.parked.Load() {
 			return false
 		}
@@ -566,79 +533,6 @@ func (s *Session) Interrupt() {
 // errParked is the abort cause recorded for a parked session's erased
 // attempt.
 var errParked = errors.New("session parked (connection lost)")
-
-// resume reattaches the parked session of row t: the single winning
-// caller (concurrent resumes race on an atomic arbiter) gets a fresh
-// Session positioned at the first declared step, holding a fresh MPL
-// slot. A wrong token is refused without touching the session; a parked
-// session whose lease deadline has passed is reaped here
-// (deterministically — no dependence on reaper timing) and refused with
-// ErrLeaseExpired; a session that already finished is refused with
-// ErrSessionDone naming how the transaction ended, so a client that lost
-// its connection around a commit learns the outcome.
-func (h *sessHost) resume(t int, token uint64) (*Session, error) {
-	if h.closed.Load() {
-		return nil, ErrClosed
-	}
-	h.mu.Lock()
-	cur := h.sessions[t]
-	h.mu.Unlock()
-	if cur == nil {
-		_, status, cause, fatal := h.be.readTxnState(t)
-		if fatal != nil {
-			return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
-		}
-		outcome := "committed"
-		switch {
-		case status == txAbandoned && cause != nil:
-			outcome = fmt.Sprintf("was abandoned (%v)", cause)
-		case status == txAbandoned:
-			outcome = "was abandoned"
-		case status == txActive:
-			// Only a committed transaction outlives its session active: a
-			// cascade un-committed it and the engine is re-running it.
-			outcome = "committed (the engine is re-running it after a cascade)"
-		}
-		return nil, fmt.Errorf("%w: the transaction %s", ErrSessionDone, outcome)
-	}
-	st := cur.st
-	if st.token != token {
-		return nil, ErrBadToken
-	}
-	if d := st.deadline.Load(); d != 0 && d <= h.now().UnixNano() {
-		h.forceAbort(cur, ErrLeaseExpired, fmt.Errorf("lease of %v expired", h.lease), true)
-		if p := st.term.Load(); p != nil {
-			return nil, *p
-		}
-		return nil, ErrLeaseExpired
-	}
-	if !st.parked.CompareAndSwap(true, false) {
-		return nil, ErrNotResumable
-	}
-	// The park gave the MPL slot back; the resumed incarnation competes
-	// for a fresh one like an open would.
-	if err := h.acquireSlot(); err != nil {
-		st.parked.Store(true)
-		return nil, err
-	}
-	// A reaper or shutdown may have killed the session since the CAS;
-	// re-check liveness (adopt does so once more under the registry lock).
-	gen, status, _, fatal := h.be.readTxnState(t)
-	if fatal == nil && status == txActive {
-		if ns := h.adopt(t, cur.sid, cur.tx, st, gen, true); ns != nil {
-			ns.touch()
-			return ns, nil
-		}
-	}
-	h.freeSlot()
-	if p := st.term.Load(); p != nil {
-		return nil, *p
-	}
-	if fatal != nil {
-		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
-	}
-	return nil, ErrNotResumable
-}
 
 // Reap aborts every open session whose lease deadline has passed and
 // returns how many it reaped. A session with an in-flight request is
@@ -732,86 +626,12 @@ func (h *sessHost) shutdown() bool {
 	return true
 }
 
-// Engine is one partition of a PartitionedEngine: the same sharded lock
-// manager, footprint-striped admission gate and checkpointed recovery
-// core as the batch Run, but with an open-ended session population, and
-// a session host for the sessions whose bodies stay inside the
-// partition. open appends a declared transaction to the partition's
-// system (growing the monitors and the recovery core under a full gate
-// drain) and returns a Session the client paces; abort/retry
-// generations, cascading aborts and committed-transaction re-spawn work
-// exactly as in batch mode — a re-spawned transaction is driven by the
-// engine itself from its declared body.
-//
-// With Config.Lease > 0 the host enforces session leases: a session
-// idle between requests for longer than the lease is aborted and
-// abandoned, its locks released, so an abandoned client cannot wedge
-// the rest of the system. With Config.Clock nil a background reaper
-// enforces leases on wall-clock time; with an injected Clock the
-// embedder calls Reap itself.
-type Engine struct {
-	sessHost
-	r *runner
-	// start anchors Metrics.Elapsed (always wall clock, even with an
-	// injected lease Clock).
-	start time.Time
-}
-
-// newEngineCore builds one partition without starting its background
-// reaper, so a restore can rebuild the persisted history before any
-// concurrent machinery runs. sh is the PartitionedEngine's shared wiring
-// (lock manager, tag source, MPL semaphore).
-func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
-	e := &Engine{
-		r:     newRunnerShared(model.NewSystem(init.Clone()), cfg, sh),
-		start: time.Now(),
-	}
-	e.sessHost.init(e.r, cfg, e.r.sem)
-	return e
-}
-
-// open appends the declared (and already validated) transaction to the
-// partition's system under the engine-wide id g — its session id and its
-// lock-manager owner — and returns a session for it. With Config.MPL
-// set, open blocks until a session slot is free.
-func (e *Engine) open(tx model.Txn, g int) (*Session, error) {
-	if err := e.acquireSlot(); err != nil {
-		return nil, err
-	}
-	e.lifecycle.RLock()
-	defer e.lifecycle.RUnlock()
-	if e.closed.Load() {
-		e.freeSlot()
-		return nil, ErrClosed
-	}
-	r := e.r
-	st := e.newSessState()
-	var t int
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal == nil {
-		t = r.addTxnDrained(tx, g, false)
-		// The declaration is durable before the open is acknowledged, so a
-		// restore can rebuild the transaction population (and its resume
-		// credentials) from the WAL alone.
-		r.persistOpenDrained(recovery.OpenRec{G: g, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
-	}
-	fatal := r.fatal
-	r.gate.undrain()
-	if fatal != nil {
-		e.freeSlot()
-		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
-	}
-	return e.adopt(t, g, tx, st, 0, true), nil
-}
-
 // addTxnDrained appends one transaction row to the runner: the system,
 // the recovery core, the footprint monitor and every per-transaction
 // bookkeeping slice grow in lockstep, and the lock-owner mapping learns
-// the row's engine-wide owner id. mirror marks a row registered on
-// behalf of a cross-partition transaction. Called with a full drain
-// held, sequencer flushed.
-func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
+// the row's engine-wide owner id. Called with a full drain held,
+// sequencer flushed.
+func (r *runner) addTxnDrained(tx model.Txn, owner int) int {
 	t := int(r.sys.Add(tx))
 	r.rec.Grow(len(r.sys.Txns))
 	r.fpMon.Grow()
@@ -819,12 +639,18 @@ func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
 	r.gen = append(r.gen, 0)
 	r.attempts = append(r.attempts, 0)
 	r.abortCause = append(r.abortCause, nil)
-	r.mirror = append(r.mirror, mirror)
 	r.mgr.register(owner)
 	return t
 }
 
-// readTxnState snapshots t's generation, status, abort cause and the
+// readTxnState snapshots x's generation, status, abort cause and the
+// owner's fatal error.
+func (x *txn) readTxnState() (gen int, status txnStatus, cause, fatal error) {
+	o, t := x.own()
+	return o.readTxnState(t)
+}
+
+// readTxnState snapshots row t's generation, status, abort cause and the
 // fatal error under t's stripe.
 func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal error) {
 	var buf [maxStripeBuf]int
@@ -835,34 +661,41 @@ func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal er
 	return
 }
 
-// teardown is sessBackend.teardown under this runner's gate drain.
-func (r *runner) teardown(t int, cause error, park, lease bool, admit func() bool) (bool, error) {
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil || r.status[t] != txActive || (admit != nil && !admit()) {
-		fatal := r.fatal
-		r.gate.undrain()
+// teardown ends x's in-flight attempt from outside the step path, under
+// the span's drain. Unless the engine has failed, x is no longer active,
+// or admit (evaluated under the drain; nil means yes) refuses, it erases
+// the attempt's events (cascading as needed), bumps the generation and
+// records cause; then it abandons x — status persisted, counted in
+// GaveUp and, with lease, LeaseExpired — or, with park, leaves it active
+// for a Resume. x's locks are released after the drain, which wakes a
+// step parked inside a lock acquisition; whatever admit publishes is
+// therefore visible to it. Reports whether the teardown happened, and
+// the fatal error.
+func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, error) {
+	x.span.drain()
+	o, t := x.own()
+	if fatal := x.span.fatal(); fatal != nil || o.status[t] != txActive || (admit != nil && !admit()) {
+		x.span.undrain()
 		if fatal != nil {
 			// A failed engine admits nothing more; shedding the row's locks
 			// lets whoever waits on them find that out.
-			r.mgr.ReleaseAll(t)
+			o.mgr.ReleaseAll(t)
 		}
 		return false, fatal
 	}
-	r.eraseDrained(map[int]bool{t: true})
-	r.gen[t]++
-	r.abortCause[t] = cause
+	eraseDrained(x.span, x)
+	o.gen[t]++
+	o.abortCause[t] = cause
 	if !park {
-		r.status[t] = txAbandoned
-		r.met.GaveUp++
+		o.met.GaveUp++
 		if lease {
-			r.met.LeaseExpired++
+			o.met.LeaseExpired++
 		}
-		r.persistStatusDrained(t, recovery.StatusAbandoned)
+		x.setStatusDrained(txAbandoned)
 	}
-	fatal := r.fatal
-	r.gate.undrain()
-	r.mgr.ReleaseAll(t)
+	fatal := x.span.fatal()
+	x.span.undrain()
+	o.mgr.ReleaseAll(t)
 	return true, fatal
 }
 
@@ -877,47 +710,4 @@ type Inspection struct {
 	Serializable bool
 	OpenSessions int
 	Metrics      Metrics
-}
-
-// Close shuts the engine down: new sessions and session operations are
-// refused, every still-open session is force-aborted (erasing its
-// events, so the final log is exactly the committed schedule, as in
-// batch Run), engine-driven re-runs are waited out, and the committed
-// schedule is verified serializable. Returns the final metrics and
-// schedule.
-func (e *Engine) Close() (*Result, error) {
-	if !e.shutdown() {
-		return nil, ErrClosed
-	}
-	defer e.lifecycle.Unlock()
-	r := e.r
-	r.wg.Wait()
-	// Session operations are excluded by the lifecycle write lock and
-	// the re-runs are done, but Stats/Inspect stay reachable (a draining
-	// server still answers polls), so the final metrics are written and
-	// snapshotted under the drain like every other r.met access.
-	r.gate.drain()
-	r.flushPending()
-	r.met.Elapsed = time.Since(e.start)
-	r.met.Wait = time.Duration(r.waitNs.Load())
-	r.met.Events = r.rec.Len() + r.rec.Stats().Truncated
-	r.met.Replayed = r.rec.Stats().Replayed
-	met := r.met
-	fatal := r.fatal
-	r.gate.undrain()
-	// Seal the durable store (if any): the clean-shutdown marker lets the
-	// next Open skip torn-tail scanning and attests nothing was lost.
-	if p := r.rec.Persister(); p != nil {
-		if cerr := p.Close(); cerr != nil && fatal == nil {
-			fatal = fmt.Errorf("runtime: sealing durable store: %w", cerr)
-		}
-	}
-	if fatal != nil {
-		return nil, fatal
-	}
-	sched := r.rec.Events()
-	if !sched.Serializable(r.sys) {
-		return nil, fmt.Errorf("runtime: committed schedule is NOT serializable under policy %q", r.cfg.Policy.Name())
-	}
-	return &Result{Metrics: met, Schedule: sched}, nil
 }

@@ -46,8 +46,7 @@ func (s *Session) stepAll() error {
 // sessionKind is one of the three ways a session runs — on the one
 // partition of a one-partition engine, on its home partition of two, or
 // across both; the session contract tests range over all of them,
-// because the contract is the same code whichever backend executes the
-// row.
+// because the contract is the same code whatever the row's span.
 type sessionKind struct {
 	name  string
 	parts int
@@ -74,17 +73,21 @@ func (k sessionKind) start(t *testing.T, cfg Config) (SessionEngine, model.Txn) 
 	return NewSessionEngine(model.NewState(e0, e1), cfg), body
 }
 
-// open opens body and checks the session landed on the backend the kind
-// names: a PartitionedEngine serves cross-partition sessions on its own
-// host and local ones on a partition's.
+// open opens body and checks the session's row spans what the kind
+// names: every partition for a cross-partition body, its home alone
+// otherwise.
 func (k sessionKind) open(t *testing.T, eng SessionEngine, body model.Txn) *Session {
 	t.Helper()
 	s, err := eng.OpenSession(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe := eng.(*PartitionedEngine); (s.h == &pe.sessHost) != k.cross {
-		t.Fatalf("%s session routed to the wrong backend", k.name)
+	want := 1
+	if k.cross {
+		want = k.parts
+	}
+	if got := len(s.x.span); got != want {
+		t.Fatalf("%s session spans %d partitions, want %d", k.name, got, want)
 	}
 	return s
 }

@@ -53,7 +53,7 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 			dropped[tn] = true
 			continue
 		}
-		ok, _, _ := r.execStep(tn, gen[tn], ev.S)
+		ok, _, _ := r.rowTxn(tn).execStep(gen[tn], ev.S)
 		if !ok {
 			// Vetoed (and aborted) or stale: drop.
 			dropped[tn] = true
@@ -63,7 +63,7 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 		if commit && fed[tn] == sys.Txns[tn].Len() {
 			// Immediately after tn's own last event nothing can have
 			// interleaved, so a single-threaded commit cannot be stale.
-			if committed, _, _ := r.commit(tn, gen[tn]); !committed {
+			if committed, _, _ := r.rowTxn(tn).commit(gen[tn]); !committed {
 				return nil, fmt.Errorf("runtime: single-threaded commit of T%d went stale", tn+1)
 			}
 		}

@@ -34,10 +34,10 @@ func TestEngineTruncationBoundsLog(t *testing.T) {
 	if m.Events != 3*rounds {
 		t.Fatalf("Events = %d, want %d (truncation must not lose the count)", m.Events, 3*rounds)
 	}
-	if retained := pe.parts[0].r.rec.Len(); retained >= 3*rounds/2 {
+	if retained := pe.parts[0].rec.Len(); retained >= 3*rounds/2 {
 		t.Fatalf("retained log %d events of %d: truncation never fired", retained, 3*rounds)
 	}
-	if tr := pe.parts[0].r.rec.Stats().Truncated; tr == 0 {
+	if tr := pe.parts[0].rec.Stats().Truncated; tr == 0 {
 		t.Fatal("Stats().Truncated = 0, want > 0")
 	}
 	res, err := pe.Close()
@@ -77,7 +77,7 @@ func TestPartitionedTruncation(t *testing.T) {
 	}
 	truncated := 0
 	for _, part := range pe.parts {
-		truncated += part.r.rec.Stats().Truncated
+		truncated += part.rec.Stats().Truncated
 	}
 	if truncated == 0 {
 		t.Fatal("no partition ever truncated its log")

@@ -1,4 +1,4 @@
-// Package server exposes the session runtime (internal/runtime.Engine)
+// Package server exposes the session runtime (internal/runtime.SessionEngine)
 // over the network as the lockd service: length-prefixed frames
 // (internal/wire: a JSON hello, then the binary codec) over TCP, one
 // reader goroutine per connection, one worker goroutine per open
@@ -68,18 +68,13 @@ type Server struct {
 	wg sync.WaitGroup // connection handlers
 }
 
-// New builds a server over a fresh engine with the given initial
-// structural state and runtime configuration.
+// New builds a server over a fresh memory-only engine with the given
+// initial structural state and runtime configuration: NewDurable without
+// a DataDir.
 func New(init model.State, cfg runtime.Config) *Server {
-	name := "unrestricted"
-	if cfg.Policy != nil {
-		name = cfg.Policy.Name()
-	}
-	return &Server{
-		eng:    runtime.NewSessionEngine(init, cfg),
-		policy: name,
-		conns:  make(map[*conn]struct{}),
-	}
+	cfg.DataDir = ""
+	s, _, _ := NewDurable(init, cfg) // cannot fail: nothing is restored
+	return s
 }
 
 // NewDurable builds a server over a durable engine persisting into
