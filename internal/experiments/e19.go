@@ -264,7 +264,8 @@ func e19Cell(bin string, seed int64, sc workload.Scenario, partitions int, cfg w
 
 	// The holdover sessions: opened before the burst, never stepped,
 	// resumed after the restart. Their client handle carries the sid and
-	// token across the crash.
+	// token across the crash. With several partitions the last one spans
+	// two of them, so the restore parks a cross-partition session too.
 	hc, err := client.Dial(proc.addr)
 	if err != nil {
 		proc.kill()
@@ -272,8 +273,16 @@ func e19Cell(bin string, seed int64, sc workload.Scenario, partitions int, cfg w
 	}
 	var holdovers []*client.Session
 	for i := 0; i < e19Holdovers && len(run.Universe) > 0; i++ {
-		e := run.Universe[i%len(run.Universe)]
-		tx := model.Txn{Name: fmt.Sprintf("holdover-%d", i), Steps: workload.TwoPhaseSteps([]model.Entity{e})}
+		body := []model.Entity{run.Universe[i%len(run.Universe)]}
+		if i == e19Holdovers-1 && partitions > 1 {
+			for _, e := range run.Universe {
+				if model.PartitionOf(e, partitions) != model.PartitionOf(body[0], partitions) {
+					body = append(body, e)
+					break
+				}
+			}
+		}
+		tx := model.Txn{Name: fmt.Sprintf("holdover-%d", i), Steps: workload.TwoPhaseSteps(body)}
 		s, herr := hc.Open(tx)
 		if herr != nil {
 			proc.kill()

@@ -17,13 +17,14 @@ import (
 
 // This file is the durable side of the session engine: its constructor,
 // the on-disk layout (PartitionDir, checkLayout) and the restore — each
-// partition's recovered history replayed into its runner, the
-// engine-wide rows rebuilt from the open records, cross-partition
-// transactions arbitrated across their mirror rows, recovered-active
-// attempts erased and their sessions parked or abandoned, and the merged
-// log re-verified serializable before the engine accepts work. DESIGN.md
-// ("The restore contract") states what is guaranteed and the write-side
-// orderings in runtime.go, session.go and partition.go it rests on.
+// partition's recovered history replayed into its runner, then one pass
+// over every row whatever its span — the engine-wide rows rebuilt from
+// the open records, mirror statuses reconciled to the owner's,
+// recovered-active attempts erased and their sessions parked or
+// abandoned — and the merged log re-verified serializable before the
+// engine accepts work. DESIGN.md ("The restore contract") states what is
+// guaranteed and the write-side orderings in runtime.go, session.go and
+// partition.go it rests on.
 
 // newToken mints a session resume token: 64 random bits, forced nonzero
 // so zero can mean "no session" in the WAL. Falls back to the clock if
@@ -182,17 +183,8 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 	}
 	pe.tags.Store(maxTag)
 
-	if err := pe.rebuildGlobalDrained(recs); err != nil {
+	if err := pe.restoreRowsDrained(recs, info); err != nil {
 		return nil, err
-	}
-
-	// Settle each partition's local transactions: erase recovered-active
-	// attempts, park or abandon their sessions. Rows spanning partitions
-	// were settled above.
-	for p, r := range pe.parts {
-		if err := pe.settleRestoredDrained(r, recs[p].Opens, info); err != nil {
-			return nil, fmt.Errorf("partition %d: %w", p, err)
-		}
 	}
 
 	// Verify the merged global schedule against the engine-wide system.
@@ -235,20 +227,11 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 		if t < 0 || t >= len(r.sys.Txns) {
 			return fmt.Errorf("runtime: restore: %w: status for unknown transaction %d", recovery.ErrCorrupt, t)
 		}
-		// A mirror row's metrics are its owner's, counted once per
-		// transaction by rebuildGlobalDrained.
-		local := !rec.Opens[t].Mirror
 		switch st {
 		case recovery.StatusCommitted:
 			r.status[t] = txCommitted
-			if local {
-				r.met.Commits++
-			}
 		case recovery.StatusAbandoned:
 			r.status[t] = txAbandoned
-			if local {
-				r.met.GaveUp++
-			}
 		case recovery.StatusActive:
 			r.status[t] = txActive
 		default:
@@ -271,66 +254,18 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 	return nil
 }
 
-// settleRestoredDrained resolves every recovered-active local
-// transaction of partition r: its in-flight attempt died with the
-// process, so its events are erased (cascading as a live abort would — a
-// committed cascade victim is un-committed, durably, and re-spawned
-// engine-side); then the transaction is either restored as a parked
-// session (its persisted lease window still open) or abandoned (window
-// passed, or it never was a session). Called with a full drain held,
-// persisters attached. Skips rows spanning partitions, which
-// rebuildGlobalDrained settles.
-func (pe *PartitionedEngine) settleRestoredDrained(r *runner, opens []recovery.OpenRec, info *RestoreInfo) error {
-	// The original actives, snapshotted before the erase: an un-committed
-	// cascade victim is re-spawned engine-driven — it must NOT be parked
-	// as a session below.
-	var orig []*txn
-	for t := range r.sys.Txns {
-		if r.status[t] != txActive {
-			continue
-		}
-		if x := r.rowTxn(t); len(x.span) == 1 {
-			orig = append(orig, x)
-		}
-	}
-	if len(orig) > 0 {
-		eraseDrained(span{r}, orig...)
-		if r.fatal != nil {
-			return fmt.Errorf("runtime: restore: %w", r.fatal)
-		}
-	}
-	now := pe.now().UnixNano()
-	for _, x := range orig {
-		_, t := x.own()
-		if r.status[t] != txActive {
-			continue
-		}
-		o := opens[t]
-		if o.Deadline != 0 && o.Deadline <= now {
-			// The lease ran out while the process was down; the client
-			// is gone. Abandon, durably.
-			r.met.GaveUp++
-			r.met.LeaseExpired++
-			x.setStatusDrained(txAbandoned)
-			continue
-		}
-		st := &sessState{token: o.Token}
-		st.deadline.Store(o.Deadline)
-		st.parked.Store(true)
-		pe.adopt(*x, o.G, r.sys.Txns[t], st, r.gen[t], false)
-		info.Sessions++
-	}
-	if r.fatal != nil {
-		return fmt.Errorf("runtime: restore: %w", r.fatal)
-	}
-	return nil
-}
-
-// rebuildGlobalDrained reconstructs the engine-wide system and the
-// session-id table from the per-partition open records, builds the rows
-// of transactions spanning partitions, then settles those recovered
-// active (every partition drained, persisters attached).
-func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered) error {
+// restoreRowsDrained is the one place a recovered row is judged,
+// whatever its span (every partition drained, persisters attached). It
+// rebuilds the engine-wide system and the session-id table from the
+// per-partition open records, reconciles a spanning row's mirror
+// statuses to its owner's and charges each row's outcome once, to its
+// owner replica. A row recovered active lost its in-flight attempt with
+// the process: the attempts are erased together (cascading as a live
+// abort would — a committed cascade victim is un-committed, durably, and
+// re-spawned engine-side), then each session is restored parked with its
+// persisted token and lease deadline, or abandoned if that deadline has
+// passed.
+func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info *RestoreInfo) error {
 	// byG[g] lists (partition, local index, mirror) for every row of
 	// session id g, in ascending partition order.
 	type replica struct {
@@ -346,12 +281,11 @@ func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered) err
 		}
 	}
 
-	owner := pe.parts[0]
-	var unsettled []*txn
+	var actives []*txn
+	var opens []recovery.OpenRec // opens[i] is actives[i]'s open record
 	for g := 0; g <= maxG; g++ {
 		refs := byG[g]
-		switch {
-		case len(refs) == 0:
+		if len(refs) == 0 {
 			// A lost open: the crash hit between the id assignment and the
 			// first durable registration. No partition holds the row, no
 			// events exist; a placeholder keeps the id space dense so later
@@ -359,58 +293,51 @@ func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered) err
 			pe.fullSys.Add(model.Txn{Name: "(lost)"})
 			pe.rows = append(pe.rows, rowRef{p: -1})
 			continue
-
-		case len(refs) == 1 && !refs[0].mirror:
-			// A local transaction, owned whole by its home partition.
-			ref := refs[0]
-			o := recs[ref.p].Opens[ref.lt]
-			pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
-			pe.rows = append(pe.rows, rowRef{p: ref.p, t: ref.lt})
-			continue
-		}
-
-		// Spanning: every ref must be a mirror, one per partition (refs are
-		// in ascending partition order, so a second row of one partition
-		// follows its first).
-		for i, ref := range refs {
-			if !ref.mirror || (i > 0 && refs[i-1].p == ref.p) {
-				return fmt.Errorf("runtime: restore: %w: global id %d has inconsistent rows", recovery.ErrCorrupt, g)
-			}
-		}
-		if pe.n == 1 {
-			// spanOf never spans more than a one-partition engine has.
-			return fmt.Errorf("runtime: restore: %w: global id %d is a mirror row in a one-partition history", recovery.ErrCorrupt, g)
 		}
 		o := recs[refs[0].p].Opens[refs[0].lt]
 		pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
-
-		if len(refs) < pe.n {
-			// A partial registration: the crash hit inside the open's loop,
-			// before the open was acknowledged — no events exist. Abandon
-			// the rows that do exist, durably.
-			for _, ref := range refs {
-				r := pe.parts[ref.p]
-				if r.status[ref.lt] != txAbandoned {
-					r.status[ref.lt] = txAbandoned
-					r.persistStatusDrained(ref.lt, recovery.StatusAbandoned)
+		x := &txn{span: pe.parts[refs[0].p].self, locs: []int{refs[0].lt}}
+		if len(refs) > 1 || refs[0].mirror {
+			// Spanning: every ref must be a mirror, one per partition (refs
+			// are in ascending partition order, so a second row of one
+			// partition follows its first).
+			for i, ref := range refs {
+				if !ref.mirror || (i > 0 && refs[i-1].p == ref.p) {
+					return fmt.Errorf("runtime: restore: %w: global id %d has inconsistent rows", recovery.ErrCorrupt, g)
 				}
 			}
-			owner.met.GaveUp++
-			pe.rows = append(pe.rows, rowRef{p: -1})
-			continue
+			if pe.n == 1 {
+				// spanOf never spans more than a one-partition engine has.
+				return fmt.Errorf("runtime: restore: %w: global id %d is a mirror row in a one-partition history", recovery.ErrCorrupt, g)
+			}
+			if len(refs) < pe.n {
+				// A partial registration: the crash hit inside the open's
+				// loop, before the open was acknowledged — no events exist.
+				// Abandon the rows that do exist, durably.
+				for _, ref := range refs {
+					r := pe.parts[ref.p]
+					if r.status[ref.lt] != txAbandoned {
+						r.status[ref.lt] = txAbandoned
+						r.persistStatusDrained(ref.lt, recovery.StatusAbandoned)
+					}
+				}
+				pe.parts[0].met.GaveUp++
+				pe.rows = append(pe.rows, rowRef{p: -1})
+				continue
+			}
+			x = &txn{span: pe.parts, locs: make([]int, pe.n)}
+			for _, ref := range refs {
+				x.locs[ref.p] = ref.lt
+			}
+			pe.spanning[g] = x
 		}
-
-		x := &txn{span: pe.parts, locs: make([]int, pe.n)}
-		for _, ref := range refs {
-			x.locs[ref.p] = ref.lt
-		}
-		pe.spanning[g] = x
-		pe.rows = append(pe.rows, rowRef{p: 0, t: x.locs[0]})
+		pe.rows = append(pe.rows, rowRef{p: refs[0].p, t: x.locs[0]})
 
 		// The owner row is the arbiter: status writes reach the replicas
 		// in ascending order, so it is the freshest. Reconcile the
 		// stragglers, durably.
-		status := owner.status[x.locs[0]]
+		owner, t := x.own()
+		status := owner.status[t]
 		x.setStatusDrained(status)
 		switch status {
 		case txCommitted:
@@ -418,23 +345,32 @@ func (pe *PartitionedEngine) rebuildGlobalDrained(recs []recovery.Recovered) err
 		case txAbandoned:
 			owner.met.GaveUp++
 		case txActive:
-			unsettled = append(unsettled, x)
+			actives = append(actives, x)
+			opens = append(opens, o)
 		}
 	}
 
-	// Settle spanning transactions recovered active: their session died
-	// with the process and they are not restored parked (see Resume), so
-	// erase their events engine-wide — cascades and all — and abandon
-	// them. An un-committed cascade victim is re-spawned engine-driven
-	// and is not in unsettled.
-	if len(unsettled) > 0 {
-		eraseDrained(pe.parts, unsettled...)
-		for _, x := range unsettled {
-			if pe.parts.fatal() == nil && owner.status[x.locs[0]] == txActive {
-				owner.met.GaveUp++
-				x.setStatusDrained(txAbandoned)
-			}
+	eraseDrained(pe.parts, actives...)
+	if f := pe.parts.fatal(); f != nil {
+		return fmt.Errorf("runtime: restore: %w", f)
+	}
+	now := pe.now().UnixNano()
+	for i, x := range actives {
+		r, t := x.own()
+		o := opens[i]
+		if o.Deadline != 0 && o.Deadline <= now {
+			// The lease ran out while the process was down; the client is
+			// gone. Abandon, durably.
+			r.met.GaveUp++
+			r.met.LeaseExpired++
+			x.setStatusDrained(txAbandoned)
+			continue
 		}
+		st := &sessState{token: o.Token}
+		st.deadline.Store(o.Deadline)
+		st.parked.Store(true)
+		pe.adopt(*x, o.G, r.sys.Txns[t], st, r.gen[t], false)
+		info.Sessions++
 	}
 	if f := pe.parts.fatal(); f != nil {
 		return fmt.Errorf("runtime: restore: %w", f)

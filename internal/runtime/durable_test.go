@@ -52,9 +52,9 @@ func spanTxn(name string, a, b model.Entity) model.Txn {
 
 // TestDurableRestartResume is the restart half of the durability
 // contract: committed work survives a crash (no Close, unsealed WAL),
-// an open session is restored parked and reattaches with its persisted
-// token, and the resumption refusals (wrong token, unknown id, finished
-// session) behave as specified.
+// an open session — local or cross-partition — is restored parked and
+// reattaches with its persisted token, and the resumption refusals
+// (wrong token, unknown id, finished session) behave as specified.
 func TestDurableRestartResume(t *testing.T) {
 	e0, e1 := partitionedEntities(t)
 	for _, parts := range []int{1, 2} {
@@ -87,16 +87,16 @@ func TestDurableRestartResume(t *testing.T) {
 			if tok == 0 {
 				t.Fatal("resume token is zero")
 			}
-			var gsid int
-			var gtok uint64
+			// With two partitions a cross-partition session is left open
+			// one step in too: it is restored parked like a local one.
+			var sg Sess
 			if parts > 1 {
-				// A cross-partition session left open: not resumable
-				// across restart (abandoned by the restore).
-				sg, err := eng.OpenSession(spanTxn("G1", e0, e1))
-				if err != nil {
+				if sg, err = eng.OpenSession(spanTxn("G1", e0, e1)); err != nil {
 					t.Fatal(err)
 				}
-				gsid, gtok = sg.SID(), sg.Token()
+				if err := sg.Step(model.LX(e0)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// Crash: abandon the engine without Close. The WAL stays
 			// unsealed; the files are visible to the next open.
@@ -108,8 +108,9 @@ func TestDurableRestartResume(t *testing.T) {
 			if info2.Clean {
 				t.Fatal("restore after crash reports a clean shutdown")
 			}
-			if info2.Commits != 1 || info2.Sessions != 1 {
-				t.Fatalf("restore = %+v, want 1 commit, 1 parked session", info2)
+			parked := parts // P1, and G1 with two partitions
+			if info2.Commits != 1 || info2.Sessions != parked {
+				t.Fatalf("restore = %+v, want 1 commit, %d parked sessions", info2, parked)
 			}
 			if _, err := eng2.Resume(sid, tok+1); !errors.Is(err, ErrBadToken) {
 				t.Fatalf("wrong token = %v, want ErrBadToken", err)
@@ -119,11 +120,6 @@ func TestDurableRestartResume(t *testing.T) {
 			}
 			if _, err := eng2.Resume(s1.SID(), s1.Token()); !errors.Is(err, ErrSessionDone) {
 				t.Fatalf("resume of committed session = %v, want ErrSessionDone", err)
-			}
-			if parts > 1 {
-				if _, err := eng2.Resume(gsid, gtok); !errors.Is(err, ErrSessionDone) {
-					t.Fatalf("resume of cross-partition session after restart = %v, want ErrSessionDone", err)
-				}
 			}
 			rs, err := eng2.Resume(sid, tok)
 			if err != nil {
@@ -138,12 +134,24 @@ func TestDurableRestartResume(t *testing.T) {
 			if err := rs.Run(); err != nil {
 				t.Fatal(err)
 			}
+			wantEvents := rwTxn("", e0).Len() + rwTxn("", e1).Len()
+			if sg != nil {
+				// Resumed after P1 committed, whose lock it needs.
+				gs, err := eng2.Resume(sg.SID(), sg.Token())
+				if err != nil {
+					t.Fatalf("resume of cross-partition session after restart: %v", err)
+				}
+				if err := gs.Run(); err != nil {
+					t.Fatal(err)
+				}
+				wantEvents += spanTxn("", e0, e1).Len()
+			}
 			res, err := eng2.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Metrics.Commits != 2 {
-				t.Fatalf("commits after resume = %d, want 2", res.Metrics.Commits)
+			if res.Metrics.Commits != 1+parked {
+				t.Fatalf("commits after resume = %d, want %d", res.Metrics.Commits, 1+parked)
 			}
 
 			// Third incarnation: sealed store, everything settled.
@@ -151,10 +159,9 @@ func TestDurableRestartResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !info3.Clean || info3.Sessions != 0 || info3.Commits != 2 {
-				t.Fatalf("clean restore = %+v, want clean, 0 sessions, 2 commits", info3)
+			if !info3.Clean || info3.Sessions != 0 || info3.Commits != 1+parked {
+				t.Fatalf("clean restore = %+v, want clean, 0 sessions, %d commits", info3, 1+parked)
 			}
-			wantEvents := rwTxn("", e0).Len() + rwTxn("", e1).Len()
 			if _, err := eng3.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -318,21 +325,25 @@ func (c *recordCounter) Close() error  { return c.p.Close() }
 
 // durableScript drives a fixed serial workload against a session
 // engine, swallowing post-crash failures, and reports how many commits
-// were acknowledged. The parked open comes last so its held lock never
-// blocks a later transaction.
-func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int) {
-	commit := func(tx model.Txn) {
+// were acknowledged and every session it opened. The parked opens come
+// last so their held locks never block a later transaction.
+func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int, opened []Sess) {
+	open := func(tx model.Txn) Sess {
 		s, err := eng.OpenSession(tx)
 		if err != nil {
-			return
+			return nil
 		}
-		if s.Run() == nil {
+		opened = append(opened, s)
+		return s
+	}
+	commit := func(tx model.Txn) {
+		if s := open(tx); s != nil && s.Run() == nil {
 			acked++
 		}
 	}
 	commit(rwTxn("t1", e0))
 	commit(rwTxn("t2", e1))
-	if s, err := eng.OpenSession(rwTxn("ta", e0)); err == nil {
+	if s := open(rwTxn("ta", e0)); s != nil {
 		// A client abort: exercises the compaction record.
 		s.Step(model.LX(e0))
 		s.Step(model.W(e0))
@@ -341,11 +352,15 @@ func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int) {
 	commit(spanTxn("tg", e0, e1))
 	commit(rwTxn("t3", e0))
 	commit(rwTxn("t4", e1))
-	if s, err := eng.OpenSession(rwTxn("tp", e1)); err == nil {
-		// Left open: recovered as a parked session.
+	// Left open one step in, a local and (with two partitions) a
+	// cross-partition session: both recovered parked.
+	if s := open(rwTxn("tp", e1)); s != nil {
 		s.Step(model.LX(e1))
 	}
-	return acked
+	if s := open(spanTxn("tq", e0, e1)); s != nil {
+		s.Step(model.LX(e0))
+	}
+	return acked, opened
 }
 
 // TestDurableCrashPointSweepEngine is the engine-level crash harness:
@@ -379,7 +394,7 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullAcked := durableScript(eng, e0, e1)
+			fullAcked, _ := durableScript(eng, e0, e1)
 			if fullAcked != 5 {
 				t.Fatalf("reference run acked %d commits, want 5", fullAcked)
 			}
@@ -403,7 +418,7 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: open: %v", name, err)
 				}
-				acked := durableScript(ceng, e0, e1)
+				acked, opened := durableScript(ceng, e0, e1)
 				// Restore the crashed directory with no injection.
 				rcfg := base
 				rcfg.DataDir = dir
@@ -414,6 +429,28 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 				if info.Commits < acked {
 					t.Fatalf("%s: recovered %d commits < %d acknowledged", name, info.Commits, acked)
 				}
+				// Every session restored parked resumes and commits, whatever
+				// its span; every other one is refused as finished.
+				resumed := 0
+				for _, s := range opened {
+					rs, err := reng.Resume(s.SID(), s.Token())
+					if err != nil {
+						if !errors.Is(err, ErrSessionDone) && !errors.Is(err, ErrUnknownSession) {
+							t.Fatalf("%s: resume of %s = %v, want success, ErrSessionDone or ErrUnknownSession", name, s.Declared().Name, err)
+						}
+						continue
+					}
+					if err := rs.Run(); err != nil {
+						t.Fatalf("%s: resumed %s: %v", name, s.Declared().Name, err)
+					}
+					resumed++
+				}
+				if resumed != info.Sessions {
+					t.Fatalf("%s: %d sessions resumed, restore parked %d", name, resumed, info.Sessions)
+				}
+				if name == "crash-free" && resumed != 2 {
+					t.Fatalf("%s: %d sessions resumed, want tp and tq", name, resumed)
+				}
 				if _, err := reng.Close(); err != nil {
 					t.Fatalf("%s: close after restore: %v", name, err)
 				}
@@ -423,7 +460,11 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 			// gets the budget independently, which manufactures exactly
 			// the cross-partition skew the restore must arbitrate.
 			for k := 0; k <= records; k++ {
-				crashAt(fmt.Sprintf("records=%d", k), func(p recovery.Persister) recovery.Persister {
+				name := fmt.Sprintf("records=%d", k)
+				if k == records {
+					name = "crash-free"
+				}
+				crashAt(name, func(p recovery.Persister) recovery.Persister {
 					return &recovery.CrashPersister{P: p, Records: k}
 				})
 			}

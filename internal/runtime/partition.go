@@ -269,11 +269,7 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 // dependence on reaper timing) and refused with ErrLeaseExpired; a
 // session that already finished is refused with ErrSessionDone naming
 // how the transaction ended, so a client that lost its connection around
-// a commit learns the outcome. A session spanning partitions is
-// resumable only within the process that parked it: a restore abandons
-// unsettled spanning transactions rather than parking them (the
-// resumption contract covers the common case — a dropped connection —
-// without replicating session state).
+// a commit learns the outcome.
 func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	if pe.closed.Load() {
 		return nil, ErrClosed

@@ -51,39 +51,10 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 }
 
 // statsDrained sums the per-partition metrics — each row's are charged
-// to its owner replica (every partition drained). Events counts the
-// merged log — each spanning event once — plus truncated prefixes
-// (per-replica when TruncateLog is on; exact with it off).
+// to its owner replica, and so are its events, retained or truncated
+// (every partition drained).
 func (pe *PartitionedEngine) statsDrained() Metrics {
 	var m Metrics
-	distinct := 0
-	{
-		// Count distinct tags without building the merged schedule.
-		tags := make([][]uint64, pe.n)
-		idx := make([]int, pe.n)
-		for p, part := range pe.parts {
-			tags[p] = part.rec.Tags()
-		}
-		for {
-			best := -1
-			var bt uint64
-			for p := 0; p < pe.n; p++ {
-				if idx[p] < len(tags[p]) && (best == -1 || tags[p][idx[p]] < bt) {
-					best, bt = p, tags[p][idx[p]]
-				}
-			}
-			if best == -1 {
-				break
-			}
-			distinct++
-			for p := 0; p < pe.n; p++ {
-				for idx[p] < len(tags[p]) && tags[p][idx[p]] == bt {
-					idx[p]++
-				}
-			}
-		}
-	}
-	m.Events = distinct
 	for _, part := range pe.parts {
 		pm := part.met
 		m.Commits += pm.Commits
@@ -95,7 +66,7 @@ func (pe *PartitionedEngine) statsDrained() Metrics {
 		m.LeaseExpired += pm.LeaseExpired
 		st := part.rec.Stats()
 		m.Replayed += st.Replayed
-		m.Events += st.Truncated
+		m.Events += part.ownedEvents(part.rec.Events()) + part.truncOwned
 		m.Wait += time.Duration(part.waitNs.Load())
 	}
 	m.Elapsed = time.Since(pe.start)

@@ -400,6 +400,9 @@ type runner struct {
 	// truncMark paces log truncation (Config.TruncateLog): the next
 	// commit at or past this log length attempts a prefix truncation.
 	truncMark int
+	// truncOwned counts the events this runner owns (see ownedEvents)
+	// among those truncation discarded.
+	truncOwned int
 	// fatal records an internal invariant breach (monitor Check/Step
 	// disagreement, a failed persist); the run stops admitting events
 	// and reports it.
@@ -896,12 +899,31 @@ func (r *runner) maybeTruncateDrained() {
 	if r.rec.Len() < r.truncMark {
 		return
 	}
-	if r.rec.Truncate(func(t int) bool { return r.status[t] != txActive }) > 0 {
+	old := r.rec.Events() // Truncate copies the suffix; old stays readable
+	if cut := r.rec.Truncate(func(t int) bool { return r.status[t] != txActive }); cut > 0 {
+		r.truncOwned += r.ownedEvents(old[:cut])
 		r.sys.Retire(r.rec.Floor())
 		r.rec.Grow(len(r.sys.Txns))
 		r.fpMon.Grow()
 	}
 	r.truncMark = r.rec.Len() + 4*r.cfg.CheckpointEvery
+}
+
+// ownedEvents counts the events of evs whose row r owns: all of them
+// unless rows span partitions, whose events are counted by their owner,
+// the first partition, alone. Summed over the partitions it counts every
+// event once. Called with r drained.
+func (r *runner) ownedEvents(evs model.Schedule) int {
+	if len(r.spanning) == 0 {
+		return len(evs)
+	}
+	n := 0
+	for _, ev := range evs {
+		if x := r.spanning[r.mgr.owner(int(ev.T))]; x == nil || x.span[0] == r {
+			n++
+		}
+	}
+	return n
 }
 
 type retryOut struct {

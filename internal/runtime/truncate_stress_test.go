@@ -91,6 +91,51 @@ func TestPartitionedTruncation(t *testing.T) {
 	}
 }
 
+// TestTruncatedEventsCountedOnce: Stats().Events counts every event
+// once whether truncation cut it or not — a cross-partition event cut
+// from every partition's log included. A TruncateLog run must read what
+// its untruncated twin reads.
+func TestTruncatedEventsCountedOnce(t *testing.T) {
+	ents := spanningEntities(t, 2)
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			events := func(truncate bool) int {
+				pe := NewSessionEngine(model.NewState(ents...), Config{
+					Policy: policy.TwoPhase{}, Partitions: parts, TruncateLog: truncate, CheckpointEvery: 2,
+				}).(*PartitionedEngine)
+				const rounds = 200
+				for i := 0; i < rounds; i++ {
+					tx := spanTxn("G", ents[0], ents[1])
+					if i%2 == 0 {
+						tx = rwTxn("L", ents[i/2%2])
+					}
+					s, err := pe.OpenSession(tx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for p, part := range pe.parts {
+					if truncate && part.rec.Stats().Truncated == 0 {
+						t.Fatalf("partition %d never truncated", p)
+					}
+				}
+				n := pe.Stats().Events
+				if _, err := pe.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			want := events(false)
+			if got := events(true); got != want {
+				t.Fatalf("Events = %d with TruncateLog, %d without", got, want)
+			}
+		})
+	}
+}
+
 // spanningEntities returns n entities, one homed in each of n
 // partitions, so tests can build bodies that provably span partitions.
 func spanningEntities(t *testing.T, n int) []model.Entity {
