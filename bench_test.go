@@ -8,8 +8,10 @@ package locksafe_test
 // runtime. The service end to end is measured by bench/, not here.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -296,6 +298,34 @@ func BenchmarkLockMgrSharded(b *testing.B) {
 	}
 }
 
+// runSessions runs sys's transactions to completion on a fresh session
+// engine: every body is opened as a session in order and driven by
+// Session.Run on its own goroutine, then Close verifies the committed
+// schedule serializable. A session abandoned after its retry budget is
+// an outcome, not an error.
+func runSessions(sys *model.System, cfg txnruntime.Config) (*txnruntime.Result, error) {
+	e := txnruntime.NewSessionEngine(sys.Init, cfg)
+	var wg sync.WaitGroup
+	errs := make([]error, len(sys.Txns))
+	for t, tx := range sys.Txns {
+		s, err := e.OpenSession(tx)
+		if err != nil {
+			errs[t] = err
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Run(); !errors.Is(err, txnruntime.ErrAbandoned) {
+				errs[t] = err
+			}
+		}()
+	}
+	wg.Wait()
+	res, err := e.Close()
+	return res, errors.Join(append(errs, err)...)
+}
+
 // BenchmarkRuntime2PLContention is the concurrent counterpart of
 // BenchmarkEngine2PLContention: the same workload shape executed by real
 // goroutines against the sharded manager.
@@ -309,7 +339,7 @@ func BenchmarkRuntime2PLContention(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := txnruntime.Run(sys, txnruntime.Config{
+		if _, err := runSessions(sys, txnruntime.Config{
 			Policy: policy.TwoPhase{}, Shards: 4, Backoff: 20 * time.Microsecond, MaxRetries: 500,
 		}); err != nil {
 			b.Fatal(err)
@@ -329,7 +359,7 @@ func BenchmarkRuntimeDTRChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := txnruntime.Run(sys, txnruntime.Config{
+		if _, err := runSessions(sys, txnruntime.Config{
 			Policy: policy.DTR{}, Shards: 4, Backoff: 20 * time.Microsecond, MaxRetries: 500,
 		}); err != nil {
 			b.Fatal(err)
@@ -400,7 +430,7 @@ func BenchmarkRuntimeAbortHeavy(b *testing.B) {
 	sys := experiments.AbortHeavySystem(1, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := txnruntime.Run(sys, txnruntime.Config{
+		if _, err := runSessions(sys, txnruntime.Config{
 			Policy: policy.TwoPhase{}, Shards: 4, Backoff: 5 * time.Microsecond,
 			MaxRetries: 40,
 		}); err != nil {
@@ -438,7 +468,7 @@ func benchGate(b *testing.B, cfg txnruntime.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := txnruntime.Run(sys, cfg)
+		res, err := runSessions(sys, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

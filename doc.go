@@ -54,9 +54,8 @@
 //	internal/runtime     — real-goroutine runtime over the sharded
 //	                       manager: footprint-striped monitor gate with a
 //	                       sequenced log, abort/retry, cascading aborts,
-//	                       wall-clock metrics; batch Run over complete
-//	                       workloads plus the long-lived session engine
-//	                       (NewSessionEngine: n ≥ 1 entity-hash
+//	                       wall-clock metrics; one long-lived session
+//	                       engine (NewSessionEngine: n ≥ 1 entity-hash
 //	                       partitions, declared bodies, client-paced
 //	                       steps, lease-reaped abandonment, durable
 //	                       restore)
@@ -85,8 +84,8 @@
 // walkthroughs), cmd/lockbench (quantitative tables; -net drives a
 // running lockd), cmd/lockd (the network lock service; operator's
 // manual in docs/OPERATIONS.md). Runnable examples are under examples/,
-// and godoc Example functions cover the lockmgr, runtime (batch and
-// session) and pkg/client entry points.
+// and godoc Example functions cover the lockmgr, runtime (session
+// engine) and pkg/client entry points.
 //
 // The benchmarks in bench_test.go time the deterministic experiments
 // and the core machinery; the service's performance benchmark is the

@@ -30,10 +30,10 @@ func TestCrashPointSweep(t *testing.T) {
 			continue
 		}
 
-		// Reference run: persisted Core, two compaction rounds, no
-		// rotation (so the whole history is one WAL we can cut).
+		// Reference run: persisted Core, two compaction rounds, far below
+		// the rotation size (so the whole history is one WAL we can cut).
 		dir := t.TempDir()
-		st, _, err := recovery.Open(dir, recovery.Options{RotateBytes: -1})
+		st, _, err := recovery.Open(dir, recovery.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestCrashPointSweep(t *testing.T) {
 					t.Fatalf("seed %d cut %d: tag[%d] = %d, want %d", seed, cut, i, rec.Tags[i], wantTags[i])
 				}
 			}
-			c2, err := recovery.NewFromRecovered(rec, len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4)
+			c2, err := rebuild(rec, len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4)
 			if err != nil {
 				t.Fatalf("seed %d cut %d: rebuild: %v", seed, cut, err)
 			}

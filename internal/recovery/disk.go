@@ -23,11 +23,10 @@ import (
 //	wal-<g>    records appended since
 //
 // Rotation (triggered by Core.Truncate, and by the WAL outgrowing the
-// snapshot) rewrites the surviving history as snap-<g+1>, opens an
-// empty wal-<g+1>, and deletes generation g — this is how the log
-// truncation contract maps to disk: everything below the settled floor
-// lives only inside the new snapshot, and the segments that carried it
-// are deleted. Restore picks the highest *sealed* snapshot, so a crash
+// snapshot) rewrites the whole history — every open, status and
+// surviving event since the directory was created, a truncated prefix
+// included — as snap-<g+1>, opens an empty wal-<g+1>, and deletes
+// generation g. Restore picks the highest *sealed* snapshot, so a crash
 // anywhere inside rotation falls back to a complete generation.
 
 // Persister receives the durable mutations of a Core and its runtime.
@@ -206,14 +205,11 @@ type Options struct {
 	// durability is limited to what the OS flushes on its own, but a
 	// torn tail is still recovered cleanly.
 	Fsync bool
-	// RotateBytes triggers a snapshot rewrite once the WAL exceeds
-	// this many bytes (and the snapshot's own size, so rotation work
-	// is amortized). Zero means 4 MiB; negative disables size-based
-	// rotation.
-	RotateBytes int64
 }
 
-const defaultRotateBytes = 4 << 20
+// rotateBytes triggers a snapshot rewrite once the WAL exceeds it (and
+// the snapshot's own size, so rotation work is amortized).
+const rotateBytes = 4 << 20
 
 // Store is the disk-backed Persister. It owns one generation of one
 // directory and appends to its WAL; Rotate advances the generation.
@@ -227,20 +223,12 @@ type Store struct {
 	snapLen  int64
 	scratch  []byte
 	err      error // sticky: first failure poisons the store
-
-	// limit, when ≥ 0, caps the total WAL bytes this store will ever
-	// write; the write that crosses it is cut short at the boundary
-	// and the store fails sticky. Used by crash-point tests.
-	limit int64
 }
 
 // Open restores the durable history of dir (creating it if needed) and
 // opens it for appending. The returned Recovered is the base the
 // caller must rebuild its in-memory state from before appending.
 func Open(dir string, opts Options) (*Store, Recovered, error) {
-	if opts.RotateBytes == 0 {
-		opts.RotateBytes = defaultRotateBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovered{}, err
 	}
@@ -269,7 +257,7 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 		return nil, Recovered{}, err
 	}
 
-	st := &Store{dir: dir, opts: opts, gen: gen, wal: f, walBytes: goodLen, limit: -1}
+	st := &Store{dir: dir, opts: opts, gen: gen, wal: f, walBytes: goodLen}
 	if fi, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
 		st.snapLen = fi.Size()
 	}
@@ -294,20 +282,6 @@ func (s *Store) WALBytes() int64 {
 	return s.walBytes
 }
 
-// LimitBytes arms the crash injector: after the store has written n
-// total WAL bytes, the write crossing the boundary is truncated at
-// exactly the boundary and every later append fails with ErrCrashed —
-// emulating a kill at an arbitrary byte offset, torn tail included.
-func (s *Store) LimitBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limit = n
-}
-
-// ErrCrashed is the sticky error a crash-limited store fails with once
-// its byte or record budget is exhausted.
-var ErrCrashed = errors.New("recovery: simulated crash")
-
 // sweepStale removes files from other generations. Only files that
 // match our naming scheme are touched.
 func (s *Store) sweepStale() {
@@ -330,36 +304,18 @@ func (s *Store) appendLocked(frame []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	write := frame
-	crash := false
-	if s.limit >= 0 && s.walBytes+int64(len(frame)) > s.limit {
-		keep := s.limit - s.walBytes
-		if keep < 0 {
-			keep = 0
-		}
-		write, crash = frame[:keep], true
+	if _, err := s.wal.Write(frame); err != nil {
+		s.err = err
+		return err
 	}
-	if len(write) > 0 {
-		if _, err := s.wal.Write(write); err != nil {
-			s.err = err
-			return err
-		}
-		s.walBytes += int64(len(write))
-	}
-	if crash {
-		// The torn bytes must be visible to a restore, as they would
-		// be after a real kill mid-write.
-		s.wal.Sync()
-		s.err = ErrCrashed
-		return s.err
-	}
+	s.walBytes += int64(len(frame))
 	if s.opts.Fsync {
 		if err := s.wal.Sync(); err != nil {
 			s.err = err
 			return err
 		}
 	}
-	if s.opts.RotateBytes > 0 && s.walBytes > s.opts.RotateBytes && s.walBytes > s.snapLen {
+	if s.walBytes > rotateBytes && s.walBytes > s.snapLen {
 		return s.rotateLocked()
 	}
 	return nil
@@ -524,81 +480,4 @@ func syncDir(dir string) error {
 	err = d.Sync()
 	d.Close()
 	return err
-}
-
-// CrashPersister wraps a Persister and fails permanently — with
-// ErrCrashed — after exactly Records successful record appends,
-// emulating a process that dies at a record boundary. For byte-exact
-// (torn mid-record) crash points, use Store.LimitBytes, which cuts the
-// write itself. The zero budget crashes on the first append.
-type CrashPersister struct {
-	P Persister
-	// Records is the number of record appends allowed before the
-	// crash.
-	Records int
-
-	used    int
-	crashed bool
-}
-
-func (c *CrashPersister) charge() error {
-	if c.crashed {
-		return ErrCrashed
-	}
-	if c.used >= c.Records {
-		c.crashed = true
-		return ErrCrashed
-	}
-	c.used++
-	return nil
-}
-
-// AppendEvents implements Persister.
-func (c *CrashPersister) AppendEvents(evs []model.Ev, tags []uint64) error {
-	if err := c.charge(); err != nil {
-		return err
-	}
-	return c.P.AppendEvents(evs, tags)
-}
-
-// AppendCompact implements Persister.
-func (c *CrashPersister) AppendCompact(victims []int) error {
-	if err := c.charge(); err != nil {
-		return err
-	}
-	return c.P.AppendCompact(victims)
-}
-
-// AppendOpen implements Persister.
-func (c *CrashPersister) AppendOpen(o OpenRec) error {
-	if err := c.charge(); err != nil {
-		return err
-	}
-	return c.P.AppendOpen(o)
-}
-
-// AppendStatus implements Persister.
-func (c *CrashPersister) AppendStatus(tid int, status byte) error {
-	if err := c.charge(); err != nil {
-		return err
-	}
-	return c.P.AppendStatus(tid, status)
-}
-
-// Rotate implements Persister. Rotation after the crash point fails
-// sticky like every other operation.
-func (c *CrashPersister) Rotate() error {
-	if c.crashed {
-		return ErrCrashed
-	}
-	return c.P.Rotate()
-}
-
-// Close implements Persister. A crashed persister does not seal the
-// WAL — the process it emulates never got to.
-func (c *CrashPersister) Close() error {
-	if c.crashed {
-		return nil
-	}
-	return c.P.Close()
 }

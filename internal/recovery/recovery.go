@@ -319,7 +319,7 @@ func (c *Core) maybeCheckpoint() {
 	}
 }
 
-// AppendApplied records a batch of executed events whose monitor Step
+// AppendAppliedTagged records a batch of executed events whose monitor Step
 // and structural-state Apply the caller has *already* performed, in the
 // batch's order, under its own concurrency discipline — the striped
 // runtime gate evaluates footprint-disjoint events in parallel and
@@ -336,14 +336,10 @@ func (c *Core) maybeCheckpoint() {
 // — mid-batch positions cannot be snapshotted, because the live monitor
 // is already past them, so the cadence is approximate where Append's is
 // exact.
-func (c *Core) AppendApplied(evs ...model.Ev) {
-	c.AppendAppliedTagged(evs, nil)
-}
-
-// AppendAppliedTagged is AppendApplied with explicit per-event tags
-// (see Tags). tags must be nil (auto-assign) or the same length as evs.
-// The returned error is always a persister failure (*PersistError) —
-// the in-memory append itself cannot fail.
+//
+// tags are the per-event tags (see Tags): nil (auto-assign) or the same
+// length as evs. The returned error is always a persister failure
+// (*PersistError) — the in-memory append itself cannot fail.
 func (c *Core) AppendAppliedTagged(evs []model.Ev, tags []uint64) error {
 	base := len(c.tags)
 	for i, ev := range evs {
@@ -545,41 +541,13 @@ func (c *Core) Truncate(settled func(t int) bool) int {
 		}
 		c.stats.Truncated += b
 		if c.p != nil {
-			// On disk, truncation is generation rotation: the surviving
-			// history is rewritten as the next snapshot and the old
-			// segments — including everything below the settled floor —
-			// are deleted.
+			// On disk, truncation is generation rotation: the whole
+			// surviving history, the truncated prefix included, is
+			// rewritten as the next snapshot and the old generation
+			// deleted.
 			c.persist(c.p.Rotate())
 		}
 		return b
 	}
 	return 0
-}
-
-// NewFromRecovered rebuilds a Core from a recovered durable history by
-// replaying every surviving event from the initial state through a
-// fresh monitor — the same discipline Append uses live, so the
-// resulting Monitor(), State() and checkpoint cadence are exactly what
-// an uninterrupted run would have produced, and the replay itself
-// re-verifies that the recovered prefix is still admissible (a vetoed
-// or undefined event fails the restore). The persister is left
-// detached; attach it with SetPersister once the caller has finished
-// rebuilding, so replay is not re-persisted.
-func NewFromRecovered(rec Recovered, txns int, init model.State, monitor model.Monitor, every int) (*Core, error) {
-	c := New(txns, init, monitor, every)
-	for i, ev := range rec.Events {
-		if int(ev.T) >= txns {
-			return nil, &PersistError{Err: ErrCorrupt}
-		}
-		if ev.S.Op.IsData() && !c.state.Defined(ev.S) {
-			return nil, &PersistError{Err: ErrCorrupt}
-		}
-		if err := c.AppendTagged(ev, rec.Tags[i]); err != nil {
-			return nil, err
-		}
-	}
-	if t := rec.MaxTag(); t > c.nextTag {
-		c.nextTag = t
-	}
-	return c, nil
 }

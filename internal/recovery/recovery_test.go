@@ -158,6 +158,23 @@ func compactAll(t *testing.T, c *recovery.Core, victims map[int]bool) []int {
 	}
 }
 
+// rebuild replays a recovered history into a fresh Core through Append's
+// live discipline, so an out-of-range, undefined or vetoed event fails
+// it, and the rebuilt Monitor(), State() and checkpoint cadence are what
+// an uninterrupted run would have produced.
+func rebuild(rec recovery.Recovered, txns int, init model.State, mon model.Monitor, every int) (*recovery.Core, error) {
+	c := recovery.New(txns, init, mon, every)
+	for i, ev := range rec.Events {
+		if int(ev.T) >= txns || ev.S.Op.IsData() && !c.State().Defined(ev.S) {
+			return nil, fmt.Errorf("event %d %v: %w", i, ev, recovery.ErrCorrupt)
+		}
+		if err := c.AppendTagged(ev, rec.Tags[i]); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // TestEquivalenceRandomTraces is the pinning property test for the
 // recovery refactor: on randomized legal+proper traces, checkpointed
 // suffix replay at several intervals, the naive full replay, and the
@@ -268,7 +285,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s after %s: reopen: %v", seed, v.name, phase, err)
 				}
-				c, err := recovery.NewFromRecovered(rec, len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 16)
+				c, err := rebuild(rec, len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 16)
 				if err != nil {
 					t.Fatalf("seed %d %s after %s: restore: %v", seed, v.name, phase, err)
 				}
@@ -422,7 +439,7 @@ func TestCheckpointedRecoveryIsSuffixBounded(t *testing.T) {
 
 // TestAppendAppliedMatchesAppend pins the batched path the striped
 // runtime gate uses: stepping the live monitor/state by hand and feeding
-// the core through AppendApplied batches must leave the same log,
+// the core through AppendAppliedTagged batches must leave the same log,
 // indices (observed through Compact) and live world as per-event Append,
 // and later compactions must behave identically on both.
 func TestAppendAppliedMatchesAppend(t *testing.T) {
@@ -438,7 +455,7 @@ func TestAppendAppliedMatchesAppend(t *testing.T) {
 		bat := recovery.New(len(sys.Txns), sys.Init, mon(), 4)
 		var pending model.Schedule
 		flush := func() {
-			bat.AppendApplied(pending...)
+			bat.AppendAppliedTagged(pending, nil)
 			pending = pending[:0]
 		}
 		for _, ev := range sched {

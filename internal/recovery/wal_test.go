@@ -240,56 +240,8 @@ func TestStoreRotate(t *testing.T) {
 	}
 }
 
-// TestStoreCrashInjectors pins both crash knobs: the byte limit cuts a
-// write mid-record (torn tail on restore), the record budget stops at a
-// record boundary.
-func TestStoreCrashInjectors(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := recovery.Open(dir, recovery.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{0}); err != nil {
-		t.Fatal(err)
-	}
-	st.LimitBytes(st.WALBytes() + 3) // next record tears after 3 bytes
-	if err := st.AppendEvents([]model.Ev{{T: 0, S: model.UX("a")}}, []uint64{1}); !errors.Is(err, recovery.ErrCrashed) {
-		t.Fatalf("err = %v, want ErrCrashed", err)
-	}
-	if err := st.AppendStatus(0, recovery.StatusCommitted); !errors.Is(err, recovery.ErrCrashed) {
-		t.Fatalf("post-crash append err = %v, want sticky ErrCrashed", err)
-	}
-	rec, err := recovery.Restore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Torn || len(rec.Events) != 1 {
-		t.Fatalf("torn restore: torn=%v events=%d, want true/1", rec.Torn, len(rec.Events))
-	}
-
-	dir2 := t.TempDir()
-	st2, _, _ := recovery.Open(dir2, recovery.Options{})
-	cp := &recovery.CrashPersister{P: st2, Records: 2}
-	if err := cp.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.AppendStatus(0, recovery.StatusCommitted); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.AppendEvents([]model.Ev{{T: 0, S: model.UX("a")}}, []uint64{1}); !errors.Is(err, recovery.ErrCrashed) {
-		t.Fatalf("record budget not enforced: %v", err)
-	}
-	rec2, err := recovery.Restore(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec2.Events) != 1 || rec2.Status[0] != recovery.StatusCommitted {
-		t.Fatalf("record-boundary crash restore: %+v", rec2)
-	}
-}
-
 // TestCorePersistence pins the Core hooks: a persisted Core's directory
-// restores (via NewFromRecovered) to the exact surviving log, state and
+// restores (via rebuild) to the exact surviving log, state and
 // monitor, through appends, compactions and truncation-driven rotation.
 func TestCorePersistence(t *testing.T) {
 	sys := model.NewSystem(model.NewState("a"),
@@ -332,7 +284,7 @@ func TestCorePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := recovery.NewFromRecovered(rec, len(sys.Txns), sys.Init, model.PermissiveMonitor{}, 2)
+	c2, err := rebuild(rec, len(sys.Txns), sys.Init, model.PermissiveMonitor{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"locksafe/internal/model"
@@ -323,6 +324,73 @@ func (c *recordCounter) AppendStatus(tid int, status byte) error {
 func (c *recordCounter) Rotate() error { return c.p.Rotate() }
 func (c *recordCounter) Close() error  { return c.p.Close() }
 
+// errCrashed is what a crashPersister fails with once its budget is
+// spent.
+var errCrashed = errors.New("simulated crash")
+
+// crashPersister emulates a process killed while writing its WAL. With a
+// record budget (limit < 0) it fails every append after the first
+// records. With a byte limit it passes each append to the store, then
+// cuts the current wal-<gen>.log down to limit bytes: exactly what a
+// kill mid-write leaves on disk, torn tail included. After the crash
+// every call fails, and Close does not seal — the process never got to.
+type crashPersister struct {
+	st      *recovery.Store
+	records int   // appends allowed, with limit < 0
+	limit   int64 // WAL bytes allowed; < 0 selects the record budget
+	crashed bool
+}
+
+func (c *crashPersister) append(write func() error) error {
+	switch {
+	case c.crashed:
+		return errCrashed
+	case c.limit < 0 && c.records == 0:
+		c.crashed = true
+		return errCrashed
+	case c.limit < 0:
+		c.records--
+		return write()
+	}
+	if err := write(); err != nil {
+		return err
+	}
+	wal := filepath.Join(c.st.Dir(), fmt.Sprintf("wal-%d.log", c.st.Gen()))
+	if fi, err := os.Stat(wal); err != nil || fi.Size() <= c.limit {
+		return err
+	}
+	c.crashed = true
+	if err := os.Truncate(wal, c.limit); err != nil {
+		return err
+	}
+	return errCrashed
+}
+
+func (c *crashPersister) AppendEvents(evs []model.Ev, tags []uint64) error {
+	return c.append(func() error { return c.st.AppendEvents(evs, tags) })
+}
+func (c *crashPersister) AppendCompact(victims []int) error {
+	return c.append(func() error { return c.st.AppendCompact(victims) })
+}
+func (c *crashPersister) AppendOpen(o recovery.OpenRec) error {
+	return c.append(func() error { return c.st.AppendOpen(o) })
+}
+func (c *crashPersister) AppendStatus(tid int, status byte) error {
+	return c.append(func() error { return c.st.AppendStatus(tid, status) })
+}
+func (c *crashPersister) Rotate() error {
+	if c.crashed {
+		return errCrashed
+	}
+	return c.st.Rotate()
+}
+func (c *crashPersister) Close() error {
+	if c.crashed {
+		return nil
+	}
+	return c.st.Close()
+}
+
 // durableScript drives a fixed serial workload against a session
 // engine, swallowing post-crash failures, and reports how many commits
 // were acknowledged and every session it opened. The parked opens come
@@ -369,9 +437,10 @@ func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int, opened []
 // record-append budget and (b) at a sweep of byte offsets, torn tails
 // included. Every crash point must restore into a working engine whose
 // recovered commits dominate the acknowledged ones and whose schedule
-// verifies serializable — for both the standalone and the partitioned
-// engine (where per-partition budgets exercise cross-partition status
-// skew and the restore arbiter).
+// verifies serializable — with one partition and with two (where
+// per-partition budgets exercise cross-partition status skew and the
+// restore arbiter). The crashes come from outside the store, through a
+// crashPersister.
 func TestDurableCrashPointSweepEngine(t *testing.T) {
 	e0, e1 := partitionedEntities(t)
 	init := model.NewState(e0, e1)
@@ -465,7 +534,7 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 					name = "crash-free"
 				}
 				crashAt(name, func(p recovery.Persister) recovery.Persister {
-					return &recovery.CrashPersister{P: p, Records: k}
+					return &crashPersister{st: p.(*recovery.Store), records: k, limit: -1}
 				})
 			}
 			// (b) Byte offsets, including torn mid-record tails.
@@ -476,10 +545,7 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 			for n := int64(0); n <= maxBytes; n += stride {
 				limit := n
 				crashAt(fmt.Sprintf("bytes=%d", limit), func(p recovery.Persister) recovery.Persister {
-					if st, ok := p.(*recovery.Store); ok {
-						st.LimitBytes(limit)
-					}
-					return p
+					return &crashPersister{st: p.(*recovery.Store), limit: limit}
 				})
 			}
 		})
@@ -576,6 +642,83 @@ func TestDataDirPartitionMismatch(t *testing.T) {
 			}
 			if _, err := eng.Close(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// errInjected is the failure failFirst injects.
+var errInjected = errors.New("injected persister failure")
+
+// failFirst fails the first compaction record (compact) or the first
+// rotation (!compact) with errInjected and passes every other call
+// through, so only the engine can stop the work that follows.
+type failFirst struct {
+	recovery.Persister
+	compact bool
+	failed  *atomic.Bool
+}
+
+func (f failFirst) AppendCompact(victims []int) error {
+	if f.compact && f.failed.CompareAndSwap(false, true) {
+		return errInjected
+	}
+	return f.Persister.AppendCompact(victims)
+}
+
+func (f failFirst) Rotate() error {
+	if !f.compact && f.failed.CompareAndSwap(false, true) {
+		return errInjected
+	}
+	return f.Persister.Rotate()
+}
+
+// TestPersistFailureStopsEngine: a failed compaction record or a failed
+// rotation is a failed persist like any other. The engine acknowledges
+// no commit opened after it and names it at Close. CheckpointEvery 3
+// puts every checkpoint on a body boundary of the serial 3-step commits,
+// so truncation cuts and rotates.
+func TestPersistFailureStopsEngine(t *testing.T) {
+	for _, arm := range []struct {
+		name    string
+		compact bool
+	}{{"compact", true}, {"rotate", false}} {
+		t.Run(arm.name, func(t *testing.T) {
+			var failed atomic.Bool
+			eng, _, err := NewDurableSessionEngine(model.NewState("a"), Config{
+				Policy: policy.TwoPhase{}, DataDir: t.TempDir(), TruncateLog: true, CheckpointEvery: 3,
+				WrapPersister: func(p recovery.Persister) recovery.Persister {
+					return failFirst{Persister: p, compact: arm.compact, failed: &failed}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arm.compact {
+				// A client abort after admitted steps writes a compaction record.
+				s, err := eng.OpenSession(rwTxn("ta", "a"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Step(model.LX("a"))
+				s.Step(model.W("a"))
+				s.Abort()
+			}
+			late := 0
+			for i := 0; i < 40; i++ {
+				after := failed.Load()
+				if s, err := eng.OpenSession(rwTxn(fmt.Sprintf("t%d", i), "a")); err == nil && s.Run() == nil && after {
+					late++
+				}
+			}
+			if !failed.Load() {
+				t.Fatal("the failure was never injected")
+			}
+			if late > 0 {
+				t.Errorf("%d commits acknowledged after the failed persist", late)
+			}
+			if _, err := eng.Close(); !errors.Is(err, errInjected) {
+				t.Fatalf("Close = %v, want the injected failure", err)
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func TestConfigSentinels(t *testing.T) {
 func TestBackoffCapJitter(t *testing.T) {
 	sys := model.NewSystem(model.NewState())
 	mk := func(cfg Config, draw float64) *runner {
-		r := newRunner(sys, cfg)
+		r := referencePartition(sys, cfg)
 		r.brand = func() float64 { return draw }
 		return r
 	}
@@ -83,7 +83,7 @@ func TestNoRetriesIsExpressible(t *testing.T) {
 		model.LX("a"), model.W("a"), model.UX("a"),
 		model.LX("b"), model.W("b"), model.UX("b"),
 	}})
-	res, err := Run(sys, Config{Policy: policy.TwoPhase{}, MaxRetries: -1, Backoff: -1})
+	res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, MaxRetries: -1, Backoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestNoRetriesIsExpressible(t *testing.T) {
 // Returns a digest of every observable the gate influences.
 func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Config, rng *rand.Rand, commit bool) string {
 	t.Helper()
-	r := newRunner(sys, cfg)
+	r := referencePartition(sys, cfg)
 	dropped := make([]bool, len(sys.Txns))
 	fed := make([]int, len(sys.Txns))
 	total := make([]int, len(sys.Txns))
@@ -256,9 +256,9 @@ func TestGateStripeSetCoversEvent(t *testing.T) {
 // TestGateStripedStress hammers the gate, serialized (stripes=1) and
 // striped, from many goroutines with heavily overlapping footprints —
 // shared hot entities, structural creators racing readers (improper
-// aborts + slow path), deadlock-prone lock orders — under -race in CI. The committed schedule must be
-// serializable (Run verifies it) and the commit/give-up accounting must
-// balance.
+// aborts + slow path), deadlock-prone lock orders — under -race in CI.
+// The committed schedule must be serializable (Close verifies it) and
+// the commit/give-up accounting must balance.
 func TestGateStripedStress(t *testing.T) {
 	ents := entities(8)
 	rng := rand.New(rand.NewSource(23))
@@ -280,7 +280,7 @@ func TestGateStripedStress(t *testing.T) {
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
 	for _, stripes := range []int{1, 2, 8} {
-		res, err := Run(sys, Config{
+		res, err := runBatch(sys, Config{
 			Policy: policy.TwoPhase{}, Shards: 8, GateStripes: stripes,
 			Backoff: 20 * time.Microsecond, MaxRetries: 600, CheckpointEvery: 8,
 		})
@@ -311,7 +311,7 @@ func TestGateStripedAltruisticStress(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: steps})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{
+	res, err := runBatch(sys, Config{
 		Policy: policy.Altruistic{}, Shards: 4, GateStripes: 8,
 		Backoff: 20 * time.Microsecond, MaxRetries: 600, CheckpointEvery: 16,
 	})
@@ -328,7 +328,7 @@ func TestGateStripedAltruisticStress(t *testing.T) {
 // workload through real goroutines under every gate configuration: with
 // nothing to conflict on, every transaction must commit first try under
 // each gate, and every committed schedule is serializable (verified
-// inside Run).
+// by Close).
 func TestGateConfigsAgreeEndToEnd(t *testing.T) {
 	const txns = 8
 	var ts []model.Txn
@@ -348,7 +348,7 @@ func TestGateConfigsAgreeEndToEnd(t *testing.T) {
 	} {
 		cfg.Policy = policy.TwoPhase{}
 		cfg.Shards = 8
-		res, err := Run(sys, cfg)
+		res, err := runBatch(sys, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}

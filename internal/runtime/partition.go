@@ -141,29 +141,25 @@ type rowRef struct{ p, t int }
 // reaper, so a restore can rebuild the persisted history before any
 // concurrent machinery runs.
 func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
-	dcfg := cfg.withDefaults()
+	cfg = cfg.withDefaults()
 	pe := &PartitionedEngine{
-		n:        dcfg.Partitions,
-		cfg:      dcfg,
-		mgr:      lockmgr.NewSharded(dcfg.Shards),
+		n:        cfg.Partitions,
+		cfg:      cfg,
+		mgr:      lockmgr.NewSharded(cfg.Shards),
 		init:     init.Clone(),
 		start:    time.Now(),
 		fullSys:  model.NewSystem(init.Clone()),
 		spanning: make(map[int]*txn),
 	}
-	pe.fpMon = dcfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
+	pe.fpMon = cfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
 	sh := &sharedParts{mgr: pe.mgr, tags: &pe.tags, wg: &pe.wg, spanning: pe.spanning}
 	if cfg.MPL > 0 {
 		sh.sem = make(chan struct{}, cfg.MPL)
 	}
 	pe.sessHost.init(cfg, sh.sem)
-	// The partitions get the caller's configuration, not dcfg:
-	// withDefaults maps the sentinels (MaxRetries: -1 → 0) and a second
-	// pass would read the result as "unset" (0 → 40).
-	cfg.MPL = 0 // the shared semaphore is injected, not re-created
 	pe.parts = make(span, pe.n)
 	for p := range pe.parts {
-		pe.parts[p] = newRunnerShared(model.NewSystem(init.Clone()), cfg, sh)
+		pe.parts[p] = newRunner(model.NewSystem(init.Clone()), cfg, sh)
 	}
 	return pe
 }

@@ -151,8 +151,8 @@ func (pe *PartitionedEngine) Inspect() Inspection {
 
 // Close shuts the engine down: new sessions and session operations are
 // refused, every still-open session is force-aborted (erasing its
-// events, so the final log is exactly the committed schedule, as in
-// batch Run), engine-driven re-runs are waited out, the durable stores
+// events, so the final log is exactly the committed schedule),
+// engine-driven re-runs are waited out, the durable stores
 // are sealed and the merged schedule is verified serializable against
 // the engine-wide system. Returns the merged metrics and schedule.
 func (pe *PartitionedEngine) Close() (*Result, error) {

@@ -34,7 +34,7 @@ func outcome(digest string) (reduced string, truncated bool) {
 // arm of the partition equivalence test: the same traces through 1, 2
 // and 8 partitions with TruncateLog on must commit and abandon the same
 // transactions, count the same aborts, leave the same structural state
-// and reach the same verdict as the untruncated batch reference. Each
+// and reach the same verdict as the untruncated reference drive. Each
 // system is driven twice: by its random interleaving, where nearly every
 // boundary has a straddler, and body by body, where the floor follows
 // the commits.

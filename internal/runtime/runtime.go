@@ -1,11 +1,10 @@
 // Package runtime executes transactions as real goroutines against the
-// sharded concurrent lock manager under a locking-policy monitor, in
-// two modes: Run executes a complete pre-generated workload batch-style
-// (every transaction driven by its own goroutine to commit or
-// abandonment), and a session engine serves a *long-lived, open-ended* population
-// — clients Open sessions by declaring a transaction body and drive its
-// steps one at a time (Session.Step/Commit/Abort), with lease timeouts
-// reaping abandoned sessions. The network lock service lockd
+// sharded concurrent lock manager under a locking-policy monitor. Its one
+// execution model is the session engine, which serves a *long-lived,
+// open-ended* population: clients Open sessions by declaring a
+// transaction body and drive its steps one at a time
+// (Session.Step/Commit/Abort, or Session.Run engine-side), with lease
+// timeouts reaping abandoned sessions. The network lock service lockd
 // (locksafe/internal/server, cmd/lockd) is a thin transport over the
 // SessionEngine API. It is the concurrent counterpart of the virtual-time
 // execution engine (locksafe/internal/engine): the same abort/retry
@@ -30,12 +29,11 @@
 // schedule is legal; footprint-disjoint events commute, so any log order
 // reproduces the same monitor state. The sequenced batch is fed to the
 // recovery core at drain points, preserving its single-owner discipline.
-// Run verifies the committed schedule is serializable before returning.
+// Close verifies the committed schedule is serializable.
 //
 // With Config.GateStripes = 1 every admission drains the single stripe
-// and the gate is behavior-identical to the serialized monitor gate this
-// pipeline replaced — the equivalence property test pins that, and E15
-// measures what striping buys on footprint-disjoint workloads.
+// and the gate is behavior-identical to a serialized monitor gate — the
+// gate equivalence property test pins that.
 //
 // Abort recovery is incremental, through the same checkpointed recovery
 // core the engine uses (locksafe/internal/recovery): the core keeps
@@ -51,19 +49,18 @@
 // cascade, so compaction restarts from the earliest invalidated
 // checkpoint and converges.
 //
-// Every transaction — a batch one, a client-paced session, the engine's
-// own re-run of a committed transaction a cascade un-committed — is
-// driven by one row machine (txn, below), parameterised by the
-// transaction's span: the partitions whose gates it drains and whose
-// logs its events land in. Batch Run has one partition, so every span is
-// that runner. Opening a session appends the declared transaction to the
-// systems of its span under the span's drain (growing the monitors and
-// the recovery cores via their Grow methods), Session.Step goes through
-// exactly the batch loop's lock-acquisition and admission paths, and a
-// committed session un-committed by a cascade is re-run by the engine
-// itself from its declared body. DESIGN.md's "Service layer" section
-// gives the argument that this preserves the gate-equivalence
-// invariants; TestSessionGateEquivalence pins it end to end.
+// Every transaction — a client-paced session, or the engine's own re-run
+// of a committed transaction a cascade un-committed — is driven by one
+// row machine (txn, below), parameterised by the transaction's span: the
+// partitions whose gates it drains and whose logs its events land in.
+// Opening a session appends the declared transaction to the systems of
+// its span under the span's drain (growing the monitors and the recovery
+// cores via their Grow methods), Session.Step goes through the row
+// machine's lock-acquisition and admission paths, and a committed
+// session un-committed by a cascade is re-run by the engine itself from
+// its declared body. DESIGN.md's "Service layer" section gives the
+// argument that this preserves the gate-equivalence invariants;
+// TestSessionGateEquivalence pins it end to end.
 //
 // There is one session engine, PartitionedEngine (NewSessionEngine,
 // NewDurableSessionEngine): max(1, Config.Partitions) entity-hash
@@ -73,7 +70,8 @@
 // spanning partitions, or declaring a global footprint, spans all of
 // them, and its drain quiesces every partition — see partition.go and
 // DESIGN.md ("Partitioned engines"). TestPartitionEquivalenceRandomTraces
-// pins 1-, 2- and 8-partition digests identical to the batch reference's.
+// pins 1-, 2- and 8-partition digests identical to the reference drive's
+// (ReplayTrace).
 package runtime
 
 import (
@@ -126,10 +124,10 @@ type Config struct {
 	// GateStripes is the number of stripe locks in the admission gate
 	// (default: sized from GOMAXPROCS). 1 serializes every admission,
 	// reproducing the pre-striping single-mutex monitor gate exactly:
-	// the reference mode of the E15 experiment and the gate equivalence
-	// tests — and the sensible choice for a policy whose footprints are
-	// always global (DTR), where every admission would otherwise pay a
-	// full drain of GateStripes mutexes to buy no concurrency.
+	// the reference mode of the gate equivalence tests — and the
+	// sensible choice for a policy whose footprints are always global
+	// (DTR), where every admission would otherwise pay a full drain of
+	// GateStripes mutexes to buy no concurrency.
 	GateStripes int
 	// Lease is the session lease of a session engine: how long a
 	// Session may sit idle between requests before the engine aborts it,
@@ -137,7 +135,6 @@ type Config struct {
 	// lease clock runs only between session requests — a session parked
 	// inside a lock acquisition is waiting on the system, not the
 	// client, and is never expired mid-request. 0 disables leases.
-	// Batch Run ignores the field.
 	Lease time.Duration
 	// Clock overrides the time source used for lease accounting (nil
 	// means time.Now). With a non-nil Clock the engine starts no
@@ -150,9 +147,8 @@ type Config struct {
 	// partitions, each with its own gate, sequencer and recovery core;
 	// sessions whose declared body stays inside one partition run there
 	// with zero cross-partition coordination, and the rest drain every
-	// partition. 0 means 1: one
-	// partition of the same engine, on which every body is local. Batch
-	// Run ignores the field.
+	// partition. 0 means 1: one partition of the same engine, on which
+	// every body is local.
 	Partitions int
 	// DataDir enables durability: each partition's recovery core writes
 	// an append-only WAL (plus checkpoint snapshots) under this
@@ -160,7 +156,7 @@ type Config struct {
 	// schedule from it on start. Empty means memory-only. One partition
 	// persists into DataDir itself, n > 1 into DataDir/p<i>; a directory
 	// written with a different partition count is refused (ErrLayout).
-	// Batch Run and NewSessionEngine ignore the field.
+	// NewSessionEngine ignores the field.
 	DataDir string
 	// Fsync syncs the WAL after every append batch. Required for the
 	// "commit acked implies commit recovered" guarantee; without it a
@@ -168,9 +164,8 @@ type Config struct {
 	// cleanly).
 	Fsync bool
 	// WrapPersister, when non-nil, wraps the disk store before it is
-	// attached to the recovery core — the crash-injection hook for
-	// durability tests (e.g. recovery.CrashPersister). Ignored when
-	// DataDir is empty.
+	// attached to the recovery core — the hook durability tests crash or
+	// fail the disk through. Ignored when DataDir is empty.
 	WrapPersister func(recovery.Persister) recovery.Persister
 	// TruncateLog lets the recovery core discard the event-log prefix
 	// below a retained checkpoint once every transaction with events in
@@ -233,7 +228,7 @@ type Metrics struct {
 	// abort; checkpointed recovery bounds it by the replayed suffixes.
 	Replayed int
 	// LeaseExpired counts sessions abandoned by the lease reaper (a
-	// subset of GaveUp). Always zero in batch runs.
+	// subset of GaveUp).
 	LeaseExpired int
 }
 
@@ -251,7 +246,7 @@ func (m Metrics) Throughput() float64 {
 }
 
 // Result is the outcome of a run: metrics plus the committed schedule,
-// which Run verifies to be serializable before returning.
+// which Close verifies to be serializable before returning.
 type Result struct {
 	Metrics  Metrics
 	Schedule model.Schedule // events of committed transactions, in log order
@@ -270,56 +265,39 @@ const (
 // bounded neighborhood.
 const maxStripeBuf = 8
 
-// lockSpace is a runner's view of its lock manager. A standalone runner
-// (batch Run) owns its manager and addresses it by local transaction
-// index. The partitions of a PartitionedEngine instead *share* one
-// manager — cross-partition deadlock cycles threading a global
-// transaction through two partitions' locals are only visible to a
-// detector that sees every edge — and translate their local transaction
-// indices to engine-wide owner ids through glob. The mapping is
-// append-only: registrations append under the partition's full gate
-// drain and publish the longer slice header, and lock calls (which run
-// before any stripe is held) read it with an atomic load.
+// lockSpace is a partition's view of its lock manager. The partitions
+// of a PartitionedEngine *share* one manager — cross-partition deadlock
+// cycles threading a global transaction through two partitions' locals
+// are only visible to a detector that sees every edge — and translate
+// their local transaction indices to engine-wide owner ids through glob.
+// The mapping is append-only: registrations append under the partition's
+// full gate drain and publish the longer slice header, and lock calls
+// (which run before any stripe is held) read it with an atomic load.
 type lockSpace struct {
 	m    *lockmgr.Manager
-	glob atomic.Pointer[[]int] // local txn index -> owner id; nil = identity
+	glob atomic.Pointer[[]int] // local txn index -> owner id
 }
 
-func newLockSpace(shards int) *lockSpace { return &lockSpace{m: lockmgr.NewSharded(shards)} }
-
-// sharedLockSpace wraps an existing manager in translation mode: owner
-// ids come from the glob mapping from the first registration on.
-func sharedLockSpace(m *lockmgr.Manager) *lockSpace {
+func newLockSpace(m *lockmgr.Manager) *lockSpace {
 	ls := &lockSpace{m: m}
-	empty := []int{}
-	ls.glob.Store(&empty)
+	ls.glob.Store(new([]int))
 	return ls
 }
 
 // register appends the owner id of the next local transaction index.
-// No-op in identity mode. Callers in translation mode hold the
-// partition's full drain, which serializes registrations. The append
-// writes spare capacity of the published table in place: a reader
-// indexes strictly below the length of the header it loaded, so it never
-// touches the slot being written, and sees the new one only through the
-// atomic store of the longer header.
+// Callers hold the partition's full drain, which serializes
+// registrations. The append writes spare capacity of the published table
+// in place: a reader indexes strictly below the length of the header it
+// loaded, so it never touches the slot being written, and sees the new
+// one only through the atomic store of the longer header.
 func (ls *lockSpace) register(owner int) {
-	p := ls.glob.Load()
-	if p == nil {
-		return
-	}
-	next := append(*p, owner)
+	next := append(*ls.glob.Load(), owner)
 	ls.glob.Store(&next)
 }
 
 // owner translates a local transaction index to its lock-manager owner
 // id.
-func (ls *lockSpace) owner(t int) int {
-	if p := ls.glob.Load(); p != nil {
-		return (*p)[t]
-	}
-	return t
-}
+func (ls *lockSpace) owner(t int) int { return (*ls.glob.Load())[t] }
 
 func (ls *lockSpace) Lock(t int, e model.Entity, mode model.Mode) error {
 	return ls.m.Lock(ls.owner(t), e, mode)
@@ -339,8 +317,8 @@ type runner struct {
 	fpMon model.Monitor
 
 	sem chan struct{} // MPL admission; nil = unbounded
-	// wg counts the goroutines driving transactions to commit (a batch
-	// Run's, and the engine's cascade re-runs); the partitions of one
+	// wg counts the engine's cascade re-runs, the goroutines driving an
+	// un-committed transaction back to commit; the partitions of one
 	// engine share it.
 	wg *sync.WaitGroup
 
@@ -356,10 +334,9 @@ type runner struct {
 	seqMu   sync.Mutex
 	pending []model.Ev
 	// pendTags carries pending's per-event tags in lockstep: global
-	// sequence numbers drawn from tagSrc at sequencing time, so the
-	// per-partition logs of a PartitionedEngine can be merged back into
-	// one global execution order. Standalone runners own their tagSrc
-	// and the tags are simply 0,1,2,…
+	// sequence numbers drawn from the engine's tagSrc at sequencing
+	// time, so the per-partition logs of a PartitionedEngine can be
+	// merged back into one global execution order.
 	pendTags []uint64
 	tagSrc   *atomic.Uint64
 	// drainReq asks the next admission to drain the gate and flush the
@@ -480,44 +457,6 @@ func (x *txn) ev(i int, st model.Step) model.Ev {
 	return model.Ev{T: model.TID(x.locs[i]), S: st}
 }
 
-// Run executes the system's transactions as goroutines and returns
-// metrics and the committed schedule.
-func Run(sys *model.System, cfg Config) (*Result, error) {
-	return newRunner(sys, cfg).run()
-}
-
-func (r *runner) run() (*Result, error) {
-	start := time.Now()
-	r.wg.Add(len(r.sys.Txns))
-	for t := range r.sys.Txns {
-		go r.rowTxn(t).runTxn()
-	}
-	r.wg.Wait()
-	// Single-threaded from here on; drain for the helpers' discipline.
-	r.gate.drain()
-	r.flushPending()
-	r.gate.undrain()
-	r.met.Elapsed = time.Since(start)
-	r.met.Wait = time.Duration(r.waitNs.Load())
-	if r.fatal != nil {
-		return nil, r.fatal
-	}
-	r.met.Events = r.rec.Len() + r.rec.Stats().Truncated
-	r.met.Replayed = r.rec.Stats().Replayed
-	// Abandoned transactions' events were erased at their final abort, so
-	// the log is exactly the committed schedule.
-	sched := r.rec.Events()
-	if !sched.Serializable(r.sys) {
-		return nil, fmt.Errorf("runtime: committed schedule is NOT serializable under policy %q", r.cfg.Policy.Name())
-	}
-	return &Result{Metrics: r.met, Schedule: sched}, nil
-}
-
-// newRunner returns a standalone runner over sys's transactions.
-func newRunner(sys *model.System, cfg Config) *runner {
-	return newRunnerShared(sys, cfg, nil)
-}
-
 // sharedParts is the wiring a PartitionedEngine injects into its
 // partitions: one lock manager (cross-partition deadlock cycles need a
 // single detector), one global event-tag source (per-partition logs
@@ -532,8 +471,9 @@ type sharedParts struct {
 	spanning map[int]*txn
 }
 
-func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
-	cfg = cfg.withDefaults()
+// newRunner returns one partition of an engine over sys's transactions,
+// wired to the engine's shared parts; cfg is already defaulted.
+func newRunner(sys *model.System, cfg Config, sh *sharedParts) *runner {
 	r := &runner{
 		sys:        sys,
 		cfg:        cfg,
@@ -546,25 +486,20 @@ func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
 		attempts:   make([]int, len(sys.Txns)),
 		abortCause: make([]error, len(sys.Txns)),
 		truncMark:  4 * cfg.CheckpointEvery,
+		mgr:        newLockSpace(sh.mgr),
+		tagSrc:     sh.tags,
+		sem:        sh.sem,
+		wg:         sh.wg,
+		spanning:   sh.spanning,
 	}
 	r.self = span{r}
-	if sh != nil {
-		r.mgr = sharedLockSpace(sh.mgr)
-		r.tagSrc, r.sem, r.wg, r.spanning = sh.tags, sh.sem, sh.wg, sh.spanning
-		return r
-	}
-	r.mgr = newLockSpace(cfg.Shards)
-	r.tagSrc, r.wg = new(atomic.Uint64), new(sync.WaitGroup)
-	if cfg.MPL > 0 {
-		r.sem = make(chan struct{}, cfg.MPL)
-	}
 	return r
 }
 
 // runTxn drives x to commit or abandonment, retrying with backoff after
-// each abort — a batch Run's transactions, and the engine's re-run of a
-// committed transaction a cascade un-committed. It holds an MPL slot
-// throughout; an engine's slots are the ones its sessions hold.
+// each abort: the engine's re-run of a committed transaction a cascade
+// un-committed. It holds an MPL slot throughout, one of the slots the
+// engine's sessions hold.
 func (x *txn) runTxn() {
 	o, _ := x.own()
 	defer o.wg.Done()
@@ -640,7 +575,7 @@ func (x *txn) attempt() (bool, time.Duration) {
 // execStep performs one declared step of x's attempt gen: the lock-table
 // action for lock steps, then gate admission. ok reports whether the
 // step was admitted; otherwise (again, delay) is the retry policy for
-// the attempt, exactly as the batch loop interprets it.
+// the attempt, as runTxn interprets it.
 func (x *txn) execStep(gen int, step model.Step) (ok, again bool, delay time.Duration) {
 	if step.Op.IsLock() {
 		o, t := x.own()
@@ -759,15 +694,10 @@ func (r *runner) sequence(ev model.Ev) {
 func (r *runner) flushPending() {
 	r.seqMu.Lock()
 	if len(r.pending) > 0 {
-		err := r.rec.AppendAppliedTagged(r.pending, r.pendTags)
+		// flushPending always runs under a full drain.
+		r.persistFailedDrained(r.rec.AppendAppliedTagged(r.pending, r.pendTags))
 		r.pending = r.pending[:0]
 		r.pendTags = r.pendTags[:0]
-		// A persister failure means the engine can no longer honor its
-		// durability contract; stop admitting work. Safe to record here:
-		// flushPending always runs under a full drain.
-		if err != nil && r.fatal == nil {
-			r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
-		}
 	}
 	r.drainReq.Store(false)
 	r.seqMu.Unlock()
@@ -852,7 +782,7 @@ func (x *txn) lockFailed(gen int, err error) (bool, time.Duration) {
 // concurrent cascade cannot interleave between the status flip and the
 // teardown. committed reports whether x actually reached txCommitted —
 // false when the attempt went stale under the drain (the session API
-// needs the distinction; the batch loop only follows again/delay).
+// needs the distinction; runTxn only follows again/delay).
 func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
 	x.span.drain()
 	if stale, out := x.staleDrained(gen); stale {
@@ -901,6 +831,8 @@ func (r *runner) maybeTruncateDrained() {
 	}
 	old := r.rec.Events() // Truncate copies the suffix; old stays readable
 	if cut := r.rec.Truncate(func(t int) bool { return r.status[t] != txActive }); cut > 0 {
+		// The core latches a failed rotation instead of returning it.
+		r.persistFailedDrained(r.rec.PersistErr())
 		r.truncOwned += r.ownedEvents(old[:cut])
 		r.sys.Retire(r.rec.Floor())
 		r.rec.Grow(len(r.sys.Txns))
@@ -995,21 +927,27 @@ func (r *runner) commitEventDrained(ev model.Ev, tag uint64) bool {
 	return true
 }
 
+// persistFailedDrained records a persister failure (nil: none) as the
+// runner's fatal error unless one is already recorded: the engine can no
+// longer honor its durability contract and stops admitting work. Called
+// with a full drain held.
+func (r *runner) persistFailedDrained(err error) {
+	if err != nil && r.fatal == nil {
+		r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
+	}
+}
+
 // persistStatusDrained records a transaction status transition into the
 // durable stream, going fatal on failure. Called with a full drain held.
 func (r *runner) persistStatusDrained(t int, status byte) {
-	if err := r.rec.PersistStatus(t, status); err != nil && r.fatal == nil {
-		r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
-	}
+	r.persistFailedDrained(r.rec.PersistStatus(t, status))
 }
 
 // persistOpenDrained records a session's transaction declaration (and
 // resume credentials) into the durable stream, going fatal on failure.
 // Called with a full drain held.
 func (r *runner) persistOpenDrained(o recovery.OpenRec) {
-	if err := r.rec.PersistOpen(o); err != nil && r.fatal == nil {
-		r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
-	}
+	r.persistFailedDrained(r.rec.PersistOpen(o))
 }
 
 // statusByte maps the runner's transaction status to the recovery
@@ -1093,6 +1031,9 @@ restart:
 		for {
 			ok, c := r.rec.Compact(lv[i])
 			if ok {
+				// The core latches a failed compaction record instead of
+				// returning it; a restore would resurrect the victims' events.
+				r.persistFailedDrained(r.rec.PersistErr())
 				break
 			}
 			if lv[i][c] {

@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +20,38 @@ func entities(n int) []model.Entity {
 		out[i] = model.Entity(fmt.Sprintf("e%d", i))
 	}
 	return out
+}
+
+// runBatch runs sys's transactions to completion on a fresh session
+// engine (see runSessions).
+func runBatch(sys *model.System, cfg Config) (*Result, error) {
+	return runSessions(NewSessionEngine(sys.Init, cfg), sys)
+}
+
+// runSessions opens every body of sys as a session of e, in order — so
+// session id t is body t — and drives each with Session.Run on its own
+// goroutine; Close then verifies the committed schedule serializable. A
+// session abandoned after its retry budget is an outcome, not an error.
+func runSessions(e SessionEngine, sys *model.System) (*Result, error) {
+	var wg sync.WaitGroup
+	errs := make([]error, len(sys.Txns))
+	for t, tx := range sys.Txns {
+		s, err := e.OpenSession(tx)
+		if err != nil {
+			errs[t] = err
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Run(); !errors.Is(err, ErrAbandoned) {
+				errs[t] = err
+			}
+		}()
+	}
+	wg.Wait()
+	res, err := e.Close()
+	return res, errors.Join(append(errs, err)...)
 }
 
 func checkPartition(t *testing.T, res *Result, txns int) {
@@ -45,7 +79,7 @@ func TestRun2PLContention(t *testing.T) {
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
 	for _, shards := range []int{1, 4} {
-		res, err := Run(sys, Config{Policy: policy.TwoPhase{}, Shards: shards, Backoff: 50 * time.Microsecond})
+		res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, Shards: shards, Backoff: 50 * time.Microsecond})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -70,7 +104,7 @@ func TestRunDeadlockProneWorkload(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: workload.TwoPhaseSteps(perm[:4])})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{Policy: policy.TwoPhase{}, Shards: 8, Backoff: 50 * time.Microsecond, MaxRetries: 200})
+	res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, Shards: 8, Backoff: 50 * time.Microsecond, MaxRetries: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +118,7 @@ func TestRunDTRChain(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: workload.DTRChainSteps(ents)})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{Policy: policy.DTR{}, Shards: 4, Backoff: 50 * time.Microsecond, MaxRetries: 200})
+	res, err := runBatch(sys, Config{Policy: policy.DTR{}, Shards: 4, Backoff: 50 * time.Microsecond, MaxRetries: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +136,7 @@ func TestRunAltruistic(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: steps})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{Policy: policy.Altruistic{}, Shards: 4, Backoff: 50 * time.Microsecond, MaxRetries: 400})
+	res, err := runBatch(sys, Config{Policy: policy.Altruistic{}, Shards: 4, Backoff: 50 * time.Microsecond, MaxRetries: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +152,7 @@ func TestRunMPLOneSerializes(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: workload.TwoPhaseSteps(ents)})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{Policy: policy.TwoPhase{}, MPL: 1})
+	res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, MPL: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +168,7 @@ func TestRunPolicyVetoGivesUp(t *testing.T) {
 		model.LX("a"), model.W("a"), model.UX("a"),
 		model.LX("b"), model.W("b"), model.UX("b"),
 	}})
-	res, err := Run(sys, Config{Policy: policy.TwoPhase{}, MaxRetries: 3, Backoff: time.Microsecond})
+	res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, MaxRetries: 3, Backoff: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +193,7 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 		model.Txn{Name: "T1", Steps: []model.Step{model.LX("x"), model.I("x"), model.UX("x")}},
 		model.Txn{Name: "T2", Steps: []model.Step{model.LX("x"), model.R("x"), model.UX("x")}},
 	)
-	r := newRunner(sys, Config{MaxRetries: 2, Backoff: time.Microsecond})
+	r := referencePartition(sys, Config{MaxRetries: 2, Backoff: time.Microsecond})
 	// Hand-build the state as if T1 ran its first two steps and T2 ran to
 	// commit inside them.
 	r.gate.drain()
@@ -228,7 +262,7 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 		{T: 2, S: model.UX("y")},
 	}
 	build := func(full bool) *runner {
-		r := newRunner(sys, Config{MaxRetries: 10, Backoff: time.Microsecond, CheckpointEvery: 2})
+		r := referencePartition(sys, Config{MaxRetries: 10, Backoff: time.Microsecond, CheckpointEvery: 2})
 		r.rec.SetFullReplay(full)
 		r.gate.drain()
 		for _, ev := range log {
@@ -266,7 +300,7 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 
 // TestRecoveryModesEndToEnd runs an abort-heavy workload through both
 // recovery disciplines: both must complete with full accounting and a
-// serializable committed schedule (verified inside run), and both must
+// serializable committed schedule (verified by Close), and both must
 // record the replay work they performed.
 func TestRecoveryModesEndToEnd(t *testing.T) {
 	ents := entities(6)
@@ -279,12 +313,12 @@ func TestRecoveryModesEndToEnd(t *testing.T) {
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
 	for _, full := range []bool{false, true} {
-		r := newRunner(sys, Config{
+		pe := newPartitionedCore(sys.Init, Config{
 			Policy: policy.TwoPhase{}, Shards: 4, Backoff: 50 * time.Microsecond,
 			MaxRetries: 200, CheckpointEvery: 4,
 		})
-		r.rec.SetFullReplay(full)
-		res, err := r.run()
+		pe.parts[0].rec.SetFullReplay(full)
+		res, err := runSessions(pe, sys)
 		if err != nil {
 			t.Fatalf("full=%v: %v", full, err)
 		}
@@ -310,7 +344,7 @@ func TestRunStress(t *testing.T) {
 		txns = append(txns, model.Txn{Steps: workload.TwoPhaseSteps(pick)})
 	}
 	sys := model.NewSystem(model.NewState(ents...), txns...)
-	res, err := Run(sys, Config{Policy: policy.TwoPhase{}, Shards: 8, MPL: 6, Backoff: 20 * time.Microsecond, MaxRetries: 500})
+	res, err := runBatch(sys, Config{Policy: policy.TwoPhase{}, Shards: 8, MPL: 6, Backoff: 20 * time.Microsecond, MaxRetries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@ import (
 // locked point and the DTR tree-locking check need the whole text, and
 // cascade recovery must be able to re-run a committed transaction
 // without its client), then drive the declared steps one at a time
-// through exactly the same row machine, lock-manager and gate-admission
-// code paths the batch loop uses, whatever the session's span. The
+// through the row machine's lock-manager and gate-admission code paths,
+// the ones the engine's own cascade re-runs take, whatever the session's
+// span. The
 // engine is PartitionedEngine (partition.go); the network service in
 // internal/server is a thin transport over its SessionEngine surface.
 
@@ -398,7 +399,7 @@ func (s *Session) Step(st model.Step) error {
 // On success the transaction is durably in the committed schedule
 // (subject to the cascade caveat documented in DESIGN.md: a later
 // cascade may un-commit it, in which case the engine itself re-runs the
-// declared body to completion, as the batch runtime does). ErrAborted
+// declared body to completion, through runTxn). ErrAborted
 // means the attempt died before the commit took; retry from the first
 // step.
 func (s *Session) Commit() error {

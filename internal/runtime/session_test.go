@@ -329,11 +329,12 @@ func TestSessionLeaseExpiry(t *testing.T) {
 }
 
 // TestSessionTraceEquivalence drives the same randomized traces through
-// (a) the batch reference drive and (b) in-process sessions opened on a
+// (a) the reference drive (ReplayTrace), which steps the engine's rows
+// without the session layer, and (b) in-process sessions opened on a
 // grown engine, and requires identical digests: logs, states, monitor
 // keys, serializability verdicts and abort accounting. This pins that
-// growing the system session-by-session (monitor Grow, recovery-core
-// Grow) is observably identical to constructing it up front.
+// the session layer — open, step, commit, drop — adds nothing
+// observable to the row machine it drives.
 func TestSessionTraceEquivalence(t *testing.T) {
 	arms := []struct {
 		name   string

@@ -8,8 +8,8 @@ import (
 
 // TraceResult is the observable digest of a deterministic trace drive:
 // everything the admission pipeline influences, rendered canonically so
-// digests from different substrates (batch runner, in-process sessions,
-// network sessions) can be compared with ==.
+// digests from different substrates (the reference drive, in-process
+// sessions, network sessions) can be compared with ==.
 type TraceResult struct {
 	// Log is the surviving event log in execution order.
 	Log string
@@ -24,10 +24,10 @@ type TraceResult struct {
 	Metrics Metrics
 }
 
-// ReplayTrace feeds a legal proper schedule through a fresh runner's
-// admission pipeline one event at a time, single-threaded, so the
-// pipeline's decisions are deterministic and comparable across gate
-// configurations and execution substrates. A transaction whose event is
+// ReplayTrace feeds a legal proper schedule through the admission
+// pipeline of a fresh one-partition engine one event at a time,
+// single-threaded, so the pipeline's decisions are deterministic and
+// comparable across gate configurations and execution substrates. A transaction whose event is
 // refused (policy veto and abort, or staleness after a cascade) is
 // dropped: its remaining events are skipped and no retry is attempted.
 // When commit is true, a transaction whose events were all admitted is
@@ -35,9 +35,11 @@ type TraceResult struct {
 //
 // This is the reference drive of the session-equivalence tests: the
 // same trace pushed through in-process Sessions or a network client
-// must produce an identical digest.
+// must produce an identical digest. It steps the partition's rows
+// directly, not through OpenSession, so the reference stays independent
+// of the session layer.
 func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit bool) (*TraceResult, error) {
-	r := newRunner(sys, cfg)
+	r := referencePartition(sys, cfg)
 	dropped := make([]bool, len(sys.Txns))
 	fed := make([]int, len(sys.Txns))
 	gen := make([]int, len(sys.Txns)) // the generation each drive is on
@@ -83,6 +85,20 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 		Serializable: r.rec.Events().Serializable(sys),
 		Metrics:      r.met,
 	}, nil
+}
+
+// referencePartition returns the one partition of a fresh engine with
+// sys's transactions registered as its rows — row t owned by lock owner
+// t — through addTxnDrained, the way a restore registers recovered rows.
+func referencePartition(sys *model.System, cfg Config) *runner {
+	cfg.Partitions = 1
+	r := newPartitionedCore(sys.Init, cfg).parts[0]
+	r.gate.drain()
+	for t, tx := range sys.Txns {
+		r.addTxnDrained(tx, t)
+	}
+	r.gate.undrain()
+	return r
 }
 
 // Digest renders the comparable part of the result as one string

@@ -260,12 +260,13 @@ func outcome(d string) (reduced string, truncated bool) {
 }
 
 // TestSessionGateEquivalence is the acceptance pin of the service
-// layer: the same randomized trace driven through (a) the batch
-// reference drive, (b) in-process runtime Sessions, (c) per-step
-// pkg/client sessions and (d) pipelined pkg/client sessions against an
-// in-memory lockd produces identical logs, structural states, monitor
-// keys, serializability verdicts and abort accounting — network
-// sessions add transport, not semantics, whatever the transport mode.
+// layer: the same randomized trace driven through (a) the reference
+// drive (runtime.ReplayTrace), (b) in-process runtime Sessions, (c)
+// per-step pkg/client sessions and (d) pipelined pkg/client sessions
+// against an in-memory lockd produces identical logs, structural
+// states, monitor keys, serializability verdicts and abort accounting —
+// network sessions add transport, not semantics, whatever the transport
+// mode.
 //
 // The stored-procedure (run-op) arm is compared on a transaction-serial
 // rendering of the same systems: run mode executes each declared body
@@ -411,7 +412,7 @@ func TestSessionGateEquivalence(t *testing.T) {
 
 // driveInProcess replays the trace through runtime Sessions on a grown
 // engine, single-threaded, dropping a transaction on abort exactly as
-// the batch drive does.
+// the reference drive does.
 func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
 	e := runtime.NewSessionEngine(sys.Init, cfg)
 	sess := make([]*runtime.Session, len(sys.Txns))

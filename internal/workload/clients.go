@@ -7,9 +7,10 @@ import (
 	"locksafe/internal/model"
 )
 
-// This file is the network-mode workload support shared by the E15
-// gate-scaling and E16 lockd-throughput experiments: per-client
-// two-phase transaction bodies in the two canonical contention shapes.
+// This file is the network-mode workload support shared by the E16
+// lockd-throughput experiment, `lockbench -net` and the bench module:
+// per-client two-phase transaction bodies in the two canonical
+// contention shapes.
 //
 //   - disjoint: every client works a private entity set — zero
 //     conflicts, the striping/parallelism best case;

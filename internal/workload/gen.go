@@ -3,8 +3,8 @@
 // simulation, so a witness legal+proper complete schedule always exists),
 // policy-conformant workloads for the DDAG, altruistic and DTR policies,
 // and the per-client network-mode bodies (disjoint, Zipf hot-key and
-// pure-locking shapes in clients.go) that the E15/E16 scaling
-// experiments and `lockbench -net` drive through sessions and lockd.
+// pure-locking shapes in clients.go) that the E16 lockd experiment,
+// `lockbench -net` and the bench module drive through sessions and lockd.
 //
 // All generators are deterministic given the supplied *rand.Rand.
 package workload
@@ -43,7 +43,7 @@ type Config struct {
 	// Skew is the Zipf exponent of the hot-key distribution over the
 	// entity universe: when > 1, new lock targets are drawn Zipf(Skew)
 	// by entity rank ("e0" hottest), concentrating contention on a few
-	// hot keys — the contention dial of the E15 gate-scaling sweep.
+	// hot keys.
 	// Values ≤ 1 (including the zero value) select the uniform pick.
 	Skew float64
 }
@@ -249,11 +249,11 @@ func zipfPicker(rng *rand.Rand, s float64, n int) func() int {
 // ZipfSubset draws k distinct entities from pool by Zipf(s) rank —
 // pool[0] hottest — so independent draws across transactions collide on
 // the hot head of the pool. It is the contended-workload generator of
-// the E15 gate-scaling experiment. The result is in pool order
-// (ascending rank), which doubles as a deadlock-free lock order. Edges
-// are total rather than preconditions: k >= len(pool) returns the whole
-// pool (in order), k <= 0 returns nil, and s <= 1 draws uniformly
-// (zipfPicker's fallback).
+// the zipf client bodies (ZipfTxns) and the scenario corpus. The result
+// is in pool order (ascending rank), which doubles as a deadlock-free
+// lock order. Edges are total rather than preconditions: k >= len(pool)
+// returns the whole pool (in order), k <= 0 returns nil, and s <= 1
+// draws uniformly (zipfPicker's fallback).
 func ZipfSubset(rng *rand.Rand, pool []model.Entity, k int, s float64) []model.Entity {
 	if k <= 0 || len(pool) == 0 {
 		return nil
