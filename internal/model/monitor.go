@@ -29,9 +29,11 @@ package model
 // concurrent executors can admit footprint-disjoint events in parallel.
 // The declaration must be sound — everything the evaluation touches must
 // be covered — and it must be *pure*: computable from the event and the
-// monitor's static configuration (the transaction system, parsed entity
-// names) alone, never from mutable monitor state, because executors call
-// it before taking any lock. GlobalFootprint() is always a correct
+// policy's static configuration (for example how entity names parse)
+// alone, never from the transaction system or mutable monitor state.
+// Executors call it before taking any lock, and keep one monitor over
+// an empty system for it: that monitor must give every event the
+// footprint the live one would. GlobalFootprint() is always a correct
 // answer and is the expected fallback for cross-cutting rules.
 //
 // Grow re-synchronizes the monitor with its System's population window

@@ -2,6 +2,7 @@ package policy_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"locksafe/internal/model"
@@ -9,19 +10,24 @@ import (
 	"locksafe/internal/workload"
 )
 
-// assertFootprintSound walks the monitor through sched and checks the
-// Footprint contract at every position:
+// assertFootprintSound walks pol's monitor over sys through sched and
+// checks the Footprint contract at every position:
 //
-//   - purity: Footprint never mutates the monitor and returns the same
-//     declaration when asked twice;
+//   - purity: Footprint never mutates the monitor, returns the same
+//     declaration when asked twice, and returns the declaration of a
+//     monitor over an empty system — the event and the policy's static
+//     configuration decide it, which is what lets an engine keep one
+//     footprint monitor that never grows;
 //   - coverage: a non-global footprint names the event's own transaction;
 //   - soundness (the property the striped gate relies on): if the
 //     candidate next events of two transactions both pass Check and
 //     their footprints do not overlap, their Steps commute — applying
 //     them in either order yields the same monitor state (via Key), and
 //     stepping one does not change the other's verdict.
-func assertFootprintSound(t *testing.T, sys *model.System, mon model.Monitor, sched model.Schedule) {
+func assertFootprintSound(t *testing.T, sys *model.System, pol policy.Policy, sched model.Schedule) {
 	t.Helper()
+	mon := pol.NewMonitor(sys)
+	empty := pol.NewMonitor(model.NewSystem(sys.Init.Clone()))
 	pos := make([]int, len(sys.Txns))
 	next := func(ti int) (model.Ev, bool) {
 		if pos[ti] >= sys.Txns[ti].Len() {
@@ -43,6 +49,9 @@ func assertFootprintSound(t *testing.T, sys *model.System, mon model.Monitor, sc
 			fp2 := mon.Footprint(cand)
 			if fp.Global != fp2.Global || fp.HasT != fp2.HasT || fp.T != fp2.T || fp.Ent != fp2.Ent {
 				t.Fatalf("event %d: Footprint(%s) not deterministic: %+v vs %+v", i, cand, fp, fp2)
+			}
+			if efp := empty.Footprint(cand); !reflect.DeepEqual(fp, efp) {
+				t.Fatalf("event %d: Footprint(%s) depends on the system or the monitor's state: %+v, over an empty system %+v", i, cand, fp, efp)
 			}
 			if !fp.Global && (!fp.HasT || fp.T != cand.T) {
 				t.Fatalf("event %d: footprint %+v does not cover its own transaction %s", i, fp, cand)
@@ -99,30 +108,30 @@ func assertFootprintSound(t *testing.T, sys *model.System, mon model.Monitor, sc
 func TestFootprintSoundness(t *testing.T) {
 	t.Run("2PL", func(t *testing.T) {
 		sys := workload.TwoPhaseSystemRandom(rand.New(rand.NewSource(7)), workload.DefaultPolicyConfig())
-		assertFootprintSound(t, sys, policy.TwoPhase{}.NewMonitor(sys), model.SerialSystem(sys))
+		assertFootprintSound(t, sys, policy.TwoPhase{}, model.SerialSystem(sys))
 	})
 	t.Run("DDAG", func(t *testing.T) {
 		sc := workload.Figure3()
-		assertFootprintSound(t, sc.SysGranted, policy.DDAG{}.NewMonitor(sc.SysGranted), sc.Granted)
+		assertFootprintSound(t, sc.SysGranted, policy.DDAG{}, sc.Granted)
 	})
 	t.Run("DDAG-SX", func(t *testing.T) {
 		sys := workload.DDAGSXCounterexample()
-		assertFootprintSound(t, sys, policy.DDAGSX{}.NewMonitor(sys), model.SerialSystem(sys))
+		assertFootprintSound(t, sys, policy.DDAGSX{}, model.SerialSystem(sys))
 	})
 	t.Run("altruistic", func(t *testing.T) {
 		sc := workload.Figure4()
-		assertFootprintSound(t, sc.Sys, policy.Altruistic{}.NewMonitor(sc.Sys), sc.Events)
+		assertFootprintSound(t, sc.Sys, policy.Altruistic{}, sc.Events)
 	})
 	t.Run("DTR", func(t *testing.T) {
 		sc := workload.Figure5()
-		assertFootprintSound(t, sc.Sys, policy.DTR{}.NewMonitor(sc.Sys), sc.Events)
+		assertFootprintSound(t, sc.Sys, policy.DTR{}, sc.Events)
 	})
 	t.Run("tree", func(t *testing.T) {
 		init := model.NewState("r", "a", "b", "r->a", "r->b")
 		sys := model.NewSystem(init,
 			model.NewTxn("T1", model.LX("r"), model.R("r"), model.LX("a"), model.W("a"), model.UX("a"), model.UX("r")),
 			model.NewTxn("T2", model.LX("b"), model.W("b"), model.UX("b")))
-		assertFootprintSound(t, sys, policy.Tree{}.NewMonitor(sys), model.SerialSystem(sys))
+		assertFootprintSound(t, sys, policy.Tree{}, model.SerialSystem(sys))
 	})
 	t.Run("random-2PL", func(t *testing.T) {
 		// Random conformant two-phase workloads: lots of
@@ -130,7 +139,7 @@ func TestFootprintSoundness(t *testing.T) {
 		// coverage beyond the curated figures.
 		for seed := int64(0); seed < 10; seed++ {
 			sys := workload.TwoPhaseSystemRandom(rand.New(rand.NewSource(seed)), workload.DefaultPolicyConfig())
-			assertFootprintSound(t, sys, policy.TwoPhase{}.NewMonitor(sys), model.SerialSystem(sys))
+			assertFootprintSound(t, sys, policy.TwoPhase{}, model.SerialSystem(sys))
 		}
 	})
 }

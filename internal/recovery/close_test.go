@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,5 +44,24 @@ func TestStoreCloseReportsUnsealedMarker(t *testing.T) {
 	}
 	if rec.Clean || len(rec.Events) != 1 {
 		t.Fatalf("restore after failed seal: clean=%v events=%d, want unclean with the 1 appended event", rec.Clean, len(rec.Events))
+	}
+}
+
+// TestStoreClosePoisonedReportsError: Close on a store an earlier
+// failure poisoned writes no marker and returns that failure — a nil
+// Close would attest a seal that never happened.
+func TestStoreClosePoisonedReportsError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	st, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := errors.New("disk failed")
+	st.err = poison
+	if err := st.Close(); !errors.Is(err, poison) {
+		t.Fatalf("Close of a poisoned store = %v, want %v", err, poison)
+	}
+	if rec, err := Restore(dir); err != nil || rec.Clean {
+		t.Fatalf("restore after poisoned Close: clean=%v err=%v, want unclean", rec.Clean, err)
 	}
 }

@@ -26,8 +26,12 @@ import (
 // snapshot) rewrites the whole history — every open, status and
 // surviving event since the directory was created, a truncated prefix
 // included — as snap-<g+1>, opens an empty wal-<g+1>, and deletes
-// generation g. Restore picks the highest *sealed* snapshot, so a crash
-// anywhere inside rotation falls back to a complete generation.
+// generation g. The snapshot is written, sealed and synced under a
+// temporary name and only then renamed into place, so a crash anywhere
+// inside rotation leaves either generation g or a complete g+1. Restore
+// reads the highest snapshot, which must therefore decode and be
+// sealed: a damaged one is refused (ErrCorrupt), never passed over for
+// an older or empty generation.
 
 // Persister receives the durable mutations of a Core and its runtime.
 // All methods are called from the single-owner append path (the
@@ -117,38 +121,28 @@ func replayRecs(recs []Rec, into *Recovered) {
 func snapName(gen uint64) string { return "snap-" + strconv.FormatUint(gen, 10) }
 func walName(gen uint64) string  { return "wal-" + strconv.FormatUint(gen, 10) + ".log" }
 
-// findGen scans a directory for the highest generation with a sealed
-// snapshot. Generation 0 needs no snapshot file (empty base history).
+// findGen returns a directory's live generation: the highest with a
+// snapshot file (a rotation's temporary file does not count), or 0 —
+// which needs no snapshot (empty base history).
 func findGen(dir string) (uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
 	}
-	var gens []uint64
+	var gen uint64
 	for _, e := range ents {
-		if g, ok := strings.CutPrefix(e.Name(), "snap-"); ok && !strings.HasSuffix(g, ".tmp") {
+		if g, ok := strings.CutPrefix(e.Name(), "snap-"); ok {
 			if n, err := strconv.ParseUint(g, 10, 64); err == nil {
-				gens = append(gens, n)
+				gen = max(gen, n)
 			}
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, g := range gens {
-		b, err := os.ReadFile(filepath.Join(dir, snapName(g)))
-		if err != nil {
-			continue
-		}
-		if _, clean, _, err := DecodeWAL(b); err == nil && clean {
-			return g, nil
-		}
-		// Unsealed or unreadable snapshot: a crash mid-rotation. Fall
-		// through to the previous generation.
-	}
-	return 0, nil
+	return gen, nil
 }
 
 // readGen parses one generation (sealed snapshot + WAL with tail
-// discipline) into a Recovered.
+// discipline) into a Recovered. A snapshot that does not decode, or is
+// not sealed, is ErrCorrupt naming the file.
 func readGen(dir string, gen uint64) (Recovered, int64, error) {
 	out := Recovered{Gen: gen}
 	snap, err := os.ReadFile(filepath.Join(dir, snapName(gen)))
@@ -430,17 +424,18 @@ func (s *Store) rotateLocked() error {
 }
 
 // Close seals the WAL with a clean-shutdown marker and closes it. It
-// returns the first error of writing the marker, syncing it and closing
-// the file (and poisons the store with it): a nil Close attests the
-// marker reached the disk.
+// returns the store's sticky error, or else the first error of writing
+// the marker, syncing it and closing the file (and poisons the store
+// with it): a nil Close attests the marker reached the disk. A poisoned
+// store writes no marker.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
-	var err error
-	if s.err == nil {
+	err := s.err
+	if err == nil {
 		s.scratch = AppendCleanRec(s.scratch[:0])
 		if _, err = s.wal.Write(s.scratch); err == nil {
 			err = s.wal.Sync()
@@ -450,9 +445,7 @@ func (s *Store) Close() error {
 		err = cerr
 	}
 	s.wal = nil
-	if s.err == nil {
-		s.err = err
-	}
+	s.err = err
 	return err
 }
 

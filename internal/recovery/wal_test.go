@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"locksafe/internal/model"
@@ -297,5 +298,56 @@ func TestCorePersistence(t *testing.T) {
 	mem, all := c.Events().String(), c2.Events().String()
 	if len(mem) > len(all) || all[len(all)-len(mem):] != mem {
 		t.Fatalf("in-memory log is not a suffix of restored log:\nmem %s\nall %s", mem, all)
+	}
+}
+
+// TestStoreRefusesDamagedSnapshot: rotation renames a snapshot into
+// place only once it is written, sealed and synced, so a live snapshot
+// that does not decode, or is not sealed, is damage, not a crash. Open
+// and Restore refuse it by name and touch nothing — they never fall back
+// to an older generation, which after a rotation is the empty one.
+func TestStoreRefusesDamagedSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"flipped-byte", func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }},
+		{"unsealed", func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, err := recovery.Open(dir, recovery.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.AppendOpen(recovery.OpenRec{G: 0, Name: "T1", Steps: []model.Step{model.LX("a"), model.UX("a")}})
+			st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}, {T: 0, S: model.UX("a")}}, []uint64{0, 1})
+			if err := st.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			st.AppendStatus(0, recovery.StatusCommitted)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(dir, "snap-1")
+			b, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snap, tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := recovery.Restore(dir); !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), "snap-1") {
+				t.Fatalf("Restore = %v, want ErrCorrupt naming snap-1", err)
+			}
+			if _, rec, err := recovery.Open(dir, recovery.Options{}); !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), "snap-1") {
+				t.Fatalf("Open = %v (opens=%d events=%d), want ErrCorrupt naming snap-1", err, len(rec.Opens), len(rec.Events))
+			}
+			for _, name := range []string{"snap-1", "wal-1.log"} {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					t.Fatalf("refused open removed %s: %v", name, err)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"locksafe/internal/model"
 	"locksafe/internal/recovery"
@@ -27,14 +26,11 @@ import (
 // partition.go it rests on.
 
 // newToken mints a session resume token: 64 random bits, forced nonzero
-// so zero can mean "no session" in the WAL. Falls back to the clock if
-// the system's entropy source fails.
+// so zero can mean "no session" in the WAL.
 func newToken() uint64 {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err == nil {
-		return binary.LittleEndian.Uint64(b[:]) | 1
-	}
-	return uint64(time.Now().UnixNano()) | 1
+	_, _ = rand.Read(b[:]) // since Go 1.24 it never returns an error
+	return binary.LittleEndian.Uint64(b[:]) | 1
 }
 
 // RestoreInfo reports what a durable constructor recovered.
@@ -150,17 +146,18 @@ func checkLayout(dataDir string, n int) error {
 // the history on disk is evidence, and the open file handles die with
 // the process.
 func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
-	if err := checkLayout(cfg.DataDir, pe.n); err != nil {
+	n := len(pe.parts)
+	if err := checkLayout(cfg.DataDir, n); err != nil {
 		return nil, err
 	}
 	info := &RestoreInfo{Clean: true}
 	pe.parts.drain()
 	defer pe.parts.undrain()
 
-	recs := make([]recovery.Recovered, pe.n)
+	recs := make([]recovery.Recovered, n)
 	var maxTag uint64
 	for p, r := range pe.parts {
-		st, rec, err := recovery.Open(PartitionDir(cfg.DataDir, pe.n, p), recovery.Options{Fsync: cfg.Fsync})
+		st, rec, err := recovery.Open(PartitionDir(cfg.DataDir, n, p), recovery.Options{Fsync: cfg.Fsync})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: opening durable store for partition %d: %w", p, err)
 		}
@@ -189,10 +186,7 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 
 	// Verify the merged global schedule against the engine-wide system.
 	merged := pe.mergedDrained()
-	pe.gmu.Lock()
-	sys := pe.sysSnapshotLocked()
-	pe.gmu.Unlock()
-	if !merged.Serializable(sys) {
+	if !merged.Serializable(pe.sysDrained()) {
 		return nil, fmt.Errorf("runtime: restore: %w: merged recovered schedule is not serializable under policy %q", recovery.ErrCorrupt, pe.cfg.Policy.Name())
 	}
 	if f := pe.parts.fatal(); f != nil {
@@ -224,19 +218,10 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 		}
 	}
 	for t, st := range rec.Status {
-		if t < 0 || t >= len(r.sys.Txns) {
-			return fmt.Errorf("runtime: restore: %w: status for unknown transaction %d", recovery.ErrCorrupt, t)
+		if t < 0 || t >= len(r.sys.Txns) || st > txAbandoned {
+			return fmt.Errorf("runtime: restore: %w: status %d for transaction %d", recovery.ErrCorrupt, st, t)
 		}
-		switch st {
-		case recovery.StatusCommitted:
-			r.status[t] = txCommitted
-		case recovery.StatusAbandoned:
-			r.status[t] = txAbandoned
-		case recovery.StatusActive:
-			r.status[t] = txActive
-		default:
-			return fmt.Errorf("runtime: restore: %w: unknown status %d for transaction %d", recovery.ErrCorrupt, st, t)
-		}
+		r.status[t] = st
 	}
 	for i, ev := range rec.Events {
 		// Bounds only — no definedness check: a partition's log
@@ -256,10 +241,9 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 
 // restoreRowsDrained is the one place a recovered row is judged,
 // whatever its span (every partition drained, persisters attached). It
-// rebuilds the engine-wide system and the session-id table from the
-// per-partition open records, reconciles a spanning row's mirror
-// statuses to its owner's and charges each row's outcome once, to its
-// owner replica. A row recovered active lost its in-flight attempt with
+// rebuilds the session-id table from the per-partition open records,
+// reconciles a spanning row's mirror statuses to its owner's and charges
+// each row's outcome once, to its owner replica. A row recovered active lost its in-flight attempt with
 // the process: the attempts are erased together (cascading as a live
 // abort would — a committed cascade victim is un-committed, durably, and
 // re-spawned engine-side), then each session is restored parked with its
@@ -274,8 +258,8 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 	}
 	maxG := -1
 	byG := map[int][]replica{}
-	for p := 0; p < pe.n; p++ {
-		for lt, o := range recs[p].Opens {
+	for p, rec := range recs {
+		for lt, o := range rec.Opens {
 			byG[o.G] = append(byG[o.G], replica{p: p, lt: lt, mirror: o.Mirror})
 			maxG = max(maxG, o.G)
 		}
@@ -290,12 +274,10 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 			// first durable registration. No partition holds the row, no
 			// events exist; a placeholder keeps the id space dense so later
 			// ids stay aligned.
-			pe.fullSys.Add(model.Txn{Name: "(lost)"})
 			pe.rows = append(pe.rows, rowRef{p: -1})
 			continue
 		}
 		o := recs[refs[0].p].Opens[refs[0].lt]
-		pe.fullSys.Add(model.Txn{Name: o.Name, Steps: o.Steps})
 		x := &txn{span: pe.parts[refs[0].p].self, locs: []int{refs[0].lt}}
 		if len(refs) > 1 || refs[0].mirror {
 			// Spanning: every ref must be a mirror, one per partition (refs
@@ -306,11 +288,11 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 					return fmt.Errorf("runtime: restore: %w: global id %d has inconsistent rows", recovery.ErrCorrupt, g)
 				}
 			}
-			if pe.n == 1 {
+			if len(pe.parts) == 1 {
 				// spanOf never spans more than a one-partition engine has.
 				return fmt.Errorf("runtime: restore: %w: global id %d is a mirror row in a one-partition history", recovery.ErrCorrupt, g)
 			}
-			if len(refs) < pe.n {
+			if len(refs) < len(pe.parts) {
 				// A partial registration: the crash hit inside the open's
 				// loop, before the open was acknowledged — no events exist.
 				// Abandon the rows that do exist, durably.
@@ -318,14 +300,14 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 					r := pe.parts[ref.p]
 					if r.status[ref.lt] != txAbandoned {
 						r.status[ref.lt] = txAbandoned
-						r.persistStatusDrained(ref.lt, recovery.StatusAbandoned)
+						r.persistFailedDrained(r.rec.PersistStatus(ref.lt, txAbandoned))
 					}
 				}
 				pe.parts[0].met.GaveUp++
 				pe.rows = append(pe.rows, rowRef{p: -1})
 				continue
 			}
-			x = &txn{span: pe.parts, locs: make([]int, pe.n)}
+			x = &txn{span: pe.parts, locs: make([]int, len(pe.parts))}
 			for _, ref := range refs {
 				x.locs[ref.p] = ref.lt
 			}

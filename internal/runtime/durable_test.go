@@ -723,3 +723,49 @@ func TestPersistFailureStopsEngine(t *testing.T) {
 		})
 	}
 }
+
+// TestDurableStoreRefusesDamagedSnapshot: a live snapshot that no longer
+// decodes is refused by name, and the data directory is left exactly as
+// it was — not restored as an empty database whose start then deletes
+// the real generation.
+func TestDurableStoreRefusesDamagedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	// Truncation rotates the store, so the history lives in a snapshot.
+	cfg := Config{Policy: policy.TwoPhase{}, DataDir: dir, TruncateLog: true, CheckpointEvery: 3}
+	eng, _, err := NewDurableSessionEngine(model.NewState("a"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		s, err := eng.OpenSession(rwTxn("T", "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots %v, want one live snapshot", snaps)
+	}
+	b, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(snaps[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	_, _, err = NewDurableSessionEngine(model.NewState("a"), cfg)
+	if !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(snaps[0])) {
+		t.Fatalf("start on a damaged snapshot = %v, want ErrCorrupt naming %s", err, filepath.Base(snaps[0]))
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Fatalf("refused start changed the directory:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+}

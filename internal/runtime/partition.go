@@ -93,42 +93,49 @@ func NewSessionEngine(init model.State, cfg Config) SessionEngine {
 }
 
 // PartitionedEngine is the entity-partitioned session engine. See the
-// file comment for the execution model. All partitions share one lock
-// manager (cross-partition deadlock cycles need a single detector), one
-// MPL semaphore, one event-tag source and one re-run group; everything
-// else — gate, sequencer, recovery core, checkpoints — is per-partition.
-// Its one session host serves every session, keyed by session id.
+// file comment for the execution model. Its partitions (runners) point
+// back at it for what they share: the configuration, one lock manager
+// (cross-partition deadlock cycles need a single detector), one
+// footprint monitor, the session host's MPL semaphore, one event-tag
+// source (per-partition logs merge by tag), one re-run group and the
+// table of spanning rows; everything else — gate, sequencer, recovery
+// core, checkpoints — is per-partition. Its one session host serves
+// every session, keyed by session id.
 type PartitionedEngine struct {
 	sessHost
 	parts span
-	n     int
 	cfg   Config
 	mgr   *lockmgr.Manager
 	tags  atomic.Uint64
 	// fpMon is a monitor over an empty system consulted only for
-	// Footprint (pure: event + static policy configuration), used to
-	// classify declared bodies at Open.
+	// Footprint, which depends on the event and the policy's static
+	// configuration alone (model.Monitor), so it classifies declared
+	// bodies at Open and sizes every fast-path admission's stripe set
+	// without a lock. The live monitors are replaced by compaction and
+	// must not be touched unlocked.
 	fpMon model.Monitor
 	init  model.State
 
 	// start anchors Metrics.Elapsed (always wall clock, even with an
 	// injected lease Clock).
 	start time.Time
-	wg    sync.WaitGroup
+	// wg counts the engine's cascade re-runs, the goroutines driving an
+	// un-committed transaction back to commit.
+	wg sync.WaitGroup
 
-	// gmu guards the engine-wide tables below. It is a leaf lock: held
-	// briefly, never while acquiring a gate drain.
+	// gmu guards rows. It is a leaf lock: held briefly, never while
+	// acquiring a gate drain.
 	gmu sync.Mutex
-	// fullSys is the engine-wide system: every session's declared body
-	// under its session id, in open order. It is the system the merged
-	// log is verified against.
-	fullSys *model.System
 	// rows[g] locates session id g's transaction row by its owner
-	// replica. The table is dense and pointer-free, so the collector never
-	// scans it.
+	// replica, whose system holds the declared body. The table is dense
+	// and pointer-free, so the collector never scans it.
 	rows []rowRef
-	// spanning is the partitions' shared table of spanning rows (see
-	// runner.spanning).
+	// spanning holds the rows of transactions spanning several
+	// partitions, by session id; it is written only under every
+	// partition's drain. A row absent from it spans its home partition
+	// alone. Only the owner replica's status, gen, attempts and abortCause
+	// entries are a row's bookkeeping; status is kept in step on every
+	// replica.
 	spanning map[int]*txn
 }
 
@@ -143,23 +150,17 @@ type rowRef struct{ p, t int }
 func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
 	cfg = cfg.withDefaults()
 	pe := &PartitionedEngine{
-		n:        cfg.Partitions,
 		cfg:      cfg,
 		mgr:      lockmgr.NewSharded(cfg.Shards),
+		fpMon:    cfg.Policy.NewMonitor(model.NewSystem(init.Clone())),
 		init:     init.Clone(),
 		start:    time.Now(),
-		fullSys:  model.NewSystem(init.Clone()),
 		spanning: make(map[int]*txn),
 	}
-	pe.fpMon = cfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
-	sh := &sharedParts{mgr: pe.mgr, tags: &pe.tags, wg: &pe.wg, spanning: pe.spanning}
-	if cfg.MPL > 0 {
-		sh.sem = make(chan struct{}, cfg.MPL)
-	}
-	pe.sessHost.init(cfg, sh.sem)
-	pe.parts = make(span, pe.n)
+	pe.sessHost.init(cfg)
+	pe.parts = make(span, cfg.Partitions)
 	for p := range pe.parts {
-		pe.parts[p] = newRunner(model.NewSystem(init.Clone()), cfg, sh)
+		pe.parts[p] = newRunner(pe)
 	}
 	return pe
 }
@@ -169,7 +170,8 @@ func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
 // one, or every partition if any step has a global footprint (or names
 // other transactions) or the entities span partitions.
 func (pe *PartitionedEngine) spanOf(tx model.Txn) span {
-	if pe.n == 1 {
+	n := len(pe.parts)
+	if n == 1 {
 		return pe.parts
 	}
 	seen := -1
@@ -177,7 +179,7 @@ func (pe *PartitionedEngine) spanOf(tx model.Txn) span {
 		if e == "" {
 			return true
 		}
-		p := model.PartitionOf(e, pe.n)
+		p := model.PartitionOf(e, n)
 		if seen == -1 {
 			seen = p
 			return true
@@ -224,7 +226,7 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 	}
 	sp := pe.spanOf(tx)
 	pe.gmu.Lock()
-	g := int(pe.fullSys.Add(tx))
+	g := len(pe.rows)
 	pe.rows = append(pe.rows, rowRef{p: -1})
 	pe.gmu.Unlock()
 
@@ -238,7 +240,7 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 			// Every replica records the registration — same id, same token —
 			// so a restore rebuilds the replica set (or detects a crash
 			// mid-loop by a partial one).
-			r.persistOpenDrained(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
+			r.persistFailedDrained(r.rec.PersistOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
 		}
 		if len(sp) > 1 {
 			shared := x

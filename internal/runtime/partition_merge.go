@@ -19,20 +19,21 @@ import (
 // construction, so the merge is linear. Cross-partition drain held (or
 // the engine single-threaded).
 func (pe *PartitionedEngine) mergedDrained() model.Schedule {
-	logs := make([]model.Schedule, pe.n)
-	tags := make([][]uint64, pe.n)
+	n := len(pe.parts)
+	logs := make([]model.Schedule, n)
+	tags := make([][]uint64, n)
 	total := 0
 	for p, part := range pe.parts {
 		logs[p] = part.rec.Events()
 		tags[p] = part.rec.Tags()
 		total += len(logs[p])
 	}
-	idx := make([]int, pe.n)
+	idx := make([]int, n)
 	out := make(model.Schedule, 0, total)
 	for {
 		best := -1
 		var bt uint64
-		for p := 0; p < pe.n; p++ {
+		for p := 0; p < n; p++ {
 			if idx[p] < len(logs[p]) && (best == -1 || tags[p][idx[p]] < bt) {
 				best, bt = p, tags[p][idx[p]]
 			}
@@ -42,7 +43,7 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 		}
 		ev := logs[best][idx[best]]
 		out = append(out, model.Ev{T: model.TID(pe.parts[best].mgr.owner(int(ev.T))), S: ev.S})
-		for p := 0; p < pe.n; p++ {
+		for p := 0; p < n; p++ {
 			for idx[p] < len(logs[p]) && tags[p][idx[p]] == bt {
 				idx[p]++
 			}
@@ -89,7 +90,7 @@ func (pe *PartitionedEngine) mergedStateDrained() model.State {
 	out := model.NewState()
 	for p, part := range pe.parts {
 		for e := range part.rec.State() {
-			if model.PartitionOf(e, pe.n) == p {
+			if model.PartitionOf(e, len(pe.parts)) == p {
 				out[e] = struct{}{}
 			}
 		}
@@ -97,10 +98,20 @@ func (pe *PartitionedEngine) mergedStateDrained() model.State {
 	return out
 }
 
-// sysSnapshotLocked returns a stable copy of the engine-wide system
-// (gmu held by the caller).
-func (pe *PartitionedEngine) sysSnapshotLocked() *model.System {
-	return &model.System{Init: pe.init, Txns: append([]model.Txn(nil), pe.fullSys.Txns...)}
+// sysDrained builds the engine-wide system the merged log is verified
+// against: session id g's declared body, read from its owner replica,
+// or an empty one for an open that never registered a row (every
+// partition drained).
+func (pe *PartitionedEngine) sysDrained() *model.System {
+	pe.gmu.Lock()
+	defer pe.gmu.Unlock()
+	sys := &model.System{Init: pe.init, Txns: make([]model.Txn, len(pe.rows))}
+	for g, ref := range pe.rows {
+		if ref.p >= 0 {
+			sys.Txns[g] = pe.parts[ref.p].sys.Txns[ref.t]
+		}
+	}
+	return sys
 }
 
 // Inspect returns the diagnostic snapshot over the *merged* log: the
@@ -114,9 +125,7 @@ func (pe *PartitionedEngine) sysSnapshotLocked() *model.System {
 func (pe *PartitionedEngine) Inspect() Inspection {
 	pe.parts.drain()
 	merged := pe.mergedDrained()
-	pe.gmu.Lock()
-	sys := pe.sysSnapshotLocked()
-	pe.gmu.Unlock()
+	sys := pe.sysDrained()
 	truncated := false
 	for _, part := range pe.parts {
 		if part.rec.Stats().Truncated > 0 {
@@ -169,9 +178,7 @@ func (pe *PartitionedEngine) Close() (*Result, error) {
 	merged := pe.mergedDrained()
 	met := pe.statsDrained()
 	fatal := pe.parts.fatal()
-	pe.gmu.Lock()
-	sys := pe.sysSnapshotLocked()
-	pe.gmu.Unlock()
+	sys := pe.sysDrained()
 	pe.parts.undrain()
 	// Seal the durable stores (if any): the clean-shutdown marker lets the
 	// next Open skip torn-tail scanning and attests nothing was lost.

@@ -86,9 +86,9 @@ func TestPartitionEquivalenceRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d partitions %d: %v", arm.name, seed, parts, err)
 				}
-				if got != want {
+				if got.Digest() != want {
 					t.Fatalf("%s seed %d: %d partitions diverge from the serialized gate:\n--- partitioned ---\n%s\n--- serialized ---\n%s",
-						arm.name, seed, parts, got, want)
+						arm.name, seed, parts, got.Digest(), want)
 				}
 			}
 		}

@@ -17,19 +17,6 @@ import (
 	"locksafe/internal/workload"
 )
 
-// outcome reduces a session-drive digest to what a truncating engine can
-// still be compared on — commit and give-up counts, abort accounting,
-// final state and verdict — by dropping the log line, the monitor key and
-// the event count (which counts a truncated global event once per
-// replica), and reports whether the engine had truncated.
-func outcome(digest string) (reduced string, truncated bool) {
-	_, rest, _ := strings.Cut(digest, "\n")
-	before, after, _ := strings.Cut(rest, " key:")
-	_, after, _ = strings.Cut(after, " serializable:")
-	after, _, _ = strings.Cut(after, " events:")
-	return before + " serializable:" + after, strings.Contains(digest, `key:"(truncated)"`)
-}
-
 // TestTruncationEquivalenceRandomTraces is the retired ≡ never-retired
 // arm of the partition equivalence test: the same traces through 1, 2
 // and 8 partitions with TruncateLog on must commit and abandon the same
@@ -54,15 +41,15 @@ func TestTruncationEquivalenceRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", pol.Name(), seed, err)
 				}
-				want, _ := outcome(ref.Digest())
+				want := ref.Outcome()
 				for _, parts := range []int{1, 2, 8} {
 					cfg := Config{Policy: pol, GateStripes: 8, CheckpointEvery: 3, Partitions: parts, TruncateLog: true}
-					d, err := driveSessions(sys, trace, cfg, true)
+					ins, err := driveSessions(sys, trace, cfg, true)
 					if err != nil {
 						t.Fatalf("%s seed %d partitions %d: %v", pol.Name(), seed, parts, err)
 					}
-					got, cut := outcome(d)
-					if cut {
+					got := ins.Outcome()
+					if ins.MonitorKey == "(truncated)" {
 						truncated++
 					}
 					if got != want {

@@ -16,10 +16,11 @@
 // Locking goes through lockmgr.Manager, so grant order, upgrades and
 // deadlock detection (including cross-shard sweeps) are the shared
 // lock-table core's. Policy rules are consulted through a *footprint-
-// striped admission gate*: each event's monitor declares (via
-// model.Monitor.Footprint) which transactions' bookkeeping and which
-// entities' state evaluating the event touches, and the gate maps that
-// footprint onto hash-addressed stripe locks. Footprint-disjoint events
+// striped admission gate*: the policy declares (via
+// model.Monitor.Footprint, asked of one engine-wide monitor over an empty
+// system — a footprint depends on the event alone) which transactions'
+// bookkeeping and which entities' state evaluating the event touches, and
+// the gate maps that footprint onto hash-addressed stripe locks. Footprint-disjoint events
 // evaluate Check/Step concurrently under their stripes, while
 // overlapping events serialize on a shared stripe and global-footprint
 // events (plus structural updates, aborts, commits and checkpoints)
@@ -53,6 +54,7 @@
 // of a committed transaction a cascade un-committed — is driven by one
 // row machine (txn, below), parameterised by the transaction's span: the
 // partitions whose gates it drains and whose logs its events land in.
+// Session.Run and the re-runs share its one retry loop (txn.attempt).
 // Opening a session appends the declared transaction to the systems of
 // its span under the span's drain (growing the monitors and the recovery
 // cores via their Grow methods), Session.Step goes through the row
@@ -65,7 +67,9 @@
 // There is one session engine, PartitionedEngine (NewSessionEngine,
 // NewDurableSessionEngine): max(1, Config.Partitions) entity-hash
 // partitions, each a runner with its own striped gate, sequencer and
-// recovery core, sharing the lock manager. A partition-local body's span
+// recovery core that points back at the engine for the rest — one
+// configuration, lock manager, footprint monitor, MPL semaphore and
+// event-tag source. A partition-local body's span
 // is its home partition — with one partition, every body's; a body
 // spanning partitions, or declaring a global footprint, spans all of
 // them, and its drain quiesces every partition — see partition.go and
@@ -252,12 +256,14 @@ type Result struct {
 	Schedule model.Schedule // events of committed transactions, in log order
 }
 
-type txnStatus uint8
+// txnStatus is a row's status. Its values are the durable store's
+// status codes, so a status is persisted and restored as is.
+type txnStatus = byte
 
 const (
-	txActive txnStatus = iota
-	txCommitted
-	txAbandoned
+	txActive    txnStatus = recovery.StatusActive
+	txCommitted txnStatus = recovery.StatusCommitted
+	txAbandoned txnStatus = recovery.StatusAbandoned
 )
 
 // maxStripeBuf is the stack buffer for per-admission stripe sets; the
@@ -306,21 +312,13 @@ func (ls *lockSpace) Unlock(t int, e model.Entity) error { return ls.m.Unlock(ls
 func (ls *lockSpace) ReleaseAll(t int)                   { ls.m.ReleaseAll(ls.owner(t)) }
 
 type runner struct {
+	// pe is the engine this runner is one partition of: its
+	// configuration, footprint monitor, MPL slots, event-tag source,
+	// re-run group and table of spanning rows are every partition's.
+	pe   *PartitionedEngine
 	sys  *model.System
-	cfg  Config
 	mgr  *lockSpace
 	gate *gate
-	// fpMon is a dedicated monitor instance consulted only for
-	// Footprint, which is pure (static configuration + the event), so
-	// it can be called before any stripe is held. The *live* monitor
-	// object is replaced by compaction and must not be touched unlocked.
-	fpMon model.Monitor
-
-	sem chan struct{} // MPL admission; nil = unbounded
-	// wg counts the engine's cascade re-runs, the goroutines driving an
-	// un-committed transaction back to commit; the partitions of one
-	// engine share it.
-	wg *sync.WaitGroup
 
 	// brand is the backoff jitter's uniform [0,1) source (math/rand's;
 	// tests inject a fixed draw).
@@ -334,11 +332,10 @@ type runner struct {
 	seqMu   sync.Mutex
 	pending []model.Ev
 	// pendTags carries pending's per-event tags in lockstep: global
-	// sequence numbers drawn from the engine's tagSrc at sequencing
-	// time, so the per-partition logs of a PartitionedEngine can be
-	// merged back into one global execution order.
+	// sequence numbers drawn from the engine's tag source at sequencing
+	// time, so the per-partition logs can be merged back into one global
+	// execution order.
 	pendTags []uint64
-	tagSrc   *atomic.Uint64
 	// drainReq asks the next admission to drain the gate and flush the
 	// sequencer (checkpoint pacing).
 	drainReq atomic.Bool
@@ -366,14 +363,7 @@ type runner struct {
 	abortCause []error
 	// self is the one-partition span of this runner.
 	self span
-	// spanning holds the rows of transactions spanning several
-	// partitions, by engine-wide owner id; the partitions of one engine
-	// share it, and it is written only under every partition's drain. A
-	// row absent from it spans self alone. Only the owner replica's
-	// status, gen, attempts and abortCause entries are a row's
-	// bookkeeping; status is kept in step on every replica.
-	spanning map[int]*txn
-	met      Metrics
+	met  Metrics
 	// truncMark paces log truncation (Config.TruncateLog): the next
 	// commit at or past this log length attempts a prefix truncation.
 	truncMark int
@@ -443,7 +433,7 @@ type txn struct {
 
 // rowTxn returns the row of local index t.
 func (r *runner) rowTxn(t int) *txn {
-	if x := r.spanning[r.mgr.owner(t)]; x != nil {
+	if x := r.pe.spanning[r.mgr.owner(t)]; x != nil {
 		return x
 	}
 	return &txn{span: r.self, locs: []int{t}}
@@ -457,40 +447,18 @@ func (x *txn) ev(i int, st model.Step) model.Ev {
 	return model.Ev{T: model.TID(x.locs[i]), S: st}
 }
 
-// sharedParts is the wiring a PartitionedEngine injects into its
-// partitions: one lock manager (cross-partition deadlock cycles need a
-// single detector), one global event-tag source (per-partition logs
-// merge by tag), one MPL semaphore (a transaction occupies one slot
-// engine-wide, wherever it runs), one re-run group and one table of
-// spanning rows.
-type sharedParts struct {
-	mgr      *lockmgr.Manager
-	tags     *atomic.Uint64
-	sem      chan struct{}
-	wg       *sync.WaitGroup
-	spanning map[int]*txn
-}
-
-// newRunner returns one partition of an engine over sys's transactions,
-// wired to the engine's shared parts; cfg is already defaulted.
-func newRunner(sys *model.System, cfg Config, sh *sharedParts) *runner {
+// newRunner returns an empty partition of pe, whose configuration is
+// already defaulted.
+func newRunner(pe *PartitionedEngine) *runner {
+	sys := model.NewSystem(pe.init.Clone())
 	r := &runner{
-		sys:        sys,
-		cfg:        cfg,
-		gate:       newGate(cfg.GateStripes),
-		fpMon:      cfg.Policy.NewMonitor(sys),
-		brand:      rand.Float64,
-		rec:        recovery.New(len(sys.Txns), sys.Init, cfg.Policy.NewMonitor(sys), cfg.CheckpointEvery),
-		status:     make([]txnStatus, len(sys.Txns)),
-		gen:        make([]int, len(sys.Txns)),
-		attempts:   make([]int, len(sys.Txns)),
-		abortCause: make([]error, len(sys.Txns)),
-		truncMark:  4 * cfg.CheckpointEvery,
-		mgr:        newLockSpace(sh.mgr),
-		tagSrc:     sh.tags,
-		sem:        sh.sem,
-		wg:         sh.wg,
-		spanning:   sh.spanning,
+		pe:        pe,
+		sys:       sys,
+		gate:      newGate(pe.cfg.GateStripes),
+		brand:     rand.Float64,
+		rec:       recovery.New(0, sys.Init, pe.cfg.Policy.NewMonitor(sys), pe.cfg.CheckpointEvery),
+		truncMark: 4 * pe.cfg.CheckpointEvery,
+		mgr:       newLockSpace(pe.mgr),
 	}
 	r.self = span{r}
 	return r
@@ -501,20 +469,18 @@ func newRunner(sys *model.System, cfg Config, sh *sharedParts) *runner {
 // un-committed. It holds an MPL slot throughout, one of the slots the
 // engine's sessions hold.
 func (x *txn) runTxn() {
-	o, _ := x.own()
-	defer o.wg.Done()
-	if o.sem != nil {
-		o.sem <- struct{}{}
-		defer func() { <-o.sem }()
+	pe := x.span[0].pe
+	defer pe.wg.Done()
+	if pe.sem != nil {
+		pe.sem <- struct{}{}
+		defer func() { <-pe.sem }()
 	}
 	for {
-		again, delay := x.attempt()
+		_, again, delay := x.attempt()
 		if !again {
 			return
 		}
-		if delay > 0 {
-			time.Sleep(delay)
-		}
+		time.Sleep(delay)
 	}
 }
 
@@ -529,11 +495,11 @@ const (
 // transactions aborted by the same conflict do not re-collide in
 // lockstep.
 func (r *runner) backoff(k int) time.Duration {
-	d := time.Duration(k) * r.cfg.Backoff
+	d := time.Duration(k) * r.pe.cfg.Backoff
 	if d <= 0 {
 		return 0
 	}
-	d = min(d, backoffCapFactor*r.cfg.Backoff)
+	d = min(d, backoffCapFactor*r.pe.cfg.Backoff)
 	return time.Duration(float64(d) * (1 - backoffJitter*r.brand()))
 }
 
@@ -545,31 +511,35 @@ func (r *runner) txnStripes(buf []int, t int) []int {
 	return append(buf, r.gate.stripeOfTxn(t))
 }
 
-// attempt executes one full pass over x's declared steps. It reports
+// attempt executes one full pass over x's declared steps in the row's
+// current generation. It reports whether x committed, and otherwise
 // whether to retry and after what delay.
-func (x *txn) attempt() (bool, time.Duration) {
+func (x *txn) attempt() (committed, again bool, delay time.Duration) {
 	o, t := x.own()
 	var buf [maxStripeBuf]int
 	tset := o.txnStripes(buf[:0], t)
 	o.gate.lockSet(tset)
 	if o.status[t] != txActive || o.fatal != nil {
 		o.gate.unlockSet(tset)
-		return false, 0
+		return false, false, 0
 	}
 	gen := o.gen[t]
 	// The transaction list is grown by OpenSession under a full drain,
 	// so the declared body must be read under a stripe.
 	tx := o.sys.Txns[t]
 	o.gate.unlockSet(tset)
+	return x.finish(gen, tx.Steps)
+}
 
-	for pos := 0; pos < tx.Len(); pos++ {
-		ok, again, delay := x.execStep(gen, tx.Steps[pos])
-		if !ok {
-			return again, delay
+// finish executes steps — the rest of x's attempt gen — and commits,
+// reporting as attempt does.
+func (x *txn) finish(gen int, steps []model.Step) (committed, again bool, delay time.Duration) {
+	for _, st := range steps {
+		if ok, again, delay := x.execStep(gen, st); !ok {
+			return false, again, delay
 		}
 	}
-	_, again, delay := x.commit(gen)
-	return again, delay
+	return x.commit(gen)
 }
 
 // execStep performs one declared step of x's attempt gen: the lock-table
@@ -601,7 +571,7 @@ func (x *txn) admit(gen int, st model.Step) (ok, again bool, delay time.Duration
 	if o, t := x.own(); len(x.span) == 1 && !o.drainReq.Load() {
 		ev := model.Ev{T: model.TID(t), S: st}
 		var buf [maxStripeBuf]int
-		if set, fast := o.gate.setFor(buf[:0], ev, o.fpMon.Footprint(ev)); fast {
+		if set, fast := o.gate.setFor(buf[:0], ev, o.pe.fpMon.Footprint(ev)); fast {
 			switch out, err := o.admitFast(set, t, gen, ev); out {
 			case fastAdmitted:
 				return true, false, 0
@@ -681,8 +651,8 @@ func (r *runner) admitFast(set []int, t, gen int, ev model.Ev) (fastOutcome, err
 func (r *runner) sequence(ev model.Ev) {
 	r.seqMu.Lock()
 	r.pending = append(r.pending, ev)
-	r.pendTags = append(r.pendTags, r.tagSrc.Add(1)-1)
-	if len(r.pending) >= r.cfg.CheckpointEvery {
+	r.pendTags = append(r.pendTags, r.pe.tags.Add(1)-1)
+	if len(r.pending) >= r.pe.cfg.CheckpointEvery {
 		r.drainReq.Store(true)
 	}
 	r.seqMu.Unlock()
@@ -747,7 +717,7 @@ func (x *txn) admitSlow(gen int, st model.Step) (ok, again bool, delay time.Dura
 			return false, again, delay
 		}
 	}
-	tag := o.tagSrc.Add(1) - 1
+	tag := o.pe.tags.Add(1) - 1
 	for i, r := range x.span {
 		if !r.commitEventDrained(x.ev(i, st), tag) {
 			again, delay = x.bailDrained(nil)
@@ -804,8 +774,8 @@ func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
 	// draining — after the drain ends a cascade may un-commit and
 	// re-spawn x, and a stray teardown would tear the new attempt down.
 	o.mgr.ReleaseAll(t)
-	for _, r := range x.span {
-		if r.cfg.TruncateLog {
+	if o.pe.cfg.TruncateLog {
+		for _, r := range x.span {
 			r.maybeTruncateDrained()
 		}
 	}
@@ -822,9 +792,9 @@ func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
 // separated from the truncated prefix by Truncate's rule). A truncation
 // that took also retires the transactions below the core's new floor —
 // settled, owning no retained event — from the system, and re-syncs the
-// live monitor (through the core) and the footprint monitor, so their
-// rows stop at the floor like the log stops at the boundary. Called with
-// a full drain held, sequencer flushed.
+// live monitor through the core, so its rows stop at the floor like the
+// log stops at the boundary. Called with a full drain held, sequencer
+// flushed.
 func (r *runner) maybeTruncateDrained() {
 	if r.rec.Len() < r.truncMark {
 		return
@@ -836,9 +806,8 @@ func (r *runner) maybeTruncateDrained() {
 		r.truncOwned += r.ownedEvents(old[:cut])
 		r.sys.Retire(r.rec.Floor())
 		r.rec.Grow(len(r.sys.Txns))
-		r.fpMon.Grow()
 	}
-	r.truncMark = r.rec.Len() + 4*r.cfg.CheckpointEvery
+	r.truncMark = r.rec.Len() + 4*r.pe.cfg.CheckpointEvery
 }
 
 // ownedEvents counts the events of evs whose row r owns: all of them
@@ -846,12 +815,12 @@ func (r *runner) maybeTruncateDrained() {
 // the first partition, alone. Summed over the partitions it counts every
 // event once. Called with r drained.
 func (r *runner) ownedEvents(evs model.Schedule) int {
-	if len(r.spanning) == 0 {
+	if len(r.pe.spanning) == 0 {
 		return len(evs)
 	}
 	n := 0
 	for _, ev := range evs {
-		if x := r.spanning[r.mgr.owner(int(ev.T))]; x == nil || x.span[0] == r {
+		if x := r.pe.spanning[r.mgr.owner(int(ev.T))]; x == nil || x.span[0] == r {
 			n++
 		}
 	}
@@ -937,32 +906,6 @@ func (r *runner) persistFailedDrained(err error) {
 	}
 }
 
-// persistStatusDrained records a transaction status transition into the
-// durable stream, going fatal on failure. Called with a full drain held.
-func (r *runner) persistStatusDrained(t int, status byte) {
-	r.persistFailedDrained(r.rec.PersistStatus(t, status))
-}
-
-// persistOpenDrained records a session's transaction declaration (and
-// resume credentials) into the durable stream, going fatal on failure.
-// Called with a full drain held.
-func (r *runner) persistOpenDrained(o recovery.OpenRec) {
-	r.persistFailedDrained(r.rec.PersistOpen(o))
-}
-
-// statusByte maps the runner's transaction status to the recovery
-// package's durable status code.
-func statusByte(s txnStatus) byte {
-	switch s {
-	case txCommitted:
-		return recovery.StatusCommitted
-	case txAbandoned:
-		return recovery.StatusAbandoned
-	default:
-		return recovery.StatusActive
-	}
-}
-
 // setStatusDrained sets x's status in every replica, durably where it
 // changed (span drained). Ascending partition order, so a crash midway
 // leaves a prefix of the replicas updated, the owner first — and the
@@ -971,7 +914,7 @@ func (x *txn) setStatusDrained(s txnStatus) {
 	for i, r := range x.span {
 		if t := x.locs[i]; r.status[t] != s {
 			r.status[t] = s
-			r.persistStatusDrained(t, statusByte(s))
+			r.persistFailedDrained(r.rec.PersistStatus(t, s))
 		}
 	}
 }
@@ -996,7 +939,7 @@ func (x *txn) chargeDrained() {
 	o, t := x.own()
 	o.gen[t]++
 	o.attempts[t]++
-	if o.attempts[t] > o.cfg.MaxRetries && o.status[t] == txActive {
+	if o.attempts[t] > o.pe.cfg.MaxRetries && o.status[t] == txActive {
 		o.met.GaveUp++
 		x.setStatusDrained(txAbandoned)
 	}
@@ -1088,7 +1031,7 @@ func (x *txn) cascadeVictimDrained() {
 	// its next gate entry.
 	o.mgr.ReleaseAll(t)
 	if respawn && o.status[t] == txActive {
-		o.wg.Add(1)
+		o.pe.wg.Add(1)
 		go x.runTxn()
 	}
 }

@@ -205,7 +205,7 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 		{T: 1, S: model.R("x")},
 		{T: 1, S: model.UX("x")},
 	} {
-		if !r.commitEventDrained(ev, r.tagSrc.Add(1)-1) {
+		if !r.commitEventDrained(ev, r.pe.tags.Add(1)-1) {
 			t.Fatal(r.fatal)
 		}
 	}
@@ -218,7 +218,7 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 	r.gate.undrain()
 
 	// The cascade must have re-spawned T2; wait for it to run out.
-	r.wg.Wait()
+	r.pe.wg.Wait()
 
 	r.gate.drain()
 	defer r.gate.undrain()
@@ -266,7 +266,7 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 		r.rec.SetFullReplay(full)
 		r.gate.drain()
 		for _, ev := range log {
-			if !r.commitEventDrained(ev, r.tagSrc.Add(1)-1) {
+			if !r.commitEventDrained(ev, r.pe.tags.Add(1)-1) {
 				t.Fatal(r.fatal)
 			}
 		}

@@ -73,7 +73,8 @@ type sessHost struct {
 	// start the background lease reaper.
 	wallClock bool
 	// sem is the MPL semaphore (nil = unbounded), shared with the
-	// engine's re-runs: a transaction occupies one slot wherever it runs.
+	// engine's re-runs (runTxn): a transaction occupies one slot
+	// engine-wide, wherever it runs.
 	sem chan struct{}
 
 	// lifecycle: session operations hold it for read; Close holds it
@@ -94,8 +95,11 @@ type sessHost struct {
 	reapDone chan struct{}
 }
 
-func (h *sessHost) init(cfg Config, sem chan struct{}) {
-	h.now, h.lease, h.sem = cfg.Clock, cfg.Lease, sem
+func (h *sessHost) init(cfg Config) {
+	h.now, h.lease = cfg.Clock, cfg.Lease
+	if cfg.MPL > 0 {
+		h.sem = make(chan struct{}, cfg.MPL)
+	}
 	if h.now == nil {
 		h.now = time.Now
 		h.wallClock = true
@@ -419,38 +423,30 @@ func (s *Session) Commit() error {
 }
 
 // Run drives the session's declared transaction to commit engine-side:
-// it executes every declared step and commits, retrying from the first
-// step with the runner's capped+jittered backoff whenever the attempt is
-// torn down (ErrAborted) — the same loop the engine already performs for
-// cascade re-runs, exposed so a client can ship the declared body once
-// and receive a single terminal answer (the wire protocol's run op).
-// Returns nil on commit; any other error is terminal for the session.
-// The retry budget is the engine's (Config.MaxRetries), enforced by the
-// runtime itself — Run just keeps resubmitting while the session stays
-// retryable.
+// it finishes the current attempt from the cursor and commits, then,
+// whenever the attempt is torn down, retries the whole body after the
+// engine's capped+jittered backoff — the loop the engine runs for its
+// cascade re-runs (runTxn), exposed so a client can ship the declared
+// body once and receive a single terminal answer (the wire protocol's
+// run op). The retry budget is the engine's (Config.MaxRetries). A park
+// (Interrupt) stops the loop. Returns nil on commit; any other error is
+// terminal for this Session object.
 func (s *Session) Run() error {
-	for k := 1; ; k++ {
-		err := s.runDeclared()
-		if err == nil || !errors.Is(err, ErrAborted) {
-			return err
-		}
-		o, _ := s.x.own()
-		if d := o.backoff(k); d > 0 {
-			time.Sleep(d)
-		}
+	if err := s.begin(); err != nil {
+		return err
 	}
-}
-
-// runDeclared executes the remaining declared steps and commits. On
-// ErrAborted the cursor was reset by failure(), so the next call starts
-// over from the first declared step.
-func (s *Session) runDeclared() error {
-	for s.pos < s.tx.Len() {
-		if err := s.Step(s.tx.Steps[s.pos]); err != nil {
-			return err
-		}
+	defer s.end()
+	committed, again, delay := s.x.finish(s.gen, s.tx.Steps[s.pos:])
+	for again && s.st.parks.Load() == s.myParks {
+		time.Sleep(delay)
+		committed, again, delay = s.x.attempt()
 	}
-	return s.Commit()
+	if !committed {
+		return s.failure()
+	}
+	s.done = true
+	s.h.release(s)
+	return nil
 }
 
 // Abort closes the session at the client's request: its events are
@@ -628,14 +624,12 @@ func (h *sessHost) shutdown() bool {
 }
 
 // addTxnDrained appends one transaction row to the runner: the system,
-// the recovery core, the footprint monitor and every per-transaction
-// bookkeeping slice grow in lockstep, and the lock-owner mapping learns
-// the row's engine-wide owner id. Called with a full drain held,
-// sequencer flushed.
+// the recovery core and every per-transaction bookkeeping slice grow in
+// lockstep, and the lock-owner mapping learns the row's engine-wide
+// owner id. Called with a full drain held, sequencer flushed.
 func (r *runner) addTxnDrained(tx model.Txn, owner int) int {
 	t := int(r.sys.Add(tx))
 	r.rec.Grow(len(r.sys.Txns))
-	r.fpMon.Grow()
 	r.status = append(r.status, txActive)
 	r.gen = append(r.gen, 0)
 	r.attempts = append(r.attempts, 0)
@@ -698,17 +692,4 @@ func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, 
 	x.span.undrain()
 	o.mgr.ReleaseAll(t)
 	return true, fatal
-}
-
-// Inspection is a diagnostic snapshot of the engine's world state, in
-// the digest vocabulary of the equivalence tests: the surviving log,
-// the structural state, the policy monitor's memoization key and the
-// log's serializability verdict.
-type Inspection struct {
-	Log          string
-	State        string
-	MonitorKey   string
-	Serializable bool
-	OpenSessions int
-	Metrics      Metrics
 }

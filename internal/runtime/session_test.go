@@ -214,6 +214,50 @@ func TestSessionCancelWakesParkedStep(t *testing.T) {
 	}
 }
 
+// TestSessionRunStopsAtPark: a park ends Session.Run's retry loop. A Run
+// waiting on a lock and interrupted returns ErrCancelled instead of
+// retrying on a session that no longer holds an MPL slot, and the
+// transaction stays open: the Session Resume hands out runs it to
+// commit.
+func TestSessionRunStopsAtPark(t *testing.T) {
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			eng, body := k.start(t, Config{})
+			holder := k.open(t, eng, body)
+			if err := holder.Step(body.Steps[0]); err != nil {
+				t.Fatal(err)
+			}
+			victim := k.open(t, eng, body)
+			ran := make(chan error, 1)
+			go func() { ran <- victim.Run() }()
+			for !victim.st.busy.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			victim.Interrupt()
+			if err := holder.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-ran; !errors.Is(err, ErrCancelled) {
+				t.Fatalf("Run of a parked session = %v, want ErrCancelled", err)
+			}
+			rs, err := eng.Resume(victim.SID(), victim.Token())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Metrics; m.Commits != 2 || m.GaveUp != 0 || m.Events != 2*body.Len() {
+				t.Fatalf("commits=%d gaveup=%d events=%d, want 2/0/%d", m.Commits, m.GaveUp, m.Events, 2*body.Len())
+			}
+		})
+	}
+}
+
 // TestSessionPolicyAbortAndRetry pins the abort/retry contract: a
 // non-two-phase body is vetoed under 2PL at its post-unlock lock, the
 // whole attempt is erased, and the client's retry fails the same way
@@ -364,9 +408,9 @@ func TestSessionTraceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", arm.name, seed, err)
 			}
-			if got != ref.Digest() {
+			if got.Digest() != ref.Digest() {
 				t.Fatalf("%s seed %d: sessions diverge from the batch drive:\n--- sessions ---\n%s\n--- batch ---\n%s",
-					arm.name, seed, got, ref.Digest())
+					arm.name, seed, got.Digest(), ref.Digest())
 			}
 		}
 	}
@@ -376,13 +420,13 @@ func TestSessionTraceEquivalence(t *testing.T) {
 // engine cfg selects, one OpenSession per transaction, single-threaded,
 // dropping a session on abort exactly as ReplayTrace drops a
 // transaction.
-func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit bool) (string, error) {
+func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit bool) (*Inspection, error) {
 	e := NewSessionEngine(sys.Init, cfg)
 	sess := make([]Sess, len(sys.Txns))
 	for i, tx := range sys.Txns {
 		s, err := e.OpenSession(tx)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		sess[i] = s
 	}
@@ -398,22 +442,15 @@ func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit b
 				dropped[tn] = true
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 		fed[tn]++
 		if commit && fed[tn] == sys.Txns[tn].Len() {
 			if err := sess[tn].Commit(); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 	}
 	ins := e.Inspect()
-	m := ins.Metrics
-	return (&TraceResult{
-		Log:          ins.Log,
-		State:        ins.State,
-		MonitorKey:   ins.MonitorKey,
-		Serializable: ins.Serializable,
-		Metrics:      m,
-	}).Digest(), nil
+	return &ins, nil
 }

@@ -6,21 +6,26 @@ import (
 	"locksafe/internal/model"
 )
 
-// TraceResult is the observable digest of a deterministic trace drive:
+// Inspection is a diagnostic snapshot of an engine's world state —
+// PartitionedEngine.Inspect's, or the end state of a reference drive
+// (ReplayTrace) — in the digest vocabulary of the equivalence tests:
 // everything the admission pipeline influences, rendered canonically so
 // digests from different substrates (the reference drive, in-process
 // sessions, network sessions) can be compared with ==.
-type TraceResult struct {
+type Inspection struct {
 	// Log is the surviving event log in execution order.
 	Log string
 	// State renders the structural state after the log.
 	State string
-	// MonitorKey is the policy monitor's memoization key after the log.
+	// MonitorKey is the policy monitor's memoization key after the log,
+	// "(truncated)" once the engine truncated its log.
 	MonitorKey string
 	// Serializable is the log's serializability verdict.
 	Serializable bool
-	// Metrics is the runner's accounting (wall-clock fields excluded
-	// from any digest comparison by the caller).
+	// OpenSessions counts the open sessions, parked ones included.
+	OpenSessions int
+	// Metrics is the engine's accounting (wall-clock fields excluded from
+	// any digest).
 	Metrics Metrics
 }
 
@@ -38,7 +43,7 @@ type TraceResult struct {
 // must produce an identical digest. It steps the partition's rows
 // directly, not through OpenSession, so the reference stays independent
 // of the session layer.
-func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit bool) (*TraceResult, error) {
+func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit bool) (*Inspection, error) {
 	r := referencePartition(sys, cfg)
 	dropped := make([]bool, len(sys.Txns))
 	fed := make([]int, len(sys.Txns))
@@ -78,7 +83,7 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 	}
 	r.met.Events = r.rec.Len()
 	r.met.Replayed = r.rec.Stats().Replayed
-	return &TraceResult{
+	return &Inspection{
 		Log:          r.rec.Events().String(),
 		State:        fmt.Sprintf("%v", r.rec.State()),
 		MonitorKey:   r.rec.Monitor().Key(),
@@ -101,12 +106,18 @@ func referencePartition(sys *model.System, cfg Config) *runner {
 	return r
 }
 
-// Digest renders the comparable part of the result as one string
-// (wall-clock metrics excluded).
-func (t *TraceResult) Digest() string {
-	m := t.Metrics
-	return fmt.Sprintf("log:%s\nstate:%s key:%q serializable:%v\n"+
-		"commits:%d gaveup:%d dead:%d pol:%d imp:%d casc:%d events:%d",
-		t.Log, t.State, t.MonitorKey, t.Serializable,
-		m.Commits, m.GaveUp, m.DeadlockAborts, m.PolicyAborts, m.ImproperAborts, m.CascadeAborts, m.Events)
+// Digest renders the comparable part of the snapshot as one string
+// (wall-clock metrics and open sessions excluded).
+func (ins *Inspection) Digest() string {
+	return fmt.Sprintf("log:%s\nkey:%q events:%d\n%s", ins.Log, ins.MonitorKey, ins.Metrics.Events, ins.Outcome())
+}
+
+// Outcome is the part of Digest a truncating engine can still be
+// compared on: the structural state, the verdict, and the commit,
+// give-up and abort counts — not the log, the monitor key or the event
+// count (which counts a truncated spanning event once per replica).
+func (ins *Inspection) Outcome() string {
+	m := ins.Metrics
+	return fmt.Sprintf("state:%s serializable:%v\ncommits:%d gaveup:%d dead:%d pol:%d imp:%d casc:%d",
+		ins.State, ins.Serializable, m.Commits, m.GaveUp, m.DeadlockAborts, m.PolicyAborts, m.ImproperAborts, m.CascadeAborts)
 }

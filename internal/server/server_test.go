@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,24 +238,17 @@ func TestServerBadStepKeepsSession(t *testing.T) {
 	}
 }
 
-// digest is the cross-substrate comparison string of the equivalence
-// test: log, structural state, monitor key, serializability verdict and
-// the abort accounting.
-func digest(log, state, key string, ser bool, commits, gaveUp, dead, pol, imp, casc, events int) string {
-	return fmt.Sprintf("log:%s\nstate:%s key:%q serializable:%v\ncommits:%d gaveup:%d dead:%d pol:%d imp:%d casc:%d events:%d",
-		log, state, key, ser, commits, gaveUp, dead, pol, imp, casc, events)
-}
-
-// outcome reduces a digest to what a truncating server can still be
-// compared on — state, verdict, commit, give-up and abort counts — by
-// dropping the log line, the monitor key and the event count, and reports
-// whether the server had truncated (its key then reads "(truncated)").
-func outcome(d string) (reduced string, truncated bool) {
-	_, rest, _ := strings.Cut(d, "\n")
-	before, after, _ := strings.Cut(rest, " key:")
-	_, after, _ = strings.Cut(after, " serializable:")
-	after, _, _ = strings.Cut(after, " events:")
-	return before + " serializable:" + after, strings.Contains(d, `key:"(truncated)"`)
+// wireInspection reads a wire inspect answer back into the runtime's
+// Inspection, so every substrate is compared through its one Digest.
+func wireInspection(ins wire.Inspect) *runtime.Inspection {
+	st := ins.Stats
+	return &runtime.Inspection{
+		Log: ins.Log, State: ins.State, MonitorKey: ins.MonitorKey, Serializable: ins.Serializable,
+		Metrics: runtime.Metrics{
+			Commits: st.Commits, GaveUp: st.GaveUp, DeadlockAborts: st.DeadlockAborts, PolicyAborts: st.PolicyAborts,
+			ImproperAborts: st.ImproperAborts, CascadeAborts: st.CascadeAborts, Events: st.Events,
+		},
+	}
 }
 
 // TestSessionGateEquivalence is the acceptance pin of the service
@@ -309,24 +301,22 @@ func TestSessionGateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: batch: %v", arm.name, seed, err)
 			}
-			m := ref.Metrics
-			want := digest(ref.Log, ref.State, ref.MonitorKey, ref.Serializable,
-				m.Commits, m.GaveUp, m.DeadlockAborts, m.PolicyAborts, m.ImproperAborts, m.CascadeAborts, m.Events)
+			want := ref.Digest()
 
 			if got, err := driveInProcess(sys, sched, cfg, arm.commit); err != nil {
 				t.Fatalf("%s seed %d: sessions: %v", arm.name, seed, err)
-			} else if got != want {
-				t.Fatalf("%s seed %d: in-process sessions diverge:\n--- sessions ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
+			} else if got.Digest() != want {
+				t.Fatalf("%s seed %d: in-process sessions diverge:\n--- sessions ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), want)
 			}
 			if got, err := driveNetwork(t, sys, sched, cfg, arm.commit); err != nil {
 				t.Fatalf("%s seed %d: network: %v", arm.name, seed, err)
-			} else if got != want {
-				t.Fatalf("%s seed %d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
+			} else if got.Digest() != want {
+				t.Fatalf("%s seed %d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), want)
 			}
 			if got, err := driveNetworkPipelined(t, sys, sched, cfg, arm.commit); err != nil {
 				t.Fatalf("%s seed %d: pipelined: %v", arm.name, seed, err)
-			} else if got != want {
-				t.Fatalf("%s seed %d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
+			} else if got.Digest() != want {
+				t.Fatalf("%s seed %d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), want)
 			}
 
 			if !arm.commit {
@@ -336,25 +326,24 @@ func TestSessionGateEquivalence(t *testing.T) {
 			// before a boundary separates anything.
 			tcfg := cfg
 			tcfg.TruncateLog, tcfg.CheckpointEvery = true, 1
-			sameOutcome := func(name, got, want string) {
+			sameOutcome := func(name string, got, want *runtime.Inspection) {
 				t.Helper()
-				g, cut := outcome(got)
-				if cut {
+				if got.MonitorKey == "(truncated)" {
 					truncated++
 				}
-				if w, _ := outcome(want); g != w {
+				if g, w := got.Outcome(), want.Outcome(); g != w {
 					t.Fatalf("%s seed %d: %s with TruncateLog diverges from the untruncated replay:\n--- truncating ---\n%s\n--- batch ---\n%s", arm.name, seed, name, g, w)
 				}
 			}
 			if got, err := driveInProcess(sys, sched, tcfg, true); err != nil {
 				t.Fatalf("%s seed %d: truncating sessions: %v", arm.name, seed, err)
 			} else {
-				sameOutcome("in-process", got, want)
+				sameOutcome("in-process", got, ref)
 			}
 			if got, err := driveNetwork(t, sys, sched, tcfg, true); err != nil {
 				t.Fatalf("%s seed %d: truncating network: %v", arm.name, seed, err)
 			} else {
-				sameOutcome("per-step", got, want)
+				sameOutcome("per-step", got, ref)
 			}
 			// Serial rendering: each declared body contiguous, committed at
 			// its end, zero retry budget — the trace shape run mode can
@@ -372,35 +361,33 @@ func TestSessionGateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: serial batch: %v", arm.name, seed, err)
 			}
-			sm := sref.Metrics
-			swant := digest(sref.Log, sref.State, sref.MonitorKey, sref.Serializable,
-				sm.Commits, sm.GaveUp, sm.DeadlockAborts, sm.PolicyAborts, sm.ImproperAborts, sm.CascadeAborts, sm.Events)
+			swant := sref.Digest()
 			if got, err := driveNetwork(t, sys, serial, scfg, true); err != nil {
 				t.Fatalf("%s seed %d: serial network: %v", arm.name, seed, err)
-			} else if got != swant {
-				t.Fatalf("%s seed %d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			} else if got.Digest() != swant {
+				t.Fatalf("%s seed %d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), swant)
 			}
 			if got, err := driveNetworkPipelined(t, sys, serial, scfg, true); err != nil {
 				t.Fatalf("%s seed %d: serial pipelined: %v", arm.name, seed, err)
-			} else if got != swant {
-				t.Fatalf("%s seed %d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			} else if got.Digest() != swant {
+				t.Fatalf("%s seed %d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), swant)
 			}
 			if got, err := driveNetworkRun(t, sys, scfg); err != nil {
 				t.Fatalf("%s seed %d: run mode: %v", arm.name, seed, err)
-			} else if got != swant {
-				t.Fatalf("%s seed %d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			} else if got.Digest() != swant {
+				t.Fatalf("%s seed %d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, got.Digest(), swant)
 			}
 			tscfg := scfg
 			tscfg.TruncateLog, tscfg.CheckpointEvery = true, 1
 			if got, err := driveNetworkPipelined(t, sys, serial, tscfg, true); err != nil {
 				t.Fatalf("%s seed %d: truncating serial pipelined: %v", arm.name, seed, err)
 			} else {
-				sameOutcome("serial pipelined", got, swant)
+				sameOutcome("serial pipelined", got, sref)
 			}
 			if got, err := driveNetworkRun(t, sys, tscfg); err != nil {
 				t.Fatalf("%s seed %d: truncating run mode: %v", arm.name, seed, err)
 			} else {
-				sameOutcome("run mode", got, swant)
+				sameOutcome("run mode", got, sref)
 			}
 		}
 	}
@@ -413,13 +400,13 @@ func TestSessionGateEquivalence(t *testing.T) {
 // driveInProcess replays the trace through runtime Sessions on a grown
 // engine, single-threaded, dropping a transaction on abort exactly as
 // the reference drive does.
-func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
+func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (*runtime.Inspection, error) {
 	e := runtime.NewSessionEngine(sys.Init, cfg)
 	sess := make([]*runtime.Session, len(sys.Txns))
 	for i, tx := range sys.Txns {
 		s, err := e.OpenSession(tx)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		sess[i] = s
 	}
@@ -435,35 +422,33 @@ func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config,
 				dropped[tn] = true
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 		fed[tn]++
 		if commit && fed[tn] == sys.Txns[tn].Len() {
 			if err := sess[tn].Commit(); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 	}
 	ins := e.Inspect()
-	m := ins.Metrics
-	return digest(ins.Log, ins.State, ins.MonitorKey, ins.Serializable,
-		m.Commits, m.GaveUp, m.DeadlockAborts, m.PolicyAborts, m.ImproperAborts, m.CascadeAborts, m.Events), nil
+	return &ins, nil
 }
 
 // driveNetwork replays the trace through pkg/client sessions against an
 // in-memory lockd on loopback, single-threaded.
-func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
+func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (*runtime.Inspection, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
 	c, err := client.Dial(addr)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer c.Close()
 	sess := make([]*client.Session, len(sys.Txns))
 	for i, tx := range sys.Txns {
 		s, err := c.Open(tx)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		sess[i] = s
 	}
@@ -479,27 +464,25 @@ func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg run
 				dropped[tn] = true
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 		fed[tn]++
 		if commit && fed[tn] == sys.Txns[tn].Len() {
 			if err := sess[tn].Commit(); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 	}
 	ins, err := c.Inspect()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	st := ins.Stats
-	d := digest(ins.Log, ins.State, ins.MonitorKey, ins.Serializable,
-		st.Commits, st.GaveUp, st.DeadlockAborts, st.PolicyAborts, st.ImproperAborts, st.CascadeAborts, st.Events)
+	d := wireInspection(ins)
 	// Leave the still-open sessions to the connection teardown; the
 	// digest is already taken.
 	c.Close()
 	if _, err := srv.Shutdown(time.Second); err != nil {
-		return "", fmt.Errorf("shutdown after drive: %v", err)
+		return nil, fmt.Errorf("shutdown after drive: %v", err)
 	}
 	return d, nil
 }
@@ -510,18 +493,18 @@ func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg run
 // still executes in trace order (at most one session has requests in
 // flight) while the transport carries whole segments per round trip. A
 // commit rides the same burst as its transaction's last steps.
-func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
+func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (*runtime.Inspection, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
 	c, err := client.Dial(addr)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer c.Close()
 	sess := make([]*client.Session, len(sys.Txns))
 	for i, tx := range sys.Txns {
 		s, err := c.Open(tx)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		sess[i] = s
 	}
@@ -544,7 +527,7 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 		if tn != cur {
 			if cur >= 0 {
 				if err := flush(cur); err != nil {
-					return "", err
+					return nil, err
 				}
 			}
 			cur = tn
@@ -557,7 +540,7 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 				dropped[tn] = true
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 		fed[tn]++
 		if commit && fed[tn] == sys.Txns[tn].Len() {
@@ -567,25 +550,23 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 			// barrier). If a step of this burst aborts, the commit is
 			// refused stale without executing.
 			if err := sess[tn].CommitAsync(); err != nil {
-				return "", err
+				return nil, err
 			}
 		}
 	}
 	if cur >= 0 {
 		if err := flush(cur); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 	ins, err := c.Inspect()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	st := ins.Stats
-	d := digest(ins.Log, ins.State, ins.MonitorKey, ins.Serializable,
-		st.Commits, st.GaveUp, st.DeadlockAborts, st.PolicyAborts, st.ImproperAborts, st.CascadeAborts, st.Events)
+	d := wireInspection(ins)
 	c.Close()
 	if _, err := srv.Shutdown(time.Second); err != nil {
-		return "", fmt.Errorf("shutdown after pipelined drive: %v", err)
+		return nil, fmt.Errorf("shutdown after pipelined drive: %v", err)
 	}
 	return d, nil
 }
@@ -594,11 +575,11 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 // mode, in order: the body ships once per transaction and the engine
 // drives it server-side. With a zero retry budget an aborted
 // transaction answers ErrAbandoned, mirroring the replay's drop.
-func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (string, error) {
+func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (*runtime.Inspection, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
 	c, err := client.Dial(addr)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer c.Close()
 	for _, tx := range sys.Txns {
@@ -607,7 +588,7 @@ func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (strin
 			// trace-driven arms open it but never feed or commit it.
 			// Mirror that: register it with the monitor and leave it.
 			if _, err := c.Open(tx); err != nil {
-				return "", err
+				return nil, err
 			}
 			continue
 		}
@@ -615,19 +596,17 @@ func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (strin
 			if errors.Is(err, client.ErrAbandoned) {
 				continue
 			}
-			return "", err
+			return nil, err
 		}
 	}
 	ins, err := c.Inspect()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	st := ins.Stats
-	d := digest(ins.Log, ins.State, ins.MonitorKey, ins.Serializable,
-		st.Commits, st.GaveUp, st.DeadlockAborts, st.PolicyAborts, st.ImproperAborts, st.CascadeAborts, st.Events)
+	d := wireInspection(ins)
 	c.Close()
 	if _, err := srv.Shutdown(time.Second); err != nil {
-		return "", fmt.Errorf("shutdown after run drive: %v", err)
+		return nil, fmt.Errorf("shutdown after run drive: %v", err)
 	}
 	return d, nil
 }

@@ -79,55 +79,22 @@ var (
 	ErrConnLost = errors.New("client: connection lost; in-flight outcomes unknown")
 )
 
-// Backoff is the retry pacing of the Run variants, mirroring the
-// runtime's Config backoff fields: the k-th retry waits k*Base, capped
-// at Cap, then jittered down by up to Jitter so clients aborted by the
+// Backoff is the retry pacing of the Run variants, the runtime's curve
+// (runtime.Config.Backoff): the k-th retry waits k*Base, capped at
+// 100*Base, then jittered down by up to half so clients aborted by the
 // same conflict do not retry in lockstep.
 type Backoff struct {
-	// Base is the linear base delay; 0 means no backoff at all.
+	// Base is the linear base delay; 0 or negative means no backoff.
 	Base time.Duration
-	// Cap bounds the linear growth. 0 selects the default 100*Base;
-	// negative means uncapped.
-	Cap time.Duration
-	// Jitter is the fraction of the delay randomized away: the actual
-	// delay is uniform in [(1-Jitter)*d, d]. 0 selects the default 0.5;
-	// negative means none; values above 1 are clamped.
-	Jitter float64
-	// Rand is the jitter source in [0,1); nil means the process-global
-	// math/rand. Inject for deterministic tests.
-	Rand func() float64
 }
 
 // delay returns the k-th retry's pause.
 func (b Backoff) delay(k int) time.Duration {
-	d := time.Duration(k) * b.Base
+	d := min(time.Duration(k)*b.Base, 100*b.Base)
 	if d <= 0 {
 		return 0
 	}
-	cap := b.Cap
-	if cap == 0 {
-		cap = 100 * b.Base
-	}
-	if cap > 0 && d > cap {
-		d = cap
-	}
-	j := b.Jitter
-	switch {
-	case j == 0:
-		j = 0.5
-	case j < 0:
-		j = 0
-	case j > 1:
-		j = 1
-	}
-	if j > 0 {
-		r := b.Rand
-		if r == nil {
-			r = rand.Float64
-		}
-		d = time.Duration(float64(d) * (1 - j*r()))
-	}
-	return d
+	return time.Duration(float64(d) * (1 - 0.5*rand.Float64()))
 }
 
 // Client is one connection to a lockd server. Safe for concurrent use.

@@ -246,10 +246,10 @@ func (s *Session) reconcileOne() error {
 }
 
 // Run drives the declared transaction to commit with synchronous
-// per-step round trips, retrying on ErrAborted with the default capped,
+// per-step round trips, retrying on ErrAborted with the capped,
 // jittered backoff over the given base delay (0 means none). The
-// simplest loop; RunWith exposes the full backoff knobs and
-// RunPipelined the pipelined variant.
+// simplest loop; RunWith takes the same pacing as a Backoff and
+// RunPipelined is the pipelined variant.
 func (s *Session) Run(backoff time.Duration) error {
 	return s.RunWith(Backoff{Base: backoff})
 }
