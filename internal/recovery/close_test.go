@@ -24,6 +24,11 @@ func TestStoreCloseReportsUnsealedMarker(t *testing.T) {
 	if err := st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{0}); err != nil {
 		t.Fatal(err)
 	}
+	// The event waits in the store's buffer until a status carries it
+	// to the WAL.
+	if err := st.AppendStatus(0, StatusActive); err != nil {
+		t.Fatal(err)
+	}
 	ro, err := os.Open(st.wal.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -63,5 +68,59 @@ func TestStoreClosePoisonedReportsError(t *testing.T) {
 	}
 	if rec, err := Restore(dir); err != nil || rec.Clean {
 		t.Fatalf("restore after poisoned Close: clean=%v err=%v, want unclean", rec.Clean, err)
+	}
+}
+
+// TestStoreStaysClosed: a failed seal is reported by every later Close,
+// not only the first — a nil one would attest a marker that never
+// reached the disk — and appends and Rotate after Close fail by name
+// rather than joining a buffer no one will write.
+func TestStoreStaysClosed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	st, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendStatus(0, StatusActive); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(st.wal.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.wal = ro
+	first := st.Close()
+	if first == nil {
+		t.Fatal("Close returned nil although the clean-shutdown marker could not be written")
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Close(); err != first {
+			t.Fatalf("Close #%d after a failed seal = %v, want %v", i+2, err, first)
+		}
+	}
+
+	st, _, err = Open(filepath.Join(t.TempDir(), "data"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"AppendEvents":  func() error { return st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{0}) },
+		"AppendCompact": func() error { return st.AppendCompact([]int{0}) },
+		"AppendOpen":    func() error { return st.AppendOpen(OpenRec{Name: "T1", Token: 1}) },
+		"AppendStatus":  func() error { return st.AppendStatus(0, StatusCommitted) },
+		"Rotate":        st.Rotate,
+	} {
+		if err := call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close = %v, want ErrClosed", name, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("second Close after a clean seal = %v, want nil", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"locksafe/internal/model"
@@ -185,4 +187,178 @@ func TestCrashPointSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrashPointSweepAcknowledged is the crash harness for a store that
+// writes events and compactions only when an acknowledgement carries
+// them. A status record follows every third append and every
+// compaction, as a runtime's commit or abort would, so the captured WAL
+// mixes bare records with batches. A crash is replayed at every byte:
+// a cut on a record boundary keeps every record before it, a cut inside
+// a record drops that whole record — a batch's records together — with
+// Torn set, and the restored Core matches an independent fold of the
+// kept records (log, tags, structural state, monitor key).
+func TestCrashPointSweepAcknowledged(t *testing.T) {
+	batches := 0
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sys, sched := workload.Random(rng, workload.DefaultConfig())
+		if len(sched) == 0 {
+			continue
+		}
+		dir := t.TempDir()
+		st, _, err := recovery.Open(dir, recovery.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4)
+		c.SetPersister(st)
+		ack := func(tid int) {
+			if err := c.PersistStatus(tid, recovery.StatusActive); err != nil {
+				t.Fatalf("seed %d: status: %v", seed, err)
+			}
+		}
+		erased := map[int]bool{}
+		appended := 0
+		feed := func(evs model.Schedule) {
+			for _, ev := range evs {
+				if erased[int(ev.T)] || ev.S.Op.IsData() && !c.State().Defined(ev.S) {
+					continue
+				}
+				if err := c.Append(ev); err != nil {
+					t.Fatalf("seed %d: append %v: %v", seed, ev, err)
+				}
+				if appended++; appended%3 == 0 {
+					ack(int(ev.T))
+				}
+			}
+		}
+		compact := func(v int) {
+			victims := map[int]bool{v: true}
+			compactAll(t, c, victims)
+			for v := range victims {
+				erased[v] = true
+			}
+			ack(v)
+		}
+		half := len(sched) / 2
+		feed(sched[:half])
+		compact(int(sched[0].T))
+		feed(sched[half:])
+		if len(sys.Txns) > 1 {
+			compact(len(sys.Txns) - 1)
+		}
+		if err := c.PersistErr(); err != nil {
+			t.Fatal(err)
+		}
+		// No Close: whatever no status carried is lost with the process.
+
+		wal, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, clean, goodLen, err := recovery.DecodeWAL(wal)
+		if err != nil || clean || goodLen != int64(len(wal)) {
+			t.Fatalf("seed %d: captured WAL bad: err=%v clean=%v goodLen=%d/%d", seed, err, clean, goodLen, len(wal))
+		}
+
+		// Walk the framing directly: ends[i] is where the i-th record
+		// ends and kept[i] how many records the WAL holds up to there,
+		// counting each record a batch (kind 6) carries.
+		var ends []int
+		var kept []int
+		nrecs := 0
+		for off := 0; off < len(wal); {
+			n, ln := binary.Uvarint(wal[off:])
+			body := wal[off+ln : off+ln+int(n)]
+			if body[0] == 6 {
+				batches++
+				for in := 1; in < len(body); {
+					m, l := binary.Uvarint(body[in:])
+					in += l + int(m) + 4
+					nrecs++
+				}
+			} else {
+				nrecs++
+			}
+			off += ln + int(n) + 4
+			ends = append(ends, off)
+			kept = append(kept, nrecs)
+		}
+		if nrecs != len(recs) {
+			t.Fatalf("seed %d: framing walk counted %d records, the decoder %d", seed, nrecs, len(recs))
+		}
+
+		for cut, i := 0, 0; cut <= len(wal); cut++ {
+			for i < len(ends) && ends[i] <= cut {
+				i++
+			}
+			want := 0
+			if i > 0 {
+				want = kept[i-1]
+			}
+			torn := i > 0 && ends[i-1] != cut || i == 0 && cut > 0
+			cdir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(cdir, "wal-0.log"), wal[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := recovery.Restore(cdir)
+			if err != nil {
+				t.Fatalf("seed %d cut %d: restore: %v", seed, cut, err)
+			}
+			if rec.Torn != torn {
+				t.Fatalf("seed %d cut %d: torn=%v, want %v", seed, cut, rec.Torn, torn)
+			}
+			wantEvs, wantTags := foldRecs(recs[:want])
+			if got := model.Schedule(rec.Events).String(); got != wantEvs.String() {
+				t.Fatalf("seed %d cut %d: recovered log\n%s\nwant\n%s", seed, cut, got, wantEvs)
+			}
+			if !reflect.DeepEqual(append([]uint64{}, rec.Tags...), append([]uint64{}, wantTags...)) {
+				t.Fatalf("seed %d cut %d: tags %v, want %v", seed, cut, rec.Tags, wantTags)
+			}
+			c2, err := rebuild(rec, len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4)
+			if err != nil {
+				t.Fatalf("seed %d cut %d: rebuild: %v", seed, cut, err)
+			}
+			state := sys.Init.Clone()
+			mon := policy.Unrestricted{}.NewMonitor(sys)
+			for _, ev := range wantEvs {
+				if err := mon.Step(ev); err != nil {
+					t.Fatalf("seed %d cut %d: expected prefix inadmissible: %v", seed, cut, err)
+				}
+				state.Apply(ev.S)
+			}
+			if !c2.State().Equal(state) || c2.Monitor().Key() != mon.Key() {
+				t.Fatalf("seed %d cut %d: state %v key %q, want %v key %q", seed, cut, c2.State(), c2.Monitor().Key(), state, mon.Key())
+			}
+		}
+	}
+	if batches == 0 {
+		t.Fatal("no seed wrote a batch record")
+	}
+}
+
+// foldRecs replays decoded records test-locally: events append, a
+// compaction erases its victims' earlier events.
+func foldRecs(recs []recovery.Rec) (model.Schedule, []uint64) {
+	var evs model.Schedule
+	var tags []uint64
+	for _, r := range recs {
+		switch {
+		case len(r.Events) > 0:
+			evs = append(evs, r.Events...)
+			tags = append(tags, r.Tags...)
+		case r.Victims != nil:
+			var ke model.Schedule
+			var kt []uint64
+			for i, ev := range evs {
+				if !slices.Contains(r.Victims, int(ev.T)) {
+					ke = append(ke, ev)
+					kt = append(kt, tags[i])
+				}
+			}
+			evs, tags = ke, kt
+		}
+	}
+	return evs, tags
 }

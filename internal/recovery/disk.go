@@ -22,16 +22,28 @@ import (
 //	           a clean marker
 //	wal-<g>    records appended since
 //
-// Rotation (triggered by Core.Truncate, and by the WAL outgrowing the
-// snapshot) rewrites the whole history — every open, status and
+// Rotation rewrites the whole history — every open, status and
 // surviving event since the directory was created, a truncated prefix
 // included — as snap-<g+1>, opens an empty wal-<g+1>, and deletes
-// generation g. The snapshot is written, sealed and synced under a
-// temporary name and only then renamed into place, so a crash anywhere
-// inside rotation leaves either generation g or a complete g+1. Restore
-// reads the highest snapshot, which must therefore decode and be
-// sealed: a damaged one is refused (ErrCorrupt), never passed over for
-// an older or empty generation.
+// generation g. It is amortised: Core.Truncate asks for it on every
+// truncation, but it happens only once wal-<g> has outgrown snap-<g>
+// (rotateDue), and an append rotates on the same rule past a 4 MiB
+// floor. A rotation therefore writes at most twice the bytes the WAL
+// gained since the last one, and the generation count grows with the
+// log of the history. The snapshot is written, sealed and synced under
+// a temporary name and only then renamed into place, so a crash
+// anywhere inside rotation leaves either generation g or a complete
+// g+1. Restore reads the highest snapshot, which must therefore decode
+// and be sealed: a damaged one is refused (ErrCorrupt), never passed
+// over for an older or empty generation.
+//
+// Appends are buffered until an acknowledgement waits on them. Event
+// and compaction records only join a pending buffer. An open or status
+// record — the one an open/resume reply or a commit/abandon outcome
+// waits on — joins it too and then writes the whole buffer as one
+// record (a batch, when it holds more than that one record): one write
+// and, under Fsync, one sync per acknowledgement. A crash loses only
+// buffered records no one was told about.
 
 // Persister receives the durable mutations of a Core and its runtime.
 // All methods are called from the single-owner append path (the
@@ -46,10 +58,12 @@ type Persister interface {
 	AppendOpen(o OpenRec) error
 	// AppendStatus records a transaction status transition.
 	AppendStatus(tid int, status byte) error
-	// Rotate rewrites the snapshot from the on-disk history and
-	// deletes the old generation.
+	// Rotate offers a point to rewrite the snapshot from the on-disk
+	// history and delete the old generation; the store decides whether
+	// the WAL has grown enough to pay for it.
 	Rotate() error
-	// Close seals the WAL with a clean-shutdown marker.
+	// Close writes what is pending and seals the WAL with a
+	// clean-shutdown marker.
 	Close() error
 }
 
@@ -195,15 +209,25 @@ func Restore(dir string) (Recovered, error) {
 
 // Options configures a Store.
 type Options struct {
-	// Fsync syncs the WAL file after every append batch. Without it,
-	// durability is limited to what the OS flushes on its own, but a
-	// torn tail is still recovered cleanly.
+	// Fsync syncs the WAL file after every write: each open or status
+	// record, with the events and compactions buffered before it.
+	// Without it, durability is limited to what the OS flushes on its
+	// own, but a torn tail is still recovered cleanly.
 	Fsync bool
 }
 
-// rotateBytes triggers a snapshot rewrite once the WAL exceeds it (and
-// the snapshot's own size, so rotation work is amortized).
-const rotateBytes = 4 << 20
+const (
+	// rotateBytes is the WAL size past which an append rotates, when
+	// the WAL has also outgrown the snapshot (rotateDue).
+	rotateBytes = 4 << 20
+	// maxPending bounds the pending buffer: past it the buffered
+	// records are written without waiting for an acknowledgement, so
+	// no batch approaches maxWALRecord.
+	maxPending = 1 << 20
+)
+
+// ErrClosed is what a Store's appends and Rotate return after Close.
+var ErrClosed = errors.New("recovery: store is closed")
 
 // Store is the disk-backed Persister. It owns one generation of one
 // directory and appends to its WAL; Rotate advances the generation.
@@ -215,6 +239,8 @@ type Store struct {
 	wal      *os.File
 	walBytes int64
 	snapLen  int64
+	pending  []byte // framed records not yet written
+	npending int    // records in pending
 	scratch  []byte
 	err      error // sticky: first failure poisons the store
 }
@@ -294,10 +320,55 @@ func (s *Store) sweepStale() {
 	}
 }
 
-func (s *Store) appendLocked(frame []byte) error {
-	if s.err != nil {
-		return s.err
+// usable returns the sticky error, or ErrClosed after Close.
+func (s *Store) usable() error {
+	if s.err == nil && s.wal == nil {
+		return ErrClosed
 	}
+	return s.err
+}
+
+// rotateDue reports whether the WAL has outgrown both floor and the
+// live snapshot, so that rewriting the history costs at most twice
+// what the WAL gained since the last rotation.
+func (s *Store) rotateDue(floor int64) bool {
+	return s.walBytes > floor && s.walBytes > s.snapLen
+}
+
+// buffer adds the record encode appends to the pending buffer. An
+// acknowledgement waits on it when ack is set: the buffer is then
+// written and, past rotateBytes, the store rotates.
+func (s *Store) buffer(ack bool, encode func([]byte) []byte) error {
+	if err := s.usable(); err != nil {
+		return err
+	}
+	s.pending = encode(s.pending)
+	s.npending++
+	if !ack && len(s.pending) <= maxPending {
+		return nil
+	}
+	if err := s.writePendingLocked(); err != nil {
+		return err
+	}
+	if s.rotateDue(rotateBytes) {
+		return s.rotateLocked()
+	}
+	return nil
+}
+
+// writePendingLocked writes the pending records to the WAL as one
+// record — bare when there is one, a batch otherwise — in one write,
+// synced under Fsync.
+func (s *Store) writePendingLocked() error {
+	if s.npending == 0 {
+		return nil
+	}
+	frame := s.pending
+	if s.npending > 1 {
+		s.scratch = AppendBatchRec(s.scratch[:0], s.pending)
+		frame = s.scratch
+	}
+	s.pending, s.npending = s.pending[:0], 0
 	if _, err := s.wal.Write(frame); err != nil {
 		s.err = err
 		return err
@@ -309,9 +380,6 @@ func (s *Store) appendLocked(frame []byte) error {
 			return err
 		}
 	}
-	if s.walBytes > rotateBytes && s.walBytes > s.snapLen {
-		return s.rotateLocked()
-	}
 	return nil
 }
 
@@ -319,46 +387,50 @@ func (s *Store) appendLocked(frame []byte) error {
 func (s *Store) AppendEvents(evs []model.Ev, tags []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scratch = AppendEventsRec(s.scratch[:0], evs, tags)
-	return s.appendLocked(s.scratch)
+	return s.buffer(false, func(b []byte) []byte { return AppendEventsRec(b, evs, tags) })
 }
 
 // AppendCompact implements Persister.
 func (s *Store) AppendCompact(victims []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scratch = AppendCompactRec(s.scratch[:0], victims)
-	return s.appendLocked(s.scratch)
+	return s.buffer(false, func(b []byte) []byte { return AppendCompactRec(b, victims) })
 }
 
 // AppendOpen implements Persister.
 func (s *Store) AppendOpen(o OpenRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scratch = AppendOpenRec(s.scratch[:0], o)
-	return s.appendLocked(s.scratch)
+	return s.buffer(true, func(b []byte) []byte { return AppendOpenRec(b, o) })
 }
 
 // AppendStatus implements Persister.
 func (s *Store) AppendStatus(tid int, status byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scratch = AppendStatusRec(s.scratch[:0], tid, status)
-	return s.appendLocked(s.scratch)
+	return s.buffer(true, func(b []byte) []byte { return AppendStatusRec(b, tid, status) })
 }
 
-// Rotate implements Persister: rewrite the surviving history as the
-// next generation's snapshot and delete the current generation.
+// Rotate implements Persister: once the WAL has outgrown the snapshot,
+// write the pending records, rewrite the surviving history as the next
+// generation's snapshot and delete the current generation. Before
+// that it writes nothing and returns nil.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	if err := s.usable(); err != nil {
+		return err
+	}
+	if !s.rotateDue(0) {
+		return nil
 	}
 	return s.rotateLocked()
 }
 
 func (s *Store) rotateLocked() error {
+	if err := s.writePendingLocked(); err != nil {
+		return err
+	}
 	if err := s.wal.Sync(); err != nil {
 		s.err = err
 		return err
@@ -423,18 +495,22 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Close seals the WAL with a clean-shutdown marker and closes it. It
-// returns the store's sticky error, or else the first error of writing
-// the marker, syncing it and closing the file (and poisons the store
-// with it): a nil Close attests the marker reached the disk. A poisoned
-// store writes no marker.
+// Close writes the pending records, seals the WAL with a clean-shutdown
+// marker and closes it. It returns the store's sticky error, or else
+// the first error of writing the records or the marker, syncing it and
+// closing the file (and poisons the store with it): a nil Close attests
+// the marker reached the disk. A poisoned store writes no marker, and
+// every later Close returns the same error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
-		return nil
+		return s.err
 	}
 	err := s.err
+	if err == nil {
+		err = s.writePendingLocked()
+	}
 	if err == nil {
 		s.scratch = AppendCleanRec(s.scratch[:0])
 		if _, err = s.wal.Write(s.scratch); err == nil {

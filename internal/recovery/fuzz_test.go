@@ -13,8 +13,9 @@ package recovery
 //     truncating to it and re-decoding yields the same records with no
 //     torn tail left.
 //
-// The seed corpus is built from the encoder, so every record kind and
-// the clean/torn distinctions are explored from the first run; the
+// The seed corpus is built from the encoder, so every record kind (a
+// batch, which decodes to the records it carries, included) and the
+// clean/torn distinctions are explored from the first run; the
 // fuzzer then mutates those valid streams into near-valid ones —
 // exactly what a crash mid-write or a corrupted disk produces.
 
@@ -56,6 +57,11 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(AppendCleanRec(append([]byte(nil), seed...)))
 	f.Add(seed[:len(seed)-3]) // torn tail
 	f.Add([]byte{})
+	batch := AppendBatchRec(AppendOpenRec(nil, OpenRec{G: 0, Name: "T1", Token: 1}), seed)
+	f.Add(batch)
+	f.Add(AppendCleanRec(append([]byte(nil), batch...)))
+	f.Add(batch[:len(batch)-2])                           // torn batch
+	f.Add(AppendBatchRec(nil, AppendBatchRec(nil, seed))) // nested batch
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<20 {

@@ -541,10 +541,10 @@ func (c *Core) Truncate(settled func(t int) bool) int {
 		}
 		c.stats.Truncated += b
 		if c.p != nil {
-			// On disk, truncation is generation rotation: the whole
-			// surviving history, the truncated prefix included, is
-			// rewritten as the next snapshot and the old generation
-			// deleted.
+			// On disk, truncation offers a generation rotation: once the
+			// WAL has outgrown the snapshot, the store rewrites the whole
+			// surviving history, the truncated prefix included, as the
+			// next snapshot and deletes the old generation.
 			c.persist(c.p.Rotate())
 		}
 		return b

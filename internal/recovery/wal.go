@@ -34,6 +34,15 @@ import (
 // This is the standard ARIES-family tail rule: crashes can only damage
 // the suffix that was in flight, so damage anywhere else is tampering
 // or a software bug and must not be silently repaired.
+//
+// A batch record (recBatch) carries several framed records in its body
+// and stands for them in order. The store writes one when an
+// acknowledgement makes it flush the records buffered before it (see
+// Store), so that one write, and under Fsync one sync, covers them: the
+// unsynced region is still at most one record, and the tail rule above
+// still covers it. A torn batch is dropped whole. Its CRC vouches for
+// every byte inside, so any inner framing failure, a batch nested in a
+// batch and a clean marker inside a batch are corruption.
 
 // Record kinds.
 const (
@@ -42,6 +51,7 @@ const (
 	recStatus  = 3 // transaction status transition
 	recOpen    = 4 // transaction (and optionally session) declaration
 	recClean   = 5 // clean-shutdown marker; must be final
+	recBatch   = 6 // framed records written and synced as one
 )
 
 // Status byte values carried by recStatus records. StatusActive is used
@@ -75,8 +85,8 @@ type OpenRec struct {
 	// Name and Steps are the declared body.
 	Name  string
 	Steps []model.Step
-	// Token is the server-issued resume token; zero for run-mode
-	// transactions that have no session.
+	// Token is the server-issued resume token. Every transaction is a
+	// session's, run-mode ones included, so it is never zero.
 	Token uint64
 	// Deadline is the absolute lease deadline in Unix nanoseconds;
 	// zero means no lease.
@@ -175,6 +185,16 @@ func AppendOpenRec(dst []byte, o OpenRec) []byte {
 	body = appendUvarint(body, o.Token)
 	body = appendVarint(body, o.Deadline)
 	return appendRecord(dst, body)
+}
+
+// AppendBatchRec frames already-framed records as one batch record.
+func AppendBatchRec(dst, frames []byte) []byte {
+	kind := [1]byte{recBatch}
+	dst = appendUvarint(dst, uint64(1+len(frames)))
+	dst = append(dst, recBatch)
+	dst = append(dst, frames...)
+	crc := crc32.Update(crc32.ChecksumIEEE(kind[:]), crc32.IEEETable, frames)
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // AppendCleanRec encodes the clean-shutdown marker.
@@ -360,61 +380,58 @@ func decodeBody(body []byte) (Rec, error) {
 }
 
 // DecodeWAL parses a WAL byte stream into records, applying the tail
-// discipline documented at the top of this file.
+// discipline documented at the top of this file. A batch record is
+// returned as the records it carries.
 //
 // It returns the decoded records (with any clean-shutdown marker
 // stripped), whether the stream ended with a clean marker, and the byte
 // offset of the end of the last good record — the offset a writer
 // should truncate to before resuming appends after a torn tail.
 func DecodeWAL(b []byte) (recs []Rec, clean bool, goodLen int64, err error) {
+	return decodeFrames(b, false)
+}
+
+// decodeFrames parses a stream of framed records: the WAL itself, or
+// with inBatch the body of a batch record, whose CRC already vouched
+// for it, so nothing inside may be torn, a batch or a clean marker.
+func decodeFrames(b []byte, inBatch bool) (recs []Rec, clean bool, goodLen int64, err error) {
 	off := 0
-	type tornError struct{ error }
-	parseOne := func() (Rec, int, error) {
-		n, ln := binary.Uvarint(b[off:])
-		if ln <= 0 {
-			if len(b)-off < binary.MaxVarintLen64 {
-				return Rec{}, 0, tornError{fmt.Errorf("%w: truncated length prefix", ErrCorrupt)}
+	for off < len(b) {
+		body, end, torn, err := readFrame(b, off)
+		if torn && !inBatch {
+			// A torn tail is only tolerable when nothing promised a
+			// clean shutdown; we only reach here when no clean marker
+			// was seen.
+			break
+		}
+		if err != nil {
+			return nil, false, 0, err
+		}
+		if body[0] == recBatch {
+			if inBatch {
+				return nil, false, 0, fmt.Errorf("%w: batch nested in a batch at offset %d", ErrCorrupt, off)
 			}
-			return Rec{}, 0, fmt.Errorf("%w: bad record length prefix at offset %d", ErrCorrupt, off)
-		}
-		if n > maxWALRecord {
-			return Rec{}, 0, fmt.Errorf("%w: record length %d exceeds limit at offset %d", ErrCorrupt, n, off)
-		}
-		end := off + ln + int(n) + 4
-		if end > len(b) {
-			return Rec{}, 0, tornError{fmt.Errorf("%w: record overruns stream at offset %d", ErrCorrupt, off)}
-		}
-		body := b[off+ln : off+ln+int(n)]
-		want := binary.LittleEndian.Uint32(b[off+ln+int(n) : end])
-		if crc32.ChecksumIEEE(body) != want {
-			if end == len(b) {
-				// The damaged record reaches exactly the end of the
-				// stream: indistinguishable from a torn write.
-				return Rec{}, 0, tornError{fmt.Errorf("%w: CRC mismatch in final record at offset %d", ErrCorrupt, off)}
+			inner, _, _, err := decodeFrames(body[1:], true)
+			if err == nil && len(inner) == 0 {
+				err = fmt.Errorf("%w: empty batch", ErrCorrupt)
 			}
-			return Rec{}, 0, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
+			if err != nil {
+				return nil, false, 0, fmt.Errorf("%w (batch at offset %d)", err, off)
+			}
+			recs = append(recs, inner...)
+			off = end
+			continue
 		}
 		rec, err := decodeBody(body)
 		if err != nil {
 			// CRC-valid but undecodable: the bytes are as written, so
 			// this is an encoder bug or tampering, never a torn write.
-			return Rec{}, 0, fmt.Errorf("%s (record at offset %d)", err, off)
-		}
-		return rec, end, nil
-	}
-
-	var torn error
-	for off < len(b) {
-		rec, end, perr := parseOne()
-		if perr != nil {
-			var te tornError
-			if errors.As(perr, &te) {
-				torn = te.error
-				break
-			}
-			return nil, false, 0, perr
+			return nil, false, 0, fmt.Errorf("%s (record at offset %d)", err, off)
 		}
 		if rec.Kind == recClean {
+			if inBatch {
+				return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker inside a batch at offset %d", ErrCorrupt, off)
+			}
 			if end != len(b) {
 				return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker at offset %d is not final", ErrCorrupt, off)
 			}
@@ -423,10 +440,36 @@ func DecodeWAL(b []byte) (recs []Rec, clean bool, goodLen int64, err error) {
 		recs = append(recs, rec)
 		off = end
 	}
-	if torn != nil {
-		// A torn tail is only tolerable when nothing promised a clean
-		// shutdown; we only reach here when no clean marker was seen.
-		return recs, false, int64(off), nil
-	}
 	return recs, false, int64(off), nil
+}
+
+// readFrame checks the framing of the record at b[off:] and returns its
+// non-empty body and the offset just past it. torn reports a failure a
+// cut-short write explains: a length prefix or record that overruns the
+// stream, or a CRC mismatch in a record that ends exactly at its end.
+func readFrame(b []byte, off int) (body []byte, end int, torn bool, err error) {
+	n, ln := binary.Uvarint(b[off:])
+	if ln <= 0 {
+		if len(b)-off < binary.MaxVarintLen64 {
+			return nil, 0, true, fmt.Errorf("%w: truncated length prefix at offset %d", ErrCorrupt, off)
+		}
+		return nil, 0, false, fmt.Errorf("%w: bad record length prefix at offset %d", ErrCorrupt, off)
+	}
+	if n > maxWALRecord {
+		return nil, 0, false, fmt.Errorf("%w: record length %d exceeds limit at offset %d", ErrCorrupt, n, off)
+	}
+	end = off + ln + int(n) + 4
+	if end > len(b) {
+		return nil, 0, true, fmt.Errorf("%w: record overruns stream at offset %d", ErrCorrupt, off)
+	}
+	body = b[off+ln : off+ln+int(n)]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[off+ln+int(n):end]) {
+		// A damaged record that reaches exactly the end of the stream
+		// is indistinguishable from a torn write.
+		return nil, 0, end == len(b), fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
+	}
+	if n == 0 {
+		return nil, 0, false, fmt.Errorf("%w: empty record body at offset %d", ErrCorrupt, off)
+	}
+	return body, end, false, nil
 }

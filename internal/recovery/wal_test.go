@@ -1,9 +1,12 @@
 package recovery_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -349,5 +352,123 @@ func TestStoreRefusesDamagedSnapshot(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// batchStream returns a WAL of two bare records followed by a batch
+// carrying three (events, a compaction, a status), and the offset at
+// which the batch starts.
+func batchStream() (b []byte, batchAt int) {
+	b = recovery.AppendOpenRec(nil, recovery.OpenRec{G: 0, Name: "T1", Steps: []model.Step{model.LX("x"), model.UX("x")}, Token: 1})
+	b = recovery.AppendOpenRec(b, recovery.OpenRec{G: 1, Name: "T2", Steps: []model.Step{model.LX("y"), model.UX("y")}, Token: 2})
+	batchAt = len(b)
+	return recovery.AppendBatchRec(b, batchBody()), batchAt
+}
+
+// batchBody is the framed records batchStream's batch carries.
+func batchBody() []byte {
+	inner := recovery.AppendEventsRec(nil, []model.Ev{{T: 0, S: model.LX("x")}, {T: 1, S: model.LX("y")}}, []uint64{0, 1})
+	inner = recovery.AppendCompactRec(inner, []int{1})
+	return recovery.AppendStatusRec(inner, 1, recovery.StatusAbandoned)
+}
+
+// TestWALBatchTornAtEveryByte: a batch stands for the records it
+// carries, in order, and a cut anywhere inside it — the batch is the
+// WAL's final record — drops the whole batch as a torn tail: Restore
+// returns exactly the records before it, with Torn set.
+func TestWALBatchTornAtEveryByte(t *testing.T) {
+	b, at := batchStream()
+	recs, clean, goodLen, err := recovery.DecodeWAL(b)
+	if err != nil || clean || goodLen != int64(len(b)) {
+		t.Fatalf("decode: err=%v clean=%v goodLen=%d/%d", err, clean, goodLen, len(b))
+	}
+	flat, _, _, err := recovery.DecodeWAL(append(b[:at:at], batchBody()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 || !reflect.DeepEqual(recs, flat) {
+		t.Fatalf("batch decoded to %+v, want the flat records %+v", recs, flat)
+	}
+	for cut := at + 1; cut < len(b); cut++ {
+		got, clean, goodLen, err := recovery.DecodeWAL(b[:cut])
+		if err != nil || clean || goodLen != int64(at) || !reflect.DeepEqual(got, recs[:2]) {
+			t.Fatalf("cut %d: err=%v clean=%v goodLen=%d records=%d, want the 2 records before the batch and goodLen %d",
+				cut, err, clean, goodLen, len(got), at)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal-0.log"), b[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := recovery.Restore(dir)
+		if err != nil || !rec.Torn || len(rec.Opens) != 2 || len(rec.Events) != 0 || len(rec.Status) != 0 {
+			t.Fatalf("cut %d: restore err=%v torn=%v opens=%d events=%d status=%v, want the two opens only, torn",
+				cut, err, rec.Torn, len(rec.Opens), len(rec.Events), rec.Status)
+		}
+	}
+}
+
+// TestWALBatchCorruption: the batch's CRC vouches for every byte in it,
+// so damage to a batch that is not the final record, a batch inside a
+// batch, and a clean marker inside a batch are each corruption, named.
+func TestWALBatchCorruption(t *testing.T) {
+	b, at := batchStream()
+	for _, tc := range []struct {
+		name, want string
+		wal        []byte
+	}{
+		{"flipped-non-final", "CRC mismatch at offset " + strconv.Itoa(at), func() []byte {
+			bad := recovery.AppendStatusRec(append([]byte(nil), b...), 0, recovery.StatusCommitted)
+			bad[at+3] ^= 0xff
+			return bad
+		}()},
+		{"nested", "batch nested in a batch", recovery.AppendBatchRec(nil, recovery.AppendBatchRec(nil, batchBody()))},
+		{"clean-inside", "clean-shutdown marker inside a batch", recovery.AppendBatchRec(nil, recovery.AppendCleanRec(batchBody()))},
+		{"empty", "empty batch", recovery.AppendBatchRec(nil, nil)},
+	} {
+		if _, _, _, err := recovery.DecodeWAL(tc.wal); !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err=%v, want ErrCorrupt saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestStoreBuffersUntilAcknowledged: events and compactions wait in the
+// store until a status needs them on disk; the status then writes all
+// three as one record, which restores them in order (the compaction
+// erases only the events before it).
+func TestStoreBuffersUntilAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := recovery.Open(dir, recovery.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}, {T: 1, S: model.LX("b")}}, []uint64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendCompact([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.WALBytes(); n != 0 {
+		t.Fatalf("WALBytes = %d before any acknowledgement, want 0", n)
+	}
+	if err := st.AppendStatus(0, recovery.StatusCommitted); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ln := binary.Uvarint(wal)
+	if ln <= 0 || int64(len(wal)) != st.WALBytes() || ln+int(n)+4 != len(wal) {
+		t.Fatalf("WAL of %d bytes (WALBytes %d) is not one record", len(wal), st.WALBytes())
+	}
+	rec, err := recovery.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := model.Schedule(rec.Events).String(); got != "T0:(LX a)" || rec.Status[0] != recovery.StatusCommitted || rec.Torn {
+		t.Fatalf("restored events %q status %v torn %v, want T0:(LX a), T0 committed", got, rec.Status, rec.Torn)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -767,5 +768,63 @@ func TestDurableStoreRefusesDamagedSnapshot(t *testing.T) {
 	}
 	if after := dirListing(t, dir); after != before {
 		t.Fatalf("refused start changed the directory:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+}
+
+// rotateCounter counts the rotations a Core asks its store for.
+type rotateCounter struct {
+	recovery.Persister
+	n *int
+}
+
+func (c rotateCounter) Rotate() error {
+	*c.n++
+	return c.Persister.Rotate()
+}
+
+// TestRotationIsAmortised: truncation asks the store to rotate every few
+// commits, but the store rewrites its history only once the WAL has
+// outgrown the snapshot, so ten times the commits add a logarithmic
+// number of generations, not one per truncation. CheckpointEvery 3
+// puts every checkpoint on a body boundary of the serial 3-step
+// commits, so truncation cuts and asks.
+func TestRotationIsAmortised(t *testing.T) {
+	var st *recovery.Store
+	asked := 0
+	eng, _, err := NewDurableSessionEngine(model.NewState("a"), Config{
+		Policy: policy.TwoPhase{}, DataDir: t.TempDir(), TruncateLog: true, CheckpointEvery: 3,
+		WrapPersister: func(p recovery.Persister) recovery.Persister {
+			st = p.(*recovery.Store)
+			return rotateCounter{Persister: p, n: &asked}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(n int) {
+		for i := 0; i < n; i++ {
+			s, err := eng.OpenSession(rwTxn("T", "a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const n = 20
+	commit(n)
+	g1, asked1 := st.Gen(), asked
+	commit(9 * n)
+	g10 := st.Gen()
+	if g1 == 0 || asked-asked1 < 9*n/4 {
+		t.Fatalf("rotation never exercised: generation %d after %d commits, %d rotations asked for", g1, n, asked)
+	}
+	if grew, bound := g10-g1, math.Log2(10)+2; float64(grew) > bound {
+		t.Fatalf("generation grew %d → %d (%d rotations) from %d to %d commits, want at most log2(10)+2 = %.1f; %d asked for",
+			g1, g10, grew, n, 10*n, bound, asked-asked1)
+	}
+	if _, err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

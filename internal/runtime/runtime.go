@@ -162,7 +162,8 @@ type Config struct {
 	// written with a different partition count is refused (ErrLayout).
 	// NewSessionEngine ignores the field.
 	DataDir string
-	// Fsync syncs the WAL after every append batch. Required for the
+	// Fsync syncs the WAL at every open and status record (each carries
+	// the events and compactions appended before it). Required for the
 	// "commit acked implies commit recovered" guarantee; without it a
 	// crash can lose acknowledged tail records (torn tails still recover
 	// cleanly).
