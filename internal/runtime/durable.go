@@ -315,9 +315,9 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 		}
 		pe.rows = append(pe.rows, rowRef{p: refs[0].p, t: x.locs[0]})
 
-		// The owner row is the arbiter: status writes reach the replicas
-		// in ascending order, so it is the freshest. Reconcile the
-		// stragglers, durably.
+		// The owner row is the arbiter: status writes reach it last, after
+		// every mirror's status has carried that replica's events to disk.
+		// Reconcile the mirrors that got ahead of it, durably.
 		owner, t := x.own()
 		status := owner.status[t]
 		x.setStatusDrained(status)

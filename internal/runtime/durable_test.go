@@ -335,11 +335,14 @@ var errCrashed = errors.New("simulated crash")
 // cuts the current wal-<gen>.log down to limit bytes: exactly what a
 // kill mid-write leaves on disk, torn tail included. After the crash
 // every call fails, and Close does not seal — the process never got to.
+// With atCommit it also crashes at the first committed status, before
+// passing it on.
 type crashPersister struct {
-	st      *recovery.Store
-	records int   // appends allowed, with limit < 0
-	limit   int64 // WAL bytes allowed; < 0 selects the record budget
-	crashed bool
+	st       *recovery.Store
+	records  int   // appends allowed, with limit < 0
+	limit    int64 // WAL bytes allowed; < 0 selects the record budget
+	atCommit bool
+	crashed  bool
 }
 
 func (c *crashPersister) append(write func() error) error {
@@ -377,6 +380,7 @@ func (c *crashPersister) AppendOpen(o recovery.OpenRec) error {
 	return c.append(func() error { return c.st.AppendOpen(o) })
 }
 func (c *crashPersister) AppendStatus(tid int, status byte) error {
+	c.crashed = c.crashed || c.atCommit && status == recovery.StatusCommitted
 	return c.append(func() error { return c.st.AppendStatus(tid, status) })
 }
 func (c *crashPersister) Rotate() error {
@@ -548,6 +552,75 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 				crashAt(fmt.Sprintf("bytes=%d", limit), func(p recovery.Persister) recovery.Persister {
 					return &crashPersister{st: p.(*recovery.Store), limit: limit}
 				})
+			}
+		})
+	}
+}
+
+// TestSpanningCommitCrashBetweenReplicas: a cross-partition commit
+// writes its status to each replica's store, and each store writes the
+// events it buffered with that status. A kill at either replica's
+// status write — the other's already written or not yet — must restore
+// one outcome in both replicas: committed with the transaction's events
+// in each, or not committed and erased in each. Never a replica that
+// says committed but lost the events.
+func TestSpanningCommitCrashBetweenReplicas(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	init := model.NewState(e0, e1)
+	tx := spanTxn("tg", e0, e1)
+	for kill := 0; kill < 2; kill++ {
+		t.Run(fmt.Sprintf("kill=p%d", kill), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Policy: policy.TwoPhase{}, Partitions: 2, DataDir: dir}
+			p := 0
+			cfg.WrapPersister = func(st recovery.Persister) recovery.Persister {
+				if p++; p-1 == kill {
+					return &crashPersister{st: st.(*recovery.Store), records: math.MaxInt, limit: -1, atCommit: true}
+				}
+				return st
+			}
+			eng, _, err := NewDurableSessionEngine(init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := eng.OpenSession(tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err == nil {
+				t.Fatal("commit acknowledged although a replica's status write failed")
+			}
+
+			// Restore the killed directory, settle it, and read both
+			// replicas back.
+			cfg.WrapPersister = nil
+			reng, _, err := NewDurableSessionEngine(init, cfg)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if _, err := reng.Close(); err != nil {
+				t.Fatalf("close after restore: %v", err)
+			}
+			var status [2]byte
+			for q := range status {
+				rec, err := recovery.Restore(PartitionDir(dir, 2, q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.Opens) != 1 {
+					t.Fatalf("p%d holds %d opens, want tg's", q, len(rec.Opens))
+				}
+				status[q] = rec.Status[0]
+				want := 0
+				if status[q] == recovery.StatusCommitted {
+					want = len(tx.Steps)
+				}
+				if len(rec.Events) != want {
+					t.Fatalf("p%d: status %d with %d events, want %d", q, status[q], len(rec.Events), want)
+				}
+			}
+			if status[0] != status[1] {
+				t.Fatalf("replica statuses %v disagree", status)
 			}
 		})
 	}

@@ -908,14 +908,23 @@ func (r *runner) persistFailedDrained(err error) {
 }
 
 // setStatusDrained sets x's status in every replica, durably where it
-// changed (span drained). Ascending partition order, so a crash midway
-// leaves a prefix of the replicas updated, the owner first — and the
-// owner's is the status a restore believes.
+// changed (span drained). The owner's status — the one a restore
+// believes — is written last, and none after a failed write: a status
+// record carries the events and compactions its store buffered before
+// it, so once the owner's status is on disk every replica's events for
+// x are too. A crash midway leaves the owner's old status, and restore
+// reconciles the mirrors back to it.
 func (x *txn) setStatusDrained(s txnStatus) {
-	for i, r := range x.span {
-		if t := x.locs[i]; r.status[t] != s {
-			r.status[t] = s
-			r.persistFailedDrained(r.rec.PersistStatus(t, s))
+	var err error
+	for i := len(x.span) - 1; i >= 0; i-- {
+		r, t := x.span[i], x.locs[i]
+		if r.status[t] == s {
+			continue
+		}
+		r.status[t] = s
+		if err == nil {
+			err = r.rec.PersistStatus(t, s)
+			r.persistFailedDrained(err)
 		}
 	}
 }
