@@ -16,10 +16,12 @@
 // (with periodic checkpoint snapshots) under the directory, and a
 // restart — clean or crashed — recovers the committed schedule,
 // re-verifies its serializability, and restores in-flight sessions
-// parked for client resume within their leases. -fsync additionally
-// syncs every open and status record, with the events and compactions
-// written in the same record, making acknowledged commits survive
-// machine (not just process) crashes. A corrupt store refuses to start: exit
+// parked for client resume within their leases (a run-mode transaction
+// the crash interrupted is abandoned: its client holds no token).
+// -fsync additionally syncs every record a reply waits on — a session's
+// open, a commit or abandon status — with the events, compactions and
+// run opens buffered before it written in the same record, making
+// acknowledged commits survive machine (not just process) crashes. A corrupt store refuses to start: exit
 // nonzero with the failing record named; so does a directory written
 // with a different -partitions, with both counts named. Without
 // -data-dir lockd is memory-only.
@@ -89,7 +91,7 @@ func main() {
 	ckpt := flag.Int("checkpoint-every", 0, "events between recovery checkpoints (0 = default)")
 	truncate := flag.Bool("truncate-log", true, "truncate the recovery log below settled checkpoints (bounds memory; full-log inspect unavailable past the cut)")
 	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoints, restored on start (empty = memory-only)")
-	fsync := flag.Bool("fsync", false, "one fsync per open or status record, which carries the events and compactions before it (with -data-dir); acknowledged commits survive machine crashes")
+	fsync := flag.Bool("fsync", false, "one fsync per acknowledgement — a session's open, a commit or abandon — carrying the events, compactions and run opens buffered before it (with -data-dir); a run-mode commit costs one; acknowledged commits survive machine crashes")
 	lease := flag.Duration("lease", 30*time.Second, "session lease; idle sessions are aborted after this (0 disables)")
 	maxRetries := flag.Int("max-retries", 0, "per-transaction retry budget (0 = default, negative = none)")
 	backoff := flag.Duration("backoff", 0, "base retry delay for engine-driven retries (run mode, cascade re-runs; capped at 100x, jittered down by up to half; 0 = default, negative = none)")

@@ -15,35 +15,53 @@ import (
 
 // This file gives recovery.Core a disk: an append-only WAL (wal.go has
 // the record codec) plus generation-numbered snapshot files. A
-// directory holds at most one live generation g:
+// directory holds one live snapshot s and the chain of WAL segments
+// appended since:
 //
-//	snap-<g>   full surviving history at the instant the generation
-//	           was opened (events, open/status metadata), sealed with
-//	           a clean marker
-//	wal-<g>    records appended since
+//	snap-<s>             full surviving history at the instant segment s
+//	                     was opened (events, open/status metadata), sealed
+//	                     with a clean marker; absent for s = 0
+//	wal-<s> … wal-<h>    records appended since, in order; every segment
+//	                     but the last ends in a continuation marker
 //
-// Rotation rewrites the whole history — every open, status and
-// surviving event since the directory was created, a truncated prefix
-// included — as snap-<g+1>, opens an empty wal-<g+1>, and deletes
-// generation g. It is amortised: Core.Truncate asks for it on every
-// truncation, but it happens only once wal-<g> has outgrown snap-<g>
-// (rotateDue), and an append rotates on the same rule past a 4 MiB
-// floor. A rotation therefore writes at most twice the bytes the WAL
-// gained since the last one, and the generation count grows with the
-// log of the history. The snapshot is written, sealed and synced under
-// a temporary name and only then renamed into place, so a crash
-// anywhere inside rotation leaves either generation g or a complete
-// g+1. Restore reads the highest snapshot, which must therefore decode
-// and be sealed: a damaged one is refused (ErrCorrupt), never passed
-// over for an older or empty generation.
+// A rotation has two halves, and no append waits for the second. Under
+// the store's lock it writes the pending records, seals wal-<h> with a
+// continuation marker and syncs it, creates wal-<h+1>, syncs the
+// directory and switches appends to the new segment. A background build
+// then folds the now-immutable snap-<s> and wal-<s> … wal-<h> into
+// snap-<h+1> — every open, status and surviving event since the
+// directory was created, a truncated prefix included — written, sealed
+// and synced under a temporary name, renamed into place, and only then
+// deletes the files it replaces. At most one build runs at a time. A
+// rotation is due only when none does and the live segment has
+// outgrown the snapshot (rotateDue): Core.Truncate asks on every
+// truncation, and an append asks on the same rule past a 4 MiB floor.
+// A build therefore writes at most twice the bytes the WAL gained since
+// the last one, and the generation count grows with the log of the
+// history. A failed build poisons the store; Close waits for a running
+// build and reports its failure.
+//
+// Restore reads the highest snapshot, which must decode and be sealed:
+// a damaged one is refused (ErrCorrupt), never passed over for an older
+// or empty generation. It then reads the contiguous segments from
+// wal-<s> on. A segment with a successor must end in its continuation
+// marker, or the directory is ErrCorrupt naming it, so a torn tail is
+// legal in the last segment only. A crash inside a rotation leaves a
+// sealed chain with no new snapshot, a partial snap-<h+1>.tmp beside
+// it, or the renamed snapshot beside the files it replaces: each reads
+// as the same history, and Open removes what is stale.
 //
 // Appends are buffered until an acknowledgement waits on them. Event
 // and compaction records only join a pending buffer. An open or status
 // record — the one an open/resume reply or a commit/abandon outcome
 // waits on — joins it too and then writes the whole buffer as one
 // record (a batch, when it holds more than that one record): one write
-// and, under Fsync, one sync per acknowledgement. A crash loses only
-// buffered records no one was told about.
+// and, under Fsync, one sync per acknowledgement. A run's open
+// (OpenRec.Run) answers no one — the run's reply is its outcome — so
+// it is buffered like an event, ahead of the run's events, and the
+// run's status carries all of them; a mirror's open is written at once
+// (DESIGN.md, "The restore contract"). A crash loses only buffered
+// records no one was told about.
 
 // Persister receives the durable mutations of a Core and its runtime.
 // All methods are called from the single-owner append path (the
@@ -58,9 +76,10 @@ type Persister interface {
 	AppendOpen(o OpenRec) error
 	// AppendStatus records a transaction status transition.
 	AppendStatus(tid int, status byte) error
-	// Rotate offers a point to rewrite the snapshot from the on-disk
-	// history and delete the old generation; the store decides whether
-	// the WAL has grown enough to pay for it.
+	// Rotate offers a point to start a new WAL segment. Once the WAL has
+	// outgrown the snapshot, the store seals the live segment and
+	// builds the next snapshot from the sealed ones in the background;
+	// the caller waits for the seal only.
 	Rotate() error
 	// Close writes what is pending and seals the WAL with a
 	// clean-shutdown marker.
@@ -82,7 +101,7 @@ type Recovered struct {
 	Clean bool
 	// Torn reports whether a torn final record was dropped.
 	Torn bool
-	// Gen is the generation the history was read from.
+	// Gen is the last WAL segment the history was read from.
 	Gen uint64
 }
 
@@ -135,61 +154,104 @@ func replayRecs(recs []Rec, into *Recovered) {
 func snapName(gen uint64) string { return "snap-" + strconv.FormatUint(gen, 10) }
 func walName(gen uint64) string  { return "wal-" + strconv.FormatUint(gen, 10) + ".log" }
 
-// findGen returns a directory's live generation: the highest with a
-// snapshot file (a rotation's temporary file does not count), or 0 —
-// which needs no snapshot (empty base history).
-func findGen(dir string) (uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
+// genOf parses the generation out of a file name of the form
+// <prefix><gen><suffix>.
+func genOf(name, prefix, suffix string) (uint64, bool) {
+	g, ok := strings.CutPrefix(name, prefix)
+	if g, ok2 := strings.CutSuffix(g, suffix); ok && ok2 {
+		n, err := strconv.ParseUint(g, 10, 64)
+		return n, err == nil
 	}
-	var gen uint64
-	for _, e := range ents {
-		if g, ok := strings.CutPrefix(e.Name(), "snap-"); ok {
-			if n, err := strconv.ParseUint(g, 10, 64); err == nil {
-				gen = max(gen, n)
-			}
-		}
-	}
-	return gen, nil
+	return 0, false
 }
 
-// readGen parses one generation (sealed snapshot + WAL with tail
-// discipline) into a Recovered. A snapshot that does not decode, or is
-// not sealed, is ErrCorrupt naming the file.
-func readGen(dir string, gen uint64) (Recovered, int64, error) {
-	out := Recovered{Gen: gen}
-	snap, err := os.ReadFile(filepath.Join(dir, snapName(gen)))
+// nextRecLen is the size of a continuation marker.
+var nextRecLen = int64(len(AppendNextRec(nil)))
+
+// findChain returns a directory's live chain: the highest generation
+// snap with a snapshot file (a build's temporary file does not count),
+// or 0 — which needs no snapshot — and last, the end of the contiguous
+// segments wal-<snap> … wal-<last> (snap itself when there are none).
+// A segment past a missing one is ErrCorrupt.
+func findChain(dir string) (snap, last uint64, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	wals := map[uint64]bool{}
+	for _, e := range ents {
+		if g, ok := genOf(e.Name(), "snap-", ""); ok {
+			snap = max(snap, g)
+		}
+		if g, ok := genOf(e.Name(), "wal-", ".log"); ok {
+			wals[g] = true
+		}
+	}
+	last, missing := snap, snap
+	if wals[snap] {
+		for wals[last+1] {
+			last++
+		}
+		missing = last + 1
+	}
+	for g := range wals {
+		if g > last {
+			return 0, 0, fmt.Errorf("%w: %s is missing, but %s follows it", ErrCorrupt, walName(missing), walName(g))
+		}
+	}
+	return snap, last, nil
+}
+
+// readChain parses snap-<snap> and the segments wal-<snap> … wal-<last>
+// into a Recovered. A snapshot that does not decode or is not sealed,
+// and a segment with a successor that does not end in its continuation
+// marker, are ErrCorrupt naming the file. It also returns the offset to
+// resume appending at in wal-<last>: the end of its good records, a
+// continuation marker left out.
+func readChain(dir string, snap, last uint64) (Recovered, int64, error) {
+	out := Recovered{Gen: last}
+	b, err := os.ReadFile(filepath.Join(dir, snapName(snap)))
 	switch {
 	case err == nil:
-		recs, clean, _, derr := DecodeWAL(snap)
+		recs, clean, _, derr := DecodeWAL(b)
 		if derr != nil {
-			return out, 0, fmt.Errorf("snapshot %s: %w", snapName(gen), derr)
+			return out, 0, fmt.Errorf("snapshot %s: %w", snapName(snap), derr)
 		}
 		if !clean {
-			return out, 0, fmt.Errorf("%w: snapshot %s is not sealed", ErrCorrupt, snapName(gen))
+			return out, 0, fmt.Errorf("%w: snapshot %s is not sealed", ErrCorrupt, snapName(snap))
 		}
 		replayRecs(recs, &out)
-	case errors.Is(err, os.ErrNotExist) && gen == 0:
+	case errors.Is(err, os.ErrNotExist) && snap == 0:
 		// Fresh directory: empty base history.
 	default:
 		return out, 0, err
 	}
 
-	wal, err := os.ReadFile(filepath.Join(dir, walName(gen)))
-	if errors.Is(err, os.ErrNotExist) {
-		return out, 0, nil
+	var goodLen int64
+	for g := snap; g <= last; g++ {
+		wal, err := os.ReadFile(filepath.Join(dir, walName(g)))
+		if errors.Is(err, os.ErrNotExist) && g == snap && g == last {
+			break // no segment yet
+		}
+		if err != nil {
+			return out, 0, err
+		}
+		recs, clean, n, derr := DecodeWAL(wal)
+		if derr != nil {
+			return out, 0, fmt.Errorf("wal %s: %w", walName(g), derr)
+		}
+		sealed := len(recs) > 0 && recs[len(recs)-1].Kind == recNext
+		if g < last && !sealed {
+			return out, 0, fmt.Errorf("%w: wal %s is not sealed, but %s follows it", ErrCorrupt, walName(g), walName(g+1))
+		}
+		replayRecs(recs, &out)
+		goodLen = n
+		if sealed {
+			goodLen -= nextRecLen
+		}
+		out.Clean = clean
+		out.Torn = !clean && n < int64(len(wal))
 	}
-	if err != nil {
-		return out, 0, err
-	}
-	recs, clean, goodLen, derr := DecodeWAL(wal)
-	if derr != nil {
-		return out, 0, fmt.Errorf("wal %s: %w", walName(gen), derr)
-	}
-	replayRecs(recs, &out)
-	out.Clean = clean
-	out.Torn = !clean && goodLen < int64(len(wal))
 	return out, goodLen, nil
 }
 
@@ -199,18 +261,19 @@ func Restore(dir string) (Recovered, error) {
 	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 		return Recovered{}, nil
 	}
-	gen, err := findGen(dir)
+	snap, last, err := findChain(dir)
 	if err != nil {
 		return Recovered{}, err
 	}
-	rec, _, err := readGen(dir, gen)
+	rec, _, err := readChain(dir, snap, last)
 	return rec, err
 }
 
 // Options configures a Store.
 type Options struct {
-	// Fsync syncs the WAL file after every write: each open or status
-	// record, with the events and compactions buffered before it.
+	// Fsync syncs the WAL file after every write: each status record
+	// and each open but a local run's, with the records buffered before
+	// it.
 	// Without it, durability is limited to what the OS flushes on its
 	// own, but a torn tail is still recovered cleanly.
 	Fsync bool
@@ -229,18 +292,20 @@ const (
 // ErrClosed is what a Store's appends and Rotate return after Close.
 var ErrClosed = errors.New("recovery: store is closed")
 
-// Store is the disk-backed Persister. It owns one generation of one
-// directory and appends to its WAL; Rotate advances the generation.
+// Store is the disk-backed Persister. It owns the live chain of one
+// directory and appends to its last segment; Rotate starts the next.
 type Store struct {
 	mu       sync.Mutex
 	dir      string
 	opts     Options
-	gen      uint64
+	base     uint64 // the live snapshot's generation, where the chain starts
+	gen      uint64 // the segment appends go to, the chain's end
 	wal      *os.File
 	walBytes int64
 	snapLen  int64
-	pending  []byte // framed records not yet written
-	npending int    // records in pending
+	building chan struct{} // non-nil while a snapshot build runs; closed when it ends
+	pending  []byte        // framed records not yet written
+	npending int           // records in pending
 	scratch  []byte
 	err      error // sticky: first failure poisons the store
 }
@@ -252,11 +317,11 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovered{}, err
 	}
-	gen, err := findGen(dir)
+	base, gen, err := findChain(dir)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
-	rec, goodLen, err := readGen(dir, gen)
+	rec, goodLen, err := readChain(dir, base, gen)
 	if err != nil {
 		return nil, Recovered{}, err
 	}
@@ -267,7 +332,8 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 		return nil, Recovered{}, err
 	}
 	// Resume appending after the last good record: strip a torn tail,
-	// and strip the clean marker so the stream stays append-only.
+	// and strip a clean or continuation marker so the stream stays
+	// append-only.
 	if err := f.Truncate(goodLen); err != nil {
 		f.Close()
 		return nil, Recovered{}, err
@@ -277,45 +343,47 @@ func Open(dir string, opts Options) (*Store, Recovered, error) {
 		return nil, Recovered{}, err
 	}
 
-	st := &Store{dir: dir, opts: opts, gen: gen, wal: f, walBytes: goodLen}
-	if fi, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
+	st := &Store{dir: dir, opts: opts, base: base, gen: gen, wal: f, walBytes: goodLen}
+	if fi, err := os.Stat(filepath.Join(dir, snapName(base))); err == nil {
 		st.snapLen = fi.Size()
 	}
-	st.sweepStale()
+	sweepStale(dir, base, gen)
 	return st, rec, nil
 }
 
 // Dir returns the directory the store writes to.
 func (s *Store) Dir() string { return s.dir }
 
-// Gen returns the current generation.
+// Gen returns the generation of the segment appends go to.
 func (s *Store) Gen() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gen
 }
 
-// WALBytes returns the bytes of good records currently in the WAL.
+// WALBytes returns the bytes of good records currently in the segment
+// appends go to.
 func (s *Store) WALBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walBytes
 }
 
-// sweepStale removes files from other generations. Only files that
-// match our naming scheme are touched.
-func (s *Store) sweepStale() {
-	ents, err := os.ReadDir(s.dir)
+// sweepStale removes every file of dir outside the chain snap-<base>,
+// wal-<base> … wal-<last>, a build's temporary snapshot included. Only
+// files that match our naming scheme are touched.
+func sweepStale(dir string, base, last uint64) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if name == snapName(s.gen) || name == walName(s.gen) {
+		if g, ok := genOf(name, "wal-", ".log"); name == snapName(base) || ok && g >= base && g <= last {
 			continue
 		}
 		if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") {
-			os.Remove(filepath.Join(s.dir, name))
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
@@ -328,11 +396,17 @@ func (s *Store) usable() error {
 	return s.err
 }
 
-// rotateDue reports whether the WAL has outgrown both floor and the
-// live snapshot, so that rewriting the history costs at most twice
-// what the WAL gained since the last rotation.
+// poison records err as the store's sticky error and returns it.
+func (s *Store) poison(err error) error {
+	s.err = err
+	return err
+}
+
+// rotateDue reports whether no build is running and the live segment
+// has outgrown both floor and the live snapshot, so that the next
+// build costs at most twice what the WAL gained since the last one.
 func (s *Store) rotateDue(floor int64) bool {
-	return s.walBytes > floor && s.walBytes > s.snapLen
+	return s.building == nil && s.walBytes > floor && s.walBytes > s.snapLen
 }
 
 // buffer adds the record encode appends to the pending buffer. An
@@ -370,14 +444,12 @@ func (s *Store) writePendingLocked() error {
 	}
 	s.pending, s.npending = s.pending[:0], 0
 	if _, err := s.wal.Write(frame); err != nil {
-		s.err = err
-		return err
+		return s.poison(err)
 	}
 	s.walBytes += int64(len(frame))
 	if s.opts.Fsync {
 		if err := s.wal.Sync(); err != nil {
-			s.err = err
-			return err
+			return s.poison(err)
 		}
 	}
 	return nil
@@ -397,11 +469,12 @@ func (s *Store) AppendCompact(victims []int) error {
 	return s.buffer(false, func(b []byte) []byte { return AppendCompactRec(b, victims) })
 }
 
-// AppendOpen implements Persister.
+// AppendOpen implements Persister. A run's open waits in the buffer for
+// the run's status, unless it is a mirror's.
 func (s *Store) AppendOpen(o OpenRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffer(true, func(b []byte) []byte { return AppendOpenRec(b, o) })
+	return s.buffer(!o.Run || o.Mirror, func(b []byte) []byte { return AppendOpenRec(b, o) })
 }
 
 // AppendStatus implements Persister.
@@ -411,10 +484,10 @@ func (s *Store) AppendStatus(tid int, status byte) error {
 	return s.buffer(true, func(b []byte) []byte { return AppendStatusRec(b, tid, status) })
 }
 
-// Rotate implements Persister: once the WAL has outgrown the snapshot,
-// write the pending records, rewrite the surviving history as the next
-// generation's snapshot and delete the current generation. Before
-// that it writes nothing and returns nil.
+// Rotate implements Persister: once the live segment has outgrown the
+// snapshot and no build is running, seal the segment and build the
+// next snapshot in the background. Before that it writes nothing and
+// returns nil.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,83 +500,278 @@ func (s *Store) Rotate() error {
 	return s.rotateLocked()
 }
 
+// snapBuild is one background build: snap-<next> from snap-<base> and
+// the sealed segments wal-<base> … wal-<next-1>.
+type snapBuild struct {
+	base, next uint64
+	done       chan struct{}
+}
+
 func (s *Store) rotateLocked() error {
-	if err := s.writePendingLocked(); err != nil {
-		return err
-	}
-	if err := s.wal.Sync(); err != nil {
-		s.err = err
-		return err
-	}
-	rec, _, err := readGen(s.dir, s.gen)
+	b, err := s.sealLocked()
 	if err != nil {
-		s.err = err
 		return err
 	}
-
-	// Serialize the surviving history: opens for every transaction,
-	// the latest status of each settled one, then the event log as a
-	// single batch, sealed clean.
-	var snap []byte
-	for _, o := range rec.Opens {
-		snap = AppendOpenRec(snap, o)
-	}
-	tids := make([]int, 0, len(rec.Status))
-	for t := range rec.Status {
-		tids = append(tids, t)
-	}
-	sort.Ints(tids)
-	for _, t := range tids {
-		snap = AppendStatusRec(snap, t, rec.Status[t])
-	}
-	// Chunk the event history so no single record approaches the
-	// decoder's size cap.
-	const chunk = 4096
-	for i := 0; i < len(rec.Events); i += chunk {
-		j := i + chunk
-		if j > len(rec.Events) {
-			j = len(rec.Events)
-		}
-		snap = AppendEventsRec(snap, rec.Events[i:j], rec.Tags[i:j])
-	}
-	snap = AppendCleanRec(snap)
-
-	next := s.gen + 1
-	tmp := filepath.Join(s.dir, snapName(next)+".tmp")
-	if err := writeFileSync(tmp, snap); err != nil {
-		s.err = err
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(next))); err != nil {
-		s.err = err
-		return err
-	}
-	nf, err := os.OpenFile(filepath.Join(s.dir, walName(next)), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		s.err = err
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		nf.Close()
-		s.err = err
-		return err
-	}
-	old := s.wal
-	s.wal, s.gen, s.walBytes, s.snapLen = nf, next, 0, int64(len(snap))
-	old.Close()
-	s.sweepStale()
+	go s.build(b)
 	return nil
 }
 
-// Close writes the pending records, seals the WAL with a clean-shutdown
-// marker and closes it. It returns the store's sticky error, or else
-// the first error of writing the records or the marker, syncing it and
-// closing the file (and poisons the store with it): a nil Close attests
-// the marker reached the disk. A poisoned store writes no marker, and
+// sealLocked is the part of a rotation appends wait for: write the
+// pending records, seal the live segment with a continuation marker and
+// sync it, create the next segment, sync the directory and switch
+// appends to it. It returns the build that makes the sealed segments
+// redundant, and rotateDue is false until that build ends.
+func (s *Store) sealLocked() (snapBuild, error) {
+	if err := s.writePendingLocked(); err != nil {
+		return snapBuild{}, err
+	}
+	// The marker is written only once the records before it are on
+	// disk, Fsync or not: a crash may tear the segment's last record
+	// only.
+	if err := s.wal.Sync(); err != nil {
+		return snapBuild{}, s.poison(err)
+	}
+	s.scratch = AppendNextRec(s.scratch[:0])
+	if _, err := s.wal.Write(s.scratch); err != nil {
+		return snapBuild{}, s.poison(err)
+	}
+	if err := s.wal.Sync(); err != nil {
+		return snapBuild{}, s.poison(err)
+	}
+	next := s.gen + 1
+	nf, err := os.OpenFile(filepath.Join(s.dir, walName(next)), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return snapBuild{}, s.poison(err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		nf.Close()
+		return snapBuild{}, s.poison(err)
+	}
+	s.wal.Close()
+	b := snapBuild{base: s.base, next: next, done: make(chan struct{})}
+	s.wal, s.gen, s.walBytes, s.building = nf, next, 0, b.done
+	return b, nil
+}
+
+// build runs b: it writes snap-<b.next>, deletes the files it replaces
+// and publishes the new snapshot, or poisons the store with the
+// failure. A failed build leaves the chain it read intact.
+func (s *Store) build(b snapBuild) {
+	size, err := writeSnapshot(s.dir, b.base, b.next)
+	if err == nil {
+		sweepStale(s.dir, b.next, b.next)
+	}
+	s.mu.Lock()
+	if err == nil {
+		s.base, s.snapLen = b.next, size
+	} else if s.err == nil {
+		s.err = err
+	}
+	s.building = nil
+	s.mu.Unlock()
+	close(b.done)
+}
+
+// writeSnapshot folds snap-<base> and the sealed segments wal-<base> …
+// wal-<next-1> into snap-<next> and returns its size. The snapshot
+// holds opens for every transaction, the latest status of each settled
+// one, then the event log, sealed clean. It is written and synced under
+// a temporary name, then renamed into place and the directory synced,
+// so no crash leaves a partial snapshot under a live name and the files
+// it replaces are deleted only once it is durable.
+func writeSnapshot(dir string, base, next uint64) (int64, error) {
+	f := snapFold{status: map[int]byte{}}
+	if err := f.foldFile(dir, snapName(base)); err != nil {
+		return 0, err
+	}
+	for g := base; g < next; g++ {
+		if err := f.foldFile(dir, walName(g)); err != nil {
+			return 0, err
+		}
+	}
+	snap := f.encode()
+	tmp := filepath.Join(dir, snapName(next)+".tmp")
+	if err := writeFileSync(tmp, snap); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, snapName(next))); err != nil {
+		return 0, err
+	}
+	return int64(len(snap)), syncDir(dir)
+}
+
+// snapFold is the history a build folds, kept as the bytes it was
+// written as: opens and events are copied, never decoded, so a build
+// costs little more than the bytes it reads and writes — it runs beside
+// the commit path, and decoding every event into model values would
+// load the garbage collector every commit shares.
+type snapFold struct {
+	opens  []byte       // framed open records, in order
+	status map[int]byte // latest status per transaction
+	events [][]byte     // surviving events-record bodies, in order
+}
+
+// foldFile folds one file of the chain; only snap-0 may be missing,
+// as the empty history.
+func (f *snapFold) foldFile(dir, name string) error {
+	b, err := os.ReadFile(filepath.Join(dir, name))
+	if errors.Is(err, os.ErrNotExist) && name == snapName(0) {
+		return nil
+	}
+	if err == nil {
+		err = f.fold(b)
+	}
+	if err != nil {
+		return fmt.Errorf("building from %s: %w", name, err)
+	}
+	return nil
+}
+
+// fold folds a stream of framed records: compactions erase the events
+// folded before them, as replayRecs does. Markers carry nothing.
+func (f *snapFold) fold(b []byte) error {
+	for off := 0; off < len(b); {
+		body, end, _, err := readFrame(b, off)
+		if err != nil {
+			return err
+		}
+		switch body[0] {
+		case recOpen:
+			f.opens = append(f.opens, b[off:end]...)
+		case recEvents:
+			if _, _, err := eventsOf(body); err != nil {
+				return err
+			}
+			f.events = append(f.events, body)
+		case recBatch:
+			if err := f.fold(body[1:]); err != nil {
+				return err
+			}
+		case recStatus, recCompact:
+			rec, err := decodeBody(body)
+			if err != nil {
+				return err
+			}
+			if rec.Kind == recStatus {
+				f.status[rec.TID] = rec.Status
+			} else if err := f.erase(rec.Victims); err != nil {
+				return err
+			}
+		case recClean, recNext:
+		default:
+			return fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, body[0], off)
+		}
+		off = end
+	}
+	return nil
+}
+
+// erase drops the victims' events from the folded events records.
+func (f *snapFold) erase(victims []int) error {
+	drop := make(map[uint64]bool, len(victims))
+	for _, v := range victims {
+		drop[uint64(v)] = true
+	}
+	keep := f.events[:0]
+	for _, body := range f.events {
+		n, evs, err := eventsOf(body)
+		if err != nil {
+			return err
+		}
+		var kept []byte
+		left := 0
+		for c := (walCursor{evs}); c.rem() > 0; {
+			start := len(evs) - c.rem()
+			t, err := c.skipEvent()
+			if err != nil {
+				return err
+			}
+			if !drop[t] {
+				kept = append(kept, evs[start:len(evs)-c.rem()]...)
+				left++
+			}
+		}
+		switch {
+		case left == n:
+			keep = append(keep, body)
+		case left > 0:
+			keep = append(keep, append(appendUvarint([]byte{recEvents}, uint64(left)), kept...))
+		}
+	}
+	f.events = keep
+	return nil
+}
+
+// eventsOf splits an events-record body into its event count and the
+// encoded events.
+func eventsOf(body []byte) (int, []byte, error) {
+	c := walCursor{body[1:]}
+	n, err := c.uvarint()
+	return int(n), c.b, err
+}
+
+// skipEvent steps over one encoded event and returns its transaction.
+func (c *walCursor) skipEvent() (uint64, error) {
+	t, err := c.uvarint()
+	if err == nil {
+		_, err = c.u8()
+	}
+	var n uint64
+	if err == nil {
+		n, err = c.uvarint()
+	}
+	if err == nil && n > uint64(c.rem()) {
+		err = fmt.Errorf("%w: string overruns body", ErrCorrupt)
+	}
+	if err == nil {
+		c.b = c.b[n:]
+		_, err = c.uvarint()
+	}
+	return t, err
+}
+
+// encode writes the folded history as a snapshot: the opens, the
+// statuses by transaction, then the events in records of about 4096,
+// so no record approaches the decoder's size cap, sealed clean.
+func (f *snapFold) encode() []byte {
+	tids := make([]int, 0, len(f.status))
+	for t := range f.status {
+		tids = append(tids, t)
+	}
+	sort.Ints(tids)
+	snap := f.opens
+	for _, t := range tids {
+		snap = AppendStatusRec(snap, t, f.status[t])
+	}
+	const chunk = 4096
+	var evs []byte
+	count := 0
+	for i, body := range f.events {
+		n, b, _ := eventsOf(body) // checked by fold
+		evs = append(evs, b...)
+		if count += n; count >= chunk || i == len(f.events)-1 {
+			snap = appendRecord(snap, append(appendUvarint([]byte{recEvents}, uint64(count)), evs...))
+			evs, count = evs[:0], 0
+		}
+	}
+	return AppendCleanRec(snap)
+}
+
+// Close waits for a running build, writes the pending records, seals
+// the WAL with a clean-shutdown marker and closes it. It returns the
+// store's sticky error — a failed build's included — or else the first
+// error of writing the records or the marker, syncing it and closing
+// the file (and poisons the store with it): a nil Close attests the
+// marker reached the disk. A poisoned store writes no marker, and
 // every later Close returns the same error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if done := s.building; done != nil {
+		s.mu.Unlock()
+		<-done
+		s.mu.Lock()
+	}
 	if s.wal == nil {
 		return s.err
 	}

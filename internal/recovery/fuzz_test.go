@@ -14,8 +14,9 @@ package recovery
 //     torn tail left.
 //
 // The seed corpus is built from the encoder, so every record kind (a
-// batch, which decodes to the records it carries, included) and the
-// clean/torn distinctions are explored from the first run; the
+// batch, which decodes to the records it carries, and a continuation
+// marker, which decodes to itself, included) and the clean/torn
+// distinctions are explored from the first run; the
 // fuzzer then mutates those valid streams into near-valid ones —
 // exactly what a crash mid-write or a corrupted disk produces.
 
@@ -38,6 +39,8 @@ func reencode(recs []Rec, clean bool) []byte {
 			b = AppendStatusRec(b, r.TID, r.Status)
 		case recOpen:
 			b = AppendOpenRec(b, r.Open)
+		case recNext:
+			b = AppendNextRec(b)
 		}
 	}
 	if clean {
@@ -62,6 +65,10 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(AppendCleanRec(append([]byte(nil), batch...)))
 	f.Add(batch[:len(batch)-2])                           // torn batch
 	f.Add(AppendBatchRec(nil, AppendBatchRec(nil, seed))) // nested batch
+	run := AppendOpenRec(nil, OpenRec{G: 5, Run: true, Name: "R", Steps: []model.Step{model.LX("y"), model.UX("y")}, Token: 3})
+	f.Add(run)                                                                              // a run's open: flag 0x2
+	f.Add(AppendNextRec(AppendBatchRec(append([]byte(nil), run...), seed)))                 // sealed segment
+	f.Add(AppendStatusRec(AppendNextRec(append([]byte(nil), seed...)), 3, StatusCommitted)) // non-final seal
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<20 {

@@ -43,6 +43,12 @@ import (
 // still covers it. A torn batch is dropped whole. Its CRC vouches for
 // every byte inside, so any inner framing failure, a batch nested in a
 // batch and a clean marker inside a batch are corruption.
+//
+// A continuation marker (recNext) seals a segment the store rotated
+// away from: the history continues in the next segment (see Store). It
+// is final like a clean marker, never inside a batch, and it is
+// returned as a record, so a reader can tell a sealed segment from one
+// whose tail a crash cut.
 
 // Record kinds.
 const (
@@ -52,6 +58,7 @@ const (
 	recOpen    = 4 // transaction (and optionally session) declaration
 	recClean   = 5 // clean-shutdown marker; must be final
 	recBatch   = 6 // framed records written and synced as one
+	recNext    = 7 // segment sealed: continues in wal-<g+1>; must be final
 )
 
 // Status byte values carried by recStatus records. StatusActive is used
@@ -82,11 +89,15 @@ type OpenRec struct {
 	// Mirror marks the row as a cross-partition replica: the
 	// transaction spans partitions and this partition holds a mirror.
 	Mirror bool
+	// Run marks a stored-procedure transaction: the server drives it
+	// and its outcome is its only reply, so no one waits on the open.
+	Run bool
 	// Name and Steps are the declared body.
 	Name  string
 	Steps []model.Step
 	// Token is the server-issued resume token. Every transaction is a
-	// session's, run-mode ones included, so it is never zero.
+	// session's, run-mode ones included, so it is never zero; a run's
+	// is never shown to a client.
 	Token uint64
 	// Deadline is the absolute lease deadline in Unix nanoseconds;
 	// zero means no lease.
@@ -175,6 +186,9 @@ func AppendOpenRec(dst []byte, o OpenRec) []byte {
 	if o.Mirror {
 		flags |= 1
 	}
+	if o.Run {
+		flags |= 2
+	}
 	body = append(body, flags)
 	body = appendWalString(body, o.Name)
 	body = appendUvarint(body, uint64(len(o.Steps)))
@@ -200,6 +214,11 @@ func AppendBatchRec(dst, frames []byte) []byte {
 // AppendCleanRec encodes the clean-shutdown marker.
 func AppendCleanRec(dst []byte) []byte {
 	return appendRecord(dst, []byte{recClean})
+}
+
+// AppendNextRec encodes the continuation marker that seals a segment.
+func AppendNextRec(dst []byte) []byte {
+	return appendRecord(dst, []byte{recNext})
 }
 
 // --- decoding ---
@@ -330,7 +349,7 @@ func decodeBody(body []byte) (Rec, error) {
 		if err != nil {
 			return Rec{}, err
 		}
-		if flags&^byte(1) != 0 {
+		if flags&^byte(3) != 0 {
 			return Rec{}, fmt.Errorf("%w: unknown open flags %#x", ErrCorrupt, flags)
 		}
 		name, err := c.str()
@@ -367,8 +386,8 @@ func decodeBody(body []byte) (Rec, error) {
 		if err != nil {
 			return Rec{}, err
 		}
-		r.Open = OpenRec{G: int(g), Mirror: flags&1 != 0, Name: name, Steps: steps, Token: token, Deadline: deadline}
-	case recClean:
+		r.Open = OpenRec{G: int(g), Mirror: flags&1 != 0, Run: flags&2 != 0, Name: name, Steps: steps, Token: token, Deadline: deadline}
+	case recClean, recNext:
 		// empty body beyond the kind byte
 	default:
 		return Rec{}, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
@@ -386,7 +405,9 @@ func decodeBody(body []byte) (Rec, error) {
 // It returns the decoded records (with any clean-shutdown marker
 // stripped), whether the stream ended with a clean marker, and the byte
 // offset of the end of the last good record — the offset a writer
-// should truncate to before resuming appends after a torn tail.
+// should truncate to before resuming appends after a torn tail. A
+// continuation marker is kept as the final record, and goodLen counts
+// it.
 func DecodeWAL(b []byte) (recs []Rec, clean bool, goodLen int64, err error) {
 	return decodeFrames(b, false)
 }
@@ -426,16 +447,19 @@ func decodeFrames(b []byte, inBatch bool) (recs []Rec, clean bool, goodLen int64
 		if err != nil {
 			// CRC-valid but undecodable: the bytes are as written, so
 			// this is an encoder bug or tampering, never a torn write.
-			return nil, false, 0, fmt.Errorf("%s (record at offset %d)", err, off)
+			return nil, false, 0, fmt.Errorf("%w (record at offset %d)", err, off)
 		}
-		if rec.Kind == recClean {
-			if inBatch {
-				return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker inside a batch at offset %d", ErrCorrupt, off)
-			}
-			if end != len(b) {
-				return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker at offset %d is not final", ErrCorrupt, off)
-			}
+		switch {
+		case rec.Kind == recClean && inBatch:
+			return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker inside a batch at offset %d", ErrCorrupt, off)
+		case rec.Kind == recClean && end != len(b):
+			return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker at offset %d is not final", ErrCorrupt, off)
+		case rec.Kind == recClean:
 			return recs, true, int64(off), nil
+		case rec.Kind == recNext && inBatch:
+			return nil, false, 0, fmt.Errorf("%w: continuation marker inside a batch at offset %d", ErrCorrupt, off)
+		case rec.Kind == recNext && end != len(b):
+			return nil, false, 0, fmt.Errorf("%w: continuation marker at offset %d is not final", ErrCorrupt, off)
 		}
 		recs = append(recs, rec)
 		off = end

@@ -3,6 +3,7 @@ package recovery_test
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -221,12 +222,14 @@ func TestStoreRotate(t *testing.T) {
 	if st.Gen() != 1 {
 		t.Fatalf("gen = %d, want 1", st.Gen())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-0.log")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("old generation not deleted: %v", err)
-	}
 	// Post-rotation appends land in the new generation.
 	st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{3})
 	st.Close()
+	// The snapshot is built in the background, and Close waits for it:
+	// the old generation is gone once Close returns.
+	if _, err := os.Stat(filepath.Join(dir, "wal-0.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("old generation not deleted: %v", err)
+	}
 
 	rec, err := recovery.Restore(dir)
 	if err != nil {
@@ -470,5 +473,109 @@ func TestStoreBuffersUntilAcknowledged(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreBuffersRunOpen: a run's open answers no one, so it waits in
+// the buffer like an event, and the run's status writes the open, its
+// events and itself as one record, restored in that order. A spanning
+// run's open (a mirror) is written at once.
+func TestStoreBuffersRunOpen(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := recovery.Open(dir, recovery.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
+	if err := st.AppendOpen(recovery.OpenRec{G: 0, Run: true, Name: "R", Steps: body, Token: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.WALBytes(); n != 0 {
+		t.Fatalf("WALBytes = %d after a run's open, want 0", n)
+	}
+	evs := []model.Ev{{T: 0, S: body[0]}, {T: 0, S: body[1]}, {T: 0, S: body[2]}}
+	if err := st.AppendEvents(evs, []uint64{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendStatus(0, recovery.StatusCommitted); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ln := binary.Uvarint(wal)
+	if ln <= 0 || int64(len(wal)) != st.WALBytes() || ln+int(n)+4 != len(wal) {
+		t.Fatalf("WAL of %d bytes (WALBytes %d) is not one record", len(wal), st.WALBytes())
+	}
+	recs, _, _, err := recovery.DecodeWAL(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || !recs[0].Open.Run || recs[0].Open.Name != "R" || len(recs[1].Events) != 3 ||
+		recs[2].TID != 0 || recs[2].Status != recovery.StatusCommitted {
+		t.Fatalf("batch holds %+v, want the run's open, its 3 events and its commit, in order", recs)
+	}
+
+	before := st.WALBytes()
+	if err := st.AppendOpen(recovery.OpenRec{G: 1, Run: true, Mirror: true, Name: "S", Steps: body, Token: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if st.WALBytes() == before {
+		t.Fatal("a spanning run's open was buffered, want it written at once")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := recovery.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Opens) != 2 || !rec.Opens[0].Run || rec.Opens[0].Mirror || !rec.Opens[1].Run || !rec.Opens[1].Mirror {
+		t.Fatalf("restored opens %+v, want a local and a spanning run", rec.Opens)
+	}
+}
+
+// TestWALOpenFlags: flag 0x1 (mirror) and 0x2 (run) decode; any other
+// open flag is corruption, named.
+func TestWALOpenFlags(t *testing.T) {
+	for _, flags := range []byte{0, 1, 2, 3, 4, 0x80} {
+		body := []byte{4, 0, flags, 1, 'T', 0, 1, 0} // open: G 0, name "T", no steps, token 1, deadline 0
+		rec := binary.AppendUvarint(nil, uint64(len(body)))
+		rec = binary.LittleEndian.AppendUint32(append(rec, body...), crc32.ChecksumIEEE(body))
+		recs, _, _, err := recovery.DecodeWAL(rec)
+		if flags > 3 {
+			if !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), "unknown open flags") {
+				t.Errorf("flags %#x: err=%v, want ErrCorrupt naming the open flags", flags, err)
+			}
+			continue
+		}
+		if err != nil || len(recs) != 1 || recs[0].Open.Mirror != (flags&1 != 0) || recs[0].Open.Run != (flags&2 != 0) {
+			t.Errorf("flags %#x: err=%v records %+v", flags, err, recs)
+		}
+	}
+}
+
+// TestWALContinuationMarker: a continuation marker ends a segment. It
+// decodes as the final record, and one that is not final or sits in a
+// batch is corruption, named.
+func TestWALContinuationMarker(t *testing.T) {
+	b := sampleRecords()
+	sealed := recovery.AppendNextRec(append([]byte(nil), b...))
+	recs, clean, goodLen, err := recovery.DecodeWAL(sealed)
+	if err != nil || clean || goodLen != int64(len(sealed)) || len(recs) != 8 || recs[7].Kind != 7 {
+		t.Fatalf("sealed segment: err=%v clean=%v goodLen=%d/%d records=%d", err, clean, goodLen, len(sealed), len(recs))
+	}
+	for _, tc := range []struct {
+		name, want string
+		wal        []byte
+	}{
+		{"not-final", "continuation marker at offset", recovery.AppendStatusRec(append([]byte(nil), sealed...), 0, recovery.StatusCommitted)},
+		{"in-batch", "continuation marker inside a batch", recovery.AppendBatchRec(nil, recovery.AppendNextRec(batchBody()))},
+		{"then-clean", "continuation marker at offset", recovery.AppendCleanRec(append([]byte(nil), sealed...))},
+	} {
+		if _, _, _, err := recovery.DecodeWAL(tc.wal); !errors.Is(err, recovery.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err=%v, want ErrCorrupt saying %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // guaranteed and the write-side orderings in runtime.go, session.go and
 // partition.go it rests on.
 
-// newToken mints a session resume token: 64 random bits, forced nonzero
-// so zero can mean "no session" in the WAL.
+// newToken mints a session resume token: 64 random bits, forced
+// nonzero. Every open record carries one, a run's included, so zero
+// never appears in the WAL.
 func newToken() uint64 {
 	var b [8]byte
 	_, _ = rand.Read(b[:]) // since Go 1.24 it never returns an error
@@ -243,12 +244,13 @@ func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 // whatever its span (every partition drained, persisters attached). It
 // rebuilds the session-id table from the per-partition open records,
 // reconciles a spanning row's mirror statuses to its owner's and charges
-// each row's outcome once, to its owner replica. A row recovered active lost its in-flight attempt with
-// the process: the attempts are erased together (cascading as a live
-// abort would — a committed cascade victim is un-committed, durably, and
-// re-spawned engine-side), then each session is restored parked with its
-// persisted token and lease deadline, or abandoned if that deadline has
-// passed.
+// each row's outcome once, to its owner replica. A row recovered active
+// lost its in-flight attempt with the process: the attempts are erased
+// together (cascading as a live abort would — a committed cascade victim
+// is un-committed, durably, and re-spawned engine-side), then each
+// session is restored parked with its persisted token and lease
+// deadline, or abandoned if that deadline has passed or the row is a
+// run's, whose token no client ever learned.
 func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info *RestoreInfo) error {
 	// byG[g] lists (partition, local index, mirror) for every row of
 	// session id g, in ascending partition order.
@@ -340,11 +342,15 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 	for i, x := range actives {
 		r, t := x.own()
 		o := opens[i]
-		if o.Deadline != 0 && o.Deadline <= now {
-			// The lease ran out while the process was down; the client is
-			// gone. Abandon, durably.
+		expired := o.Deadline != 0 && o.Deadline <= now
+		if expired || o.Run {
+			// The lease ran out while the process was down, or the row is
+			// a run, whose client waited on its outcome and never held its
+			// token: no one will resume it. Abandon, durably.
 			r.met.GaveUp++
-			r.met.LeaseExpired++
+			if expired {
+				r.met.LeaseExpired++
+			}
 			x.setStatusDrained(txAbandoned)
 			continue
 		}

@@ -299,6 +299,64 @@ func TestInterruptResume(t *testing.T) {
 	}
 }
 
+// TestRestoreAbandonsUnfinishedRun: a run's client waits for its
+// outcome and never learns its token, so a run a crash left unfinished
+// is abandoned at restore, not parked for a resume that cannot come
+// (with no lease it would pin the settled floor for good). A session
+// left open beside it is still parked.
+func TestRestoreAbandonsUnfinishedRun(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	init := model.NewState(e0, e1)
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			cfg := Config{Policy: policy.TwoPhase{}, DataDir: t.TempDir(), Fsync: true, Partitions: parts}
+			eng, _, err := NewDurableSessionEngine(init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := eng.OpenRun(rwTxn("R", e0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run.Step(model.LX(e0)); err != nil {
+				t.Fatal(err)
+			}
+			// A session's open in the run's partition is written at once,
+			// and carries the run's buffered open and event with it.
+			s, err := eng.OpenSession(rwTxn("P", e0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Crash: abandon the engine without Close.
+
+			eng2, info, err := NewDurableSessionEngine(init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Sessions != 1 || info.Commits != 0 {
+				t.Fatalf("restore = %+v, want P parked and nothing committed", info)
+			}
+			if _, err := eng2.Resume(run.SID(), run.Token()); !errors.Is(err, ErrSessionDone) || !strings.Contains(err.Error(), "was abandoned") {
+				t.Fatalf("resume of the unfinished run = %v, want ErrSessionDone: was abandoned", err)
+			}
+			rs, err := eng2.Resume(s.SID(), s.Token())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng2.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.Commits != 1 || res.Metrics.GaveUp != 1 {
+				t.Fatalf("commits=%d gave-up=%d, want P committed and the run abandoned", res.Metrics.Commits, res.Metrics.GaveUp)
+			}
+		})
+	}
+}
+
 // recordCounter counts Persister record appends, to size the
 // crash-point sweep.
 type recordCounter struct {
@@ -398,39 +456,42 @@ func (c *crashPersister) Close() error {
 
 // durableScript drives a fixed serial workload against a session
 // engine, swallowing post-crash failures, and reports how many commits
-// were acknowledged and every session it opened. The parked opens come
-// last so their held locks never block a later transaction.
+// were acknowledged and every session it opened. Two commits are runs
+// (OpenRun), a local one, whose open waits in the store's buffer for its
+// status, and with two partitions a spanning one, whose mirror opens do
+// not. The parked opens come last so their held locks never block a
+// later transaction.
 func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int, opened []Sess) {
-	open := func(tx model.Txn) Sess {
-		s, err := eng.OpenSession(tx)
+	start := func(open func(model.Txn) (Sess, error), tx model.Txn) Sess {
+		s, err := open(tx)
 		if err != nil {
 			return nil
 		}
 		opened = append(opened, s)
 		return s
 	}
-	commit := func(tx model.Txn) {
-		if s := open(tx); s != nil && s.Run() == nil {
+	commit := func(open func(model.Txn) (Sess, error), tx model.Txn) {
+		if s := start(open, tx); s != nil && s.Run() == nil {
 			acked++
 		}
 	}
-	commit(rwTxn("t1", e0))
-	commit(rwTxn("t2", e1))
-	if s := open(rwTxn("ta", e0)); s != nil {
+	commit(eng.OpenSession, rwTxn("t1", e0))
+	commit(eng.OpenRun, rwTxn("t2", e1))
+	if s := start(eng.OpenSession, rwTxn("ta", e0)); s != nil {
 		// A client abort: exercises the compaction record.
 		s.Step(model.LX(e0))
 		s.Step(model.W(e0))
 		s.Abort()
 	}
-	commit(spanTxn("tg", e0, e1))
-	commit(rwTxn("t3", e0))
-	commit(rwTxn("t4", e1))
+	commit(eng.OpenRun, spanTxn("tg", e0, e1))
+	commit(eng.OpenSession, rwTxn("t3", e0))
+	commit(eng.OpenSession, rwTxn("t4", e1))
 	// Left open one step in, a local and (with two partitions) a
 	// cross-partition session: both recovered parked.
-	if s := open(rwTxn("tp", e1)); s != nil {
+	if s := start(eng.OpenSession, rwTxn("tp", e1)); s != nil {
 		s.Step(model.LX(e1))
 	}
-	if s := open(spanTxn("tq", e0, e1)); s != nil {
+	if s := start(eng.OpenSession, spanTxn("tq", e0, e1)); s != nil {
 		s.Step(model.LX(e0))
 	}
 	return acked, opened
@@ -563,66 +624,83 @@ func TestDurableCrashPointSweepEngine(t *testing.T) {
 // status write — the other's already written or not yet — must restore
 // one outcome in both replicas: committed with the transaction's events
 // in each, or not committed and erased in each. Never a replica that
-// says committed but lost the events.
+// says committed but lost the events. It holds for a session and for a
+// run, whose mirror opens are therefore written at open: buffered, the
+// owner's open would be lost with its status while the mirror's
+// reached the disk with its events.
 func TestSpanningCommitCrashBetweenReplicas(t *testing.T) {
 	e0, e1 := partitionedEntities(t)
 	init := model.NewState(e0, e1)
 	tx := spanTxn("tg", e0, e1)
 	for kill := 0; kill < 2; kill++ {
 		t.Run(fmt.Sprintf("kill=p%d", kill), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{Policy: policy.TwoPhase{}, Partitions: 2, DataDir: dir}
-			p := 0
-			cfg.WrapPersister = func(st recovery.Persister) recovery.Persister {
-				if p++; p-1 == kill {
-					return &crashPersister{st: st.(*recovery.Store), records: math.MaxInt, limit: -1, atCommit: true}
-				}
-				return st
-			}
-			eng, _, err := NewDurableSessionEngine(init, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := eng.OpenSession(tx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Run(); err == nil {
-				t.Fatal("commit acknowledged although a replica's status write failed")
-			}
-
-			// Restore the killed directory, settle it, and read both
-			// replicas back.
-			cfg.WrapPersister = nil
-			reng, _, err := NewDurableSessionEngine(init, cfg)
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			if _, err := reng.Close(); err != nil {
-				t.Fatalf("close after restore: %v", err)
-			}
-			var status [2]byte
-			for q := range status {
-				rec, err := recovery.Restore(PartitionDir(dir, 2, q))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rec.Opens) != 1 {
-					t.Fatalf("p%d holds %d opens, want tg's", q, len(rec.Opens))
-				}
-				status[q] = rec.Status[0]
-				want := 0
-				if status[q] == recovery.StatusCommitted {
-					want = len(tx.Steps)
-				}
-				if len(rec.Events) != want {
-					t.Fatalf("p%d: status %d with %d events, want %d", q, status[q], len(rec.Events), want)
-				}
-			}
-			if status[0] != status[1] {
-				t.Fatalf("replica statuses %v disagree", status)
+			for _, run := range []bool{false, true} {
+				spanningCommitCrash(t, init, tx, kill, run)
 			}
 		})
+	}
+}
+
+// spanningCommitCrash is one arm of TestSpanningCommitCrashBetweenReplicas:
+// tx opened as a session or a run, partition kill's store killed at its
+// commit status write.
+func spanningCommitCrash(t *testing.T, init model.State, tx model.Txn, kill int, run bool) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := Config{Policy: policy.TwoPhase{}, Partitions: 2, DataDir: dir}
+	p := 0
+	cfg.WrapPersister = func(st recovery.Persister) recovery.Persister {
+		if p++; p-1 == kill {
+			return &crashPersister{st: st.(*recovery.Store), records: math.MaxInt, limit: -1, atCommit: true}
+		}
+		return st
+	}
+	eng, _, err := NewDurableSessionEngine(init, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := eng.OpenSession
+	if run {
+		open = eng.OpenRun
+	}
+	s, err := open(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err == nil {
+		t.Fatal("commit acknowledged although a replica's status write failed")
+	}
+
+	// Restore the killed directory, settle it, and read both
+	// replicas back.
+	cfg.WrapPersister = nil
+	reng, _, err := NewDurableSessionEngine(init, cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if _, err := reng.Close(); err != nil {
+		t.Fatalf("close after restore: %v", err)
+	}
+	var status [2]byte
+	for q := range status {
+		rec, err := recovery.Restore(PartitionDir(dir, 2, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Opens) != 1 {
+			t.Fatalf("p%d holds %d opens, want tg's", q, len(rec.Opens))
+		}
+		status[q] = rec.Status[0]
+		want := 0
+		if status[q] == recovery.StatusCommitted {
+			want = len(tx.Steps)
+		}
+		if len(rec.Events) != want {
+			t.Fatalf("p%d: status %d with %d events, want %d", q, status[q], len(rec.Events), want)
+		}
+	}
+	if status[0] != status[1] {
+		t.Fatalf("replica statuses %v disagree", status)
 	}
 }
 

@@ -64,6 +64,10 @@ type Sess = *Session
 type SessionEngine interface {
 	// OpenSession opens a declared transaction and returns its session.
 	OpenSession(tx model.Txn) (Sess, error)
+	// OpenRun opens a declared transaction the caller will drive with
+	// Session.Run and answer with its outcome alone (see
+	// PartitionedEngine.OpenRun).
+	OpenRun(tx model.Txn) (Sess, error)
 	// Resume reattaches a parked session by id and token (see
 	// PartitionedEngine.Resume).
 	Resume(sid int, token uint64) (Sess, error)
@@ -211,7 +215,17 @@ func (pe *PartitionedEngine) spanOf(tx model.Txn) span {
 // durable before the open is acknowledged, so a restore can rebuild the
 // transaction population (and its resume credentials) from the WAL
 // alone. With Config.MPL set, OpenSession blocks until a slot is free.
-func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
+func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) { return pe.open(tx, false) }
+
+// OpenRun is OpenSession for a transaction the server drives to its
+// outcome (Session.Run), whose caller learns nothing but that outcome.
+// Its declaration is marked as a run's, and a local run's is not made
+// durable at open: the store buffers it ahead of the run's events, and
+// the run's status record carries it to disk. A restore abandons a run
+// it finds unfinished, since no client holds its token.
+func (pe *PartitionedEngine) OpenRun(tx model.Txn) (Sess, error) { return pe.open(tx, true) }
+
+func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 	if err := checkDeclared(tx); err != nil {
 		return nil, err
 	}
@@ -240,7 +254,7 @@ func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
 			// Every replica records the registration — same id, same token —
 			// so a restore rebuilds the replica set (or detects a crash
 			// mid-loop by a partial one).
-			r.persistFailedDrained(r.rec.PersistOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
+			r.persistFailedDrained(r.rec.PersistOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Run: run, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
 		}
 		if len(sp) > 1 {
 			shared := x

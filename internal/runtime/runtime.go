@@ -162,8 +162,9 @@ type Config struct {
 	// written with a different partition count is refused (ErrLayout).
 	// NewSessionEngine ignores the field.
 	DataDir string
-	// Fsync syncs the WAL at every open and status record (each carries
-	// the events and compactions appended before it). Required for the
+	// Fsync syncs the WAL at every status record and every open but a
+	// local run's (each carries the records buffered before it: events,
+	// compactions and run opens). Required for the
 	// "commit acked implies commit recovered" guarantee; without it a
 	// crash can lose acknowledged tail records (torn tails still recover
 	// cleanly).

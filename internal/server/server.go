@@ -491,7 +491,7 @@ func (c *conn) runProc(req wire.Request) {
 		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: err.Error()})
 		return
 	}
-	sess, err := c.srv.eng.OpenSession(model.Txn{Name: req.Name, Steps: steps})
+	sess, err := c.srv.eng.OpenRun(model.Txn{Name: req.Name, Steps: steps})
 	if err != nil {
 		code := wire.CodeMalformed
 		if errors.Is(err, runtime.ErrClosed) {
