@@ -49,7 +49,10 @@ import (
 // legal in the last segment only. A crash inside a rotation leaves a
 // sealed chain with no new snapshot, a partial snap-<h+1>.tmp beside
 // it, or the renamed snapshot beside the files it replaces: each reads
-// as the same history, and Open removes what is stale.
+// as the same history, and Open removes what is stale. Restore and a
+// build read the chain through one fold (chainFold) that keeps opens
+// and events as the bytes they were written as: restore decodes what
+// survives the compactions, and a build copies it.
 //
 // Appends are buffered until an acknowledgement waits on them. Event
 // and compaction records only join a pending buffer. An open or status
@@ -117,40 +120,6 @@ func (r *Recovered) MaxTag() uint64 {
 	return max
 }
 
-// replayRecs folds a record stream into a Recovered, applying compact
-// records positionally: a victim set erases the victims' events
-// appended before the record, exactly as Core.Compact does in memory.
-func replayRecs(recs []Rec, into *Recovered) {
-	for _, rec := range recs {
-		switch rec.Kind {
-		case recEvents:
-			into.Events = append(into.Events, rec.Events...)
-			into.Tags = append(into.Tags, rec.Tags...)
-		case recCompact:
-			victims := make(map[int]bool, len(rec.Victims))
-			for _, v := range rec.Victims {
-				victims[v] = true
-			}
-			keepEvs := into.Events[:0]
-			keepTags := into.Tags[:0]
-			for i, ev := range into.Events {
-				if !victims[int(ev.T)] {
-					keepEvs = append(keepEvs, ev)
-					keepTags = append(keepTags, into.Tags[i])
-				}
-			}
-			into.Events, into.Tags = keepEvs, keepTags
-		case recStatus:
-			if into.Status == nil {
-				into.Status = map[int]byte{}
-			}
-			into.Status[rec.TID] = rec.Status
-		case recOpen:
-			into.Opens = append(into.Opens, rec.Open)
-		}
-	}
-}
-
 func snapName(gen uint64) string { return "snap-" + strconv.FormatUint(gen, 10) }
 func walName(gen uint64) string  { return "wal-" + strconv.FormatUint(gen, 10) + ".log" }
 
@@ -203,56 +172,33 @@ func findChain(dir string) (snap, last uint64, err error) {
 }
 
 // readChain parses snap-<snap> and the segments wal-<snap> … wal-<last>
-// into a Recovered. A snapshot that does not decode or is not sealed,
-// and a segment with a successor that does not end in its continuation
-// marker, are ErrCorrupt naming the file. It also returns the offset to
-// resume appending at in wal-<last>: the end of its good records, a
-// continuation marker left out.
+// into a Recovered (foldChain says what it refuses). It also returns
+// the offset to resume appending at in wal-<last>: the end of its good
+// records, a continuation marker left out.
 func readChain(dir string, snap, last uint64) (Recovered, int64, error) {
-	out := Recovered{Gen: last}
-	b, err := os.ReadFile(filepath.Join(dir, snapName(snap)))
-	switch {
-	case err == nil:
-		recs, clean, _, derr := DecodeWAL(b)
-		if derr != nil {
-			return out, 0, fmt.Errorf("snapshot %s: %w", snapName(snap), derr)
-		}
-		if !clean {
-			return out, 0, fmt.Errorf("%w: snapshot %s is not sealed", ErrCorrupt, snapName(snap))
-		}
-		replayRecs(recs, &out)
-	case errors.Is(err, os.ErrNotExist) && snap == 0:
-		// Fresh directory: empty base history.
-	default:
-		return out, 0, err
+	f, err := foldChain(dir, snap, last)
+	if err != nil {
+		return Recovered{Gen: last}, 0, err
 	}
-
-	var goodLen int64
-	for g := snap; g <= last; g++ {
-		wal, err := os.ReadFile(filepath.Join(dir, walName(g)))
-		if errors.Is(err, os.ErrNotExist) && g == snap && g == last {
-			break // no segment yet
-		}
+	out := Recovered{Status: f.status, Clean: f.clean, Torn: f.torn, Gen: last}
+	for _, body := range f.opens {
+		rec, err := decodeBody(body)
 		if err != nil {
-			return out, 0, err
+			return out, 0, fmt.Errorf("an open in %s … %s: %w", snapName(snap), walName(last), err)
 		}
-		recs, clean, n, derr := DecodeWAL(wal)
-		if derr != nil {
-			return out, 0, fmt.Errorf("wal %s: %w", walName(g), derr)
-		}
-		sealed := len(recs) > 0 && recs[len(recs)-1].Kind == recNext
-		if g < last && !sealed {
-			return out, 0, fmt.Errorf("%w: wal %s is not sealed, but %s follows it", ErrCorrupt, walName(g), walName(g+1))
-		}
-		replayRecs(recs, &out)
-		goodLen = n
-		if sealed {
-			goodLen -= nextRecLen
-		}
-		out.Clean = clean
-		out.Torn = !clean && n < int64(len(wal))
+		out.Opens = append(out.Opens, rec.Open)
 	}
-	return out, goodLen, nil
+	if f.nevents > 0 {
+		out.Events = make([]model.Ev, 0, f.nevents)
+		out.Tags = make([]uint64, 0, f.nevents)
+	}
+	for _, body := range f.events {
+		walkEvents(body, func(t uint64, op model.Op, ent []byte, tag uint64, _ []byte) { // checked by the fold
+			out.Events = append(out.Events, model.Ev{T: model.TID(t), S: model.Step{Op: op, Ent: model.Entity(ent)}})
+			out.Tags = append(out.Tags, tag)
+		})
+	}
+	return out, f.goodLen, nil
 }
 
 // Restore parses the durable history of a directory without opening it
@@ -573,21 +519,14 @@ func (s *Store) build(b snapBuild) {
 }
 
 // writeSnapshot folds snap-<base> and the sealed segments wal-<base> …
-// wal-<next-1> into snap-<next> and returns its size. The snapshot
-// holds opens for every transaction, the latest status of each settled
-// one, then the event log, sealed clean. It is written and synced under
-// a temporary name, then renamed into place and the directory synced,
-// so no crash leaves a partial snapshot under a live name and the files
-// it replaces are deleted only once it is durable.
+// wal-<next-1> into snap-<next> and returns its size. It is written
+// and synced under a temporary name, then renamed into place and the
+// directory synced, so no crash leaves a partial snapshot under a live
+// name and the files it replaces are deleted only once it is durable.
 func writeSnapshot(dir string, base, next uint64) (int64, error) {
-	f := snapFold{status: map[int]byte{}}
-	if err := f.foldFile(dir, snapName(base)); err != nil {
-		return 0, err
-	}
-	for g := base; g < next; g++ {
-		if err := f.foldFile(dir, walName(g)); err != nil {
-			return 0, err
-		}
+	f, err := foldChain(dir, base, next-1)
+	if err != nil {
+		return 0, fmt.Errorf("building %s: %w", snapName(next), err)
 	}
 	snap := f.encode()
 	tmp := filepath.Join(dir, snapName(next)+".tmp")
@@ -600,146 +539,147 @@ func writeSnapshot(dir string, base, next uint64) (int64, error) {
 	return int64(len(snap)), syncDir(dir)
 }
 
-// snapFold is the history a build folds, kept as the bytes it was
-// written as: opens and events are copied, never decoded, so a build
-// costs little more than the bytes it reads and writes — it runs beside
-// the commit path, and decoding every event into model values would
-// load the garbage collector every commit shares.
-type snapFold struct {
-	opens  []byte       // framed open records, in order
-	status map[int]byte // latest status per transaction
-	events [][]byte     // surviving events-record bodies, in order
+// chainFold is a chain's history, kept as the bytes it was written as:
+// restore decodes it once folded, and a build copies it into the next
+// snapshot without decoding opens or events at all — a build runs
+// beside the commit path, and decoding the whole history into model
+// values would load the garbage collector every commit shares.
+type chainFold struct {
+	opens   [][]byte     // open-record bodies, in order
+	status  map[int]byte // latest status per transaction; nil until one
+	events  [][]byte     // surviving events-record bodies, in order
+	nevents int          // events in events
+
+	// The end of the last file folded: whether it ended in a
+	// continuation or clean marker or in a torn record, and the end of
+	// its good records, a marker left out.
+	sealed, clean, torn bool
+	goodLen             int64
 }
 
-// foldFile folds one file of the chain; only snap-0 may be missing,
-// as the empty history.
-func (f *snapFold) foldFile(dir, name string) error {
-	b, err := os.ReadFile(filepath.Join(dir, name))
-	if errors.Is(err, os.ErrNotExist) && name == snapName(0) {
-		return nil
+// foldChain folds snap-<snap> and the segments wal-<snap> … wal-<last>.
+// A snapshot that does not decode or is not sealed, and a segment with
+// a successor that does not end in its continuation marker, are
+// ErrCorrupt naming the file. Only snap-0 and, when it is the whole
+// chain, wal-<snap> may be missing.
+func foldChain(dir string, snap, last uint64) (*chainFold, error) {
+	f := &chainFold{}
+	b, err := os.ReadFile(filepath.Join(dir, snapName(snap)))
+	switch {
+	case err == nil:
+		if err := f.fold(b); err != nil {
+			return nil, fmt.Errorf("snapshot %s: %w", snapName(snap), err)
+		}
+		if !f.clean {
+			return nil, fmt.Errorf("%w: snapshot %s is not sealed", ErrCorrupt, snapName(snap))
+		}
+	case errors.Is(err, os.ErrNotExist) && snap == 0:
+		// Fresh directory: empty base history.
+	default:
+		return nil, err
 	}
-	if err == nil {
-		err = f.fold(b)
+	f.clean = false
+	for g := snap; g <= last; g++ {
+		wal, err := os.ReadFile(filepath.Join(dir, walName(g)))
+		if errors.Is(err, os.ErrNotExist) && g == snap && g == last {
+			break // no segment yet
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := f.fold(wal); err != nil {
+			return nil, fmt.Errorf("wal %s: %w", walName(g), err)
+		}
+		if g < last && !f.sealed {
+			return nil, fmt.Errorf("%w: wal %s is not sealed, but %s follows it", ErrCorrupt, walName(g), walName(g+1))
+		}
+		f.torn = !f.clean && f.goodLen < int64(len(wal))
+		if f.sealed {
+			f.goodLen -= nextRecLen
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("building from %s: %w", name, err)
-	}
-	return nil
+	return f, nil
 }
 
-// fold folds a stream of framed records: compactions erase the events
-// folded before them, as replayRecs does. Markers carry nothing.
-func (f *snapFold) fold(b []byte) error {
-	for off := 0; off < len(b); {
-		body, end, _, err := readFrame(b, off)
+// fold folds one file of the chain: compactions erase the events folded
+// before them, exactly as Core.Compact does in memory.
+func (f *chainFold) fold(b []byte) (err error) {
+	f.sealed = false
+	f.clean, f.goodLen, err = walkFrames(b, false, f.visit)
+	return err
+}
+
+func (f *chainFold) visit(body []byte) error {
+	switch body[0] {
+	case recOpen:
+		f.opens = append(f.opens, body)
+	case recEvents:
+		n, err := walkEvents(body, nil)
 		if err != nil {
 			return err
 		}
-		switch body[0] {
-		case recOpen:
-			f.opens = append(f.opens, b[off:end]...)
-		case recEvents:
-			if _, _, err := eventsOf(body); err != nil {
-				return err
-			}
-			f.events = append(f.events, body)
-		case recBatch:
-			if err := f.fold(body[1:]); err != nil {
-				return err
-			}
-		case recStatus, recCompact:
-			rec, err := decodeBody(body)
-			if err != nil {
-				return err
-			}
-			if rec.Kind == recStatus {
-				f.status[rec.TID] = rec.Status
-			} else if err := f.erase(rec.Victims); err != nil {
-				return err
-			}
-		case recClean, recNext:
-		default:
-			return fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, body[0], off)
+		f.events = append(f.events, body)
+		f.nevents += n
+	default:
+		rec, err := decodeBody(body)
+		if err != nil {
+			return err
 		}
-		off = end
+		switch rec.Kind {
+		case recStatus:
+			if f.status == nil {
+				f.status = map[int]byte{}
+			}
+			f.status[rec.TID] = rec.Status
+		case recCompact:
+			f.erase(rec.Victims)
+		case recNext:
+			f.sealed = true
+		}
 	}
 	return nil
 }
 
 // erase drops the victims' events from the folded events records.
-func (f *snapFold) erase(victims []int) error {
+func (f *chainFold) erase(victims []int) {
 	drop := make(map[uint64]bool, len(victims))
 	for _, v := range victims {
 		drop[uint64(v)] = true
 	}
 	keep := f.events[:0]
 	for _, body := range f.events {
-		n, evs, err := eventsOf(body)
-		if err != nil {
-			return err
-		}
 		var kept []byte
 		left := 0
-		for c := (walCursor{evs}); c.rem() > 0; {
-			start := len(evs) - c.rem()
-			t, err := c.skipEvent()
-			if err != nil {
-				return err
-			}
+		n, _ := walkEvents(body, func(t uint64, _ model.Op, _ []byte, _ uint64, enc []byte) { // checked by visit
 			if !drop[t] {
-				kept = append(kept, evs[start:len(evs)-c.rem()]...)
+				kept = append(kept, enc...)
 				left++
 			}
-		}
+		})
 		switch {
 		case left == n:
 			keep = append(keep, body)
 		case left > 0:
 			keep = append(keep, append(appendUvarint([]byte{recEvents}, uint64(left)), kept...))
 		}
+		f.nevents -= n - left
 	}
 	f.events = keep
-	return nil
-}
-
-// eventsOf splits an events-record body into its event count and the
-// encoded events.
-func eventsOf(body []byte) (int, []byte, error) {
-	c := walCursor{body[1:]}
-	n, err := c.uvarint()
-	return int(n), c.b, err
-}
-
-// skipEvent steps over one encoded event and returns its transaction.
-func (c *walCursor) skipEvent() (uint64, error) {
-	t, err := c.uvarint()
-	if err == nil {
-		_, err = c.u8()
-	}
-	var n uint64
-	if err == nil {
-		n, err = c.uvarint()
-	}
-	if err == nil && n > uint64(c.rem()) {
-		err = fmt.Errorf("%w: string overruns body", ErrCorrupt)
-	}
-	if err == nil {
-		c.b = c.b[n:]
-		_, err = c.uvarint()
-	}
-	return t, err
 }
 
 // encode writes the folded history as a snapshot: the opens, the
 // statuses by transaction, then the events in records of about 4096,
 // so no record approaches the decoder's size cap, sealed clean.
-func (f *snapFold) encode() []byte {
+func (f *chainFold) encode() []byte {
+	var snap []byte
+	for _, body := range f.opens {
+		snap = appendRecord(snap, body)
+	}
 	tids := make([]int, 0, len(f.status))
 	for t := range f.status {
 		tids = append(tids, t)
 	}
 	sort.Ints(tids)
-	snap := f.opens
 	for _, t := range tids {
 		snap = AppendStatusRec(snap, t, f.status[t])
 	}
@@ -747,7 +687,7 @@ func (f *snapFold) encode() []byte {
 	var evs []byte
 	count := 0
 	for i, body := range f.events {
-		n, b, _ := eventsOf(body) // checked by fold
+		n, b, _ := eventsOf(body) // checked by visit
 		evs = append(evs, b...)
 		if count += n; count >= chunk || i == len(f.events)-1 {
 			snap = appendRecord(snap, append(appendUvarint([]byte{recEvents}, uint64(count)), evs...))

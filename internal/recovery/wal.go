@@ -256,17 +256,74 @@ func (c *walCursor) varint() (int64, error) {
 	return v, nil
 }
 
-func (c *walCursor) str() (string, error) {
+// bytes reads a length-prefixed string without copying it.
+func (c *walCursor) bytes() ([]byte, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(c.b)) {
-		return "", fmt.Errorf("%w: string overruns body", ErrCorrupt)
+		return nil, fmt.Errorf("%w: string overruns body", ErrCorrupt)
 	}
-	s := string(c.b[:n])
+	s := c.b[:n]
 	c.b = c.b[n:]
 	return s, nil
+}
+
+func (c *walCursor) str() (string, error) {
+	s, err := c.bytes()
+	return string(s), err
+}
+
+// eventsOf splits an events-record body into its event count and the
+// encoded events.
+func eventsOf(body []byte) (int, []byte, error) {
+	c := walCursor{body[1:]}
+	n, err := c.uvarint()
+	if err == nil && n > uint64(c.rem()) { // each event is ≥ 4 bytes; cheap sanity bound
+		err = fmt.Errorf("%w: event count %d overruns body", ErrCorrupt, n)
+	}
+	return int(n), c.b, err
+}
+
+// walkEvents parses an events-record body and, unless fn is nil, calls
+// it with each event's fields and the bytes it was encoded as; ent and
+// enc alias body. It returns the event count.
+func walkEvents(body []byte, fn func(t uint64, op model.Op, ent []byte, tag uint64, enc []byte)) (int, error) {
+	n, evs, err := eventsOf(body)
+	if err != nil {
+		return 0, err
+	}
+	c := walCursor{evs}
+	for i := 0; i < n; i++ {
+		start := c.b
+		t, err := c.uvarint()
+		if err != nil {
+			return 0, err
+		}
+		op, err := c.u8()
+		if err != nil {
+			return 0, err
+		}
+		if !model.Op(op).Valid() {
+			return 0, fmt.Errorf("%w: invalid op %d", ErrCorrupt, op)
+		}
+		ent, err := c.bytes()
+		if err != nil {
+			return 0, err
+		}
+		tag, err := c.uvarint()
+		if err != nil {
+			return 0, err
+		}
+		if fn != nil {
+			fn(t, model.Op(op), ent, tag, start[:len(start)-c.rem()])
+		}
+	}
+	if c.rem() != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes in record body", ErrCorrupt, c.rem())
+	}
+	return n, nil
 }
 
 // decodeBody parses one CRC-validated record body.
@@ -279,38 +336,13 @@ func decodeBody(body []byte) (Rec, error) {
 	r := Rec{Kind: kind}
 	switch kind {
 	case recEvents:
-		n, err := c.uvarint()
-		if err != nil {
+		if _, err := walkEvents(body, func(t uint64, op model.Op, ent []byte, tag uint64, _ []byte) {
+			r.Events = append(r.Events, model.Ev{T: model.TID(t), S: model.Step{Op: op, Ent: model.Entity(ent)}})
+			r.Tags = append(r.Tags, tag)
+		}); err != nil {
 			return Rec{}, err
 		}
-		if n > uint64(c.rem()) { // each event is ≥ 4 bytes; cheap sanity bound
-			return Rec{}, fmt.Errorf("%w: event count %d overruns body", ErrCorrupt, n)
-		}
-		r.Events = make([]model.Ev, 0, n)
-		r.Tags = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			t, err := c.uvarint()
-			if err != nil {
-				return Rec{}, err
-			}
-			op, err := c.u8()
-			if err != nil {
-				return Rec{}, err
-			}
-			if !model.Op(op).Valid() {
-				return Rec{}, fmt.Errorf("%w: invalid op %d", ErrCorrupt, op)
-			}
-			ent, err := c.str()
-			if err != nil {
-				return Rec{}, err
-			}
-			tag, err := c.uvarint()
-			if err != nil {
-				return Rec{}, err
-			}
-			r.Events = append(r.Events, model.Ev{T: model.TID(t), S: model.Step{Op: model.Op(op), Ent: model.Entity(ent)}})
-			r.Tags = append(r.Tags, tag)
-		}
+		return r, nil
 	case recCompact:
 		n, err := c.uvarint()
 		if err != nil {
@@ -409,13 +441,30 @@ func decodeBody(body []byte) (Rec, error) {
 // continuation marker is kept as the final record, and goodLen counts
 // it.
 func DecodeWAL(b []byte) (recs []Rec, clean bool, goodLen int64, err error) {
-	return decodeFrames(b, false)
+	clean, goodLen, err = walkFrames(b, false, func(body []byte) error {
+		rec, err := decodeBody(body)
+		if err == nil && rec.Kind != recClean {
+			recs = append(recs, rec)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, false, 0, err
+	}
+	return recs, clean, goodLen, nil
 }
 
-// decodeFrames parses a stream of framed records: the WAL itself, or
-// with inBatch the body of a batch record, whose CRC already vouched
-// for it, so nothing inside may be torn, a batch or a clean marker.
-func decodeFrames(b []byte, inBatch bool) (recs []Rec, clean bool, goodLen int64, err error) {
+// markerNames names the record kinds that must end a stream.
+var markerNames = map[byte]string{recClean: "clean-shutdown marker", recNext: "continuation marker"}
+
+// walkFrames applies the tail discipline to a stream of framed records
+// — the WAL itself, or with inBatch the body of a batch record, whose
+// CRC already vouched for it, so nothing inside may be torn, a batch or
+// a marker — and calls visit with the body of every record, a batch's
+// records in the batch's place. It returns whether the stream ended
+// with a clean marker and the offset of the end of the last good
+// record, a clean marker left out.
+func walkFrames(b []byte, inBatch bool, visit func(body []byte) error) (clean bool, goodLen int64, err error) {
 	off := 0
 	for off < len(b) {
 		body, end, torn, err := readFrame(b, off)
@@ -426,45 +475,41 @@ func decodeFrames(b []byte, inBatch bool) (recs []Rec, clean bool, goodLen int64
 			break
 		}
 		if err != nil {
-			return nil, false, 0, err
+			return false, 0, err
 		}
 		if body[0] == recBatch {
 			if inBatch {
-				return nil, false, 0, fmt.Errorf("%w: batch nested in a batch at offset %d", ErrCorrupt, off)
+				return false, 0, fmt.Errorf("%w: batch nested in a batch at offset %d", ErrCorrupt, off)
 			}
-			inner, _, _, err := decodeFrames(body[1:], true)
-			if err == nil && len(inner) == 0 {
+			n := 0
+			_, _, err := walkFrames(body[1:], true, func(inner []byte) error { n++; return visit(inner) })
+			if err == nil && n == 0 {
 				err = fmt.Errorf("%w: empty batch", ErrCorrupt)
 			}
 			if err != nil {
-				return nil, false, 0, fmt.Errorf("%w (batch at offset %d)", err, off)
+				return false, 0, fmt.Errorf("%w (batch at offset %d)", err, off)
 			}
-			recs = append(recs, inner...)
 			off = end
 			continue
 		}
-		rec, err := decodeBody(body)
-		if err != nil {
+		if err := visit(body); err != nil {
 			// CRC-valid but undecodable: the bytes are as written, so
 			// this is an encoder bug or tampering, never a torn write.
-			return nil, false, 0, fmt.Errorf("%w (record at offset %d)", err, off)
+			return false, 0, fmt.Errorf("%w (record at offset %d)", err, off)
 		}
-		switch {
-		case rec.Kind == recClean && inBatch:
-			return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker inside a batch at offset %d", ErrCorrupt, off)
-		case rec.Kind == recClean && end != len(b):
-			return nil, false, 0, fmt.Errorf("%w: clean-shutdown marker at offset %d is not final", ErrCorrupt, off)
-		case rec.Kind == recClean:
-			return recs, true, int64(off), nil
-		case rec.Kind == recNext && inBatch:
-			return nil, false, 0, fmt.Errorf("%w: continuation marker inside a batch at offset %d", ErrCorrupt, off)
-		case rec.Kind == recNext && end != len(b):
-			return nil, false, 0, fmt.Errorf("%w: continuation marker at offset %d is not final", ErrCorrupt, off)
+		if name := markerNames[body[0]]; name != "" {
+			switch {
+			case inBatch:
+				return false, 0, fmt.Errorf("%w: %s inside a batch at offset %d", ErrCorrupt, name, off)
+			case end != len(b):
+				return false, 0, fmt.Errorf("%w: %s at offset %d is not final", ErrCorrupt, name, off)
+			case body[0] == recClean:
+				return true, int64(off), nil
+			}
 		}
-		recs = append(recs, rec)
 		off = end
 	}
-	return recs, false, int64(off), nil
+	return false, int64(off), nil
 }
 
 // readFrame checks the framing of the record at b[off:] and returns its
