@@ -5,6 +5,8 @@ package recovery
 // between them, leaving exactly the directory a crash there would leave.
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -362,6 +364,31 @@ func TestBuildMatchesReplay(t *testing.T) {
 		if got, want := historyOf(t, rotating), historyOf(t, plain); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: the rotated store restored another history (%d events, %d opens, %d statuses; want %d, %d, %d)",
 				seed, len(got.Events), len(got.Opens), len(got.Status), len(want.Events), len(want.Opens), len(want.Status))
+		}
+	}
+}
+
+// TestWriteRecordMatchesAppendRecord: a build frames each snapshot
+// record around the parts it copies; the frame must be the one
+// appendRecord gives the parts joined, for any split of the body.
+func TestWriteRecordMatchesAppendRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 127, 128, 300, 70000} {
+		body := make([]byte, n)
+		rng.Read(body)
+		var parts [][]byte
+		for rest := body; len(rest) > 0; {
+			k := min(len(rest), rng.Intn(200))
+			parts, rest = append(parts, rest[:k]), rest[k:]
+		}
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		writeRecord(w, parts...)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := appendRecord(nil, body); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%d-byte body in %d parts: framed %x…, want %x…", n, len(parts), buf.Bytes()[:4], want[:4])
 		}
 	}
 }

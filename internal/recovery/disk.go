@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -528,15 +530,15 @@ func writeSnapshot(dir string, base, next uint64) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("building %s: %w", snapName(next), err)
 	}
-	snap := f.encode()
 	tmp := filepath.Join(dir, snapName(next)+".tmp")
-	if err := writeFileSync(tmp, snap); err != nil {
+	size, err := writeFileSync(tmp, f.encode)
+	if err != nil {
 		return 0, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapName(next))); err != nil {
 		return 0, err
 	}
-	return int64(len(snap)), syncDir(dir)
+	return size, syncDir(dir)
 }
 
 // chainFold is a chain's history, kept as the bytes it was written as:
@@ -667,34 +669,41 @@ func (f *chainFold) erase(victims []int) {
 	f.events = keep
 }
 
-// encode writes the folded history as a snapshot: the opens, the
+// encode writes the folded history to w as a snapshot: the opens, the
 // statuses by transaction, then the events in records of about 4096,
-// so no record approaches the decoder's size cap, sealed clean.
-func (f *chainFold) encode() []byte {
-	var snap []byte
+// so no record approaches the decoder's size cap, sealed clean. Each
+// record is framed around the folded bytes as they are written, so a
+// build holds no second copy of the history. A build runs beside the
+// commit path: a copy the size of the history is garbage the commits'
+// allocations pay to collect, and growing it moves megabytes in one
+// copy that a stop-the-world pause of the collector must wait out.
+func (f *chainFold) encode(w *bufio.Writer) {
 	for _, body := range f.opens {
-		snap = appendRecord(snap, body)
+		writeRecord(w, body)
 	}
 	tids := make([]int, 0, len(f.status))
 	for t := range f.status {
 		tids = append(tids, t)
 	}
 	sort.Ints(tids)
+	var rec []byte
 	for _, t := range tids {
-		snap = AppendStatusRec(snap, t, f.status[t])
+		rec = AppendStatusRec(rec[:0], t, f.status[t])
+		w.Write(rec)
 	}
 	const chunk = 4096
-	var evs []byte
+	parts := [][]byte{nil} // the record's header, then its events
 	count := 0
 	for i, body := range f.events {
-		n, b, _ := eventsOf(body) // checked by visit
-		evs = append(evs, b...)
+		n, evs, _ := eventsOf(body) // checked by visit
+		parts = append(parts, evs)
 		if count += n; count >= chunk || i == len(f.events)-1 {
-			snap = appendRecord(snap, append(appendUvarint([]byte{recEvents}, uint64(count)), evs...))
-			evs, count = evs[:0], 0
+			parts[0] = appendUvarint([]byte{recEvents}, uint64(count))
+			writeRecord(w, parts...)
+			parts, count = parts[:1], 0
 		}
 	}
-	return AppendCleanRec(snap)
+	w.Write(AppendCleanRec(rec[:0]))
 }
 
 // Close waits for a running build, writes the pending records, seals
@@ -733,20 +742,27 @@ func (s *Store) Close() error {
 	return err
 }
 
-func writeFileSync(path string, b []byte) error {
+// writeFileSync creates path, has write fill it through a buffer, syncs
+// it and returns its size.
+func writeFileSync(path string, write func(*bufio.Writer)) (int64, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
+	w := bufio.NewWriterSize(f, 1<<20)
+	write(w)
+	err = w.Flush()
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return size, err
 }
 
 func syncDir(dir string) error {

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,6 +142,24 @@ func appendRecord(dst, body []byte) []byte {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
 	return append(dst, crc[:]...)
+}
+
+// writeRecord frames the body made of parts as appendRecord does, but
+// writes the parts where they lie instead of copying them into one
+// body. Errors stay in w until its Flush.
+func writeRecord(w *bufio.Writer, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	var b [binary.MaxVarintLen64]byte
+	w.Write(appendUvarint(b[:0], uint64(n)))
+	var crc uint32
+	for _, p := range parts {
+		w.Write(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	w.Write(binary.LittleEndian.AppendUint32(b[:0], crc))
 }
 
 // AppendEventsRec encodes a batch of tagged events as one framed record.
