@@ -17,10 +17,10 @@ import (
 
 // TestCrashPointSweep is the exhaustive crash harness for the disk
 // layer. A reference workload (appends interleaved with compactions)
-// runs against a persisted Core, with a status record — what a commit
-// or abort's acknowledgement waits on, and so what carries the store's
-// buffered records to the WAL — after every compaction and after every
-// append or every third one. The captured WAL therefore holds batches
+// runs against a Core with a store driven beside it (diskCore), with a
+// status record — what a commit or abort's acknowledgement waits on,
+// and so what carries the store's buffered records to the WAL — after
+// every compaction and after every append or every third one. The captured WAL therefore holds batches
 // and bare records. A crash is replayed at *every* byte of it: a cut
 // on a record boundary keeps every record before it, a cut inside a
 // record drops that whole record — a batch's records together — with
@@ -40,18 +40,17 @@ func TestCrashPointSweep(t *testing.T) {
 					continue
 				}
 
-				// Reference run: persisted Core, two compaction rounds, far
-				// below the rotation size (so the whole history is one WAL
-				// we can cut).
+				// Reference run: a Core and its store, two compaction
+				// rounds, far below the rotation size (so the whole history
+				// is one WAL we can cut).
 				dir := t.TempDir()
 				st, _, err := recovery.Open(dir, recovery.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4)
-				c.SetPersister(st)
+				c := &diskCore{Core: recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), 4), p: st}
 				ack := func(tid int) {
-					if err := c.PersistStatus(tid, recovery.StatusActive); err != nil {
+					if err := c.status(tid, recovery.StatusActive); err != nil {
 						t.Fatalf("seed %d: status: %v", seed, err)
 					}
 				}
@@ -85,7 +84,7 @@ func TestCrashPointSweep(t *testing.T) {
 				if len(sys.Txns) > 1 {
 					compact(len(sys.Txns) - 1)
 				}
-				if err := c.PersistErr(); err != nil {
+				if err := c.err; err != nil {
 					t.Fatal(err)
 				}
 				// No Close: the reference process "crashes" with an unsealed

@@ -36,8 +36,8 @@ import (
 // and synced under a temporary name, renamed into place, and only then
 // deletes the files it replaces. At most one build runs at a time. A
 // rotation is due only when none does and the live segment has
-// outgrown the snapshot (rotateDue): Core.Truncate asks on every
-// truncation, and an append asks on the same rule past a 4 MiB floor.
+// outgrown the snapshot (rotateDue): the runtime asks after every
+// truncation that cuts (Core.Truncate), and an append asks on the same rule past a 4 MiB floor.
 // A build therefore writes at most twice the bytes the WAL gained since
 // the last one, and the generation count grows with the log of the
 // history. A failed build poisons the store; Close waits for a running
@@ -68,10 +68,11 @@ import (
 // (DESIGN.md, "The restore contract"). A crash loses only buffered
 // records no one was told about.
 
-// Persister receives the durable mutations of a Core and its runtime.
-// All methods are called from the single-owner append path (the
-// runtime's drain discipline), never concurrently. Errors are
-// permanent: the caller must stop accepting work.
+// Persister receives the durable mutations of an execution from the one
+// owner of its Core (the runtime's runner), which writes each record
+// right after the in-memory change it records, under its drain
+// discipline, never concurrently. Errors are permanent: the caller must
+// stop accepting work.
 type Persister interface {
 	// AppendEvents records tagged events appended to the log.
 	AppendEvents(evs []model.Ev, tags []uint64) error

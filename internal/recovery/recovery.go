@@ -39,6 +39,12 @@
 // package; neither keeps private recovery machinery. The Core is not
 // safe for concurrent use — the engine is single-threaded and the
 // runtime serializes access under its monitor gate.
+//
+// The Core is memory-only. The durable half of the package is the Store
+// (disk.go), and the Core's owner is its one writer: the runtime writes
+// each event, compaction, rotation offer, open and status to its
+// Persister right after the in-memory change that decides it, so every
+// failed write comes back to the owner as a returned error.
 package recovery
 
 import (
@@ -73,6 +79,7 @@ type Stats struct {
 	Checkpoints int
 	// Compactions counts Compact calls that replayed a suffix (calls
 	// whose victims had no surviving events are free and not counted).
+	// The runtime writes a compaction record exactly when it grows.
 	Compactions int
 	// Replayed is the total number of surviving events re-verified
 	// across all compactions — the recovery cost the checkpoints bound.
@@ -115,24 +122,7 @@ type Core struct {
 	monitor model.Monitor
 
 	stats Stats
-
-	// p, when non-nil, receives every durable mutation (appends,
-	// compactions, truncation-driven rotation). The in-memory path is
-	// untouched when nil. perr latches the first persister failure;
-	// the world may keep evolving in memory but the caller must treat
-	// the core as no longer durable (the runtime goes fatal).
-	p    Persister
-	perr error
 }
-
-// PersistError wraps a persister failure so callers can tell "the disk
-// failed" apart from a monitor veto on the same code path.
-type PersistError struct{ Err error }
-
-func (e *PersistError) Error() string { return "recovery: persist: " + e.Err.Error() }
-
-// Unwrap exposes the underlying persister error.
-func (e *PersistError) Unwrap() error { return e.Err }
 
 // New returns a Core for txns transactions starting from the given
 // initial structural state and a freshly constructed policy monitor
@@ -151,50 +141,6 @@ func New(txns int, init model.State, monitor model.Monitor, every int) *Core {
 	}
 	c.ckpts = []checkpoint{{n: 0, state: c.state.Clone(), monitor: monitor.Fork()}}
 	return c
-}
-
-// SetPersister attaches (or detaches, with nil) the durable sink. The
-// caller attaches it after replaying a recovered history, so the
-// replay itself is not re-persisted.
-func (c *Core) SetPersister(p Persister) { c.p = p }
-
-// Persister returns the attached durable sink, nil when persistence is
-// off. Runtimes use it to record their own metadata (transaction
-// declarations, status transitions) into the same stream.
-func (c *Core) Persister() Persister { return c.p }
-
-// PersistErr returns the first persister failure, if any. Once set the
-// core is no longer durable and the owner must stop accepting work.
-func (c *Core) PersistErr() error { return c.perr }
-
-// persist latches a persister failure and returns it wrapped.
-func (c *Core) persist(err error) error {
-	if err == nil {
-		return nil
-	}
-	if c.perr == nil {
-		c.perr = err
-	}
-	return &PersistError{Err: err}
-}
-
-// PersistOpen records a transaction declaration into the durable
-// stream (no-op without a persister). Runtimes call it when a session
-// is opened, so a restore can rebuild the transaction population.
-func (c *Core) PersistOpen(o OpenRec) error {
-	if c.p == nil {
-		return nil
-	}
-	return c.persist(c.p.AppendOpen(o))
-}
-
-// PersistStatus records a transaction status transition into the
-// durable stream (no-op without a persister).
-func (c *Core) PersistStatus(tid int, status byte) error {
-	if c.p == nil {
-		return nil
-	}
-	return c.persist(c.p.AppendStatus(tid, status))
 }
 
 // SetFullReplay switches the Core to the naive recovery discipline:
@@ -292,11 +238,6 @@ func (c *Core) AppendTagged(ev model.Ev, tag uint64) error {
 	}
 	c.index(ev.T, idx)
 	c.maybeCheckpoint()
-	if c.p != nil {
-		one := [1]model.Ev{ev}
-		oneTag := [1]uint64{tag}
-		return c.persist(c.p.AppendEvents(one[:], oneTag[:]))
-	}
 	return nil
 }
 
@@ -338,10 +279,10 @@ func (c *Core) maybeCheckpoint() {
 // exact.
 //
 // tags are the per-event tags (see Tags): nil (auto-assign) or the same
-// length as evs. The returned error is always a persister failure
-// (*PersistError) — the in-memory append itself cannot fail.
+// length as evs. The returned error is always nil: the in-memory append
+// cannot fail, and the core writes nothing to disk (its owner does). The
+// result stays because the benchmark module compiles against it.
 func (c *Core) AppendAppliedTagged(evs []model.Ev, tags []uint64) error {
-	base := len(c.tags)
 	for i, ev := range evs {
 		idx := len(c.log)
 		c.log = append(c.log, ev)
@@ -357,9 +298,6 @@ func (c *Core) AppendAppliedTagged(evs []model.Ev, tags []uint64) error {
 	}
 	if len(evs) > 0 {
 		c.maybeCheckpoint()
-		if c.p != nil {
-			return c.persist(c.p.AppendEvents(evs, c.tags[base:len(c.tags):len(c.tags)]))
-		}
 	}
 	return nil
 }
@@ -455,14 +393,6 @@ func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 	}
 	c.state = state
 	c.monitor = monitor
-	if c.p != nil {
-		vs := make([]int, 0, len(victims))
-		for v := range victims {
-			vs = append(vs, v)
-		}
-		sort.Ints(vs)
-		c.persist(c.p.AppendCompact(vs))
-	}
 	return true, 0
 }
 
@@ -540,13 +470,6 @@ func (c *Core) Truncate(settled func(t int) bool) int {
 			c.every /= 2
 		}
 		c.stats.Truncated += b
-		if c.p != nil {
-			// On disk, truncation offers a generation rotation: once the
-			// WAL has outgrown the snapshot, the store rewrites the whole
-			// surviving history, the truncated prefix included, as the
-			// next snapshot and deletes the old generation.
-			c.persist(c.p.Rotate())
-		}
 		return b
 	}
 	return 0

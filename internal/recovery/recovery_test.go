@@ -3,7 +3,9 @@ package recovery_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locksafe/internal/model"
@@ -139,7 +141,9 @@ func TestMonitorVetoCascade(t *testing.T) {
 // compactAll runs the cascade loop to convergence, returning the cascade
 // victims in discovery order. victims is mutated (it grows), exactly as
 // the substrates use it.
-func compactAll(t *testing.T, c *recovery.Core, victims map[int]bool) []int {
+func compactAll(t *testing.T, c interface {
+	Compact(map[int]bool) (bool, int)
+}, victims map[int]bool) []int {
 	t.Helper()
 	var cascades []int
 	for i := 0; ; i++ {
@@ -156,6 +160,54 @@ func compactAll(t *testing.T, c *recovery.Core, victims map[int]bool) []int {
 		victims[v] = true
 		cascades = append(cascades, v)
 	}
+}
+
+// diskCore drives a store beside a Core the way the runtime's runner
+// does, the Core itself writing nothing: each event after its append, a
+// compaction record after each Compact that erased something, a rotation
+// offer after each truncation that cut, and a status on demand. With p
+// nil it is a memory-only core. err keeps the first failed write, as the
+// runner's fatal error does.
+type diskCore struct {
+	*recovery.Core
+	p   recovery.Persister
+	err error
+}
+
+func (d *diskCore) write(err error) error {
+	if err != nil && d.err == nil {
+		d.err = err
+	}
+	return err
+}
+
+func (d *diskCore) Append(ev model.Ev) error {
+	if err := d.Core.Append(ev); err != nil || d.p == nil {
+		return err
+	}
+	tags := d.Tags()
+	return d.write(d.p.AppendEvents([]model.Ev{ev}, tags[len(tags)-1:]))
+}
+
+func (d *diskCore) Compact(victims map[int]bool) (bool, int) {
+	erased := d.Stats().Compactions
+	ok, c := d.Core.Compact(victims)
+	if ok && d.p != nil && d.Stats().Compactions > erased {
+		d.write(d.p.AppendCompact(slices.Sorted(maps.Keys(victims))))
+	}
+	return ok, c
+}
+
+func (d *diskCore) Truncate(settled func(int) bool) int {
+	n := d.Core.Truncate(settled)
+	if n > 0 && d.p != nil {
+		d.write(d.p.Rotate())
+	}
+	return n
+}
+
+func (d *diskCore) status(tid int, status byte) error {
+	return d.write(d.p.AppendStatus(tid, status))
 }
 
 // rebuild replays a recovered history into a fresh Core through Append's
@@ -205,17 +257,17 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 
 		type variant struct {
 			name    string
-			c       *recovery.Core
+			c       *diskCore
 			st      *recovery.Store
 			restart bool
 			// retire, when non-nil, is the variant's own copy of the system:
 			// it truncates whenever it can and retires below the core's floor.
 			retire *model.System
 		}
-		mk := func(every int, full bool) *recovery.Core {
+		mk := func(every int, full bool) *diskCore {
 			c := recovery.New(len(sys.Txns), sys.Init, policy.Unrestricted{}.NewMonitor(sys), every)
 			c.SetFullReplay(full)
-			return c
+			return &diskCore{Core: c}
 		}
 		mkWAL := func(every int, restart bool) *variant {
 			st, _, err := recovery.Open(t.TempDir(), recovery.Options{})
@@ -223,7 +275,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := mk(every, false)
-			c.SetPersister(st)
+			c.p = st
 			name := "wal"
 			if restart {
 				name = "wal-restart"
@@ -239,7 +291,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			mkWAL(3, false),
 			mkWAL(16, true),
 			{name: "truncate+retire", retire: rsys,
-				c: recovery.New(len(rsys.Txns), rsys.Init, policy.Unrestricted{}.NewMonitor(rsys), 1)},
+				c: &diskCore{Core: recovery.New(len(rsys.Txns), rsys.Init, policy.Unrestricted{}.NewMonitor(rsys), 1)}},
 		}
 		base := vars[0].c
 
@@ -289,8 +341,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s after %s: restore: %v", seed, v.name, phase, err)
 				}
-				c.SetPersister(st)
-				v.c, v.st = c, st
+				v.c, v.st = &diskCore{Core: c, p: st}, st
 			}
 		}
 
@@ -377,7 +428,7 @@ func TestEquivalenceRandomTraces(t *testing.T) {
 			if v.st == nil {
 				continue
 			}
-			if err := v.c.PersistErr(); err != nil {
+			if err := v.c.err; err != nil {
 				t.Fatalf("seed %d %s: persist error: %v", seed, v.name, err)
 			}
 			v.st.Close()

@@ -247,9 +247,10 @@ func TestStoreRotate(t *testing.T) {
 	}
 }
 
-// TestCorePersistence pins the Core hooks: a persisted Core's directory
-// restores (via rebuild) to the exact surviving log, state and
-// monitor, through appends, compactions and truncation-driven rotation.
+// TestCorePersistence pins the writes a Core's owner makes: the directory
+// of a store driven beside a Core (diskCore) restores (via rebuild) to
+// the exact surviving log, state and monitor, through appends,
+// compactions and truncation-driven rotation.
 func TestCorePersistence(t *testing.T) {
 	sys := model.NewSystem(model.NewState("a"),
 		model.NewTxn("T1", model.LX("b"), model.I("b"), model.UX("b")),
@@ -261,8 +262,7 @@ func TestCorePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := recovery.New(len(sys.Txns), sys.Init, model.PermissiveMonitor{}, 2)
-	c.SetPersister(st)
+	c := &diskCore{Core: recovery.New(len(sys.Txns), sys.Init, model.PermissiveMonitor{}, 2), p: st}
 	sched := model.Schedule{
 		{T: 0, S: model.LX("b")}, {T: 0, S: model.I("b")},
 		{T: 1, S: model.LX("a")}, {T: 1, S: model.W("a")},
@@ -282,7 +282,7 @@ func TestCorePersistence(t *testing.T) {
 	if n := c.Truncate(func(t int) bool { return t != 0 }); n == 0 {
 		t.Log("no truncation floor found (fine for this fixture)")
 	}
-	if err := c.PersistErr(); err != nil {
+	if err := c.err; err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -169,15 +169,15 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		if err := r.replayRecoveredDrained(rec); err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
 		}
-		// The store is attached after the replay, which must not re-append
-		// what it reads, and *before* any unsettled transaction is erased:
-		// the erasures below must themselves be durable, or a second
-		// restart would resurrect the erased events.
-		var pers recovery.Persister = st
+		// The replay fed the core, which writes nothing, so none of what it
+		// read is written again. The store must be attached *before* any
+		// unsettled transaction is erased: the erasures below must
+		// themselves be durable, or a second restart would resurrect the
+		// erased events.
+		r.pers = st
 		if cfg.WrapPersister != nil {
-			pers = cfg.WrapPersister(st)
+			r.pers = cfg.WrapPersister(st)
 		}
-		r.rec.SetPersister(pers)
 	}
 	pe.tags.Store(maxTag)
 
@@ -200,9 +200,9 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 
 // replayRecoveredDrained rebuilds the runner's transaction population
 // (each row's lock-manager owner is its engine-wide id o.G), statuses
-// and event log from a recovered history. Called with a full drain held
-// and no persister attached (the replay must not re-append what it
-// reads).
+// and event log from a recovered history. Called with a full drain
+// held. It feeds the core and the row tables directly, never through
+// the runner's writes, so nothing it reads is written again.
 func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 	for i, o := range rec.Opens {
 		tx := model.Txn{Name: o.Name, Steps: o.Steps}
@@ -302,7 +302,7 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 					r := pe.parts[ref.p]
 					if r.status[ref.lt] != txAbandoned {
 						r.status[ref.lt] = txAbandoned
-						r.persistFailedDrained(r.rec.PersistStatus(ref.lt, txAbandoned))
+						r.persistFailedDrained(r.pers.AppendStatus(ref.lt, txAbandoned))
 					}
 				}
 				pe.parts[0].met.GaveUp++

@@ -802,56 +802,88 @@ func TestDataDirPartitionMismatch(t *testing.T) {
 // errInjected is the failure failFirst injects.
 var errInjected = errors.New("injected persister failure")
 
-// failFirst fails the first compaction record (compact) or the first
-// rotation (!compact) with errInjected and passes every other call
-// through, so only the engine can stop the work that follows.
+// failFirst fails the first call of one Persister method with
+// errInjected and passes every other call through, so only the engine
+// can stop the work that follows.
 type failFirst struct {
 	recovery.Persister
-	compact bool
-	failed  *atomic.Bool
+	method string
+	failed *atomic.Bool
+}
+
+func (f failFirst) fail(method string) bool {
+	return f.method == method && f.failed.CompareAndSwap(false, true)
+}
+
+func (f failFirst) AppendEvents(evs []model.Ev, tags []uint64) error {
+	if f.fail("AppendEvents") {
+		return errInjected
+	}
+	return f.Persister.AppendEvents(evs, tags)
 }
 
 func (f failFirst) AppendCompact(victims []int) error {
-	if f.compact && f.failed.CompareAndSwap(false, true) {
+	if f.fail("AppendCompact") {
 		return errInjected
 	}
 	return f.Persister.AppendCompact(victims)
 }
 
+func (f failFirst) AppendOpen(o recovery.OpenRec) error {
+	if f.fail("AppendOpen") {
+		return errInjected
+	}
+	return f.Persister.AppendOpen(o)
+}
+
+func (f failFirst) AppendStatus(tid int, status byte) error {
+	if f.fail("AppendStatus") {
+		return errInjected
+	}
+	return f.Persister.AppendStatus(tid, status)
+}
+
 func (f failFirst) Rotate() error {
-	if !f.compact && f.failed.CompareAndSwap(false, true) {
+	if f.fail("Rotate") {
 		return errInjected
 	}
 	return f.Persister.Rotate()
 }
 
-// TestPersistFailureStopsEngine: a failed compaction record or a failed
-// rotation is a failed persist like any other. The engine acknowledges
-// no commit opened after it and names it at Close. CheckpointEvery 3
-// puts every checkpoint on a body boundary of the serial 3-step commits,
-// so truncation cuts and rotates.
+// TestPersistFailureStopsEngine: a failed write is a failed persist,
+// whichever Persister method the runner called — events from the
+// sequencer's flush or from the serialized gate (GateStripes 1), an
+// open, a status, a compaction record or a rotation. The engine
+// acknowledges no commit opened after it, Close names it, and the fatal
+// error says the disk failed, not the monitor. CheckpointEvery 3 puts
+// every checkpoint on a body boundary of the serial 3-step commits, so
+// truncation cuts and rotates.
 func TestPersistFailureStopsEngine(t *testing.T) {
 	for _, arm := range []struct {
-		name    string
-		compact bool
-	}{{"compact", true}, {"rotate", false}} {
+		name, method string
+		stripes      int
+	}{
+		{"events-flush", "AppendEvents", 0},
+		{"events-slow", "AppendEvents", 1},
+		{"open", "AppendOpen", 0},
+		{"status", "AppendStatus", 0},
+		{"compact", "AppendCompact", 0},
+		{"rotate", "Rotate", 0},
+	} {
 		t.Run(arm.name, func(t *testing.T) {
 			var failed atomic.Bool
 			eng, _, err := NewDurableSessionEngine(model.NewState("a"), Config{
 				Policy: policy.TwoPhase{}, DataDir: t.TempDir(), TruncateLog: true, CheckpointEvery: 3,
+				GateStripes: arm.stripes,
 				WrapPersister: func(p recovery.Persister) recovery.Persister {
-					return failFirst{Persister: p, compact: arm.compact, failed: &failed}
+					return failFirst{Persister: p, method: arm.method, failed: &failed}
 				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if arm.compact {
-				// A client abort after admitted steps writes a compaction record.
-				s, err := eng.OpenSession(rwTxn("ta", "a"))
-				if err != nil {
-					t.Fatal(err)
-				}
+			// A client abort after admitted steps writes a compaction record.
+			if s, err := eng.OpenSession(rwTxn("ta", "a")); err == nil {
 				s.Step(model.LX("a"))
 				s.Step(model.W("a"))
 				s.Abort()
@@ -869,8 +901,12 @@ func TestPersistFailureStopsEngine(t *testing.T) {
 			if late > 0 {
 				t.Errorf("%d commits acknowledged after the failed persist", late)
 			}
-			if _, err := eng.Close(); !errors.Is(err, errInjected) {
+			_, err = eng.Close()
+			if !errors.Is(err, errInjected) {
 				t.Fatalf("Close = %v, want the injected failure", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "persistence failed") || strings.Contains(msg, "monitor accepted Check but rejected Step") {
+				t.Fatalf("Close = %q, want a persistence failure, not a monitor one", msg)
 			}
 		})
 	}

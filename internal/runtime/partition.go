@@ -254,7 +254,9 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 			// Every replica records the registration — same id, same token —
 			// so a restore rebuilds the replica set (or detects a crash
 			// mid-loop by a partial one).
-			r.persistFailedDrained(r.rec.PersistOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Run: run, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
+			if r.pers != nil {
+				r.persistFailedDrained(r.pers.AppendOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Run: run, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
+			}
 		}
 		if len(sp) > 1 {
 			shared := x

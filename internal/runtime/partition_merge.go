@@ -183,8 +183,8 @@ func (pe *PartitionedEngine) Close() (*Result, error) {
 	// Seal the durable stores (if any): the clean-shutdown marker lets the
 	// next Open skip torn-tail scanning and attests nothing was lost.
 	for _, r := range pe.parts {
-		if p := r.rec.Persister(); p != nil {
-			if err := p.Close(); err != nil && fatal == nil {
+		if r.pers != nil {
+			if err := r.pers.Close(); err != nil && fatal == nil {
 				fatal = fmt.Errorf("runtime: sealing durable store: %w", err)
 			}
 		}

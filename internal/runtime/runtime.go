@@ -81,6 +81,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -352,7 +353,12 @@ type runner struct {
 	// is touched only under a full drain. fatal is additionally *read*
 	// on the fast path, which is safe because its writers hold every
 	// stripe including the reader's.
-	rec    *recovery.Core
+	rec *recovery.Core
+	// pers is the partition's durable store, nil when the engine is
+	// memory-only. The runner is its one writer: each record follows the
+	// in-memory change that decides it, under a full drain, and a failed
+	// write is fatal (persistFailedDrained).
+	pers   recovery.Persister
 	status []txnStatus
 	// gen is the abort generation: bumping gen[t] invalidates t's
 	// in-flight attempt, which notices at its next gate entry (or when
@@ -661,13 +667,17 @@ func (r *runner) sequence(ev model.Ev) {
 }
 
 // flushPending feeds the sequenced batch to the recovery core (which
-// may take a checkpoint at the batch boundary). Caller holds a full
-// drain, so the core's single-owner discipline is preserved.
+// may take a checkpoint at the batch boundary) and then to the store.
+// Caller holds a full drain, so the core's single-owner discipline is
+// preserved.
 func (r *runner) flushPending() {
 	r.seqMu.Lock()
 	if len(r.pending) > 0 {
-		// flushPending always runs under a full drain.
-		r.persistFailedDrained(r.rec.AppendAppliedTagged(r.pending, r.pendTags))
+		r.rec.AppendAppliedTagged(r.pending, r.pendTags)
+		if r.pers != nil {
+			// flushPending always runs under a full drain.
+			r.persistFailedDrained(r.pers.AppendEvents(r.pending, r.pendTags))
+		}
 		r.pending = r.pending[:0]
 		r.pendTags = r.pendTags[:0]
 	}
@@ -803,8 +813,11 @@ func (r *runner) maybeTruncateDrained() {
 	}
 	old := r.rec.Events() // Truncate copies the suffix; old stays readable
 	if cut := r.rec.Truncate(func(t int) bool { return r.status[t] != txActive }); cut > 0 {
-		// The core latches a failed rotation instead of returning it.
-		r.persistFailedDrained(r.rec.PersistErr())
+		if r.pers != nil {
+			// On disk a cut offers a rotation, which the store takes once
+			// the WAL has outgrown the snapshot.
+			r.persistFailedDrained(r.pers.Rotate())
+		}
 		r.truncOwned += r.ownedEvents(old[:cut])
 		r.sys.Retire(r.rec.Floor())
 		r.rec.Grow(len(r.sys.Txns))
@@ -882,18 +895,20 @@ func (x *txn) bailSlow(err error) (bool, time.Duration) {
 
 // commitEventDrained applies ev to the monitor and structural state and
 // appends it to the log under the given sequence tag, all through the
-// recovery core. Called with a full drain held after a successful
-// Check; reports false (recording a fatal error) if the monitor reneges
-// on its Check or the append cannot be persisted.
+// recovery core, then writes it to the store. Called with a full drain
+// held after a successful Check; reports false (recording a fatal error)
+// if the monitor reneges on its Check or the write fails.
 func (r *runner) commitEventDrained(ev model.Ev, tag uint64) bool {
 	if err := r.rec.AppendTagged(ev, tag); err != nil {
-		var perr *recovery.PersistError
-		if errors.As(err, &perr) {
-			r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
-		} else {
-			r.fatal = fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err)
-		}
+		r.fatal = fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err)
 		return false
+	}
+	if r.pers != nil {
+		one, oneTag := [1]model.Ev{ev}, [1]uint64{tag}
+		if err := r.pers.AppendEvents(one[:], oneTag[:]); err != nil {
+			r.persistFailedDrained(err)
+			return false
+		}
 	}
 	return true
 }
@@ -923,8 +938,8 @@ func (x *txn) setStatusDrained(s txnStatus) {
 			continue
 		}
 		r.status[t] = s
-		if err == nil {
-			err = r.rec.PersistStatus(t, s)
+		if err == nil && r.pers != nil {
+			err = r.pers.AppendStatus(t, s)
 			r.persistFailedDrained(err)
 		}
 	}
@@ -983,11 +998,14 @@ func eraseDrained(sp span, victims ...*txn) {
 restart:
 	for i, r := range sp {
 		for {
+			erased := r.rec.Stats().Compactions
 			ok, c := r.rec.Compact(lv[i])
 			if ok {
-				// The core latches a failed compaction record instead of
-				// returning it; a restore would resurrect the victims' events.
-				r.persistFailedDrained(r.rec.PersistErr())
+				if r.pers != nil && r.rec.Stats().Compactions > erased {
+					// The compaction removed events: without its record a
+					// restore would resurrect them.
+					r.persistFailedDrained(r.pers.AppendCompact(slices.Sorted(maps.Keys(lv[i]))))
+				}
 				break
 			}
 			if lv[i][c] {

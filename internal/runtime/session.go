@@ -60,6 +60,10 @@ var (
 	// ErrNotResumable: the session is not parked (it is being driven, was
 	// already resumed by a concurrent Resume, or cannot be reattached).
 	ErrNotResumable = errors.New("session is not parked")
+	// ErrMalformed: the declared body was refused at open — not
+	// well-formed, or it locks an entity more than once. Nothing was
+	// touched.
+	ErrMalformed = errors.New("declared transaction rejected")
 )
 
 // sessHost is the session lifecycle, written once: the registry of open
@@ -173,10 +177,10 @@ type Session struct {
 // checkDeclared validates a declared transaction body at the API edge.
 func checkDeclared(tx model.Txn) error {
 	if err := tx.WellFormed(); err != nil {
-		return err
+		return fmt.Errorf("runtime: %w: %w", ErrMalformed, err)
 	}
 	if !tx.LocksAtMostOnce() {
-		return fmt.Errorf("runtime: declared transaction %q locks an entity more than once", tx.Name)
+		return fmt.Errorf("runtime: %w: %q locks an entity more than once", ErrMalformed, tx.Name)
 	}
 	return nil
 }

@@ -397,11 +397,7 @@ func (c *conn) open(req wire.Request) {
 	}
 	sess, err := c.srv.eng.OpenSession(model.Txn{Name: req.Name, Steps: steps})
 	if err != nil {
-		code := wire.CodeMalformed
-		if errors.Is(err, runtime.ErrClosed) {
-			code = wire.CodeClosed
-		}
-		c.send(wire.Response{ID: req.ID, Code: code, Err: err.Error()})
+		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
 		return
 	}
 	w := &sessWorker{sess: sess, table: req.Table}
@@ -493,11 +489,7 @@ func (c *conn) runProc(req wire.Request) {
 	}
 	sess, err := c.srv.eng.OpenRun(model.Txn{Name: req.Name, Steps: steps})
 	if err != nil {
-		code := wire.CodeMalformed
-		if errors.Is(err, runtime.ErrClosed) {
-			code = wire.CodeClosed
-		}
-		c.send(wire.Response{ID: req.ID, Code: code, Err: err.Error()})
+		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
 		return
 	}
 	c.smu.Lock()
@@ -756,6 +748,8 @@ func codeFor(err error) string {
 		return wire.CodeDone
 	case errors.Is(err, runtime.ErrStepMismatch):
 		return wire.CodeMismatch
+	case errors.Is(err, runtime.ErrMalformed):
+		return wire.CodeMalformed
 	case errors.Is(err, runtime.ErrUnknownSession), errors.Is(err, runtime.ErrBadToken), errors.Is(err, runtime.ErrNotResumable):
 		// An unusable resume: the request's problem, nothing was touched.
 		return wire.CodeBadReq

@@ -12,6 +12,7 @@ import (
 
 	"locksafe/internal/model"
 	"locksafe/internal/policy"
+	"locksafe/internal/recovery"
 	"locksafe/internal/runtime"
 	"locksafe/internal/wire"
 	"locksafe/internal/workload"
@@ -172,6 +173,44 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	// Unknown session id.
 	if err := s.Step(model.LX("a")); !errors.Is(err, client.ErrSessionDone) {
 		t.Fatalf("step on finished session = %v, want ErrSessionDone", err)
+	}
+}
+
+// failOpen is a store whose open records fail: the engine goes fatal at
+// its first open.
+type failOpen struct{ recovery.Persister }
+
+func (failOpen) AppendOpen(recovery.OpenRec) error { return errors.New("disk full") }
+
+// TestServerEngineFailureIsInternal: once the engine has failed, an open
+// or a run is refused `internal` (expect the server to go down), not
+// `malformed`, which names a declared body refused at open. A body that
+// locks an entity twice is still refused `malformed`.
+func TestServerEngineFailureIsInternal(t *testing.T) {
+	srv, _, err := NewDurable(model.NewState("a"), runtime.Config{
+		Policy: policy.TwoPhase{}, DataDir: t.TempDir(),
+		WrapPersister: func(p recovery.Persister) recovery.Persister { return failOpen{p} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Shutdown(time.Second)
+	c := dialRaw(t, ln.Addr().String())
+	defer c.close()
+	table, csteps := model.CompactTxn([]model.Step{model.LX("a"), model.W("a"), model.UX("a")})
+	for _, op := range []string{wire.OpOpen, wire.OpRun, wire.OpOpen} {
+		if resp := c.roundTrip(wire.Request{Op: op, Name: "T", Table: table, CSteps: csteps}); resp.OK || resp.Code != wire.CodeInternal {
+			t.Fatalf("%s after a failed write = %+v, want code %q", op, resp, wire.CodeInternal)
+		}
+	}
+	table, csteps = model.CompactTxn([]model.Step{model.LX("a"), model.UX("a"), model.LX("a"), model.UX("a")})
+	if resp := c.roundTrip(wire.Request{Op: wire.OpOpen, Name: "twice", Table: table, CSteps: csteps}); resp.OK || resp.Code != wire.CodeMalformed {
+		t.Fatalf("lock-twice open = %+v, want code %q", resp, wire.CodeMalformed)
 	}
 }
 
