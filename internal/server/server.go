@@ -4,10 +4,10 @@
 // reader goroutine per connection, one worker goroutine per open
 // session so a session parked on a lock never blocks the connection's
 // other sessions, and pipelined requests with out-of-order responses
-// matched by request id. Frames may batch many messages; a single
-// coalescing writer goroutine per connection drains the whole response
-// backlog into batch frames and flushes only when it runs empty, so a
-// pipelined burst costs one syscall per direction.
+// matched by request id. Frames may batch many messages; responses leave
+// through the connection's wire.Outbox, the coalescing writer the Go
+// client uses for its requests too, so a pipelined burst costs one
+// syscall per direction.
 // docs/PROTOCOL.md specifies the wire format; docs/OPERATIONS.md is the
 // operator's manual.
 //
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,8 +44,10 @@ import (
 	"locksafe/internal/wire"
 )
 
-// sessionQueue bounds the per-session pipeline depth; a reader blocks
-// (backpressuring its connection) when a session's queue is full.
+// sessionQueue bounds a session's pending requests, queued or executing:
+// the reader refuses a request beyond it with bad-request, so a session
+// parked on a lock holds at most sessionQueue-1 requests behind the one
+// it executes.
 const sessionQueue = 128
 
 // teardownFlush bounds how long a closing connection waits for its
@@ -127,7 +130,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			srv:      s,
 			nc:       nc,
 			rd:       wire.NewReader(nc),
-			wake:     make(chan struct{}, 1),
 			wdone:    make(chan struct{}),
 			sessions: make(map[uint64]*sessWorker),
 			runs:     make(map[runtime.Sess]struct{}),
@@ -183,19 +185,14 @@ func (s *Server) Shutdown(timeout time.Duration) (*runtime.Result, error) {
 	return res, err
 }
 
-// conn is one client connection: a frame reader, a coalescing response
-// writer, and the session workers it has opened.
+// conn is one client connection: a frame reader, the outgoing half for
+// its responses, and the session workers it has opened.
 type conn struct {
-	srv *Server
-	nc  net.Conn
-	rd  *wire.Reader // owned by the serve goroutine
-
-	wmu   sync.Mutex      // outgoing responses + writer lifecycle
-	outq  []wire.Response // pending responses (nil when drained)
-	spare []wire.Response // recycled backlog slice from the last drain
-	wstop bool
-	wake  chan struct{} // kicks the writer; buffered 1
-	wdone chan struct{} // closed when the writer exits
+	srv   *Server
+	nc    net.Conn
+	rd    *wire.Reader                // owned by the serve goroutine
+	out   *wire.Outbox[wire.Response] // set once the hello is answered
+	wdone chan struct{}               // closed when out's writer exits
 
 	smu      sync.Mutex
 	sessions map[uint64]*sessWorker
@@ -242,7 +239,15 @@ func (c *conn) serve() {
 	}
 	c.rd.SetCodec(wire.CodecBinary)
 	w.SetCodec(wire.CodecBinary)
-	go c.writeLoop(w)
+	c.out = wire.NewOutbox(w, (*wire.Writer).WriteResponses)
+	go func() {
+		defer close(c.wdone)
+		// A failed write closes the connection so the reader notices and
+		// tears down.
+		if c.out.Run() != nil {
+			c.nc.Close()
+		}
+	}()
 	defer c.teardown()
 	for {
 		reqs, err := c.rd.ReadRequests()
@@ -250,7 +255,7 @@ func (c *conn) serve() {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				// Protocol error or mid-frame disconnect: nothing more to
 				// parse on this stream either way.
-				c.send(wire.Response{Code: wire.CodeBadReq, Err: err.Error()})
+				c.out.Send(wire.Response{Code: wire.CodeBadReq, Err: err.Error()})
 			}
 			return
 		}
@@ -293,11 +298,11 @@ func (c *conn) hello(w *wire.Writer) bool {
 func (c *conn) handle(req wire.Request) {
 	switch req.Op {
 	case wire.OpStats:
-		c.send(statsResponse(req.ID, c.srv.eng))
+		c.out.Send(statsResponse(req.ID, c.srv.eng))
 	case wire.OpInspect:
 		// Heavyweight (drains the gate, builds the serializability
 		// graph); run off the reader so the connection keeps flowing.
-		go func(id uint64) { c.send(inspectResponse(id, c.srv.eng)) }(req.ID)
+		go func(id uint64) { c.out.Send(inspectResponse(id, c.srv.eng)) }(req.ID)
 	case wire.OpOpen:
 		// Open may block on the MPL gate; run it off the reader.
 		go c.open(req)
@@ -313,108 +318,27 @@ func (c *conn) handle(req wire.Request) {
 	default:
 		// A second hello (the handshake consumed the first), or an op the
 		// decoder knows and this switch does not.
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("unexpected op %q", req.Op)})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("unexpected op %q", req.Op)})
 	}
-}
-
-// send queues one response for the writer. After the writer has stopped
-// (write error or teardown) responses are dropped — the client is gone.
-func (c *conn) send(resp wire.Response) {
-	c.wmu.Lock()
-	if c.wstop {
-		c.wmu.Unlock()
-		return
-	}
-	if c.outq == nil && c.spare != nil {
-		c.outq, c.spare = c.spare, nil
-	}
-	c.outq = append(c.outq, resp)
-	c.wmu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop is the connection's coalescing writer: it drains the whole
-// response backlog per iteration into batch frames on a buffered writer
-// and flushes only when the backlog runs empty, so responses to a
-// pipelined burst leave in one frame and one syscall.
-func (c *conn) writeLoop(w *wire.Writer) {
-	defer close(c.wdone)
-	defer w.Release()
-	for {
-		c.wmu.Lock()
-		batch := c.outq
-		c.outq = nil
-		stop := c.wstop
-		c.wmu.Unlock()
-		if len(batch) == 0 {
-			if err := w.Flush(); err != nil {
-				c.wfail()
-				return
-			}
-			if stop {
-				return
-			}
-			<-c.wake
-			continue
-		}
-		if err := w.WriteResponses(batch); err != nil {
-			c.wfail()
-			return
-		}
-		// Recycle the drained backlog so a steady-state connection stops
-		// allocating response slices.
-		c.wmu.Lock()
-		if c.spare == nil {
-			c.spare = batch[:0]
-		}
-		c.wmu.Unlock()
-	}
-}
-
-// wfail handles a write error: stop accepting responses and close the
-// connection so the reader notices and tears down.
-func (c *conn) wfail() {
-	c.wmu.Lock()
-	c.wstop = true
-	c.outq = nil
-	c.wmu.Unlock()
-	c.nc.Close()
 }
 
 // open admits a new session and registers its worker.
 func (c *conn) open(req wire.Request) {
-	if c.srv.isDraining() {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "server draining"})
-		return
-	}
-	steps, err := req.DeclaredSteps()
-	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: err.Error()})
+	steps, ok := c.declared(req)
+	if !ok {
 		return
 	}
 	sess, err := c.srv.eng.OpenSession(model.Txn{Name: req.Name, Steps: steps})
 	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
-		return
-	}
-	w := &sessWorker{sess: sess, table: req.Table}
-	c.smu.Lock()
-	if c.closing {
-		c.smu.Unlock()
-		sess.Cancel()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "connection closing"})
+		c.out.Send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
 		return
 	}
 	// Sessions are addressed by their engine-wide session id, which
 	// survives the connection: a resume on a later connection names the
 	// same sid and presents the token answered here.
-	sid := uint64(sess.SID())
-	c.sessions[sid] = w
-	c.smu.Unlock()
-	c.send(wire.Response{ID: req.ID, OK: true, SID: sid, Token: sess.Token()})
+	if c.register(req, sess, &sessWorker{sess: sess, table: req.Table}) {
+		c.out.Send(wire.Response{ID: req.ID, OK: true, SID: uint64(sess.SID()), Token: sess.Token()})
+	}
 }
 
 // resume reattaches a parked session: the client presents the sid and
@@ -424,83 +348,46 @@ func (c *conn) open(req wire.Request) {
 // with a different body is a confused client, refused with the session
 // left parked.
 func (c *conn) resume(req wire.Request) {
-	if c.srv.isDraining() {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "server draining"})
-		return
-	}
-	steps, err := req.DeclaredSteps()
-	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: err.Error()})
+	steps, ok := c.declared(req)
+	if !ok {
 		return
 	}
 	sess, err := c.srv.eng.Resume(int(req.SID), req.Token)
 	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error(), SID: req.SID})
+		c.out.Send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error(), SID: req.SID})
 		return
 	}
-	if decl := sess.Declared(); !stepsEqual(decl.Steps, steps) {
+	if !slices.Equal(sess.Declared().Steps, steps) {
 		// Park the session again: it stays resumable with the right body.
 		sess.Interrupt()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, SID: req.SID,
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, SID: req.SID,
 			Err: "declared body does not match the session's declaration"})
 		return
 	}
-	w := &sessWorker{sess: sess, table: req.Table}
-	c.smu.Lock()
-	if c.closing {
-		c.smu.Unlock()
-		sess.Interrupt()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "connection closing"})
-		return
-	}
-	c.sessions[req.SID] = w
-	c.smu.Unlock()
 	// The reattached session restarts at attempt 0 and the first declared
 	// step, whatever the pre-disconnect attempt was: the park erased the
 	// in-flight attempt.
-	c.send(wire.Response{ID: req.ID, OK: true, SID: req.SID, Token: sess.Token()})
-}
-
-// stepsEqual reports whether two declared bodies are identical.
-func stepsEqual(a, b []model.Step) bool {
-	if len(a) != len(b) {
-		return false
+	if c.register(req, sess, &sessWorker{sess: sess, table: req.Table}) {
+		c.out.Send(wire.Response{ID: req.ID, OK: true, SID: req.SID, Token: sess.Token()})
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runProc executes one stored-procedure request: open the declared
 // body, let the engine drive it to a terminal outcome (abort/retry
 // happens engine-side with the runtime's backoff), answer once.
 func (c *conn) runProc(req wire.Request) {
-	if c.srv.isDraining() {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "server draining"})
-		return
-	}
-	steps, err := req.DeclaredSteps()
-	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: err.Error()})
+	steps, ok := c.declared(req)
+	if !ok {
 		return
 	}
 	sess, err := c.srv.eng.OpenRun(model.Txn{Name: req.Name, Steps: steps})
 	if err != nil {
-		c.send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
+		c.out.Send(wire.Response{ID: req.ID, Code: codeFor(err), Err: err.Error()})
 		return
 	}
-	c.smu.Lock()
-	if c.closing {
-		c.smu.Unlock()
-		sess.Cancel()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "connection closing"})
+	if !c.register(req, sess, nil) {
 		return
 	}
-	c.runs[sess] = struct{}{}
-	c.smu.Unlock()
 	err = sess.Run()
 	c.smu.Lock()
 	delete(c.runs, sess)
@@ -509,7 +396,49 @@ func (c *conn) runProc(req wire.Request) {
 	if err != nil {
 		resp.Code, resp.Err = codeFor(err), err.Error()
 	}
-	c.send(resp)
+	c.out.Send(resp)
+}
+
+// declared is the preamble of open, resume and run: it refuses while the
+// server drains and refuses a body that does not decode, answering the
+// request itself; otherwise it returns the declared steps.
+func (c *conn) declared(req wire.Request) ([]model.Step, bool) {
+	if c.srv.isDraining() {
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "server draining"})
+		return nil, false
+	}
+	steps, err := req.DeclaredSteps()
+	if err != nil {
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: err.Error()})
+		return nil, false
+	}
+	return steps, true
+}
+
+// register records an admitted session on the connection — w as its
+// worker, or, for a run (nil w), in the runs teardown cancels. On a
+// closing connection it records nothing: it cancels the session, or
+// parks a resumed one again, answers the request closed and reports
+// false.
+func (c *conn) register(req wire.Request, sess runtime.Sess, w *sessWorker) bool {
+	c.smu.Lock()
+	if c.closing {
+		c.smu.Unlock()
+		if req.Op == wire.OpResume {
+			sess.Interrupt()
+		} else {
+			sess.Cancel()
+		}
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeClosed, Err: "connection closing"})
+		return false
+	}
+	if w != nil {
+		c.sessions[uint64(sess.SID())] = w
+	} else {
+		c.runs[sess] = struct{}{}
+	}
+	c.smu.Unlock()
+	return true
 }
 
 // dispatch enqueues a session request on its worker, spawning the
@@ -519,17 +448,17 @@ func (c *conn) dispatch(req wire.Request) {
 	w := c.sessions[req.SID]
 	c.smu.Unlock()
 	if w == nil {
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: fmt.Sprintf("no open session %d on this connection", req.SID)})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: fmt.Sprintf("no open session %d on this connection", req.SID)})
 		return
 	}
 	w.mu.Lock()
 	switch {
 	case w.finished:
 		w.mu.Unlock()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: "session already finished"})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: "session already finished"})
 	case w.pending >= sessionQueue:
 		w.mu.Unlock()
-		c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("session pipeline deeper than %d requests", sessionQueue)})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("session pipeline deeper than %d requests", sessionQueue)})
 	default:
 		if w.queue == nil && w.spare != nil {
 			w.queue, w.spare = w.spare, nil
@@ -579,13 +508,13 @@ func (c *conn) runWorker(sid uint64, w *sessWorker) {
 			// Abort is exempt: it closes the session whatever the attempt.
 			if req.Op == wire.OpStep || req.Op == wire.OpCommit {
 				if req.Attempt < w.attempt {
-					c.send(wire.Response{ID: req.ID, Code: wire.CodeAborted, SID: sid,
+					c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeAborted, SID: sid,
 						Err: fmt.Sprintf("stale attempt %d (session is on attempt %d); retry from the first declared step", req.Attempt, w.attempt)})
 					w.decrement()
 					continue
 				}
 				if req.Attempt > w.attempt {
-					c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, SID: sid,
+					c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, SID: sid,
 						Err: fmt.Sprintf("attempt %d is ahead of the session's attempt %d", req.Attempt, w.attempt)})
 					w.decrement()
 					continue
@@ -602,7 +531,7 @@ func (c *conn) runWorker(sid uint64, w *sessWorker) {
 					// An out-of-range index is the *request's* problem, not
 					// the session's: refuse it and leave the session (and its
 					// locks, cursor and lease) untouched.
-					c.send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: perr.Error(), SID: sid})
+					c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: perr.Error(), SID: sid})
 					w.decrement()
 					continue
 				}
@@ -629,17 +558,17 @@ func (c *conn) runWorker(sid uint64, w *sessWorker) {
 				w.queue = nil
 				w.pending = 0
 				w.mu.Unlock()
-				c.send(resp)
+				c.out.Send(resp)
 				for _, r := range work[wi+1:] {
-					c.send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
+					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
 				}
 				for _, r := range rest {
-					c.send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
+					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
 				}
 				c.forget(sid, w)
 				return
 			}
-			c.send(resp)
+			c.out.Send(resp)
 			w.decrement()
 		}
 		done = work
@@ -708,13 +637,7 @@ func (c *conn) teardown() {
 	// Stop the writer after the workers' final responses are queued; the
 	// deadline bounds the flush so a dead client cannot wedge teardown.
 	c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
-	c.wmu.Lock()
-	c.wstop = true
-	c.wmu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.out.Stop()
 	<-c.wdone
 }
 

@@ -277,6 +277,102 @@ func TestServerBadStepKeepsSession(t *testing.T) {
 	}
 }
 
+// TestServerSessionQueueBound pins the per-session pipeline bound over
+// the raw wire (the Go client's window stays below it): a session
+// holds at most sessionQueue pending requests, the executing one
+// included. Its first step parks on a held lock and a burst of 200
+// more follows in one frame; the burst's first 127 are queued and every
+// later one is refused bad-request at once. Once the lock frees, the
+// queued requests are answered in submission order, and the session
+// goes on to commit.
+func TestServerSessionQueueBound(t *testing.T) {
+	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}, GateStripes: 4})
+	defer srv.Shutdown(time.Second)
+	holder, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	hs, err := holder.Open(model.Txn{Name: "H", Steps: []model.Step{model.LX("a"), model.UX("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Step(model.LX("a")); err != nil {
+		t.Fatal(err)
+	}
+
+	const burst = 200
+	steps := []model.Step{model.LX("a")}
+	for range burst - 1 {
+		steps = append(steps, model.W("a"))
+	}
+	steps = append(steps, model.UX("a"))
+	table, csteps := model.CompactTxn(steps)
+	c := dialRaw(t, addr)
+	defer c.close()
+	open := c.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps})
+	if !open.OK {
+		t.Fatalf("open refused: %+v", open)
+	}
+	// Request i carries declared step i; request 0 parks on the lock.
+	first := c.id + 1
+	reqs := make([]wire.Request, burst+1)
+	for i := range reqs {
+		c.id++
+		reqs[i] = wire.Request{ID: c.id, Op: wire.OpStep, SID: open.SID, CStep: csteps[i], HasCompact: true}
+	}
+	if err := c.wr.WriteRequests(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	read := func(n int) []wire.Response {
+		var out []wire.Response
+		for len(out) < n {
+			resps, err := c.rd.ReadResponses()
+			if err != nil {
+				t.Fatalf("after %d of %d responses: %v", len(out), n, err)
+			}
+			out = append(out, resps...)
+		}
+		if len(out) != n {
+			t.Fatalf("read %d responses, want %d", len(out), n)
+		}
+		return out
+	}
+	queued := sessionQueue - 1 // behind the executing request 0
+	for _, resp := range read(burst - queued) {
+		i := int(resp.ID - first)
+		if resp.OK || resp.Code != wire.CodeBadReq || resp.Err != "session pipeline deeper than 128 requests" {
+			t.Fatalf("request %d answered %+v while the session is parked, want the pipeline refusal", i, resp)
+		}
+		if i <= queued {
+			t.Fatalf("request %d refused; the first refusal must be request %d", i, queued+1)
+		}
+	}
+	if err := hs.Step(model.UX("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range read(queued + 1) {
+		if !resp.OK || resp.ID != first+uint64(i) {
+			t.Fatalf("answer %d after the lock freed = %+v, want request %d OK", i, resp, i)
+		}
+	}
+	for i := queued + 1; i < len(csteps); i++ {
+		if resp := c.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID, CStep: csteps[i], HasCompact: true}); !resp.OK {
+			t.Fatalf("declared step %d refused after the burst: %+v", i, resp)
+		}
+	}
+	if resp := c.roundTrip(wire.Request{Op: wire.OpCommit, SID: open.SID}); !resp.OK {
+		t.Fatalf("commit refused: %+v", resp)
+	}
+}
+
 // wireInspection reads a wire inspect answer back into the runtime's
 // Inspection, so every substrate is compared through its one Digest.
 func wireInspection(ins wire.Inspect) *runtime.Inspection {

@@ -30,7 +30,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"locksafe/internal/model"
 )
@@ -64,11 +63,7 @@ var binOps = map[string]byte{
 	OpResume:  9,
 }
 
-var binOpNames = [...]string{
-	1: OpHello, 2: OpOpen, 3: OpStep, 4: OpCommit,
-	5: OpAbort, 6: OpRun, 7: OpStats, 8: OpInspect,
-	9: OpResume,
-}
+var binOpNames = invert(binOps)
 
 // Response code bytes; 0 is OK (no code).
 var binCodes = map[string]byte{
@@ -84,10 +79,15 @@ var binCodes = map[string]byte{
 	CodeInternal:  10,
 }
 
-var binCodeNames = [...]string{
-	1: CodeAborted, 2: CodeAbandoned, 3: CodeExpired, 4: CodeClosed,
-	5: CodeDone, 6: CodeMismatch, 7: CodeMalformed, 8: CodeBadReq,
-	9: CodeVersion, 10: CodeInternal,
+var binCodeNames = invert(binCodes)
+
+// invert maps each byte of a table back to its name; a byte the table
+// does not use maps to "".
+func invert(table map[string]byte) (names [256]string) {
+	for name, b := range table {
+		names[b] = name
+	}
+	return names
 }
 
 // Response presence flags.
@@ -322,10 +322,9 @@ func (d *cursor) request() (Request, error) {
 	if err != nil {
 		return r, err
 	}
-	if int(op) >= len(binOpNames) || binOpNames[op] == "" {
+	if r.Op = binOpNames[op]; r.Op == "" {
 		return r, fmt.Errorf("wire: unknown binary op byte %d", op)
 	}
-	r.Op = binOpNames[op]
 	if r.ID, err = d.uvarint(); err != nil {
 		return r, err
 	}
@@ -419,11 +418,8 @@ func (d *cursor) response() (Response, error) {
 	}
 	if code == 0 {
 		r.OK = true
-	} else {
-		if int(code) >= len(binCodeNames) || binCodeNames[code] == "" {
-			return r, fmt.Errorf("wire: unknown binary code byte %d", code)
-		}
-		r.Code = binCodeNames[code]
+	} else if r.Code = binCodeNames[code]; r.Code == "" {
+		return r, fmt.Errorf("wire: unknown binary code byte %d", code)
 	}
 	flags, err := d.u8()
 	if err != nil {
@@ -544,13 +540,10 @@ func putBuf(b []byte) {
 // the slice returned by ReadRequests/ReadResponses (and its elements)
 // is valid only until the next call — callers copy the values they
 // keep, which Go's value semantics make the default. A Reader is driven
-// by one goroutine; SetCodec may be called from another (it is atomic),
-// provided the peer cannot have emitted a frame in the new codec before
-// the call — the hello exchange's request/response ordering guarantees
-// exactly that.
+// by one goroutine.
 type Reader struct {
 	br    *bufio.Reader
-	codec atomic.Uint32
+	codec Codec
 	buf   []byte // payload scratch
 	reqs  []Request
 	resps []Response
@@ -561,11 +554,8 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r), buf: getBuf()}
 }
 
-// Codec reports the current payload codec.
-func (r *Reader) Codec() Codec { return Codec(r.codec.Load()) }
-
 // SetCodec switches the payload codec for subsequent frames.
-func (r *Reader) SetCodec(c Codec) { r.codec.Store(uint32(c)) }
+func (r *Reader) SetCodec(c Codec) { r.codec = c }
 
 // Release returns the Reader's scratch to the shared pools. Call it
 // when the connection is done; the Reader must not be used afterwards.
@@ -627,7 +617,7 @@ func (r *Reader) ReadRequests() ([]Request, error) {
 	if r.reqs == nil {
 		r.reqs = *reqSlcPool.Get().(*[]Request)
 	}
-	if r.Codec() == CodecBinary {
+	if r.codec == CodecBinary {
 		d := cursor{b: body}
 		count, err := d.batchHeader()
 		if err != nil {
@@ -664,7 +654,7 @@ func (r *Reader) ReadResponses() ([]Response, error) {
 	if r.resps == nil {
 		r.resps = *respSlcPool.Get().(*[]Response)
 	}
-	if r.Codec() == CodecBinary {
+	if r.codec == CodecBinary {
 		d := cursor{b: body}
 		count, err := d.batchHeader()
 		if err != nil {
@@ -696,11 +686,10 @@ func (r *Reader) ReadResponses() ([]Response, error) {
 
 // Writer encodes frames onto one connection with a coalescing buffered
 // stream and reusable encode scratch. Like Reader, it is driven by one
-// goroutine, with SetCodec callable from another under the hello
-// ordering guarantee. Nothing reaches the connection until Flush.
+// goroutine. Nothing reaches the connection until Flush.
 type Writer struct {
 	bw    *bufio.Writer
-	codec atomic.Uint32
+	codec Codec
 	buf   []byte // binary encode scratch
 	ends  []int  // message boundaries within buf
 }
@@ -710,11 +699,8 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w), buf: getBuf()}
 }
 
-// Codec reports the current payload codec.
-func (w *Writer) Codec() Codec { return Codec(w.codec.Load()) }
-
 // SetCodec switches the payload codec for subsequent writes.
-func (w *Writer) SetCodec(c Codec) { w.codec.Store(uint32(c)) }
+func (w *Writer) SetCodec(c Codec) { w.codec = c }
 
 // Flush pushes buffered frames to the connection.
 func (w *Writer) Flush() error { return w.bw.Flush() }
@@ -731,7 +717,7 @@ func (w *Writer) Release() {
 // WriteRequests buffers the requests as the fewest binary frames
 // respecting MaxFrame — or, before the codec switch, the one hello.
 func (w *Writer) WriteRequests(reqs []Request) error {
-	if w.Codec() == CodecBinary {
+	if w.codec == CodecBinary {
 		w.buf = w.buf[:0]
 		w.ends = w.ends[:0]
 		for i := range reqs {
@@ -751,7 +737,7 @@ func (w *Writer) WriteRequests(reqs []Request) error {
 
 // WriteResponses is WriteRequests for the server→client direction.
 func (w *Writer) WriteResponses(resps []Response) error {
-	if w.Codec() == CodecBinary {
+	if w.codec == CodecBinary {
 		w.buf = w.buf[:0]
 		w.ends = w.ends[:0]
 		for i := range resps {

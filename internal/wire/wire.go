@@ -25,6 +25,12 @@
 // session's current attempt, so pipelined steps of an already-aborted
 // attempt are drained as stale instead of being mistaken for the
 // retry's resubmission.
+//
+// Both endpoints run a connection the same way: the hello exchange
+// completes before any goroutine starts, both streams then switch to the
+// binary codec, and from then on one goroutine reads while every
+// outgoing message leaves through the connection's Outbox (outbox.go),
+// whose writer coalesces a burst into batch frames and one flush.
 package wire
 
 import "locksafe/internal/model"

@@ -40,6 +40,11 @@
 // worker goroutine per session. Pipelined requests are attempt-tagged
 // so that late responses of a torn-down attempt are drained as stale
 // rather than mistaken for the retry's.
+//
+// New completes the hello on the calling goroutine before it starts the
+// connection's two goroutines: the response reader and the writer of
+// the connection's wire.Outbox, the coalescing outgoing half the server
+// uses for its responses too.
 package client
 
 import (
@@ -97,21 +102,30 @@ func (b Backoff) delay(k int) time.Duration {
 	return time.Duration(float64(d) * (1 - 0.5*rand.Float64()))
 }
 
+// retry calls attempt until it returns anything but ErrAborted, pausing
+// before the k-th retry for delay(k).
+func (b Backoff) retry(attempt func() error) error {
+	for k := 1; ; k++ {
+		err := attempt()
+		if !errors.Is(err, ErrAborted) {
+			return err
+		}
+		if d := b.delay(k); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
+
 // Client is one connection to a lockd server. Safe for concurrent use.
 type Client struct {
-	nc net.Conn
-	rd *wire.Reader // owned by readLoop; codec switched at handshake
-	wr *wire.Writer // owned by writeLoop; codec switched at handshake
+	nc  net.Conn
+	rd  *wire.Reader // owned by readLoop
+	out *wire.Outbox[wire.Request]
 
-	mu     sync.Mutex // pending map, id counter, outgoing queue, terminal error
+	mu     sync.Mutex // pending map, id counter, terminal error
 	nextID uint64
 	pend   map[uint64]chan wire.Response
 	dead   error
-	outq   []wire.Request
-	spare  []wire.Request // recycled queue slice from the writer's last drain
-	wstop  bool
-
-	wake chan struct{} // kicks the writer; buffered 1
 
 	chpool sync.Pool // recycled response channels (cap-1 chan wire.Response)
 
@@ -128,32 +142,57 @@ func Dial(addr string) (*Client, error) {
 }
 
 // New wraps an established connection (tests use net.Pipe or an
-// in-process listener) and performs the version handshake.
+// in-process listener) and performs the version handshake. On failure
+// it closes nc: a transport error wraps ErrConnLost, a refusal maps to
+// its sentinel (ErrVersion for a server of another protocol version).
 func New(nc net.Conn) (*Client, error) {
-	c := &Client{
-		nc:   nc,
-		rd:   wire.NewReader(nc),
-		wr:   wire.NewWriter(nc),
-		pend: make(map[uint64]chan wire.Response),
-		wake: make(chan struct{}, 1),
-	}
-	go c.readLoop()
-	go c.writeLoop()
-	resp, err := c.roundTrip(wire.Request{Op: wire.OpHello, Version: wire.Version})
+	rd, wr := wire.NewReader(nc), wire.NewWriter(nc)
+	policy, err := hello(rd, wr)
 	if err != nil {
-		// A transport death has already recorded ErrConnLost (fail is
-		// first-wins); a server refusal becomes a deliberate close.
-		c.fail(ErrClosed, err)
+		rd.Release()
+		wr.Release()
+		nc.Close()
 		return nil, err
 	}
-	// The hello exchange is JSON; everything after it is binary. The
-	// server cannot emit a binary frame before answering our hello and we
-	// cannot have queued another request yet (the handshake is
-	// synchronous), so both switches land between frames on both streams.
-	c.rd.SetCodec(wire.CodecBinary)
-	c.wr.SetCodec(wire.CodecBinary)
-	c.policy = resp.Policy
+	// The hello exchange is JSON and everything after it binary; no
+	// goroutine exists yet, so both streams switch between frames.
+	rd.SetCodec(wire.CodecBinary)
+	wr.SetCodec(wire.CodecBinary)
+	c := &Client{
+		nc:     nc,
+		rd:     rd,
+		out:    wire.NewOutbox(wr, (*wire.Writer).WriteRequests),
+		nextID: 1, // the hello's
+		pend:   make(map[uint64]chan wire.Response),
+		policy: policy,
+	}
+	go c.readLoop()
+	go func() {
+		if err := c.out.Run(); err != nil {
+			c.failConn(err)
+		}
+	}()
 	return c, nil
+}
+
+// hello performs the handshake on the calling goroutine — the hello
+// request, id 1, and its answer — and returns the server's policy name.
+func hello(rd *wire.Reader, wr *wire.Writer) (string, error) {
+	err := wr.WriteRequests([]wire.Request{{ID: 1, Op: wire.OpHello, Version: wire.Version}})
+	if err == nil {
+		err = wr.Flush()
+	}
+	var resps []wire.Response
+	if err == nil {
+		resps, err = rd.ReadResponses()
+	}
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", ErrConnLost, err)
+	}
+	if !resps[0].OK {
+		return "", codeError(resps[0])
+	}
+	return resps[0].Policy, nil
 }
 
 // Policy returns the server's policy name, as reported at handshake.
@@ -170,7 +209,7 @@ func (c *Client) Close() error {
 }
 
 // fail records the terminal error (wrapping the given sentinel), fails
-// every pending request, stops the writer and closes the connection.
+// every pending request, stops the outbox and closes the connection.
 // Idempotent (first error wins — so a Close racing a transport death
 // reports whichever happened first).
 func (c *Client) fail(base, err error) {
@@ -182,12 +221,8 @@ func (c *Client) fail(base, err error) {
 		close(ch)
 		delete(c.pend, id)
 	}
-	c.wstop = true
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.out.Stop()
 	c.nc.Close()
 }
 
@@ -227,43 +262,6 @@ func (c *Client) readLoop() {
 	}
 }
 
-// writeLoop is the coalescing writer: it drains the whole outgoing
-// queue per iteration into batch frames on a buffered writer and only
-// flushes when the queue runs empty, so a pipelined burst costs one
-// flush (and typically one syscall) instead of one per request.
-func (c *Client) writeLoop() {
-	defer c.wr.Release()
-	for {
-		c.mu.Lock()
-		batch := c.outq
-		c.outq = nil
-		stop := c.wstop
-		c.mu.Unlock()
-		if len(batch) == 0 {
-			if err := c.wr.Flush(); err != nil {
-				c.failConn(err)
-				return
-			}
-			if stop {
-				return
-			}
-			<-c.wake
-			continue
-		}
-		if err := c.wr.WriteRequests(batch); err != nil {
-			c.failConn(err)
-			return
-		}
-		// Recycle the drained queue so a steady-state pipeline stops
-		// allocating request slices.
-		c.mu.Lock()
-		if c.spare == nil {
-			c.spare = batch[:0]
-		}
-		c.mu.Unlock()
-	}
-}
-
 // getch takes a response channel from the pool. A channel may be
 // recycled (recycle) only after a successful receive — a channel the
 // fail path may still close must never re-enter the pool.
@@ -280,7 +278,7 @@ func (c *Client) recycle(ch chan wire.Response) {
 }
 
 // send assigns the request an id, registers its response channel and
-// queues it for the writer. The async submission primitive: callers
+// queues it on the outbox. The async submission primitive: callers
 // receive the response later on ch (closed if the connection dies).
 func (c *Client) send(req wire.Request) (uint64, chan wire.Response, error) {
 	ch := c.getch()
@@ -294,15 +292,10 @@ func (c *Client) send(req wire.Request) (uint64, chan wire.Response, error) {
 	c.nextID++
 	req.ID = c.nextID
 	c.pend[req.ID] = ch
-	if c.outq == nil && c.spare != nil {
-		c.outq, c.spare = c.spare, nil
-	}
-	c.outq = append(c.outq, req)
+	// Queued under mu, so ids leave in increasing order. A stopped outbox
+	// refuses the request; the fail that stopped it closes ch.
+	c.out.Send(req)
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 	return req.ID, ch, nil
 }
 
@@ -365,14 +358,7 @@ func (c *Client) Run(tx model.Txn) error {
 
 // Stats polls the server's metrics snapshot.
 func (c *Client) Stats() (wire.Stats, error) {
-	resp, err := c.roundTrip(wire.Request{Op: wire.OpStats})
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	if resp.Stats == nil {
-		return wire.Stats{}, fmt.Errorf("%w: stats response without payload", ErrProtocol)
-	}
-	return *resp.Stats, nil
+	return diagnostic(c, wire.OpStats, func(r *wire.Response) *wire.Stats { return r.Stats })
 }
 
 // Inspect fetches the server's diagnostic world-state snapshot (the
@@ -380,12 +366,20 @@ func (c *Client) Stats() (wire.Stats, error) {
 // verdict). Heavyweight server-side; meant for tests, debugging and
 // final verification, not routine polling.
 func (c *Client) Inspect() (wire.Inspect, error) {
-	resp, err := c.roundTrip(wire.Request{Op: wire.OpInspect})
+	return diagnostic(c, wire.OpInspect, func(r *wire.Response) *wire.Inspect { return r.Inspect })
+}
+
+// diagnostic sends a request that names nothing but its op and returns
+// the payload its answer must carry.
+func diagnostic[T any](c *Client, op string, payload func(*wire.Response) *T) (T, error) {
+	var zero T
+	resp, err := c.roundTrip(wire.Request{Op: op})
 	if err != nil {
-		return wire.Inspect{}, err
+		return zero, err
 	}
-	if resp.Inspect == nil {
-		return wire.Inspect{}, fmt.Errorf("%w: inspect response without payload", ErrProtocol)
+	p := payload(&resp)
+	if p == nil {
+		return zero, fmt.Errorf("%w: %s response without payload", ErrProtocol, op)
 	}
-	return *resp.Inspect, nil
+	return *p, nil
 }

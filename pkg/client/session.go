@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"locksafe/internal/model"
@@ -10,8 +11,8 @@ import (
 )
 
 // maxInflight bounds a session's unreconciled pipelined requests, kept
-// below the server's per-session queue depth so a burst never stalls
-// the connection's reader on a full session queue.
+// below the server's per-session bound of 128 pending requests, which it
+// enforces by refusing the excess bad-request.
 const maxInflight = 96
 
 // Session is one declared transaction open on the server. Not safe for
@@ -26,15 +27,13 @@ type Session struct {
 	token uint64
 	tx    model.Txn
 
-	// Compact encoding state: the entity table as
-	// declared to the server at open, the declared body in compact form,
-	// and the entity→index map for sync Step lookups. Step requests ship
+	// Compact encoding state: the entity table as declared to the server
+	// at open and the declared body in compact form. Step requests ship
 	// (opByte, entityIndex) against this table; the server resolves
 	// indices against its own copy, so both orders must be the declared
 	// one — they are, both sides keep the open request's table verbatim.
 	table  []model.Entity
 	csteps []model.CompactStep
-	index  map[model.Entity]uint32
 
 	pos  int // declared steps confirmed admitted in the current attempt
 	sent int // declared steps submitted (>= pos while pipelining)
@@ -66,10 +65,6 @@ func (c *Client) Open(tx model.Txn) (*Session, error) {
 // or resume request, and adopts the answer's sid, token and attempt tag.
 func (s *Session) attach(req wire.Request) (*Session, error) {
 	s.table, s.csteps = model.CompactTxn(s.tx.Steps)
-	s.index = make(map[model.Entity]uint32, len(s.table))
-	for i, e := range s.table {
-		s.index[e] = uint32(i)
-	}
 	req.Name, req.Table, req.CSteps = s.tx.Name, s.table, s.csteps
 	resp, err := s.c.roundTrip(req)
 	if err != nil {
@@ -115,8 +110,8 @@ func (s *Session) Step(st model.Step) error {
 	if len(s.inflight) > 0 {
 		return fmt.Errorf("%w: sync Step with pipelined requests in flight; Flush first", ErrProtocol)
 	}
-	idx, ok := s.index[st.Ent]
-	if !ok {
+	idx := slices.Index(s.table, st.Ent)
+	if idx < 0 {
 		// The wire can only name declared entities; a step outside the
 		// table cannot be the declared next step, so this is the same
 		// refusal the server would answer with — and like the server's, it
@@ -124,7 +119,7 @@ func (s *Session) Step(st model.Step) error {
 		return fmt.Errorf("%w: step %s names an entity outside the declared body", ErrStepMismatch, st)
 	}
 	_, err := s.c.roundTrip(wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt,
-		CStep: model.CompactStep{Op: st.Op, Idx: idx}, HasCompact: true})
+		CStep: model.CompactStep{Op: st.Op, Idx: uint32(idx)}, HasCompact: true})
 	if err == nil {
 		s.pos++
 		s.sent = s.pos
@@ -256,15 +251,7 @@ func (s *Session) Run(backoff time.Duration) error {
 
 // RunWith is Run with explicit backoff configuration.
 func (s *Session) RunWith(b Backoff) error {
-	for k := 1; ; k++ {
-		err := s.runOnce()
-		if err == nil || !errors.Is(err, ErrAborted) {
-			return err
-		}
-		if d := b.delay(k); d > 0 {
-			time.Sleep(d)
-		}
-	}
+	return b.retry(s.runOnce)
 }
 
 func (s *Session) runOnce() error {
@@ -282,15 +269,7 @@ func (s *Session) runOnce() error {
 // ErrAborted it drains the torn-down attempt's stale responses and
 // retries with the given backoff.
 func (s *Session) RunPipelined(b Backoff) error {
-	for k := 1; ; k++ {
-		err := s.runPipelinedOnce()
-		if err == nil || !errors.Is(err, ErrAborted) {
-			return err
-		}
-		if d := b.delay(k); d > 0 {
-			time.Sleep(d)
-		}
-	}
+	return b.retry(s.runPipelinedOnce)
 }
 
 // runPipelinedOnce submits one full pipelined attempt and reconciles
