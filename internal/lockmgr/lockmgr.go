@@ -104,19 +104,11 @@ func NewSharded(n int) *Manager {
 // Shards reports the shard count.
 func (m *Manager) Shards() int { return len(m.shards) }
 
-// ShardOf reports the index of the shard e hashes to. Tests use it to
-// construct guaranteed cross-shard scenarios.
+// ShardOf reports the index of the shard e hashes to: model.PartitionOf
+// over the shard count. Tests use it to construct guaranteed cross-shard
+// scenarios.
 func (m *Manager) ShardOf(e model.Entity) int {
-	if len(m.shards) == 1 {
-		return 0
-	}
-	// FNV-1a over the entity name.
-	h := uint32(2166136261)
-	for i := 0; i < len(e); i++ {
-		h ^= uint32(e[i])
-		h *= 16777619
-	}
-	return int(h % uint32(len(m.shards)))
+	return model.PartitionOf(e, len(m.shards))
 }
 
 func (m *Manager) shard(e model.Entity) *shard { return m.shards[m.ShardOf(e)] }

@@ -106,25 +106,6 @@ func txnsConflict(a, b Txn) bool {
 	return false
 }
 
-// Connected reports whether transactions i and j interact.
-func (g *InteractionGraph) Connected(i, j int) bool { return g.Adj[i][j] }
-
-// Triangles counts 3-cycles in the interaction graph; with Complete it
-// supports the Fig. 2 experiment's "every pair interacts" assertion.
-func (g *InteractionGraph) Triangles() int {
-	n := 0
-	for i := 0; i < g.N; i++ {
-		for j := i + 1; j < g.N; j++ {
-			for k := j + 1; k < g.N; k++ {
-				if g.Adj[i][j] && g.Adj[j][k] && g.Adj[i][k] {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // Complete reports whether every pair of distinct transactions interacts.
 func (g *InteractionGraph) Complete() bool {
 	for i := 0; i < g.N; i++ {

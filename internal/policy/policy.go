@@ -24,7 +24,6 @@ package policy
 import (
 	"fmt"
 	"maps"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -195,15 +194,6 @@ func (t *tracker) posKey() string {
 	return b.String()
 }
 
-func sortedEntities(set map[model.Entity]bool) []model.Entity {
-	out := make([]model.Entity, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // DTRForest returns the current database forest of a DTR monitor, or nil
 // if m is not one. The figure walkthroughs use it to display the forest.
 func DTRForest(m model.Monitor) *forestView {
@@ -218,15 +208,6 @@ type forestView struct{ d *dtrMonitor }
 
 // String renders the forest in the graph.Forest format.
 func (v *forestView) String() string { return v.d.forest.String() }
-
-// DDAGGraph returns the current graph of a DDAG monitor, or nil if m is
-// not one.
-func DDAGGraph(m model.Monitor) fmt.Stringer {
-	if d, ok := m.(*ddagMonitor); ok {
-		return d.g
-	}
-	return nil
-}
 
 // All returns every implemented policy, in presentation order.
 func All() []Policy {

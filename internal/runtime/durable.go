@@ -199,10 +199,14 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 }
 
 // replayRecoveredDrained rebuilds the runner's transaction population
-// (each row's lock-manager owner is its engine-wide id o.G), statuses
-// and event log from a recovered history. Called with a full drain
-// held. It feeds the core and the row tables directly, never through
-// the runner's writes, so nothing it reads is written again.
+// (each row's lock-manager owner is its session id o.G), statuses and
+// event log from a recovered history. Called with a full drain held. It
+// feeds the core and the row tables directly, never through the
+// runner's writes, so nothing it reads is written again. The events go
+// through Core.AppendTagged one at a time, not through the sequencer,
+// whose flush would append the whole history as one batch with one
+// checkpoint at its end: the first compaction after a restart would
+// then replay from the initial state.
 func (r *runner) replayRecoveredDrained(rec recovery.Recovered) error {
 	for i, o := range rec.Opens {
 		tx := model.Txn{Name: o.Name, Steps: o.Steps}
@@ -280,7 +284,7 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 			continue
 		}
 		o := recs[refs[0].p].Opens[refs[0].lt]
-		x := &txn{span: pe.parts[refs[0].p].self, locs: []int{refs[0].lt}}
+		x := &txn{span: pe.parts[refs[0].p].self, locs: []int{refs[0].lt}, sid: g}
 		if len(refs) > 1 || refs[0].mirror {
 			// Spanning: every ref must be a mirror, one per partition (refs
 			// are in ascending partition order, so a second row of one
@@ -309,7 +313,7 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 				pe.rows = append(pe.rows, rowRef{p: -1})
 				continue
 			}
-			x = &txn{span: pe.parts, locs: make([]int, len(pe.parts))}
+			x = &txn{span: pe.parts, locs: make([]int, len(pe.parts)), sid: g}
 			for _, ref := range refs {
 				x.locs[ref.p] = ref.lt
 			}
@@ -357,7 +361,7 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 		st := &sessState{token: o.Token}
 		st.deadline.Store(o.Deadline)
 		st.parked.Store(true)
-		pe.adopt(*x, o.G, r.sys.Txns[t], st, r.gen[t], false)
+		pe.adopt(*x, r.sys.Txns[t], st, r.gen[t], false)
 		info.Sessions++
 	}
 	if f := pe.parts.fatal(); f != nil {

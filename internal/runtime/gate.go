@@ -61,17 +61,6 @@ func (g *gate) stripeOfTxn(t int) int {
 	return int((uint32(t) * 2654435761) % uint32(len(g.stripes)))
 }
 
-// stripeOfEnt maps an entity to its stripe (FNV-1a, as the sharded lock
-// manager hashes entities).
-func (g *gate) stripeOfEnt(e model.Entity) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(e); i++ {
-		h ^= uint32(e[i])
-		h *= 16777619
-	}
-	return int(h % uint32(len(g.stripes)))
-}
-
 // setFor appends the sorted, deduplicated stripe indices covering ev's
 // admission to buf and returns the extended slice, or ok=false if the
 // footprint (or a single-stripe gate) requires a drain instead. The set
@@ -93,19 +82,22 @@ func (g *gate) setFor(buf []int, ev model.Ev, fp model.Footprint) ([]int, bool) 
 		}
 		set = append(set, i)
 	}
+	// An entity's stripe is its partition of the stripe space
+	// (model.PartitionOf, the hash the lock manager shards by).
+	n := len(g.stripes)
 	add(g.stripeOfTxn(int(ev.T)))
-	add(g.stripeOfEnt(ev.S.Ent))
+	add(model.PartitionOf(ev.S.Ent, n))
 	if fp.HasT {
 		add(g.stripeOfTxn(int(fp.T)))
 	}
 	if fp.Ent != "" {
-		add(g.stripeOfEnt(fp.Ent))
+		add(model.PartitionOf(fp.Ent, n))
 	}
 	for _, t := range fp.ExtraTxns {
 		add(g.stripeOfTxn(int(t)))
 	}
 	for _, e := range fp.ExtraEnts {
-		add(g.stripeOfEnt(e))
+		add(model.PartitionOf(e, n))
 	}
 	sort.Ints(set)
 	return set, true

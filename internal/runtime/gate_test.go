@@ -114,7 +114,7 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 		if !commit || dropped[tn] || fed[tn] != total[tn] {
 			return
 		}
-		if _, again, _ := r.rowTxn(tn).commit(r.gen[tn]); again {
+		if !r.rowTxn(tn).commit(r.gen[tn]) {
 			t.Fatal("single-threaded commit cannot be stale")
 		}
 	}
@@ -134,12 +134,11 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 			continue
 		}
 		if ev.S.Op.IsLock() {
-			if err := r.mgr.Lock(tn, ev.S.Ent, ev.S.Op.LockMode()); err != nil {
+			if err := r.pe.mgr.Lock(tn, ev.S.Ent, ev.S.Op.LockMode()); err != nil {
 				t.Fatalf("single-threaded lock on a legal schedule failed: %v", err)
 			}
 		}
-		ok, _, _ := r.rowTxn(tn).admit(r.gen[tn], ev.S)
-		if !ok {
+		if !r.rowTxn(tn).admit(r.gen[tn], ev.S) {
 			// Vetoed (and aborted) or stale after a cascade: drop.
 			dropped[tn] = true
 			continue
@@ -233,7 +232,7 @@ func TestGateStripeSetCoversEvent(t *testing.T) {
 	if !fast {
 		t.Fatal("empty footprint must not drain")
 	}
-	want := map[int]bool{g.stripeOfTxn(3): true, g.stripeOfEnt("e1"): true}
+	want := map[int]bool{g.stripeOfTxn(3): true, model.PartitionOf("e1", g.size()): true}
 	if len(set) != len(want) {
 		t.Fatalf("set = %v, want the %d stripes %v", set, len(want), want)
 	}

@@ -245,7 +245,7 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 	pe.gmu.Unlock()
 
 	st := pe.newSessState()
-	x := txn{span: sp, locs: make([]int, len(sp))}
+	x := txn{span: sp, locs: make([]int, len(sp)), sid: g}
 	sp.drain()
 	fatal := sp.fatal()
 	if fatal == nil {
@@ -272,7 +272,7 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 	pe.gmu.Lock()
 	pe.rows[g] = rowRef{p: slices.Index(pe.parts, sp[0]), t: x.locs[0]}
 	pe.gmu.Unlock()
-	return pe.adopt(x, g, tx, st, 0, true), nil
+	return pe.adopt(x, tx, st, 0, true), nil
 }
 
 // Resume reattaches the parked session sid: the single winning caller
@@ -304,17 +304,17 @@ func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	cur := pe.sessions[sid]
 	pe.mu.Unlock()
 	if cur == nil {
-		_, status, cause, fatal := pe.parts[ref.p].readTxnState(ref.t)
-		if fatal != nil {
-			return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
+		row := pe.parts[ref.p].readRow(ref.t)
+		if row.fatal != nil {
+			return nil, fmt.Errorf("runtime: engine failed: %w", row.fatal)
 		}
 		outcome := "committed"
 		switch {
-		case status == txAbandoned && cause != nil:
-			outcome = fmt.Sprintf("was abandoned (%v)", cause)
-		case status == txAbandoned:
+		case row.status == txAbandoned && row.cause != nil:
+			outcome = fmt.Sprintf("was abandoned (%v)", row.cause)
+		case row.status == txAbandoned:
 			outcome = "was abandoned"
-		case status == txActive:
+		case row.status == txActive:
 			// Only a committed transaction outlives its session active: a
 			// cascade un-committed it and the engine is re-running it.
 			outcome = "committed (the engine is re-running it after a cascade)"
@@ -343,9 +343,9 @@ func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	}
 	// A reaper or shutdown may have killed the session since the CAS;
 	// re-check liveness (adopt does so once more under the registry lock).
-	gen, status, _, fatal := cur.x.readTxnState()
-	if fatal == nil && status == txActive {
-		if ns := pe.adopt(cur.x, sid, cur.tx, st, gen, true); ns != nil {
+	row := cur.x.readRow()
+	if row.fatal == nil && row.status == txActive {
+		if ns := pe.adopt(cur.x, cur.tx, st, row.gen, true); ns != nil {
 			ns.touch()
 			return ns, nil
 		}
@@ -354,8 +354,8 @@ func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	if p := st.term.Load(); p != nil {
 		return nil, *p
 	}
-	if fatal != nil {
-		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
+	if row.fatal != nil {
+		return nil, fmt.Errorf("runtime: engine failed: %w", row.fatal)
 	}
 	return nil, ErrNotResumable
 }

@@ -42,7 +42,7 @@ func (pe *PartitionedEngine) mergedDrained() model.Schedule {
 			return out
 		}
 		ev := logs[best][idx[best]]
-		out = append(out, model.Ev{T: model.TID(pe.parts[best].mgr.owner(int(ev.T))), S: ev.S})
+		out = append(out, model.Ev{T: model.TID(pe.parts[best].owners[ev.T]), S: ev.S})
 		for p := 0; p < n; p++ {
 			for idx[p] < len(logs[p]) && tags[p][idx[p]] == bt {
 				idx[p]++

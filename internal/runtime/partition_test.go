@@ -17,10 +17,33 @@ import (
 
 // TestPartitionOfStable pins the entity hash: routing is a pure
 // function of the entity name and the partition count, so a session's
-// home partition never depends on engine state.
+// home partition never depends on engine state. A data directory written
+// with -partitions n homes its entities by this hash, so the literal
+// values below (FNV-1a modulo n) must never change.
 func TestPartitionOfStable(t *testing.T) {
 	if model.PartitionOf("e1", 1) != 0 || model.PartitionOf("e1", 0) != 0 {
 		t.Fatal("n<=1 must route everything to partition 0")
+	}
+	for _, c := range []struct {
+		e    model.Entity
+		want [4]int // n = 2, 4, 8, 16
+	}{
+		{"a", [4]int{0, 0, 4, 12}},
+		{"b", [4]int{1, 1, 5, 5}},
+		{"x", [4]int{1, 3, 7, 7}},
+		{"y", [4]int{0, 0, 4, 4}},
+		{"e0", [4]int{0, 0, 0, 0}},
+		{"e1", [4]int{1, 3, 3, 3}},
+		{"e17", [4]int{0, 0, 4, 12}},
+		{"k42", [4]int{0, 0, 0, 8}},
+		{"entity-with-a-long-name", [4]int{0, 0, 4, 12}},
+		{"cl3-9", [4]int{1, 1, 1, 1}},
+	} {
+		for i, n := range []int{2, 4, 8, 16} {
+			if p := model.PartitionOf(c.e, n); p != c.want[i] {
+				t.Errorf("PartitionOf(%q, %d) = %d, want %d", c.e, n, p, c.want[i])
+			}
+		}
 	}
 	for n := 2; n <= 8; n *= 2 {
 		for i := 0; i < 100; i++ {
@@ -148,9 +171,9 @@ func TestCascadeUnCommitsAndRespawnsAcrossPartitions(t *testing.T) {
 		if len(s.x.span) != 2 {
 			t.Fatalf("%s spans %d partitions, want 2", tx.Name, len(s.x.span))
 		}
-		gen, _, _, _ := s.x.readTxnState()
+		gen := s.x.readRow().gen
 		for _, st := range tx.Steps {
-			if ok, _, _ := s.x.execStep(gen, st); !ok {
+			if !s.x.execStep(gen, st) {
 				t.Fatalf("%s: step %s refused", tx.Name, st)
 			}
 		}
@@ -158,7 +181,7 @@ func TestCascadeUnCommitsAndRespawnsAcrossPartitions(t *testing.T) {
 	}
 	x1, _ := row(t1)
 	x2, gen2 := row(t2)
-	if committed, _, _ := x2.commit(gen2); !committed {
+	if !x2.commit(gen2) {
 		t.Fatal("T2 did not commit")
 	}
 	holder, err := pe.OpenSession(rwTxn("H", y))

@@ -15,8 +15,9 @@
 //
 // Locking goes through lockmgr.Manager, so grant order, upgrades and
 // deadlock detection (including cross-shard sweeps) are the shared
-// lock-table core's. Policy rules are consulted through a *footprint-
-// striped admission gate*: the policy declares (via
+// lock-table core's; a row's lock owner there is its engine-wide session
+// id, whichever partitions it spans. Policy rules are consulted through
+// a *footprint-striped admission gate*: the policy declares (via
 // model.Monitor.Footprint, asked of one engine-wide monitor over an empty
 // system — a footprint depends on the event alone) which transactions'
 // bookkeeping and which entities' state evaluating the event touches, and
@@ -54,7 +55,7 @@
 // of a committed transaction a cascade un-committed — is driven by one
 // row machine (txn, below), parameterised by the transaction's span: the
 // partitions whose gates it drains and whose logs its events land in.
-// Session.Run and the re-runs share its one retry loop (txn.attempt).
+// Session.Run and the re-runs share its one retry loop (txn.retry).
 // Opening a session appends the declared transaction to the systems of
 // its span under the span's drain (growing the monitors and the recovery
 // cores via their Grow methods), Session.Step goes through the row
@@ -69,13 +70,14 @@
 // partitions, each a runner with its own striped gate, sequencer and
 // recovery core that points back at the engine for the rest — one
 // configuration, lock manager, footprint monitor, MPL semaphore and
-// event-tag source. A partition-local body's span
-// is its home partition — with one partition, every body's; a body
-// spanning partitions, or declaring a global footprint, spans all of
-// them, and its drain quiesces every partition — see partition.go and
-// DESIGN.md ("Partitioned engines"). TestPartitionEquivalenceRandomTraces
-// pins 1-, 2- and 8-partition digests identical to the reference drive's
-// (ReplayTrace).
+// event-tag source. Every admitted event, fast path or slow, reaches its
+// partition's log and store through that partition's sequencer. A
+// partition-local body's span is its home partition — with one
+// partition, every body's; a body spanning partitions, or declaring a
+// global footprint, spans all of them, and its drain quiesces every
+// partition — see partition.go and DESIGN.md ("Partitioned engines").
+// TestPartitionEquivalenceRandomTraces pins 1-, 2- and 8-partition
+// digests identical to the reference drive's (ReplayTrace).
 package runtime
 
 import (
@@ -274,53 +276,12 @@ const (
 // bounded neighborhood.
 const maxStripeBuf = 8
 
-// lockSpace is a partition's view of its lock manager. The partitions
-// of a PartitionedEngine *share* one manager — cross-partition deadlock
-// cycles threading a global transaction through two partitions' locals
-// are only visible to a detector that sees every edge — and translate
-// their local transaction indices to engine-wide owner ids through glob.
-// The mapping is append-only: registrations append under the partition's
-// full gate drain and publish the longer slice header, and lock calls
-// (which run before any stripe is held) read it with an atomic load.
-type lockSpace struct {
-	m    *lockmgr.Manager
-	glob atomic.Pointer[[]int] // local txn index -> owner id
-}
-
-func newLockSpace(m *lockmgr.Manager) *lockSpace {
-	ls := &lockSpace{m: m}
-	ls.glob.Store(new([]int))
-	return ls
-}
-
-// register appends the owner id of the next local transaction index.
-// Callers hold the partition's full drain, which serializes
-// registrations. The append writes spare capacity of the published table
-// in place: a reader indexes strictly below the length of the header it
-// loaded, so it never touches the slot being written, and sees the new
-// one only through the atomic store of the longer header.
-func (ls *lockSpace) register(owner int) {
-	next := append(*ls.glob.Load(), owner)
-	ls.glob.Store(&next)
-}
-
-// owner translates a local transaction index to its lock-manager owner
-// id.
-func (ls *lockSpace) owner(t int) int { return (*ls.glob.Load())[t] }
-
-func (ls *lockSpace) Lock(t int, e model.Entity, mode model.Mode) error {
-	return ls.m.Lock(ls.owner(t), e, mode)
-}
-func (ls *lockSpace) Unlock(t int, e model.Entity) error { return ls.m.Unlock(ls.owner(t), e) }
-func (ls *lockSpace) ReleaseAll(t int)                   { ls.m.ReleaseAll(ls.owner(t)) }
-
 type runner struct {
 	// pe is the engine this runner is one partition of: its
 	// configuration, footprint monitor, MPL slots, event-tag source,
 	// re-run group and table of spanning rows are every partition's.
 	pe   *PartitionedEngine
 	sys  *model.System
-	mgr  *lockSpace
 	gate *gate
 
 	// brand is the backoff jitter's uniform [0,1) source (math/rand's;
@@ -358,7 +319,11 @@ type runner struct {
 	// memory-only. The runner is its one writer: each record follows the
 	// in-memory change that decides it, under a full drain, and a failed
 	// write is fatal (persistFailedDrained).
-	pers   recovery.Persister
+	pers recovery.Persister
+	// owners maps a local row to its engine-wide session id, the row's
+	// lock-manager owner. It grows with the rows (addTxnDrained) and is
+	// read under a drain only.
+	owners []int
 	status []txnStatus
 	// gen is the abort generation: bumping gen[t] invalidates t's
 	// in-flight attempt, which notices at its next gate entry (or when
@@ -429,22 +394,25 @@ func (sp span) setFatal(err error) {
 // the partitions whose gates it drains and whose logs its events land
 // in, ascending — the home partition of a partition-local body, every
 // partition of the engine for a body spanning them or declaring a global
-// footprint — and locs[i] is the row's local index in span[i]. The
-// owner replica span[0] keeps the row's generation, attempts and abort
-// cause, is charged its metrics and is its lock-manager identity; status
-// writes reach every replica. A txn holds no state of its own, so any
-// copy drives the same row.
+// footprint — and locs[i] is the row's local index in span[i]. sid is
+// the row's engine-wide session id, which is also its lock-manager
+// owner. The owner replica span[0] keeps the row's generation, attempts
+// and abort cause and is charged its metrics; status writes reach every
+// replica. A txn holds no state of its own, so any copy drives the same
+// row.
 type txn struct {
 	span span
 	locs []int
+	sid  int
 }
 
-// rowTxn returns the row of local index t.
+// rowTxn returns the row of local index t (drain held).
 func (r *runner) rowTxn(t int) *txn {
-	if x := r.pe.spanning[r.mgr.owner(t)]; x != nil {
+	sid := r.owners[t]
+	if x := r.pe.spanning[sid]; x != nil {
 		return x
 	}
-	return &txn{span: r.self, locs: []int{t}}
+	return &txn{span: r.self, locs: []int{t}, sid: sid}
 }
 
 // own returns the owner replica and the row's local index there.
@@ -466,7 +434,6 @@ func newRunner(pe *PartitionedEngine) *runner {
 		brand:     rand.Float64,
 		rec:       recovery.New(0, sys.Init, pe.cfg.Policy.NewMonitor(sys), pe.cfg.CheckpointEvery),
 		truncMark: 4 * pe.cfg.CheckpointEvery,
-		mgr:       newLockSpace(pe.mgr),
 	}
 	r.self = span{r}
 	return r
@@ -483,13 +450,25 @@ func (x *txn) runTxn() {
 		pe.sem <- struct{}{}
 		defer func() { <-pe.sem }()
 	}
-	for {
-		_, again, delay := x.attempt()
-		if !again {
-			return
+	x.retry(x.attempt(), nil)
+}
+
+// retry is the one retry loop, Session.Run's and runTxn's. While x has
+// not committed, it reads the row under its stripe and stops unless the
+// row is still active, the engine healthy and live (nil: always) holds;
+// otherwise it waits backoff(attempts) and runs the next attempt.
+// Reports whether x committed.
+func (x *txn) retry(committed bool, live func() bool) bool {
+	o, _ := x.own()
+	for !committed {
+		row := x.readRow()
+		if row.status != txActive || row.fatal != nil || (live != nil && !live()) {
+			return false
 		}
-		time.Sleep(delay)
+		time.Sleep(o.backoff(row.attempts))
+		committed = x.attempt()
 	}
+	return true
 }
 
 // The retry-delay curve (see Config.Backoff).
@@ -520,16 +499,15 @@ func (r *runner) txnStripes(buf []int, t int) []int {
 }
 
 // attempt executes one full pass over x's declared steps in the row's
-// current generation. It reports whether x committed, and otherwise
-// whether to retry and after what delay.
-func (x *txn) attempt() (committed, again bool, delay time.Duration) {
+// current generation and reports whether x committed.
+func (x *txn) attempt() bool {
 	o, t := x.own()
 	var buf [maxStripeBuf]int
 	tset := o.txnStripes(buf[:0], t)
 	o.gate.lockSet(tset)
 	if o.status[t] != txActive || o.fatal != nil {
 		o.gate.unlockSet(tset)
-		return false, false, 0
+		return false
 	}
 	gen := o.gen[t]
 	// The transaction list is grown by OpenSession under a full drain,
@@ -540,29 +518,28 @@ func (x *txn) attempt() (committed, again bool, delay time.Duration) {
 }
 
 // finish executes steps — the rest of x's attempt gen — and commits,
-// reporting as attempt does.
-func (x *txn) finish(gen int, steps []model.Step) (committed, again bool, delay time.Duration) {
+// reporting whether x committed.
+func (x *txn) finish(gen int, steps []model.Step) bool {
 	for _, st := range steps {
-		if ok, again, delay := x.execStep(gen, st); !ok {
-			return false, again, delay
+		if !x.execStep(gen, st) {
+			return false
 		}
 	}
 	return x.commit(gen)
 }
 
 // execStep performs one declared step of x's attempt gen: the lock-table
-// action for lock steps, then gate admission. ok reports whether the
-// step was admitted; otherwise (again, delay) is the retry policy for
-// the attempt, as runTxn interprets it.
-func (x *txn) execStep(gen int, step model.Step) (ok, again bool, delay time.Duration) {
+// action for lock steps, then gate admission. It reports whether the
+// step was admitted.
+func (x *txn) execStep(gen int, step model.Step) bool {
 	if step.Op.IsLock() {
-		o, t := x.own()
+		o, _ := x.own()
 		t0 := time.Now()
-		err := o.mgr.Lock(t, step.Ent, step.Op.LockMode())
+		err := o.pe.mgr.Lock(x.sid, step.Ent, step.Op.LockMode())
 		o.waitNs.Add(int64(time.Since(t0)))
 		if err != nil {
-			again, delay = x.lockFailed(gen, err)
-			return false, again, delay
+			x.lockFailed(gen, err)
+			return false
 		}
 	}
 	return x.admit(gen, step)
@@ -575,17 +552,18 @@ func (x *txn) execStep(gen int, step model.Step) (ok, again bool, delay time.Dur
 // undefined data step — and every step of a wider span runs on the slow
 // path under the span's drain, where the complete gate logic (including
 // aborting) applies atomically.
-func (x *txn) admit(gen int, st model.Step) (ok, again bool, delay time.Duration) {
+func (x *txn) admit(gen int, st model.Step) bool {
 	if o, t := x.own(); len(x.span) == 1 && !o.drainReq.Load() {
 		ev := model.Ev{T: model.TID(t), S: st}
 		var buf [maxStripeBuf]int
 		if set, fast := o.gate.setFor(buf[:0], ev, o.pe.fpMon.Footprint(ev)); fast {
-			switch out, err := o.admitFast(set, t, gen, ev); out {
+			switch out, err := x.admitFast(set, gen, ev); out {
 			case fastAdmitted:
-				return true, false, 0
+				return true
 			case fastFatal:
-				again, delay = x.bailSlow(err)
-				return false, again, delay
+				x.span.drain()
+				x.bailDrained(err)
+				return false
 			case fastFallback:
 				// fall through to the slow path; nothing happened
 			}
@@ -606,12 +584,14 @@ const (
 	fastFatal
 )
 
-// admitFast tries to admit ev entirely under its footprint stripes.
-// Every check that can fail without side effects falls back to the slow
-// path, which re-evaluates from scratch — so a veto observed here is
-// never acted on directly, and the abort happens atomically with the
-// authoritative slow-path re-check.
-func (r *runner) admitFast(set []int, t, gen int, ev model.Ev) (fastOutcome, error) {
+// admitFast tries to admit ev, the event of x's one-partition attempt
+// gen, entirely under its footprint stripes. Every check that can fail
+// without side effects falls back to the slow path, which re-evaluates
+// from scratch — so a veto observed here is never acted on directly, and
+// the abort happens atomically with the authoritative slow-path
+// re-check.
+func (x *txn) admitFast(set []int, gen int, ev model.Ev) (fastOutcome, error) {
+	r, t := x.own()
 	r.gate.lockSet(set)
 	if r.fatal != nil || r.gen[t] != gen {
 		r.gate.unlockSet(set)
@@ -639,7 +619,7 @@ func (r *runner) admitFast(set []int, t, gen int, ev model.Ev) (fastOutcome, err
 		// The table action sits between Check and Step, as on the slow
 		// path; a failed release mutates nothing, so it may still fall
 		// back (the slow path will fail the same way and record it).
-		if err := r.mgr.Unlock(t, ev.S.Ent); err != nil {
+		if err := r.pe.mgr.Unlock(x.sid, ev.S.Ent); err != nil {
 			r.gate.unlockSet(set)
 			return fastFallback, nil
 		}
@@ -648,18 +628,27 @@ func (r *runner) admitFast(set []int, t, gen int, ev model.Ev) (fastOutcome, err
 		r.gate.unlockSet(set)
 		return fastFatal, fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err)
 	}
-	r.sequence(ev)
+	r.sequence(ev, drawTag)
 	r.gate.unlockSet(set)
 	return fastAdmitted, nil
 }
 
-// sequence assigns ev its log position. Called while ev's stripes are
-// held, so two conflicting events (which share a stripe) are sequenced
-// in execution order.
-func (r *runner) sequence(ev model.Ev) {
+// drawTag asks sequence to draw the event's tag itself.
+const drawTag = ^uint64(0)
+
+// sequence assigns ev its log position under tag. Called while ev's
+// stripes are held (a drain holds them all), so two conflicting events
+// (which share a stripe) are sequenced in execution order. The fast path passes drawTag: its tag is
+// drawn inside the sequencer lock, so footprint-disjoint events racing
+// to one partition still leave its log tag-ascending. The slow path
+// passes the one tag it drew, under the span's drain, for every member.
+func (r *runner) sequence(ev model.Ev, tag uint64) {
 	r.seqMu.Lock()
+	if tag == drawTag {
+		tag = r.pe.tags.Add(1) - 1
+	}
 	r.pending = append(r.pending, ev)
-	r.pendTags = append(r.pendTags, r.pe.tags.Add(1)-1)
+	r.pendTags = append(r.pendTags, tag)
 	if len(r.pending) >= r.pe.cfg.CheckpointEvery {
 		r.drainReq.Store(true)
 	}
@@ -667,9 +656,9 @@ func (r *runner) sequence(ev model.Ev) {
 }
 
 // flushPending feeds the sequenced batch to the recovery core (which
-// may take a checkpoint at the batch boundary) and then to the store.
-// Caller holds a full drain, so the core's single-owner discipline is
-// preserved.
+// may take a checkpoint at the batch boundary) and then to the store:
+// the runtime's one route for admitted events into both. Caller holds a
+// full drain, so the core's single-owner discipline is preserved.
 func (r *runner) flushPending() {
 	r.seqMu.Lock()
 	if len(r.pending) > 0 {
@@ -688,16 +677,16 @@ func (r *runner) flushPending() {
 // admitSlow is the authoritative admission path: under the span's
 // drain it runs the complete serialized-gate logic — stale check,
 // definedness, the policy Check on every member's monitor (the verdict
-// is their conjunction), the unlock table action, and the append into
-// every member's recovery core under one sequence tag (which steps the
-// monitors and takes checkpoints). Aborts and fatal errors are handled
-// atomically here. With GateStripes = 1 every event of a one-partition
-// span takes this path and the runtime is the pre-striping serialized
-// gate.
-func (x *txn) admitSlow(gen int, st model.Step) (ok, again bool, delay time.Duration) {
+// is their conjunction), the unlock table action, then every member's
+// monitor Step and state update, and the event's hand-off to every
+// member's sequencer under one shared tag, flushed with the next drain.
+// Aborts and fatal errors are handled atomically here. With
+// GateStripes = 1 every event of a one-partition span takes this path
+// and the runtime is the pre-striping serialized gate.
+func (x *txn) admitSlow(gen int, st model.Step) bool {
 	x.span.drain()
-	if stale, out := x.staleDrained(gen); stale {
-		return false, out.again, out.delay
+	if x.staleDrained(gen) {
+		return false
 	}
 	o, t := x.own()
 	// Definedness is judged by the entity's home partition within the
@@ -710,67 +699,70 @@ func (x *txn) admitSlow(gen int, st model.Step) (ok, again bool, delay time.Dura
 		// The workload raced ahead of a creator transaction: retry later.
 		o.met.ImproperAborts++
 		o.abortCause[t] = fmt.Errorf("improper step %s: undefined in the structural state", x.ev(0, st))
-		again, delay = x.abortDrained()
-		return false, again, delay
+		x.abortDrained()
+		return false
 	}
 	for i, r := range x.span {
 		if err := r.rec.Monitor().Check(x.ev(i, st)); err != nil {
 			o.met.PolicyAborts++
 			o.abortCause[t] = err
-			again, delay = x.abortDrained()
-			return false, again, delay
+			x.abortDrained()
+			return false
 		}
 	}
 	if st.Op.IsUnlock() {
-		if err := o.mgr.Unlock(t, st.Ent); err != nil {
+		if err := o.pe.mgr.Unlock(x.sid, st.Ent); err != nil {
 			// Releasing an un-held entity: a malformed workload, not an
 			// abortable conflict.
-			again, delay = x.bailDrained(fmt.Errorf("runtime: %w", err))
-			return false, again, delay
+			x.bailDrained(fmt.Errorf("runtime: %w", err))
+			return false
 		}
 	}
 	tag := o.pe.tags.Add(1) - 1
 	for i, r := range x.span {
-		if !r.commitEventDrained(x.ev(i, st), tag) {
-			again, delay = x.bailDrained(nil)
-			return false, again, delay
+		ev := x.ev(i, st)
+		if err := r.rec.Monitor().Step(ev); err != nil {
+			x.bailDrained(fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err))
+			return false
 		}
+		r.rec.State().Apply(st)
+		r.sequence(ev, tag)
 	}
 	x.span.undrain()
-	return true, false, 0
+	return true
 }
 
 // lockFailed handles a lock-acquisition error: deadlock victims abort
 // the attempt, anything else (re-locking a held entity — a malformed
 // workload) is fatal. A stale generation wins over either, as in the
 // serialized gate.
-func (x *txn) lockFailed(gen int, err error) (bool, time.Duration) {
+func (x *txn) lockFailed(gen int, err error) {
 	x.span.drain()
-	if stale, out := x.staleDrained(gen); stale {
-		return out.again, out.delay
+	if x.staleDrained(gen) {
+		return
 	}
 	if !errors.Is(err, lockmgr.ErrDeadlock) {
-		return x.bailDrained(fmt.Errorf("runtime: %w", err))
+		x.bailDrained(fmt.Errorf("runtime: %w", err))
+		return
 	}
 	// Deadlock victim (intra- or cross-shard, intra- or cross-partition).
 	o, t := x.own()
 	o.met.DeadlockAborts++
 	o.abortCause[t] = err
-	return x.abortDrained()
+	x.abortDrained()
 }
 
 // commit finalizes x: its last event is already sequenced, so only the
 // bookkeeping and stray-lock shedding remain, done under the drain so a
 // concurrent cascade cannot interleave between the status flip and the
-// teardown. committed reports whether x actually reached txCommitted —
-// false when the attempt went stale under the drain (the session API
-// needs the distinction; runTxn only follows again/delay).
-func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
+// teardown. It reports whether x reached txCommitted — false when the
+// attempt went stale under the drain or the engine failed.
+func (x *txn) commit(gen int) bool {
 	x.span.drain()
-	if stale, out := x.staleDrained(gen); stale {
-		return false, out.again, out.delay
+	if x.staleDrained(gen) {
+		return false
 	}
-	o, t := x.own()
+	o, _ := x.own()
 	o.met.Commits++
 	// The commit is acknowledged only after the status record is durably
 	// appended in every replica (with Fsync on), so an acked commit
@@ -778,21 +770,21 @@ func (x *txn) commit(gen int) (committed, again bool, delay time.Duration) {
 	x.setStatusDrained(txCommitted)
 	if x.span.fatal() != nil {
 		x.span.undrain()
-		o.mgr.ReleaseAll(t)
-		return false, false, 0
+		o.pe.mgr.ReleaseAll(x.sid)
+		return false
 	}
 	// Well-formed transactions have released everything; drop strays (so
 	// a workload bug cannot wedge the rest of the run) while still
 	// draining — after the drain ends a cascade may un-commit and
 	// re-spawn x, and a stray teardown would tear the new attempt down.
-	o.mgr.ReleaseAll(t)
+	o.pe.mgr.ReleaseAll(x.sid)
 	if o.pe.cfg.TruncateLog {
 		for _, r := range x.span {
 			r.maybeTruncateDrained()
 		}
 	}
 	x.span.undrain()
-	return true, false, 0
+	return true
 }
 
 // maybeTruncateDrained attempts a log-prefix truncation (see
@@ -835,82 +827,38 @@ func (r *runner) ownedEvents(evs model.Schedule) int {
 	}
 	n := 0
 	for _, ev := range evs {
-		if x := r.pe.spanning[r.mgr.owner(int(ev.T))]; x == nil || x.span[0] == r {
+		if x := r.pe.spanning[r.owners[ev.T]]; x == nil || x.span[0] == r {
 			n++
 		}
 	}
 	return n
 }
 
-type retryOut struct {
-	again bool
-	delay time.Duration
-}
-
 // staleDrained checks whether x's attempt was invalidated by a
 // concurrent cascade (or the engine hit a fatal error). Called with the
-// span drained; on stale it releases the drain, sheds any lock the
+// span drained; on stale it releases the drain and sheds any lock the
 // attempt acquired inside the race window after the cascade's
-// ReleaseAll, and reports how to continue.
-func (x *txn) staleDrained(gen int) (bool, retryOut) {
+// ReleaseAll.
+func (x *txn) staleDrained(gen int) bool {
 	o, t := x.own()
-	if x.span.fatal() != nil {
-		x.span.undrain()
-		o.mgr.ReleaseAll(t)
-		return true, retryOut{again: false}
+	if x.span.fatal() == nil && o.gen[t] == gen {
+		return false
 	}
-	if o.gen[t] == gen {
-		return false, retryOut{}
-	}
-	again := o.status[t] == txActive
-	delay := o.backoff(o.attempts[t])
 	x.span.undrain()
 	// The aborter already erased our events, charged the retry and
 	// released our locks; only locks acquired after that teardown can
-	// remain, and they were never observed by the monitor.
-	o.mgr.ReleaseAll(t)
-	return true, retryOut{again: again, delay: delay}
+	// remain, and they were never observed by the monitor. A failed
+	// engine admits nothing more, so its locks go too.
+	o.pe.mgr.ReleaseAll(x.sid)
+	return true
 }
 
-// bailDrained stops x after a fatal error, recording err (nil: the
-// error a member already recorded) on every member of the span that has
-// none. Called with the span drained; releases it.
-func (x *txn) bailDrained(err error) (bool, time.Duration) {
-	if err == nil {
-		err = x.span.fatal()
-	}
+// bailDrained stops x after a fatal error, recording err on every member
+// of the span that has none. Called with the span drained; releases it.
+func (x *txn) bailDrained(err error) {
 	x.span.setFatal(err)
 	x.span.undrain()
-	o, t := x.own()
-	o.mgr.ReleaseAll(t)
-	return false, 0
-}
-
-// bailSlow is bailDrained for callers not yet draining (the fast path's
-// post-side-effect failures).
-func (x *txn) bailSlow(err error) (bool, time.Duration) {
-	x.span.drain()
-	return x.bailDrained(err)
-}
-
-// commitEventDrained applies ev to the monitor and structural state and
-// appends it to the log under the given sequence tag, all through the
-// recovery core, then writes it to the store. Called with a full drain
-// held after a successful Check; reports false (recording a fatal error)
-// if the monitor reneges on its Check or the write fails.
-func (r *runner) commitEventDrained(ev model.Ev, tag uint64) bool {
-	if err := r.rec.AppendTagged(ev, tag); err != nil {
-		r.fatal = fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err)
-		return false
-	}
-	if r.pers != nil {
-		one, oneTag := [1]model.Ev{ev}, [1]uint64{tag}
-		if err := r.pers.AppendEvents(one[:], oneTag[:]); err != nil {
-			r.persistFailedDrained(err)
-			return false
-		}
-	}
-	return true
+	x.span[0].pe.mgr.ReleaseAll(x.sid)
 }
 
 // persistFailedDrained records a persister failure (nil: none) as the
@@ -948,15 +896,11 @@ func (x *txn) setStatusDrained(s txnStatus) {
 // abortDrained aborts x's current attempt: erase its events (cascading
 // as needed), charge the retry, tear down its locks. Called with the
 // span drained; returns with the drain released.
-func (x *txn) abortDrained() (bool, time.Duration) {
+func (x *txn) abortDrained() {
 	eraseDrained(x.span, x)
 	x.chargeDrained()
-	o, t := x.own()
-	again := o.status[t] == txActive
-	delay := o.backoff(o.attempts[t])
 	x.span.undrain()
-	o.mgr.ReleaseAll(t)
-	return again, delay
+	x.span[0].pe.mgr.ReleaseAll(x.sid)
 }
 
 // chargeDrained bumps x's generation and retry count, abandoning it past
@@ -1040,7 +984,7 @@ restart:
 func (x *txn) cascadeVictimDrained() {
 	o, t := x.own()
 	o.met.CascadeAborts++
-	o.abortCause[t] = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", o.mgr.owner(t)+1)
+	o.abortCause[t] = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", x.sid+1)
 	respawn := false
 	if o.status[t] == txCommitted {
 		// The cascade reached an already-committed transaction (e.g. a
@@ -1058,7 +1002,7 @@ func (x *txn) cascadeVictimDrained() {
 	// Tear down the victim's locks and wake it if parked
 	// (ErrCancelled); a running victim notices its stale generation at
 	// its next gate entry.
-	o.mgr.ReleaseAll(t)
+	o.pe.mgr.ReleaseAll(x.sid)
 	if respawn && o.status[t] == txActive {
 		o.pe.wg.Add(1)
 		go x.runTxn()

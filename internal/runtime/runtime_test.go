@@ -205,8 +205,8 @@ func TestCascadeUnCommitsAndRespawns(t *testing.T) {
 		{T: 1, S: model.R("x")},
 		{T: 1, S: model.UX("x")},
 	} {
-		if !r.commitEventDrained(ev, r.pe.tags.Add(1)-1) {
-			t.Fatal(r.fatal)
+		if err := r.rec.AppendTagged(ev, r.pe.tags.Add(1)-1); err != nil {
+			t.Fatal(err)
 		}
 	}
 	r.status[1] = txCommitted
@@ -266,8 +266,8 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 		r.rec.SetFullReplay(full)
 		r.gate.drain()
 		for _, ev := range log {
-			if !r.commitEventDrained(ev, r.pe.tags.Add(1)-1) {
-				t.Fatal(r.fatal)
+			if err := r.rec.AppendTagged(ev, r.pe.tags.Add(1)-1); err != nil {
+				t.Fatal(err)
 			}
 		}
 		return r // drain still held

@@ -14,7 +14,7 @@ import (
 // This file is the session layer over the striped runtime: the session
 // lifecycle (sessHost, Session) of the long-lived session engine, whose
 // transaction population is not known up front, and the row machine's
-// session entry points (readTxnState, teardown). Clients open a Session
+// session entry points (readRow, teardown). Clients open a Session
 // by declaring the transaction's full step sequence (the paper's
 // policies are properties of declared transaction bodies: the altruistic
 // locked point and the DTR tree-locking check need the whole text, and
@@ -162,7 +162,6 @@ type sessState struct {
 type Session struct {
 	h    *sessHost
 	x    txn // its row (a value: every incarnation holds a copy)
-	sid  int // engine-wide session id
 	tx   model.Txn
 	gen  int // generation of the current attempt, from the client's view
 	pos  int // declared steps admitted in the current attempt
@@ -216,20 +215,20 @@ func (h *sessHost) newSessState() *sessState {
 }
 
 // adopt is the one Session constructor — an open, a resume and a restore
-// all come through here: a fresh owner object for row x, session id sid,
-// at generation gen, snapshotting the park fence, registered as the
-// session's current owner. attach marks it as holding the MPL slot its
-// caller acquired; a restore registers its sessions parked, holding
+// all come through here: a fresh owner object for row x (session id
+// x.sid), at generation gen, snapshotting the park fence, registered as
+// the session's current owner. attach marks it as holding the MPL slot
+// its caller acquired; a restore registers its sessions parked, holding
 // none. Returns nil if the session finished meanwhile (only a resume can
 // lose that race).
-func (h *sessHost) adopt(x txn, sid int, tx model.Txn, st *sessState, gen int, attach bool) *Session {
-	s := &Session{h: h, x: x, sid: sid, tx: tx, gen: gen, myParks: st.parks.Load(), st: st}
+func (h *sessHost) adopt(x txn, tx model.Txn, st *sessState, gen int, attach bool) *Session {
+	s := &Session{h: h, x: x, tx: tx, gen: gen, myParks: st.parks.Load(), st: st}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if st.finished.Load() {
 		return nil
 	}
-	h.sessions[sid] = s
+	h.sessions[x.sid] = s
 	if attach {
 		st.attached = true
 		h.attached++
@@ -261,7 +260,7 @@ func (h *sessHost) release(s *Session) {
 		return
 	}
 	h.mu.Lock()
-	delete(h.sessions, s.sid)
+	delete(h.sessions, s.x.sid)
 	h.detachLocked(s.st)
 	h.mu.Unlock()
 }
@@ -288,7 +287,7 @@ func (h *sessHost) AwaitDetached(ctx context.Context) {
 
 // SID returns the engine-wide session id, the identity a client quotes
 // to Resume after a connection loss.
-func (s *Session) SID() int { return s.sid }
+func (s *Session) SID() int { return s.x.sid }
 
 // Token returns the server-issued resume credential.
 func (s *Session) Token() uint64 { return s.st.token }
@@ -348,16 +347,16 @@ func (s *Session) failure() error {
 		s.done = true
 		return errFenced
 	}
-	gen, status, cause, fatal := s.x.readTxnState()
-	s.gen, s.pos = gen, 0
-	if fatal != nil {
+	row := s.x.readRow()
+	s.gen, s.pos = row.gen, 0
+	if row.fatal != nil {
 		s.done = true
 		s.h.release(s)
-		return fmt.Errorf("runtime: engine failed: %w", fatal)
+		return fmt.Errorf("runtime: engine failed: %w", row.fatal)
 	}
-	if status == txActive {
-		if cause != nil {
-			return fmt.Errorf("%w (cause: %v)", ErrAborted, cause)
+	if row.status == txActive {
+		if row.cause != nil {
+			return fmt.Errorf("%w (cause: %v)", ErrAborted, row.cause)
 		}
 		return ErrAborted
 	}
@@ -365,10 +364,10 @@ func (s *Session) failure() error {
 	s.done = true
 	s.h.release(s)
 	if p := s.st.term.Load(); p != nil {
-		return fmt.Errorf("%w (cause: %v)", *p, cause)
+		return fmt.Errorf("%w (cause: %v)", *p, row.cause)
 	}
-	if cause != nil {
-		return fmt.Errorf("%w (last cause: %v)", ErrAbandoned, cause)
+	if row.cause != nil {
+		return fmt.Errorf("%w (last cause: %v)", ErrAbandoned, row.cause)
 	}
 	return ErrAbandoned
 }
@@ -393,10 +392,10 @@ func (s *Session) Step(st model.Step) error {
 	}
 	// A cascade (or the reaper) may have torn the attempt down since the
 	// last request; notice before doing any work.
-	if gen, status, _, fatal := s.x.readTxnState(); fatal != nil || gen != s.gen || status != txActive {
+	if row := s.x.readRow(); row.fatal != nil || row.gen != s.gen || row.status != txActive {
 		return s.failure()
 	}
-	if ok, _, _ := s.x.execStep(s.gen, st); !ok {
+	if !s.x.execStep(s.gen, st) {
 		return s.failure()
 	}
 	s.pos++
@@ -418,7 +417,7 @@ func (s *Session) Commit() error {
 	if s.pos != s.tx.Len() {
 		return fmt.Errorf("%w: %d of %d declared steps executed", ErrStepMismatch, s.pos, s.tx.Len())
 	}
-	if committed, _, _ := s.x.commit(s.gen); !committed {
+	if !s.x.commit(s.gen) {
 		return s.failure()
 	}
 	s.done = true
@@ -430,22 +429,19 @@ func (s *Session) Commit() error {
 // it finishes the current attempt from the cursor and commits, then,
 // whenever the attempt is torn down, retries the whole body after the
 // engine's capped+jittered backoff — the loop the engine runs for its
-// cascade re-runs (runTxn), exposed so a client can ship the declared
+// cascade re-runs (txn.retry), exposed so a client can ship the declared
 // body once and receive a single terminal answer (the wire protocol's
 // run op). The retry budget is the engine's (Config.MaxRetries). A park
-// (Interrupt) stops the loop. Returns nil on commit; any other error is
+// (Interrupt) stops the loop: the session must not have been parked
+// since this Session was made. Returns nil on commit; any other error is
 // terminal for this Session object.
 func (s *Session) Run() error {
 	if err := s.begin(); err != nil {
 		return err
 	}
 	defer s.end()
-	committed, again, delay := s.x.finish(s.gen, s.tx.Steps[s.pos:])
-	for again && s.st.parks.Load() == s.myParks {
-		time.Sleep(delay)
-		committed, again, delay = s.x.attempt()
-	}
-	if !committed {
+	live := func() bool { return s.st.parks.Load() == s.myParks }
+	if !s.x.retry(s.x.finish(s.gen, s.tx.Steps[s.pos:]), live) {
 		return s.failure()
 	}
 	s.done = true
@@ -627,37 +623,49 @@ func (h *sessHost) shutdown() bool {
 	return true
 }
 
-// addTxnDrained appends one transaction row to the runner: the system,
-// the recovery core and every per-transaction bookkeeping slice grow in
-// lockstep, and the lock-owner mapping learns the row's engine-wide
-// owner id. Called with a full drain held, sequencer flushed.
-func (r *runner) addTxnDrained(tx model.Txn, owner int) int {
+// addTxnDrained appends one transaction row, session id sid, to the
+// runner: the system, the recovery core, the owner table and every
+// per-transaction bookkeeping slice grow in lockstep. Called with a full
+// drain held, sequencer flushed.
+func (r *runner) addTxnDrained(tx model.Txn, sid int) int {
 	t := int(r.sys.Add(tx))
 	r.rec.Grow(len(r.sys.Txns))
+	r.owners = append(r.owners, sid)
 	r.status = append(r.status, txActive)
 	r.gen = append(r.gen, 0)
 	r.attempts = append(r.attempts, 0)
 	r.abortCause = append(r.abortCause, nil)
-	r.mgr.register(owner)
 	return t
 }
 
-// readTxnState snapshots x's generation, status, abort cause and the
-// owner's fatal error.
-func (x *txn) readTxnState() (gen int, status txnStatus, cause, fatal error) {
-	o, t := x.own()
-	return o.readTxnState(t)
+// rowState is a snapshot of one row's bookkeeping and a fatal error.
+type rowState struct {
+	gen, attempts int
+	status        txnStatus
+	cause, fatal  error
 }
 
-// readTxnState snapshots row t's generation, status, abort cause and the
-// fatal error under t's stripe.
-func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal error) {
+// readRow snapshots x's row at its owner replica, with the first fatal
+// error recorded on any span member: a failed write records it on its
+// own partition only. Each member's is read under the row's stripe
+// there, which suffices because fatal is written under a full drain.
+func (x *txn) readRow() rowState {
+	o, t := x.own()
+	row := o.readRow(t)
+	for i := 1; i < len(x.span) && row.fatal == nil; i++ {
+		row.fatal = x.span[i].readRow(x.locs[i]).fatal
+	}
+	return row
+}
+
+// readRow snapshots row t under t's stripe.
+func (r *runner) readRow(t int) rowState {
 	var buf [maxStripeBuf]int
 	tset := r.txnStripes(buf[:0], t)
 	r.gate.lockSet(tset)
-	gen, status, cause, fatal = r.gen[t], r.status[t], r.abortCause[t], r.fatal
+	row := rowState{gen: r.gen[t], attempts: r.attempts[t], status: r.status[t], cause: r.abortCause[t], fatal: r.fatal}
 	r.gate.unlockSet(tset)
-	return
+	return row
 }
 
 // teardown ends x's in-flight attempt from outside the step path, under
@@ -678,7 +686,7 @@ func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, 
 		if fatal != nil {
 			// A failed engine admits nothing more; shedding the row's locks
 			// lets whoever waits on them find that out.
-			o.mgr.ReleaseAll(t)
+			o.pe.mgr.ReleaseAll(x.sid)
 		}
 		return false, fatal
 	}
@@ -694,6 +702,6 @@ func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, 
 	}
 	fatal := x.span.fatal()
 	x.span.undrain()
-	o.mgr.ReleaseAll(t)
+	o.pe.mgr.ReleaseAll(x.sid)
 	return true, fatal
 }

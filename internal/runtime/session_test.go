@@ -258,6 +258,134 @@ func TestSessionRunStopsAtPark(t *testing.T) {
 	}
 }
 
+// TestRetryLoopStopsWithRow pins the one retry loop (txn.retry): it
+// stops as soon as the row does. Every attempt of the body aborts (its
+// read names an entity that never exists), with a retry budget that
+// never runs out and a backoff long enough to land in. A Session.Run
+// cancelled during a backoff returns ErrCancelled, and a cascade re-run
+// (runTxn) stops once the engine has failed; in both arms the row's
+// attempts stop growing. The spanning arms record the engine failure on
+// a partition other than the row's owner replica. A loop that retries
+// without reading the row, or reads the owner's failure alone, never
+// returns.
+func TestRetryLoopStopsWithRow(t *testing.T) {
+	body := model.Txn{Name: "T", Steps: []model.Step{model.LS("x"), model.R("x"), model.US("x")}}
+	cfg := Config{MaxRetries: 1 << 20, Backoff: 20 * time.Millisecond}
+	// waitAttempts polls x's row until it has been charged n attempts.
+	waitAttempts := func(x *txn, n int) {
+		for x.readRow().attempts < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// settled fails unless done closes in time, then unless x's attempts
+	// stay put over several backoffs.
+	settled := func(t *testing.T, x *txn, done <-chan struct{}) {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the retry loop did not stop")
+		}
+		before := x.readRow().attempts
+		time.Sleep(5 * cfg.Backoff)
+		if after := x.readRow().attempts; after != before {
+			t.Fatalf("attempts grew from %d to %d after the loop stopped", before, after)
+		}
+	}
+
+	t.Run("session-cancel", func(t *testing.T) {
+		eng := NewSessionEngine(model.NewState(), cfg)
+		s, err := eng.OpenSession(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran error
+		done := make(chan struct{})
+		go func() { ran = s.Run(); close(done) }()
+		waitAttempts(&s.x, 2)
+		s.Cancel()
+		settled(t, &s.x, done)
+		if !errors.Is(ran, ErrCancelled) {
+			t.Fatalf("Run of a cancelled session = %v, want ErrCancelled", ran)
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("rerun-fatal", func(t *testing.T) {
+		r := referencePartition(model.NewSystem(model.NewState(), body), cfg)
+		x := r.rowTxn(0)
+		r.pe.wg.Add(1)
+		go x.runTxn()
+		waitAttempts(x, 2)
+		r.gate.drain()
+		r.fatal = errors.New("injected engine failure")
+		r.gate.undrain()
+		done := make(chan struct{})
+		go func() { r.pe.wg.Wait(); close(done) }()
+		settled(t, x, done)
+	})
+
+	// The spanning arms: a failed store write records its error on its own
+	// partition only, here the second, while the row's owner replica is
+	// the first. The loop must still see it and stop, and Close return it.
+	e0, e1 := partitionedEntities(t)
+	injected := errors.New("injected store failure")
+	spanned := func(t *testing.T) (*PartitionedEngine, *Session) {
+		pcfg := cfg
+		pcfg.Partitions = 2
+		pe := NewSessionEngine(model.NewState(e0), pcfg).(*PartitionedEngine)
+		// e1 never exists, so every attempt aborts at its read.
+		s, err := pe.OpenSession(model.Txn{Name: "S", Steps: []model.Step{
+			model.LS(e0), model.LS(e1), model.R(e0), model.R(e1), model.US(e0), model.US(e1),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.x.span) != 2 {
+			t.Fatalf("the body spans %d partitions, want 2", len(s.x.span))
+		}
+		return pe, s
+	}
+	failSecond := func(pe *PartitionedEngine) {
+		r := pe.parts[1]
+		r.gate.drain()
+		r.fatal = injected
+		r.gate.undrain()
+	}
+	closed := func(t *testing.T, pe *PartitionedEngine) {
+		if _, err := pe.Close(); !errors.Is(err, injected) {
+			t.Fatalf("Close of a failed engine = %v, want the injected failure", err)
+		}
+	}
+
+	t.Run("session-span-fatal", func(t *testing.T) {
+		pe, s := spanned(t)
+		var ran error
+		done := make(chan struct{})
+		go func() { ran = s.Run(); close(done) }()
+		waitAttempts(&s.x, 2)
+		failSecond(pe)
+		settled(t, &s.x, done)
+		if !errors.Is(ran, injected) {
+			t.Fatalf("Run on a failed engine = %v, want the injected failure", ran)
+		}
+		closed(t, pe)
+	})
+
+	t.Run("rerun-span-fatal", func(t *testing.T) {
+		pe, s := spanned(t)
+		pe.wg.Add(1)
+		go s.x.runTxn()
+		waitAttempts(&s.x, 2)
+		failSecond(pe)
+		done := make(chan struct{})
+		go func() { pe.wg.Wait(); close(done) }()
+		settled(t, &s.x, done)
+		closed(t, pe)
+	})
+}
+
 // TestSessionPolicyAbortAndRetry pins the abort/retry contract: a
 // non-two-phase body is vetoed under 2PL at its post-unlock lock, the
 // whole attempt is erased, and the client's retry fails the same way

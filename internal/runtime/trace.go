@@ -60,8 +60,7 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 			dropped[tn] = true
 			continue
 		}
-		ok, _, _ := r.rowTxn(tn).execStep(gen[tn], ev.S)
-		if !ok {
+		if !r.rowTxn(tn).execStep(gen[tn], ev.S) {
 			// Vetoed (and aborted) or stale: drop.
 			dropped[tn] = true
 			continue
@@ -70,7 +69,7 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 		if commit && fed[tn] == sys.Txns[tn].Len() {
 			// Immediately after tn's own last event nothing can have
 			// interleaved, so a single-threaded commit cannot be stale.
-			if committed, _, _ := r.rowTxn(tn).commit(gen[tn]); !committed {
+			if !r.rowTxn(tn).commit(gen[tn]) {
 				return nil, fmt.Errorf("runtime: single-threaded commit of T%d went stale", tn+1)
 			}
 		}

@@ -448,17 +448,17 @@ func (c *conn) dispatch(req wire.Request) {
 	w := c.sessions[req.SID]
 	c.smu.Unlock()
 	if w == nil {
-		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: fmt.Sprintf("no open session %d on this connection", req.SID)})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, SID: req.SID, Err: fmt.Sprintf("no open session %d on this connection", req.SID)})
 		return
 	}
 	w.mu.Lock()
 	switch {
 	case w.finished:
 		w.mu.Unlock()
-		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, Err: "session already finished"})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeDone, SID: req.SID, Err: "session already finished"})
 	case w.pending >= sessionQueue:
 		w.mu.Unlock()
-		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, Err: fmt.Sprintf("session pipeline deeper than %d requests", sessionQueue)})
+		c.out.Send(wire.Response{ID: req.ID, Code: wire.CodeBadReq, SID: req.SID, Err: fmt.Sprintf("session pipeline deeper than %d requests", sessionQueue)})
 	default:
 		if w.queue == nil && w.spare != nil {
 			w.queue, w.spare = w.spare, nil
@@ -560,10 +560,10 @@ func (c *conn) runWorker(sid uint64, w *sessWorker) {
 				w.mu.Unlock()
 				c.out.Send(resp)
 				for _, r := range work[wi+1:] {
-					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
+					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, SID: sid, Err: "session already finished"})
 				}
 				for _, r := range rest {
-					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, Err: "session already finished"})
+					c.out.Send(wire.Response{ID: r.ID, Code: wire.CodeDone, SID: sid, Err: "session already finished"})
 				}
 				c.forget(sid, w)
 				return

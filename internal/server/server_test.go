@@ -282,9 +282,9 @@ func TestServerBadStepKeepsSession(t *testing.T) {
 // holds at most sessionQueue pending requests, the executing one
 // included. Its first step parks on a held lock and a burst of 200
 // more follows in one frame; the burst's first 127 are queued and every
-// later one is refused bad-request at once. Once the lock frees, the
-// queued requests are answered in submission order, and the session
-// goes on to commit.
+// later one is refused bad-request at once, echoing the session's sid.
+// Once the lock frees, the queued requests are answered in submission
+// order, and the session goes on to commit.
 func TestServerSessionQueueBound(t *testing.T) {
 	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}, GateStripes: 4})
 	defer srv.Shutdown(time.Second)
@@ -345,8 +345,8 @@ func TestServerSessionQueueBound(t *testing.T) {
 	queued := sessionQueue - 1 // behind the executing request 0
 	for _, resp := range read(burst - queued) {
 		i := int(resp.ID - first)
-		if resp.OK || resp.Code != wire.CodeBadReq || resp.Err != "session pipeline deeper than 128 requests" {
-			t.Fatalf("request %d answered %+v while the session is parked, want the pipeline refusal", i, resp)
+		if resp.OK || resp.Code != wire.CodeBadReq || resp.Err != "session pipeline deeper than 128 requests" || resp.SID != open.SID {
+			t.Fatalf("request %d answered %+v while the session is parked, want the pipeline refusal for sid %d", i, resp, open.SID)
 		}
 		if i <= queued {
 			t.Fatalf("request %d refused; the first refusal must be request %d", i, queued+1)
@@ -359,7 +359,7 @@ func TestServerSessionQueueBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, resp := range read(queued + 1) {
-		if !resp.OK || resp.ID != first+uint64(i) {
+		if !resp.OK || resp.ID != first+uint64(i) || resp.SID != open.SID {
 			t.Fatalf("answer %d after the lock freed = %+v, want request %d OK", i, resp, i)
 		}
 	}
@@ -370,6 +370,71 @@ func TestServerSessionQueueBound(t *testing.T) {
 	}
 	if resp := c.roundTrip(wire.Request{Op: wire.OpCommit, SID: open.SID}); !resp.OK {
 		t.Fatalf("commit refused: %+v", resp)
+	}
+}
+
+// TestServerRefusalsEchoSID pins PROTOCOL.md §3.3 over the raw wire: a
+// request that names a session is answered with that sid, refusals
+// included — one for a session this connection never opened, and the
+// requests pipelined behind a commit that finished their session, which
+// are refused whether they were queued behind the commit, reached a
+// finished worker or arrived after it was forgotten.
+func TestServerRefusalsEchoSID(t *testing.T) {
+	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
+	defer srv.Shutdown(time.Second)
+	c := dialRaw(t, addr)
+	defer c.close()
+	table, csteps := model.CompactTxn([]model.Step{model.LX("a"), model.UX("a")})
+	// Session ids start at 0, the sid an answer that omits it carries, so
+	// the session under test is the second one opened.
+	var open wire.Response
+	for range 2 {
+		if open = c.roundTrip(wire.Request{Op: wire.OpOpen, Name: "T", Table: table, CSteps: csteps}); !open.OK {
+			t.Fatalf("open refused: %+v", open)
+		}
+	}
+	unknown := open.SID + 1000
+	if resp := c.roundTrip(wire.Request{Op: wire.OpStep, SID: unknown, CStep: csteps[0], HasCompact: true}); resp.OK || resp.Code != wire.CodeDone || resp.SID != unknown {
+		t.Fatalf("step on unknown sid %d answered %+v, want a done refusal echoing the sid", unknown, resp)
+	}
+	for _, st := range csteps {
+		if resp := c.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID, CStep: st, HasCompact: true}); !resp.OK {
+			t.Fatalf("step refused: %+v", resp)
+		}
+	}
+	// The commit and three requests behind it in one frame.
+	reqs := []wire.Request{{Op: wire.OpCommit, SID: open.SID}, {Op: wire.OpStep, SID: open.SID, CStep: csteps[0], HasCompact: true}, {Op: wire.OpCommit, SID: open.SID}, {Op: wire.OpAbort, SID: open.SID}}
+	for i := range reqs {
+		c.id++
+		reqs[i].ID = c.id
+	}
+	if err := c.wr.WriteRequests(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var resps []wire.Response
+	for len(resps) < len(reqs) {
+		got, err := c.rd.ReadResponses()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps = append(resps, got...)
+	}
+	for _, resp := range resps {
+		if resp.SID != open.SID {
+			t.Fatalf("answer %+v does not echo sid %d", resp, open.SID)
+		}
+		switch {
+		case resp.ID == reqs[0].ID:
+			if !resp.OK {
+				t.Fatalf("commit refused: %+v", resp)
+			}
+		case resp.OK || resp.Code != wire.CodeDone:
+			t.Fatalf("request %d behind the commit answered %+v, want a done refusal", resp.ID, resp)
+		}
 	}
 }
 

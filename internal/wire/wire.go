@@ -129,7 +129,8 @@ type Response struct {
 	// Version and Policy answer hello.
 	Version int    `json:"version,omitempty"`
 	Policy  string `json:"policy,omitempty"`
-	// SID answers open.
+	// SID echoes the session a request addressed, and answers open with
+	// the new session's; stats, inspect and run answers carry 0.
 	SID uint64 `json:"-"`
 	// Token answers open and resume: the resume token to present with a
 	// later resume of this session.
