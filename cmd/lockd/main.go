@@ -91,7 +91,7 @@ func main() {
 	ckpt := flag.Int("checkpoint-every", 0, "events between recovery checkpoints (0 = default)")
 	truncate := flag.Bool("truncate-log", true, "truncate the recovery log below settled checkpoints (bounds memory; full-log inspect unavailable past the cut)")
 	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoints, restored on start (empty = memory-only)")
-	fsync := flag.Bool("fsync", false, "one fsync per acknowledgement — a session's open, a commit or abandon — carrying the events, compactions and run opens buffered before it (with -data-dir); a run-mode commit costs one; acknowledged commits survive machine crashes")
+	fsync := flag.Bool("fsync", false, "sync the WAL before an acknowledgement — a session's open, a commit or abandon — leaves; acknowledgements that arrive together share one write and fsync, taken outside the gate drain (with -data-dir); acknowledged commits survive machine crashes")
 	lease := flag.Duration("lease", 30*time.Second, "session lease; idle sessions are aborted after this (0 disables)")
 	maxRetries := flag.Int("max-retries", 0, "per-transaction retry budget (0 = default, negative = none)")
 	backoff := flag.Duration("backoff", 0, "base retry delay for engine-driven retries (run mode, cascade re-runs; capped at 100x, jittered down by up to half; 0 = default, negative = none)")

@@ -22,7 +22,9 @@ import (
 var chainBody = []model.Step{model.LX("a"), model.W("a"), model.UX("a")}
 
 // appendTxn appends one transaction of chainBody: its open, its events
-// and a commit, or, when erase is set, a compaction of its events.
+// and a commit, or, when erase is set, a compaction of its events and an
+// abandonment; then it waits on the barrier the outcome's
+// acknowledgement waits on.
 func appendTxn(t *testing.T, st *Store, g int, run, erase bool) {
 	t.Helper()
 	tag := uint64(3 * g)
@@ -36,7 +38,7 @@ func appendTxn(t *testing.T, st *Store, g int, run, erase bool) {
 	} else {
 		err = errors.Join(err, st.AppendStatus(g, StatusCommitted))
 	}
-	if err != nil {
+	if err = errors.Join(err, st.Sync()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,9 +24,12 @@ func TestStoreCloseReportsUnsealedMarker(t *testing.T) {
 	if err := st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}}, []uint64{0}); err != nil {
 		t.Fatal(err)
 	}
-	// The event waits in the store's buffer until a status carries it
+	// The event waits in the store's buffer until a barrier writes it
 	// to the WAL.
 	if err := st.AppendStatus(0, StatusActive); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ro, err := os.Open(st.wal.Name())

@@ -18,9 +18,9 @@ import (
 // TestCrashPointSweep is the exhaustive crash harness for the disk
 // layer. A reference workload (appends interleaved with compactions)
 // runs against a Core with a store driven beside it (diskCore), with a
-// status record — what a commit or abort's acknowledgement waits on,
-// and so what carries the store's buffered records to the WAL — after
-// every compaction and after every append or every third one. The captured WAL therefore holds batches
+// status record and the barrier a commit or abort's acknowledgement
+// waits on, which carries the store's buffered records to the WAL,
+// after every compaction and after every append or every third one. The captured WAL therefore holds batches
 // and bare records. A crash is replayed at *every* byte of it: a cut
 // on a record boundary keeps every record before it, a cut inside a
 // record drops that whole record — a batch's records together — with

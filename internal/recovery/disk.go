@@ -56,15 +56,16 @@ import (
 // and events as the bytes they were written as: restore decodes what
 // survives the compactions, and a build copies it.
 //
-// Appends are buffered until an acknowledgement waits on them. Event
-// and compaction records only join a pending buffer. An open or status
-// record — the one an open/resume reply or a commit/abandon outcome
-// waits on — joins it too and then writes the whole buffer as one
-// record (a batch, when it holds more than that one record): one write
-// and, under Fsync, one sync per acknowledgement. A run's open
-// (OpenRec.Run) answers no one — the run's reply is its outcome — so
-// it is buffered like an event, ahead of the run's events, and the
-// run's status carries all of them; a mirror's open is written at once
+// Appends only buffer: every record joins a pending buffer, in the
+// order the runtime made the changes it records. An acknowledgement —
+// an open/resume reply, a commit or abandon outcome — waits on the
+// barrier (Sync) instead, which writes the whole buffer as one record (a
+// batch, when it holds more than one) and, under Fsync, syncs it with
+// the store's lock released, so appends go on buffering meanwhile. A
+// barrier that finds a sync running waits for it and leads the next one
+// only if that sync did not cover its records: N acknowledgements that
+// arrive together share one write and one sync. The runtime calls
+// appends under its gate drain and the barrier after releasing it
 // (DESIGN.md, "The restore contract"). A crash loses only buffered
 // records no one was told about.
 
@@ -220,11 +221,11 @@ func Restore(dir string) (Recovered, error) {
 
 // Options configures a Store.
 type Options struct {
-	// Fsync syncs the WAL file after every write: each status record
-	// and each open but a local run's, with the records buffered before
-	// it.
-	// Without it, durability is limited to what the OS flushes on its
-	// own, but a torn tail is still recovered cleanly.
+	// Fsync makes the barrier (Store.Sync) sync the WAL file after it
+	// writes the buffered records, so an acknowledgement that waited on
+	// it survives a crash. Without it the barrier only writes: durability
+	// is limited to what the OS flushes on its own, but a torn tail is
+	// still recovered cleanly.
 	Fsync bool
 }
 
@@ -233,7 +234,7 @@ const (
 	// the WAL has also outgrown the snapshot (rotateDue).
 	rotateBytes = 4 << 20
 	// maxPending bounds the pending buffer: past it the buffered
-	// records are written without waiting for an acknowledgement, so
+	// records are written, unsynced, without waiting for a barrier, so
 	// no batch approaches maxWALRecord.
 	maxPending = 1 << 20
 )
@@ -256,7 +257,13 @@ type Store struct {
 	pending  []byte        // framed records not yet written
 	npending int           // records in pending
 	scratch  []byte
-	err      error // sticky: first failure poisons the store
+	// appended counts the records ever buffered and synced those of them
+	// known to be on disk (written, without Fsync), both across every
+	// segment: a barrier returns once synced reaches what appended was
+	// when it was called.
+	appended, synced uint64
+	syncing          chan struct{} // non-nil while a barrier syncs outside mu; closed when it ends
+	err              error         // sticky: first failure poisons the store
 }
 
 // Open restores the durable history of dir (creating it if needed) and
@@ -358,30 +365,27 @@ func (s *Store) rotateDue(floor int64) bool {
 	return s.building == nil && s.walBytes > floor && s.walBytes > s.snapLen
 }
 
-// buffer adds the record encode appends to the pending buffer. An
-// acknowledgement waits on it when ack is set: the buffer is then
-// written and, past rotateBytes, the store rotates.
-func (s *Store) buffer(ack bool, encode func([]byte) []byte) error {
+// buffer adds the record encode appends to the pending buffer. Past
+// maxPending the buffer is written, unsynced — no one waits on it — and,
+// past rotateBytes, the store rotates.
+func (s *Store) buffer(encode func([]byte) []byte) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
 	s.pending = encode(s.pending)
 	s.npending++
-	if !ack && len(s.pending) <= maxPending {
+	s.appended++
+	if len(s.pending) <= maxPending {
 		return nil
 	}
 	if err := s.writePendingLocked(); err != nil {
 		return err
 	}
-	if s.rotateDue(rotateBytes) {
-		return s.rotateLocked()
-	}
-	return nil
+	return s.rotateLocked(rotateBytes)
 }
 
 // writePendingLocked writes the pending records to the WAL as one
-// record — bare when there is one, a batch otherwise — in one write,
-// synced under Fsync.
+// record — bare when there is one, a batch otherwise — in one write.
 func (s *Store) writePendingLocked() error {
 	if s.npending == 0 {
 		return nil
@@ -393,44 +397,107 @@ func (s *Store) writePendingLocked() error {
 	}
 	s.pending, s.npending = s.pending[:0], 0
 	if _, err := s.wal.Write(frame); err != nil {
-		return s.poison(err)
+		return s.poison(fmt.Errorf("recovery: writing %s: %w", walName(s.gen), err))
 	}
 	s.walBytes += int64(len(frame))
-	if s.opts.Fsync {
-		if err := s.wal.Sync(); err != nil {
-			return s.poison(err)
+	return nil
+}
+
+// Sync is the barrier an acknowledgement waits on: it returns nil once
+// every record appended before the call is written and, under Fsync,
+// synced. While one caller — the leader — syncs outside the store's
+// lock, later callers wait for it; a caller whose records that sync did
+// not cover leads the next one, which writes the whole pending buffer
+// and syncs it for everyone waiting. Without Fsync the leader only
+// writes. A failed write or sync poisons the store: every caller it
+// covers, and every later append and barrier, gets the failure.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	target := s.appended
+	for {
+		if err := s.usable(); err != nil {
+			return err
+		}
+		switch {
+		case s.synced >= target:
+			return nil
+		case s.syncing != nil:
+			s.await(s.syncing)
+		default:
+			if err := s.leadSyncLocked(); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+}
+
+// leadSyncLocked is one barrier's leader: it writes the pending records
+// and, under Fsync, syncs the WAL with s.mu released, then marks every
+// record appended before the write as synced and, past rotateBytes,
+// rotates. Close and a rotation wait for the sync, so it never runs on
+// a closed file.
+func (s *Store) leadSyncLocked() error {
+	covered := s.appended
+	if err := s.writePendingLocked(); err != nil {
+		return err
+	}
+	if s.opts.Fsync {
+		f, done := s.wal, make(chan struct{})
+		s.syncing = done
+		s.mu.Unlock()
+		err := f.Sync()
+		s.mu.Lock()
+		s.syncing = nil
+		close(done)
+		if err != nil {
+			return s.poison(fmt.Errorf("recovery: syncing %s: %w", walName(s.gen), err))
+		}
+	}
+	s.synced = max(s.synced, covered)
+	return s.rotateLocked(rotateBytes)
+}
+
+// await releases s.mu until done is closed.
+func (s *Store) await(done chan struct{}) {
+	s.mu.Unlock()
+	<-done
+	s.mu.Lock()
+}
+
+// awaitSyncLocked waits until no barrier's sync is in flight.
+func (s *Store) awaitSyncLocked() {
+	for s.syncing != nil {
+		s.await(s.syncing)
+	}
 }
 
 // AppendEvents implements Persister.
 func (s *Store) AppendEvents(evs []model.Ev, tags []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffer(false, func(b []byte) []byte { return AppendEventsRec(b, evs, tags) })
+	return s.buffer(func(b []byte) []byte { return AppendEventsRec(b, evs, tags) })
 }
 
 // AppendCompact implements Persister.
 func (s *Store) AppendCompact(victims []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffer(false, func(b []byte) []byte { return AppendCompactRec(b, victims) })
+	return s.buffer(func(b []byte) []byte { return AppendCompactRec(b, victims) })
 }
 
-// AppendOpen implements Persister. A run's open waits in the buffer for
-// the run's status, unless it is a mirror's.
+// AppendOpen implements Persister.
 func (s *Store) AppendOpen(o OpenRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffer(!o.Run || o.Mirror, func(b []byte) []byte { return AppendOpenRec(b, o) })
+	return s.buffer(func(b []byte) []byte { return AppendOpenRec(b, o) })
 }
 
 // AppendStatus implements Persister.
 func (s *Store) AppendStatus(tid int, status byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buffer(true, func(b []byte) []byte { return AppendStatusRec(b, tid, status) })
+	return s.buffer(func(b []byte) []byte { return AppendStatusRec(b, tid, status) })
 }
 
 // Rotate implements Persister: once the live segment has outgrown the
@@ -443,10 +510,7 @@ func (s *Store) Rotate() error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	if !s.rotateDue(0) {
-		return nil
-	}
-	return s.rotateLocked()
+	return s.rotateLocked(0)
 }
 
 // snapBuild is one background build: snap-<next> from snap-<base> and
@@ -456,7 +520,14 @@ type snapBuild struct {
 	done       chan struct{}
 }
 
-func (s *Store) rotateLocked() error {
+// rotateLocked seals the live segment and starts the build of the next
+// snapshot if, once no barrier's sync is in flight, rotateDue(floor)
+// holds.
+func (s *Store) rotateLocked(floor int64) error {
+	s.awaitSyncLocked()
+	if err := s.usable(); err != nil || !s.rotateDue(floor) {
+		return err
+	}
 	b, err := s.sealLocked()
 	if err != nil {
 		return err
@@ -468,8 +539,11 @@ func (s *Store) rotateLocked() error {
 // sealLocked is the part of a rotation appends wait for: write the
 // pending records, seal the live segment with a continuation marker and
 // sync it, create the next segment, sync the directory and switch
-// appends to it. It returns the build that makes the sealed segments
-// redundant, and rotateDue is false until that build ends.
+// appends to it. Every record appended so far is then synced. No
+// barrier's sync may be in flight (rotateLocked waits it out): the
+// old segment's file is closed here. It returns the build that makes
+// the sealed segments redundant, and rotateDue is false until that
+// build ends.
 func (s *Store) sealLocked() (snapBuild, error) {
 	if err := s.writePendingLocked(); err != nil {
 		return snapBuild{}, err
@@ -496,9 +570,13 @@ func (s *Store) sealLocked() (snapBuild, error) {
 		nf.Close()
 		return snapBuild{}, s.poison(err)
 	}
-	s.wal.Close()
+	if err := s.wal.Close(); err != nil {
+		nf.Close()
+		return snapBuild{}, s.poison(err)
+	}
 	b := snapBuild{base: s.base, next: next, done: make(chan struct{})}
 	s.wal, s.gen, s.walBytes, s.building = nf, next, 0, b.done
+	s.synced = s.appended
 	return b, nil
 }
 
@@ -707,20 +785,22 @@ func (f *chainFold) encode(w *bufio.Writer) {
 	w.Write(AppendCleanRec(rec[:0]))
 }
 
-// Close waits for a running build, writes the pending records, seals
-// the WAL with a clean-shutdown marker and closes it. It returns the
-// store's sticky error — a failed build's included — or else the first
-// error of writing the records or the marker, syncing it and closing
-// the file (and poisons the store with it): a nil Close attests the
-// marker reached the disk. A poisoned store writes no marker, and
-// every later Close returns the same error.
+// Close waits for a running build and a barrier's sync, writes the
+// pending records, seals the WAL with a clean-shutdown marker and closes
+// it. It returns the store's sticky error — a failed build's included —
+// or else the first error of writing the records or the marker, syncing
+// it and closing the file (and poisons the store with it): a nil Close
+// attests the marker reached the disk. A poisoned store writes no
+// marker, and every later Close returns the same error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if done := s.building; done != nil {
-		s.mu.Unlock()
-		<-done
-		s.mu.Lock()
+	for s.building != nil || s.syncing != nil {
+		if s.building != nil {
+			s.await(s.building)
+		} else {
+			s.await(s.syncing)
+		}
 	}
 	if s.wal == nil {
 		return s.err
@@ -737,6 +817,9 @@ func (s *Store) Close() error {
 	}
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		s.synced = s.appended
 	}
 	s.wal = nil
 	s.err = err

@@ -165,7 +165,8 @@ func compactAll(t *testing.T, c interface {
 // diskCore drives a store beside a Core the way the runtime's runner
 // does, the Core itself writing nothing: each event after its append, a
 // compaction record after each Compact that erased something, a rotation
-// offer after each truncation that cut, and a status on demand. With p
+// offer after each truncation that cut, and a status on demand, which
+// waits on the store's barrier as its acknowledgement would. With p
 // nil it is a memory-only core. err keeps the first failed write, as the
 // runner's fatal error does.
 type diskCore struct {
@@ -207,7 +208,10 @@ func (d *diskCore) Truncate(settled func(int) bool) int {
 }
 
 func (d *diskCore) status(tid int, status byte) error {
-	return d.write(d.p.AppendStatus(tid, status))
+	if err := d.write(d.p.AppendStatus(tid, status)); err != nil {
+		return err
+	}
+	return d.write(d.p.(*recovery.Store).Sync())
 }
 
 // rebuild replays a recovered history into a fresh Core through Append's

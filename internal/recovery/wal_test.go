@@ -213,6 +213,9 @@ func TestStoreRotate(t *testing.T) {
 	st.AppendOpen(recovery.OpenRec{G: 1, Name: "T2", Steps: []model.Step{model.LX("b"), model.UX("b")}})
 	st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}, {T: 1, S: model.LX("b")}, {T: 1, S: model.UX("b")}}, []uint64{0, 1, 2})
 	st.AppendStatus(1, recovery.StatusCommitted)
+	if err := st.Sync(); err != nil { // the commit's acknowledgement
+		t.Fatal(err)
+	}
 	// Erase T1's events, then rotate: the snapshot must carry only the
 	// survivors.
 	st.AppendCompact([]int{0})
@@ -327,6 +330,9 @@ func TestStoreRefusesDamagedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.AppendOpen(recovery.OpenRec{G: 0, Name: "T1", Steps: []model.Step{model.LX("a"), model.UX("a")}})
+			if err := st.Sync(); err != nil { // the open's reply
+				t.Fatal(err)
+			}
 			st.AppendEvents([]model.Ev{{T: 0, S: model.LX("a")}, {T: 0, S: model.UX("a")}}, []uint64{0, 1})
 			if err := st.Rotate(); err != nil {
 				t.Fatal(err)
@@ -434,10 +440,10 @@ func TestWALBatchCorruption(t *testing.T) {
 	}
 }
 
-// TestStoreBuffersUntilAcknowledged: events and compactions wait in the
-// store until a status needs them on disk; the status then writes all
-// three as one record, which restores them in order (the compaction
-// erases only the events before it).
+// TestStoreBuffersUntilAcknowledged: events, compactions and statuses
+// wait in the store until an acknowledgement needs them on disk; its
+// barrier then writes all three as one record, which restores them in
+// order (the compaction erases only the events before it).
 func TestStoreBuffersUntilAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := recovery.Open(dir, recovery.Options{Fsync: true})
@@ -454,6 +460,12 @@ func TestStoreBuffersUntilAcknowledged(t *testing.T) {
 		t.Fatalf("WALBytes = %d before any acknowledgement, want 0", n)
 	}
 	if err := st.AppendStatus(0, recovery.StatusCommitted); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.WALBytes(); n != 0 {
+		t.Fatalf("WALBytes = %d after a status, want 0 until the barrier", n)
+	}
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	wal, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
@@ -476,10 +488,11 @@ func TestStoreBuffersUntilAcknowledged(t *testing.T) {
 	}
 }
 
-// TestStoreBuffersRunOpen: a run's open answers no one, so it waits in
-// the buffer like an event, and the run's status writes the open, its
-// events and itself as one record, restored in that order. A spanning
-// run's open (a mirror) is written at once.
+// TestStoreBuffersRunOpen: a run's open waits in the buffer like an
+// event, and the barrier the run's outcome waits on writes the open, its
+// events and its status as one record, restored in that order. A
+// spanning run's open (a mirror) is buffered too: the runtime, not the
+// store, decides that it is synced inside the open's drain.
 func TestStoreBuffersRunOpen(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := recovery.Open(dir, recovery.Options{Fsync: true})
@@ -498,6 +511,9 @@ func TestStoreBuffersRunOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := st.AppendStatus(0, recovery.StatusCommitted); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	wal, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
@@ -521,8 +537,11 @@ func TestStoreBuffersRunOpen(t *testing.T) {
 	if err := st.AppendOpen(recovery.OpenRec{G: 1, Run: true, Mirror: true, Name: "S", Steps: body, Token: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if st.WALBytes() == before {
-		t.Fatal("a spanning run's open was buffered, want it written at once")
+	if st.WALBytes() != before {
+		t.Fatal("a spanning run's open was written by the append, want it buffered")
+	}
+	if err := st.Sync(); err != nil || st.WALBytes() == before {
+		t.Fatalf("barrier = %v, WALBytes %d → %d: want the open written", err, before, st.WALBytes())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

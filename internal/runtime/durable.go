@@ -174,7 +174,7 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		// unsettled transaction is erased: the erasures below must
 		// themselves be durable, or a second restart would resurrect the
 		// erased events.
-		r.pers = st
+		r.pers, r.store = st, st
 		if cfg.WrapPersister != nil {
 			r.pers = cfg.WrapPersister(st)
 		}
@@ -192,6 +192,13 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 	}
 	if f := pe.parts.fatal(); f != nil {
 		return nil, fmt.Errorf("runtime: restore: %w", f)
+	}
+	// What the restore itself decided — reconciled and abandoned
+	// statuses, erasures — is on disk before the engine answers anyone.
+	for p, r := range pe.parts {
+		if err := r.barrier(); err != nil {
+			return nil, fmt.Errorf("runtime: restore: partition %d: %w", p, err)
+		}
 	}
 	info.Events = len(merged)
 	info.Commits = pe.statsDrained().Commits

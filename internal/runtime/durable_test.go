@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -202,6 +203,7 @@ func TestDurableRestartResume(t *testing.T) {
 				st.AppendOpen(recovery.OpenRec{G: h.g[1], Mirror: h.mirror, Name: p1.Name, Steps: p1.Steps, Token: 13}),
 				st.AppendEvents(evs, []uint64{0, 1, 2, 3}),
 				st.AppendStatus(0, recovery.StatusCommitted),
+				st.Sync(), // C1's acknowledgement
 			} {
 				if err != nil {
 					t.Fatal(err)
@@ -383,19 +385,26 @@ func (c *recordCounter) AppendStatus(tid int, status byte) error {
 func (c *recordCounter) Rotate() error { return c.p.Rotate() }
 func (c *recordCounter) Close() error  { return c.p.Close() }
 
+// Sync forwards the store's barrier.
+func (c *recordCounter) Sync() error { return c.p.(syncer).Sync() }
+
 // errCrashed is what a crashPersister fails with once its budget is
 // spent.
 var errCrashed = errors.New("simulated crash")
 
 // crashPersister emulates a process killed while writing its WAL. With a
 // record budget (limit < 0) it fails every append after the first
-// records. With a byte limit it passes each append to the store, then
-// cuts the current wal-<gen>.log down to limit bytes: exactly what a
-// kill mid-write leaves on disk, torn tail included. After the crash
-// every call fails, and Close does not seal — the process never got to.
-// With atCommit it also crashes at the first committed status, before
-// passing it on.
+// records. With a byte limit it passes each call that may write — an
+// append past the buffer bound, a rotation, and the barrier that writes
+// what the appends buffered — to the store, then cuts the current
+// wal-<gen>.log down to limit bytes: exactly what a kill mid-write
+// leaves on disk, torn tail included. After the crash every call fails,
+// and Close does not seal — the process never got to. With atCommit it
+// also crashes at the first committed status, before passing it on.
+// Its calls are serialized: the barrier runs outside the gate drain
+// that orders the appends.
 type crashPersister struct {
+	mu       sync.Mutex
 	st       *recovery.Store
 	records  int   // appends allowed, with limit < 0
 	limit    int64 // WAL bytes allowed; < 0 selects the record budget
@@ -403,15 +412,21 @@ type crashPersister struct {
 	crashed  bool
 }
 
-func (c *crashPersister) append(write func() error) error {
+// call passes write to the store unless the crash has come; record says
+// whether it is an append, which the record budget counts.
+func (c *crashPersister) call(record bool, write func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case c.crashed:
 		return errCrashed
-	case c.limit < 0 && c.records == 0:
+	case c.limit < 0 && record && c.records == 0:
 		c.crashed = true
 		return errCrashed
 	case c.limit < 0:
-		c.records--
+		if record {
+			c.records--
+		}
 		return write()
 	}
 	if err := write(); err != nil {
@@ -429,25 +444,25 @@ func (c *crashPersister) append(write func() error) error {
 }
 
 func (c *crashPersister) AppendEvents(evs []model.Ev, tags []uint64) error {
-	return c.append(func() error { return c.st.AppendEvents(evs, tags) })
+	return c.call(true, func() error { return c.st.AppendEvents(evs, tags) })
 }
 func (c *crashPersister) AppendCompact(victims []int) error {
-	return c.append(func() error { return c.st.AppendCompact(victims) })
+	return c.call(true, func() error { return c.st.AppendCompact(victims) })
 }
 func (c *crashPersister) AppendOpen(o recovery.OpenRec) error {
-	return c.append(func() error { return c.st.AppendOpen(o) })
+	return c.call(true, func() error { return c.st.AppendOpen(o) })
 }
 func (c *crashPersister) AppendStatus(tid int, status byte) error {
+	c.mu.Lock()
 	c.crashed = c.crashed || c.atCommit && status == recovery.StatusCommitted
-	return c.append(func() error { return c.st.AppendStatus(tid, status) })
+	c.mu.Unlock()
+	return c.call(true, func() error { return c.st.AppendStatus(tid, status) })
 }
-func (c *crashPersister) Rotate() error {
-	if c.crashed {
-		return errCrashed
-	}
-	return c.st.Rotate()
-}
+func (c *crashPersister) Rotate() error { return c.call(false, c.st.Rotate) }
+func (c *crashPersister) Sync() error   { return c.call(false, c.st.Sync) }
 func (c *crashPersister) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.crashed {
 		return nil
 	}

@@ -212,17 +212,18 @@ func (pe *PartitionedEngine) spanOf(tx model.Txn) span {
 // owner in every partition — and registers a row in every partition of
 // the body's span under the span's drain, so a concurrent spanning event
 // sees the new transaction in all replicas or none. The declaration is
-// durable before the open is acknowledged, so a restore can rebuild the
-// transaction population (and its resume credentials) from the WAL
-// alone. With Config.MPL set, OpenSession blocks until a slot is free.
+// durable before the open is acknowledged (the barrier runs after the
+// drain), so a restore can rebuild the transaction population (and its
+// resume credentials) from the WAL alone. With Config.MPL set,
+// OpenSession blocks until a slot is free.
 func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) { return pe.open(tx, false) }
 
 // OpenRun is OpenSession for a transaction the server drives to its
 // outcome (Session.Run), whose caller learns nothing but that outcome.
 // Its declaration is marked as a run's, and a local run's is not made
 // durable at open: the store buffers it ahead of the run's events, and
-// the run's status record carries it to disk. A restore abandons a run
-// it finds unfinished, since no client holds its token.
+// the barrier the run's outcome waits on carries it to disk. A restore
+// abandons a run it finds unfinished, since no client holds its token.
 func (pe *PartitionedEngine) OpenRun(tx model.Txn) (Sess, error) { return pe.open(tx, true) }
 
 func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
@@ -253,9 +254,15 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 			x.locs[i] = r.addTxnDrained(tx, g)
 			// Every replica records the registration — same id, same token —
 			// so a restore rebuilds the replica set (or detects a crash
-			// mid-loop by a partial one).
+			// mid-loop by a partial one). A spanning row's opens, a run's
+			// too, are synced here: none of its events or statuses may
+			// reach a disk ahead of them (DESIGN.md, "The restore contract").
 			if r.pers != nil {
-				r.persistFailedDrained(r.pers.AppendOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Run: run, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()}))
+				err := r.pers.AppendOpen(recovery.OpenRec{G: g, Mirror: len(sp) > 1, Run: run, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: st.deadline.Load()})
+				if err == nil && len(sp) > 1 {
+					err = r.barrier()
+				}
+				r.persistFailedDrained(err)
 			}
 		}
 		if len(sp) > 1 {
@@ -265,6 +272,10 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 		fatal = sp.fatal()
 	}
 	sp.undrain()
+	if fatal == nil && !run {
+		// The reply carries the resume token: the open is on disk first.
+		fatal = sp[0].sync()
+	}
 	if fatal != nil {
 		pe.freeSlot()
 		return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
@@ -282,8 +293,9 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 // whose lease deadline has passed is reaped here (deterministically — no
 // dependence on reaper timing) and refused with ErrLeaseExpired; a
 // session that already finished is refused with ErrSessionDone naming
-// how the transaction ended, so a client that lost its connection around
-// a commit learns the outcome.
+// how the transaction ended, once the record of that outcome is on disk,
+// so a client that lost its connection around a commit learns the
+// outcome.
 func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	if pe.closed.Load() {
 		return nil, ErrClosed
@@ -304,7 +316,11 @@ func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	cur := pe.sessions[sid]
 	pe.mu.Unlock()
 	if cur == nil {
-		row := pe.parts[ref.p].readRow(ref.t)
+		r := pe.parts[ref.p]
+		row := r.readRow(ref.t)
+		if row.fatal == nil {
+			row.fatal = r.sync()
+		}
 		if row.fatal != nil {
 			return nil, fmt.Errorf("runtime: engine failed: %w", row.fatal)
 		}

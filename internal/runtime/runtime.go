@@ -165,12 +165,15 @@ type Config struct {
 	// written with a different partition count is refused (ErrLayout).
 	// NewSessionEngine ignores the field.
 	DataDir string
-	// Fsync syncs the WAL at every status record and every open but a
-	// local run's (each carries the records buffered before it: events,
-	// compactions and run opens). Required for the
-	// "commit acked implies commit recovered" guarantee; without it a
-	// crash can lose acknowledged tail records (torn tails still recover
-	// cleanly).
+	// Fsync makes every acknowledgement that waits on a record — a
+	// step-mode open's reply, a commit, an abort or abandonment, a
+	// resume's outcome — wait until the record is synced, with every
+	// record its partition buffered before it. Records are buffered under
+	// the gate drain, and one shared write and sync runs after the drain
+	// is released for every acknowledgement waiting on it (group commit).
+	// Required for the "commit acked implies commit recovered" guarantee;
+	// without it the barrier only writes, and a crash can lose
+	// acknowledged tail records (torn tails still recover cleanly).
 	Fsync bool
 	// WrapPersister, when non-nil, wraps the disk store before it is
 	// attached to the recovery core — the hook durability tests crash or
@@ -318,8 +321,12 @@ type runner struct {
 	// pers is the partition's durable store, nil when the engine is
 	// memory-only. The runner is its one writer: each record follows the
 	// in-memory change that decides it, under a full drain, and a failed
-	// write is fatal (persistFailedDrained).
-	pers recovery.Persister
+	// write is fatal (persistFailedDrained). An acknowledgement waits on
+	// the store's barrier after the drain instead (sync). store is the
+	// store beneath pers, which a test may wrap (Config.WrapPersister):
+	// the barrier goes through pers when pers forwards it.
+	pers  recovery.Persister
+	store *recovery.Store
 	// owners maps a local row to its engine-wide session id, the row's
 	// lock-manager owner. It grows with the rows (addTxnDrained) and is
 	// read under a drain only.
@@ -764,9 +771,6 @@ func (x *txn) commit(gen int) bool {
 	}
 	o, _ := x.own()
 	o.met.Commits++
-	// The commit is acknowledged only after the status record is durably
-	// appended in every replica (with Fsync on), so an acked commit
-	// survives a crash.
 	x.setStatusDrained(txCommitted)
 	if x.span.fatal() != nil {
 		x.span.undrain()
@@ -784,7 +788,11 @@ func (x *txn) commit(gen int) bool {
 		}
 	}
 	x.span.undrain()
-	return true
+	// The commit is acknowledged only once its status record is on disk
+	// (with Fsync on), so an acked commit survives a crash. The barrier
+	// runs outside the drain, shared with every row that buffered a
+	// record meanwhile; a failed one is fatal and acknowledges nothing.
+	return o.sync() == nil
 }
 
 // maybeTruncateDrained attempts a log-prefix truncation (see
@@ -871,13 +879,17 @@ func (r *runner) persistFailedDrained(err error) {
 	}
 }
 
-// setStatusDrained sets x's status in every replica, durably where it
-// changed (span drained). The owner's status — the one a restore
-// believes — is written last, and none after a failed write: a status
-// record carries the events and compactions its store buffered before
-// it, so once the owner's status is on disk every replica's events for
-// x are too. A crash midway leaves the owner's old status, and restore
-// reconciles the mirrors back to it.
+// setStatusDrained sets x's status in every replica, recording it where
+// it changed (span drained). A one-partition row's status is only
+// buffered, behind the events and compactions its store buffered before
+// it; the acknowledgement waits on the barrier after the drain (sync).
+// A spanning row's statuses are each written and synced here, inside the
+// drain, the owner's — the one a restore believes — last, and none after
+// a failed write: once the owner's status is on disk every replica's
+// events for x are too, and a crash midway leaves the owner's old
+// status, to which restore reconciles the mirrors. Synced before the
+// drain ends, they also precede any record of a row that reads x's
+// writes once its locks drop (DESIGN.md, "The restore contract").
 func (x *txn) setStatusDrained(s txnStatus) {
 	var err error
 	for i := len(x.span) - 1; i >= 0; i-- {
@@ -888,9 +900,43 @@ func (x *txn) setStatusDrained(s txnStatus) {
 		r.status[t] = s
 		if err == nil && r.pers != nil {
 			err = r.pers.AppendStatus(t, s)
+			if err == nil && len(x.span) > 1 {
+				err = r.barrier()
+			}
 			r.persistFailedDrained(err)
 		}
 	}
+}
+
+// syncer is the barrier recovery.Store offers beside Persister's
+// appends; a wrapping Persister may forward it.
+type syncer interface{ Sync() error }
+
+// barrier writes and, under Fsync, syncs every record r's store has
+// buffered: through pers when it forwards the barrier, on the store
+// beneath it otherwise.
+func (r *runner) barrier() error {
+	if s, ok := r.pers.(syncer); ok {
+		return s.Sync()
+	}
+	return r.store.Sync()
+}
+
+// sync is the barrier an acknowledgement waits on, run with no drain
+// held: it returns once every record r buffered before the call is on
+// disk. A failure is fatal, recorded under r's drain, and returned.
+func (r *runner) sync() error {
+	if r.pers == nil {
+		return nil
+	}
+	if err := r.barrier(); err != nil {
+		r.self.drain()
+		r.persistFailedDrained(err)
+		err = r.fatal
+		r.self.undrain()
+		return err
+	}
+	return nil
 }
 
 // abortDrained aborts x's current attempt: erase its events (cascading

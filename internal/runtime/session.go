@@ -360,9 +360,13 @@ func (s *Session) failure() error {
 		}
 		return ErrAborted
 	}
-	// Terminal: reaped, drained or out of retries.
+	// Terminal: reaped, drained or out of retries, reported once the
+	// status record is on disk.
 	s.done = true
 	s.h.release(s)
+	if err := s.x.span[0].sync(); err != nil {
+		return fmt.Errorf("runtime: engine failed: %w", err)
+	}
 	if p := s.st.term.Load(); p != nil {
 		return fmt.Errorf("%w (cause: %v)", *p, row.cause)
 	}
@@ -676,8 +680,9 @@ func (r *runner) readRow(t int) rowState {
 // GaveUp and, with lease, LeaseExpired — or, with park, leaves it active
 // for a Resume. x's locks are released after the drain, which wakes a
 // step parked inside a lock acquisition; whatever admit publishes is
-// therefore visible to it. Reports whether the teardown happened, and
-// the fatal error.
+// therefore visible to it. An abandonment returns once its status record
+// is on disk (sync). Reports whether the teardown happened, and the
+// fatal error.
 func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, error) {
 	x.span.drain()
 	o, t := x.own()
@@ -703,5 +708,8 @@ func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, 
 	fatal := x.span.fatal()
 	x.span.undrain()
 	o.pe.mgr.ReleaseAll(x.sid)
+	if fatal == nil && !park {
+		fatal = o.sync()
+	}
 	return true, fatal
 }
