@@ -89,7 +89,7 @@ type Persister interface {
 	// the caller waits for the seal only.
 	Rotate() error
 	// Close writes what is pending and seals the WAL with a
-	// clean-shutdown marker.
+	// clean-shutdown marker; a failed store only closes its file.
 	Close() error
 }
 
@@ -356,6 +356,17 @@ func (s *Store) usable() error {
 func (s *Store) poison(err error) error {
 	s.err = err
 	return err
+}
+
+// Fail poisons the store with err unless it already failed: later
+// appends, barriers and rotations return the failure, and Close writes
+// nothing. The runtime fails every store of a failed engine.
+func (s *Store) Fail(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
 }
 
 // rotateDue reports whether no build is running and the live segment
@@ -790,8 +801,8 @@ func (f *chainFold) encode(w *bufio.Writer) {
 // it. It returns the store's sticky error — a failed build's included —
 // or else the first error of writing the records or the marker, syncing
 // it and closing the file (and poisons the store with it): a nil Close
-// attests the marker reached the disk. A poisoned store writes no
-// marker, and every later Close returns the same error.
+// attests the marker reached the disk. A poisoned store (Fail included)
+// writes nothing, and every later Close returns the same error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -139,14 +139,12 @@ func checkLayout(dataDir string, n int) error {
 	return nil
 }
 
-// restoreDirs opens every partition's durable store, rebuilds the
-// engine from the combined history and attaches the stores. Called
-// before the engine accepts any work (no reaper, no sessions). On a
-// failure the stores are deliberately left unsealed (Store.Close writes
-// a clean marker, which would claim a shutdown that never happened):
-// the history on disk is evidence, and the open file handles die with
-// the process.
-func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
+// restoreDirs opens and attaches every partition's durable store and
+// rebuilds the engine from the combined history. Called before the
+// engine accepts any work (no reaper, no sessions). A refused start fails
+// the engine and closes the stores it opened, unsealed: the history on
+// disk is evidence, left as it was.
+func (pe *PartitionedEngine) restoreDirs(cfg Config) (_ *RestoreInfo, err error) {
 	n := len(pe.parts)
 	if err := checkLayout(cfg.DataDir, n); err != nil {
 		return nil, err
@@ -154,6 +152,12 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 	info := &RestoreInfo{Clean: true}
 	pe.parts.drain()
 	defer pe.parts.undrain()
+	defer func() {
+		if err != nil {
+			pe.fail(err)
+			_ = pe.closeStores() // poisoned, each returns the failure itself
+		}
+	}()
 
 	recs := make([]recovery.Recovered, n)
 	var maxTag uint64
@@ -162,6 +166,13 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runtime: opening durable store for partition %d: %w", p, err)
 		}
+		// Attached before its replay, which feeds the core and writes
+		// nothing: the erasures below must themselves be durable, or a
+		// second restart would resurrect the erased events.
+		r.pers, r.store = st, st
+		if cfg.WrapPersister != nil {
+			r.pers = cfg.WrapPersister(st)
+		}
 		recs[p] = rec
 		info.Clean = info.Clean && rec.Clean
 		info.Torn = info.Torn || rec.Torn
@@ -169,29 +180,20 @@ func (pe *PartitionedEngine) restoreDirs(cfg Config) (*RestoreInfo, error) {
 		if err := r.replayRecoveredDrained(rec); err != nil {
 			return nil, fmt.Errorf("partition %d: %w", p, err)
 		}
-		// The replay fed the core, which writes nothing, so none of what it
-		// read is written again. The store must be attached *before* any
-		// unsettled transaction is erased: the erasures below must
-		// themselves be durable, or a second restart would resurrect the
-		// erased events.
-		r.pers, r.store = st, st
-		if cfg.WrapPersister != nil {
-			r.pers = cfg.WrapPersister(st)
-		}
 	}
 	pe.tags.Store(maxTag)
 
 	if err := pe.restoreRowsDrained(recs, info); err != nil {
 		return nil, err
 	}
+	if err := pe.failed(); err != nil {
+		return nil, fmt.Errorf("runtime: restore: %w", err)
+	}
 
 	// Verify the merged global schedule against the engine-wide system.
 	merged := pe.mergedDrained()
 	if !merged.Serializable(pe.sysDrained()) {
 		return nil, fmt.Errorf("runtime: restore: %w: merged recovered schedule is not serializable under policy %q", recovery.ErrCorrupt, pe.cfg.Policy.Name())
-	}
-	if f := pe.parts.fatal(); f != nil {
-		return nil, fmt.Errorf("runtime: restore: %w", f)
 	}
 	// What the restore itself decided — reconciled and abandoned
 	// statuses, erasures — is on disk before the engine answers anyone.
@@ -313,7 +315,7 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 					r := pe.parts[ref.p]
 					if r.status[ref.lt] != txAbandoned {
 						r.status[ref.lt] = txAbandoned
-						r.persistFailedDrained(r.pers.AppendStatus(ref.lt, txAbandoned))
+						pe.persistFailed(r.pers.AppendStatus(ref.lt, txAbandoned))
 					}
 				}
 				pe.parts[0].met.GaveUp++
@@ -346,9 +348,6 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 	}
 
 	eraseDrained(pe.parts, actives...)
-	if f := pe.parts.fatal(); f != nil {
-		return fmt.Errorf("runtime: restore: %w", f)
-	}
 	now := pe.now().UnixNano()
 	for i, x := range actives {
 		r, t := x.own()
@@ -370,9 +369,6 @@ func (pe *PartitionedEngine) restoreRowsDrained(recs []recovery.Recovered, info 
 		st.parked.Store(true)
 		pe.adopt(*x, r.sys.Txns[t], st, r.gen[t], false)
 		info.Sessions++
-	}
-	if f := pe.parts.fatal(); f != nil {
-		return fmt.Errorf("runtime: restore: %w", f)
 	}
 	return nil
 }

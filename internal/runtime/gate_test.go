@@ -146,8 +146,8 @@ func driveTrace(t *testing.T, sys *model.System, sched model.Schedule, cfg Confi
 		fed[tn]++
 		finish(tn)
 	}
-	if r.fatal != nil {
-		t.Fatalf("fatal: %v", r.fatal)
+	if err := r.pe.failed(); err != nil {
+		t.Fatalf("fatal: %v", err)
 	}
 	r.gate.drain()
 	r.flushPending()

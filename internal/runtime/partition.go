@@ -101,10 +101,10 @@ func NewSessionEngine(init model.State, cfg Config) SessionEngine {
 // back at it for what they share: the configuration, one lock manager
 // (cross-partition deadlock cycles need a single detector), one
 // footprint monitor, the session host's MPL semaphore, one event-tag
-// source (per-partition logs merge by tag), one re-run group and the
-// table of spanning rows; everything else — gate, sequencer, recovery
-// core, checkpoints — is per-partition. Its one session host serves
-// every session, keyed by session id.
+// source (per-partition logs merge by tag), one re-run group, the table
+// of spanning rows and the fail-stop latch; everything else — gate,
+// sequencer, recovery core, checkpoints — is per-partition. Its one
+// session host serves every session, keyed by session id.
 type PartitionedEngine struct {
 	sessHost
 	parts span
@@ -141,6 +141,39 @@ type PartitionedEngine struct {
 	// entries are a row's bookkeeping; status is kept in step on every
 	// replica.
 	spanning map[int]*txn
+	// failure is the fail-stop latch, the engine's one failure state. It
+	// is read on every admission and written once: keep it off tags' line.
+	failure atomic.Pointer[error]
+}
+
+// fail stops every partition at the engine's first failure; later ones
+// are dropped. It poisons every attached store (recovery.Store.Fail), so
+// nothing more is written and Close seals no disk clean: the next start
+// reads Clean=false, and the restore contract decides what survives.
+func (pe *PartitionedEngine) fail(err error) {
+	if !pe.failure.CompareAndSwap(nil, &err) {
+		return
+	}
+	for _, r := range pe.parts {
+		if r.store != nil {
+			r.store.Fail(err)
+		}
+	}
+}
+
+// failed returns the latched failure, nil while the engine is healthy.
+func (pe *PartitionedEngine) failed() error {
+	if p := pe.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// persistFailed fails the engine on a store failure (nil: none).
+func (pe *PartitionedEngine) persistFailed(err error) {
+	if err != nil {
+		pe.fail(fmt.Errorf("runtime: persistence failed: %w", err))
+	}
 }
 
 // rowRef locates a transaction row: its owner partition p and its local
@@ -248,8 +281,7 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 	st := pe.newSessState()
 	x := txn{span: sp, locs: make([]int, len(sp)), sid: g}
 	sp.drain()
-	fatal := sp.fatal()
-	if fatal == nil {
+	if pe.failed() == nil {
 		for i, r := range sp {
 			x.locs[i] = r.addTxnDrained(tx, g)
 			// Every replica records the registration — same id, same token —
@@ -262,16 +294,16 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 				if err == nil && len(sp) > 1 {
 					err = r.barrier()
 				}
-				r.persistFailedDrained(err)
+				pe.persistFailed(err)
 			}
 		}
 		if len(sp) > 1 {
 			shared := x
 			pe.spanning[g] = &shared
 		}
-		fatal = sp.fatal()
 	}
 	sp.undrain()
+	fatal := pe.failed()
 	if fatal == nil && !run {
 		// The reply carries the resume token: the open is on disk first.
 		fatal = sp[0].sync()
@@ -295,10 +327,13 @@ func (pe *PartitionedEngine) open(tx model.Txn, run bool) (Sess, error) {
 // session that already finished is refused with ErrSessionDone naming
 // how the transaction ended, once the record of that outcome is on disk,
 // so a client that lost its connection around a commit learns the
-// outcome.
+// outcome. A failed engine answers every resume with its failure.
 func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	if pe.closed.Load() {
 		return nil, ErrClosed
+	}
+	if err := pe.failed(); err != nil {
+		return nil, fmt.Errorf("runtime: engine failed: %w", err)
 	}
 	pe.gmu.Lock()
 	if sid < 0 || sid >= len(pe.rows) {
@@ -318,11 +353,8 @@ func (pe *PartitionedEngine) Resume(sid int, token uint64) (Sess, error) {
 	if cur == nil {
 		r := pe.parts[ref.p]
 		row := r.readRow(ref.t)
-		if row.fatal == nil {
-			row.fatal = r.sync()
-		}
-		if row.fatal != nil {
-			return nil, fmt.Errorf("runtime: engine failed: %w", row.fatal)
+		if err := r.sync(); err != nil {
+			return nil, fmt.Errorf("runtime: engine failed: %w", err)
 		}
 		outcome := "committed"
 		switch {

@@ -161,8 +161,8 @@ func (pe *PartitionedEngine) Inspect() Inspection {
 // Close shuts the engine down: new sessions and session operations are
 // refused, every still-open session is force-aborted (erasing its
 // events, so the final log is exactly the committed schedule),
-// engine-driven re-runs are waited out, the durable stores
-// are sealed and the merged schedule is verified serializable against
+// engine-driven re-runs are waited out, the durable stores are closed
+// (closeStores) and the merged schedule is verified serializable against
 // the engine-wide system. Returns the merged metrics and schedule.
 func (pe *PartitionedEngine) Close() (*Result, error) {
 	if !pe.shutdown() {
@@ -177,17 +177,11 @@ func (pe *PartitionedEngine) Close() (*Result, error) {
 	pe.parts.drain()
 	merged := pe.mergedDrained()
 	met := pe.statsDrained()
-	fatal := pe.parts.fatal()
 	sys := pe.sysDrained()
 	pe.parts.undrain()
-	// Seal the durable stores (if any): the clean-shutdown marker lets the
-	// next Open skip torn-tail scanning and attests nothing was lost.
-	for _, r := range pe.parts {
-		if r.pers != nil {
-			if err := r.pers.Close(); err != nil && fatal == nil {
-				fatal = fmt.Errorf("runtime: sealing durable store: %w", err)
-			}
-		}
+	fatal := pe.failed()
+	if err := pe.closeStores(); err != nil && fatal == nil {
+		fatal = fmt.Errorf("runtime: sealing durable store: %w", err)
 	}
 	if fatal != nil {
 		return nil, fatal
@@ -196,4 +190,18 @@ func (pe *PartitionedEngine) Close() (*Result, error) {
 		return nil, fmt.Errorf("runtime: merged committed schedule is NOT serializable under policy %q", pe.cfg.Policy.Name())
 	}
 	return &Result{Metrics: met, Schedule: merged}, nil
+}
+
+// closeStores closes every attached store and returns the first error. A
+// healthy engine's seal their WALs clean; a failed one's write nothing.
+func (pe *PartitionedEngine) closeStores() error {
+	var first error
+	for _, r := range pe.parts {
+		if r.pers != nil {
+			if err := r.pers.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }

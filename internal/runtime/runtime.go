@@ -312,19 +312,18 @@ type runner struct {
 	// The fields below are stripe-protected. Per-transaction entries
 	// (status, gen, attempts, abortCause) are read under any stripe set
 	// covering that transaction and written only under a full drain;
-	// everything else — the recovery core, the aggregate metrics, fatal,
-	// the transaction list itself (grown by OpenSession via sys.Add) —
-	// is touched only under a full drain. fatal is additionally *read*
-	// on the fast path, which is safe because its writers hold every
-	// stripe including the reader's.
+	// everything else — the recovery core, the aggregate metrics, the
+	// transaction list itself (grown by OpenSession via sys.Add) — is
+	// touched only under a full drain.
 	rec *recovery.Core
 	// pers is the partition's durable store, nil when the engine is
 	// memory-only. The runner is its one writer: each record follows the
 	// in-memory change that decides it, under a full drain, and a failed
-	// write is fatal (persistFailedDrained). An acknowledgement waits on
+	// write fails the engine (persistFailed). An acknowledgement waits on
 	// the store's barrier after the drain instead (sync). store is the
 	// store beneath pers, which a test may wrap (Config.WrapPersister):
-	// the barrier goes through pers when pers forwards it.
+	// the barrier goes through pers when pers forwards it; fail poisons
+	// store.
 	pers  recovery.Persister
 	store *recovery.Store
 	// owners maps a local row to its engine-wide session id, the row's
@@ -350,10 +349,6 @@ type runner struct {
 	// truncOwned counts the events this runner owns (see ownedEvents)
 	// among those truncation discarded.
 	truncOwned int
-	// fatal records an internal invariant breach (monitor Check/Step
-	// disagreement, a failed persist); the run stops admitting events
-	// and reports it.
-	fatal error
 }
 
 // span is the ordered set of partitions one transaction row works over.
@@ -373,27 +368,6 @@ func (sp span) drain() {
 func (sp span) undrain() {
 	for i := len(sp) - 1; i >= 0; i-- {
 		sp[i].gate.undrain()
-	}
-}
-
-// fatal reports the first member's recorded invariant breach (drain
-// held).
-func (sp span) fatal() error {
-	for _, r := range sp {
-		if r.fatal != nil {
-			return r.fatal
-		}
-	}
-	return nil
-}
-
-// setFatal records err on every member that has none yet, so a breach
-// in a spanning row halts every partition it touched (drain held).
-func (sp span) setFatal(err error) {
-	for _, r := range sp {
-		if r.fatal == nil {
-			r.fatal = err
-		}
 	}
 }
 
@@ -512,7 +486,7 @@ func (x *txn) attempt() bool {
 	var buf [maxStripeBuf]int
 	tset := o.txnStripes(buf[:0], t)
 	o.gate.lockSet(tset)
-	if o.status[t] != txActive || o.fatal != nil {
+	if o.status[t] != txActive || o.pe.failed() != nil {
 		o.gate.unlockSet(tset)
 		return false
 	}
@@ -600,7 +574,7 @@ const (
 func (x *txn) admitFast(set []int, gen int, ev model.Ev) (fastOutcome, error) {
 	r, t := x.own()
 	r.gate.lockSet(set)
-	if r.fatal != nil || r.gen[t] != gen {
+	if r.pe.failed() != nil || r.gen[t] != gen {
 		r.gate.unlockSet(set)
 		return fastFallback, nil
 	}
@@ -672,7 +646,7 @@ func (r *runner) flushPending() {
 		r.rec.AppendAppliedTagged(r.pending, r.pendTags)
 		if r.pers != nil {
 			// flushPending always runs under a full drain.
-			r.persistFailedDrained(r.pers.AppendEvents(r.pending, r.pendTags))
+			r.pe.persistFailed(r.pers.AppendEvents(r.pending, r.pendTags))
 		}
 		r.pending = r.pending[:0]
 		r.pendTags = r.pendTags[:0]
@@ -772,7 +746,7 @@ func (x *txn) commit(gen int) bool {
 	o, _ := x.own()
 	o.met.Commits++
 	x.setStatusDrained(txCommitted)
-	if x.span.fatal() != nil {
+	if o.pe.failed() != nil {
 		x.span.undrain()
 		o.pe.mgr.ReleaseAll(x.sid)
 		return false
@@ -816,7 +790,7 @@ func (r *runner) maybeTruncateDrained() {
 		if r.pers != nil {
 			// On disk a cut offers a rotation, which the store takes once
 			// the WAL has outgrown the snapshot.
-			r.persistFailedDrained(r.pers.Rotate())
+			r.pe.persistFailed(r.pers.Rotate())
 		}
 		r.truncOwned += r.ownedEvents(old[:cut])
 		r.sys.Retire(r.rec.Floor())
@@ -849,7 +823,7 @@ func (r *runner) ownedEvents(evs model.Schedule) int {
 // ReleaseAll.
 func (x *txn) staleDrained(gen int) bool {
 	o, t := x.own()
-	if x.span.fatal() == nil && o.gen[t] == gen {
+	if o.pe.failed() == nil && o.gen[t] == gen {
 		return false
 	}
 	x.span.undrain()
@@ -861,22 +835,12 @@ func (x *txn) staleDrained(gen int) bool {
 	return true
 }
 
-// bailDrained stops x after a fatal error, recording err on every member
-// of the span that has none. Called with the span drained; releases it.
+// bailDrained stops x after a fatal error: the engine fails with err.
+// Called with the span drained; releases it.
 func (x *txn) bailDrained(err error) {
-	x.span.setFatal(err)
+	x.span[0].pe.fail(err)
 	x.span.undrain()
 	x.span[0].pe.mgr.ReleaseAll(x.sid)
-}
-
-// persistFailedDrained records a persister failure (nil: none) as the
-// runner's fatal error unless one is already recorded: the engine can no
-// longer honor its durability contract and stops admitting work. Called
-// with a full drain held.
-func (r *runner) persistFailedDrained(err error) {
-	if err != nil && r.fatal == nil {
-		r.fatal = fmt.Errorf("runtime: persistence failed: %w", err)
-	}
 }
 
 // setStatusDrained sets x's status in every replica, recording it where
@@ -903,7 +867,7 @@ func (x *txn) setStatusDrained(s txnStatus) {
 			if err == nil && len(x.span) > 1 {
 				err = r.barrier()
 			}
-			r.persistFailedDrained(err)
+			r.pe.persistFailed(err)
 		}
 	}
 }
@@ -924,17 +888,14 @@ func (r *runner) barrier() error {
 
 // sync is the barrier an acknowledgement waits on, run with no drain
 // held: it returns once every record r buffered before the call is on
-// disk. A failure is fatal, recorded under r's drain, and returned.
+// disk. A failure fails the engine, and the latched failure is returned.
 func (r *runner) sync() error {
 	if r.pers == nil {
 		return nil
 	}
 	if err := r.barrier(); err != nil {
-		r.self.drain()
-		r.persistFailedDrained(err)
-		err = r.fatal
-		r.self.undrain()
-		return err
+		r.pe.persistFailed(err)
+		return r.pe.failed()
 	}
 	return nil
 }
@@ -994,14 +955,14 @@ restart:
 				if r.pers != nil && r.rec.Stats().Compactions > erased {
 					// The compaction removed events: without its record a
 					// restore would resurrect them.
-					r.persistFailedDrained(r.pers.AppendCompact(slices.Sorted(maps.Keys(lv[i]))))
+					r.pe.persistFailed(r.pers.AppendCompact(slices.Sorted(maps.Keys(lv[i]))))
 				}
 				break
 			}
 			if lv[i][c] {
 				// Compact never re-reports a transaction already in the set;
 				// seeing one is an invariant breach, not a livelock to spin on.
-				sp.setFatal(fmt.Errorf("runtime: abort cascade cannot converge on T%d", c+1))
+				r.pe.fail(fmt.Errorf("runtime: abort cascade cannot converge on T%d", c+1))
 				return
 			}
 			v := r.rowTxn(c)
@@ -1011,7 +972,7 @@ restart:
 				// donations, so their events never invalidate a spanning
 				// one's. This is an invariant breach — mutating one replica
 				// here would diverge the partitions.
-				sp.setFatal(fmt.Errorf("runtime: local abort cascade reached cross-partition transaction T%d", c+1))
+				r.pe.fail(fmt.Errorf("runtime: local abort cascade reached cross-partition transaction T%d", c+1))
 				return
 			}
 			v.cascadeVictimDrained()

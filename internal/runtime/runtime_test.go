@@ -277,8 +277,8 @@ func TestRecoveryModeEraseEquivalence(t *testing.T) {
 	// must leave T3 untouched.
 	eraseDrained(span{ck}, ck.rowTxn(0))
 	eraseDrained(span{full}, full.rowTxn(0))
-	if ck.fatal != nil || full.fatal != nil {
-		t.Fatalf("fatal: %v / %v", ck.fatal, full.fatal)
+	if ck.pe.failed() != nil || full.pe.failed() != nil {
+		t.Fatalf("fatal: %v / %v", ck.pe.failed(), full.pe.failed())
 	}
 	if a, b := ck.rec.Events().String(), full.rec.Events().String(); a != b {
 		t.Fatalf("surviving logs differ:\n%s\n%s", a, b)

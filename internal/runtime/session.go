@@ -461,11 +461,11 @@ func (s *Session) Abort() error {
 		return err
 	}
 	defer s.end()
-	_, fatal := s.x.teardown(nil, false, false, nil)
+	s.x.teardown(nil, false, false, nil)
 	s.done = true
 	s.h.release(s)
-	if fatal != nil {
-		return fmt.Errorf("runtime: engine failed: %w", fatal)
+	if err := s.x.span[0].pe.failed(); err != nil {
+		return fmt.Errorf("runtime: engine failed: %w", err)
 	}
 	return nil
 }
@@ -487,7 +487,7 @@ func (s *Session) Cancel() {
 // Reports whether the session was actually torn down (false if it
 // already finished or the engine is failing).
 func (h *sessHost) forceAbort(s *Session, term, cause error, lease bool) bool {
-	done, _ := s.x.teardown(cause, false, lease, func() bool {
+	done := s.x.teardown(cause, false, lease, func() bool {
 		if s.st.finished.Load() {
 			return false
 		}
@@ -642,32 +642,23 @@ func (r *runner) addTxnDrained(tx model.Txn, sid int) int {
 	return t
 }
 
-// rowState is a snapshot of one row's bookkeeping and a fatal error.
+// rowState is a snapshot of one row's bookkeeping and of the engine's
+// failure.
 type rowState struct {
 	gen, attempts int
 	status        txnStatus
 	cause, fatal  error
 }
 
-// readRow snapshots x's row at its owner replica, with the first fatal
-// error recorded on any span member: a failed write records it on its
-// own partition only. Each member's is read under the row's stripe
-// there, which suffices because fatal is written under a full drain.
-func (x *txn) readRow() rowState {
-	o, t := x.own()
-	row := o.readRow(t)
-	for i := 1; i < len(x.span) && row.fatal == nil; i++ {
-		row.fatal = x.span[i].readRow(x.locs[i]).fatal
-	}
-	return row
-}
+// readRow snapshots x's row at its owner replica.
+func (x *txn) readRow() rowState { return x.span[0].readRow(x.locs[0]) }
 
-// readRow snapshots row t under t's stripe.
+// readRow snapshots row t under t's stripe, and the latch.
 func (r *runner) readRow(t int) rowState {
 	var buf [maxStripeBuf]int
 	tset := r.txnStripes(buf[:0], t)
 	r.gate.lockSet(tset)
-	row := rowState{gen: r.gen[t], attempts: r.attempts[t], status: r.status[t], cause: r.abortCause[t], fatal: r.fatal}
+	row := rowState{gen: r.gen[t], attempts: r.attempts[t], status: r.status[t], cause: r.abortCause[t], fatal: r.pe.failed()}
 	r.gate.unlockSet(tset)
 	return row
 }
@@ -681,19 +672,19 @@ func (r *runner) readRow(t int) rowState {
 // for a Resume. x's locks are released after the drain, which wakes a
 // step parked inside a lock acquisition; whatever admit publishes is
 // therefore visible to it. An abandonment returns once its status record
-// is on disk (sync). Reports whether the teardown happened, and the
-// fatal error.
-func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, error) {
+// is on disk (sync). Reports whether the teardown happened; a caller
+// learns of a failure from the latch.
+func (x *txn) teardown(cause error, park, lease bool, admit func() bool) bool {
 	x.span.drain()
 	o, t := x.own()
-	if fatal := x.span.fatal(); fatal != nil || o.status[t] != txActive || (admit != nil && !admit()) {
+	if failed := o.pe.failed() != nil; failed || o.status[t] != txActive || (admit != nil && !admit()) {
 		x.span.undrain()
-		if fatal != nil {
+		if failed {
 			// A failed engine admits nothing more; shedding the row's locks
 			// lets whoever waits on them find that out.
 			o.pe.mgr.ReleaseAll(x.sid)
 		}
-		return false, fatal
+		return false
 	}
 	eraseDrained(x.span, x)
 	o.gen[t]++
@@ -705,11 +696,10 @@ func (x *txn) teardown(cause error, park, lease bool, admit func() bool) (bool, 
 		}
 		x.setStatusDrained(txAbandoned)
 	}
-	fatal := x.span.fatal()
 	x.span.undrain()
 	o.pe.mgr.ReleaseAll(x.sid)
-	if fatal == nil && !park {
-		fatal = o.sync()
+	if !park {
+		o.sync()
 	}
-	return true, fatal
+	return true
 }

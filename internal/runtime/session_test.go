@@ -318,17 +318,14 @@ func TestRetryLoopStopsWithRow(t *testing.T) {
 		r.pe.wg.Add(1)
 		go x.runTxn()
 		waitAttempts(x, 2)
-		r.gate.drain()
-		r.fatal = errors.New("injected engine failure")
-		r.gate.undrain()
+		r.pe.fail(errors.New("injected engine failure"))
 		done := make(chan struct{})
 		go func() { r.pe.wg.Wait(); close(done) }()
 		settled(t, x, done)
 	})
 
-	// The spanning arms: a failed store write records its error on its own
-	// partition only, here the second, while the row's owner replica is
-	// the first. The loop must still see it and stop, and Close return it.
+	// The spanning arms: the engine fails while the row spans both
+	// partitions. The loop must see it and stop, and Close return it.
 	e0, e1 := partitionedEntities(t)
 	injected := errors.New("injected store failure")
 	spanned := func(t *testing.T) (*PartitionedEngine, *Session) {
@@ -347,12 +344,6 @@ func TestRetryLoopStopsWithRow(t *testing.T) {
 		}
 		return pe, s
 	}
-	failSecond := func(pe *PartitionedEngine) {
-		r := pe.parts[1]
-		r.gate.drain()
-		r.fatal = injected
-		r.gate.undrain()
-	}
 	closed := func(t *testing.T, pe *PartitionedEngine) {
 		if _, err := pe.Close(); !errors.Is(err, injected) {
 			t.Fatalf("Close of a failed engine = %v, want the injected failure", err)
@@ -365,7 +356,7 @@ func TestRetryLoopStopsWithRow(t *testing.T) {
 		done := make(chan struct{})
 		go func() { ran = s.Run(); close(done) }()
 		waitAttempts(&s.x, 2)
-		failSecond(pe)
+		pe.fail(injected)
 		settled(t, &s.x, done)
 		if !errors.Is(ran, injected) {
 			t.Fatalf("Run on a failed engine = %v, want the injected failure", ran)
@@ -378,7 +369,7 @@ func TestRetryLoopStopsWithRow(t *testing.T) {
 		pe.wg.Add(1)
 		go s.x.runTxn()
 		waitAttempts(&s.x, 2)
-		failSecond(pe)
+		pe.fail(injected)
 		done := make(chan struct{})
 		go func() { pe.wg.Wait(); close(done) }()
 		settled(t, &s.x, done)

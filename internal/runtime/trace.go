@@ -77,8 +77,8 @@ func ReplayTrace(sys *model.System, sched model.Schedule, cfg Config, commit boo
 	r.gate.drain()
 	r.flushPending()
 	r.gate.undrain()
-	if r.fatal != nil {
-		return nil, r.fatal
+	if err := r.pe.failed(); err != nil {
+		return nil, err
 	}
 	r.met.Events = r.rec.Len()
 	r.met.Replayed = r.rec.Stats().Replayed
